@@ -16,6 +16,7 @@ from .feasibility import (
     is_proper_partial,
     time_share_schedule,
 )
+from .oneshot import _single_pass_bound
 
 CSV_HEADER = [
     "scheme", "K", "m", "n", "dof_total", "snr_db", "trials",
@@ -80,20 +81,15 @@ class _ConfigError(Exception):
 def _infeasibility(spec: ExperimentSpec):
     """Reason the requested schemes cannot run on this geometry, if any."""
     slots = spec.slot_dof()
+    configs = []
     for row in slots:
-        for k, d in enumerate(row):
-            paired = spec.tx_antennas[k] + spec.tx_antennas[(k - 1) % spec.num_users]
-            cap = min(spec.rx_antennas[k], paired)
-            if d > cap:
-                return (f"user {k} would need {d} streams in one slot but its "
-                        f"antennas support at most {cap}")
+        try:
+            configs.append(spec.slot_config(row))
+        except ValueError as exc:
+            return f"time sharing still puts too many streams in one slot: {exc}"
     if "oneshot_partial" in spec.schemes:
-        for row in slots:
-            widths = [
-                spec.tx_antennas[k] + spec.tx_antennas[(k - 1) % spec.num_users]
-                for k, d in enumerate(row) if d > 0
-            ]
-            bound = min(widths)
+        for cfg in configs:
+            bound = _single_pass_bound(cfg)
             if spec.dof_total > bound:
                 return (f"one-shot alignment cannot deliver {spec.dof_total} total "
                         f"streams: the smallest paired antenna width is {bound}")

@@ -4,8 +4,11 @@ This is the classical alternating baseline: receive filters take the
 least-interfered directions of the forward covariance, transmit precoders
 take the least-leaking directions of the reciprocal covariance, and the
 two steps repeat until the residual interference power is negligible
-against the initial signal power. It runs on any square block grid, so
-the same code covers the plain per-station channel and the paired one.
+against the initial signal power. Both covariances come from the shared
+kernel :func:`pcia.linalg.interference_covariances`, the reverse one on
+the :func:`pcia.linalg.reciprocal` grid built once per run. It runs on
+any square block grid, so the same code covers the plain per-station
+channel and the paired one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import fix_column_phases, smallest_eigvecs
+from .linalg import (
+    _stream_weights,
+    fix_column_phases,
+    interference_covariances,
+    reciprocal,
+    smallest_eigvecs,
+)
 
 __all__ = ["IterationTrace", "leakage", "iterate_distributed_ia"]
 
@@ -31,38 +40,12 @@ class IterationTrace:
     transmit: list
 
 
-def _stream_powers(powers: Sequence, dof: Sequence):
-    return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
-
-
-def _forward_covariances(blocks, transmit, stream_powers):
-    num_users = len(blocks)
-    covs = []
-    for k in range(num_users):
-        rows = blocks[k][k].shape[0]
-        q = np.zeros((rows, rows), dtype=np.complex128)
-        for l in range(num_users):
-            if l == k or transmit[l].shape[1] == 0:
-                continue
-            eff = blocks[k][l] @ transmit[l]
-            q += stream_powers[l] * (eff @ eff.conj().T)
-        covs.append(q)
-    return covs
-
-
-def _reverse_covariances(blocks, receive, stream_powers):
-    num_users = len(blocks)
-    covs = []
-    for k in range(num_users):
-        cols = blocks[k][k].shape[1]
-        q = np.zeros((cols, cols), dtype=np.complex128)
-        for l in range(num_users):
-            if l == k or receive[l].shape[1] == 0:
-                continue
-            eff = blocks[l][k].conj().T @ receive[l]
-            q += stream_powers[l] * (eff @ eff.conj().T)
-        covs.append(q)
-    return covs
+def _leakage_total(receive, covs) -> float:
+    total = 0.0
+    for u, q in zip(receive, covs):
+        if u.shape[1]:
+            total += float(np.real(np.trace(u.conj().T @ q @ u)))
+    return total
 
 
 def leakage(blocks, receive, transmit, powers, dof) -> float:
@@ -71,12 +54,8 @@ def leakage(blocks, receive, transmit, powers, dof) -> float:
     Sums ``trace(U_k^H Q_k U_k)`` over users, where ``Q_k`` collects the
     per-stream-power weighted covariances of all undesired transmitters.
     """
-    covs = _forward_covariances(blocks, transmit, _stream_powers(powers, dof))
-    total = 0.0
-    for u, q in zip(receive, covs):
-        if u.shape[1]:
-            total += float(np.real(np.trace(u.conj().T @ q @ u)))
-    return total
+    covs = interference_covariances(blocks, transmit, _stream_weights(powers, dof))
+    return _leakage_total(receive, covs)
 
 
 def iterate_distributed_ia(
@@ -118,9 +97,10 @@ def iterate_distributed_ia(
             raise ValueError(
                 f"user {k} asks for {dof[k]} streams on a {blocks[k][k].shape} block"
             )
-    fwd_weights = _stream_powers(powers, dof)
-    rev_weights = fwd_weights if reverse_powers is None else _stream_powers(
+    fwd_weights = _stream_weights(powers, dof)
+    rev_weights = fwd_weights if reverse_powers is None else _stream_weights(
         list(reverse_powers), dof)
+    reverse = reciprocal(blocks)
 
     if init == "svd":
         transmit = []
@@ -150,18 +130,14 @@ def iterate_distributed_ia(
     history = []
     converged = False
     for _ in range(max_iters):
-        covs = _forward_covariances(blocks, transmit, fwd_weights)
+        covs = interference_covariances(blocks, transmit, fwd_weights)
         receive = [smallest_eigvecs(covs[k], dof[k]) for k in range(num_users)]
-        total = 0.0
-        for k in range(num_users):
-            if dof[k]:
-                total += float(np.real(
-                    np.trace(receive[k].conj().T @ covs[k] @ receive[k])))
+        total = _leakage_total(receive, covs)
         history.append(total)
         if total <= threshold:
             converged = True
             break
-        rev = _reverse_covariances(blocks, receive, rev_weights)
+        rev = interference_covariances(reverse, receive, rev_weights)
         transmit = [smallest_eigvecs(rev[k], dof[k]) for k in range(num_users)]
     return IterationTrace(
         leakage=history,

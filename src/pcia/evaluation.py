@@ -240,17 +240,15 @@ def _slot_power_scale(dof_row):
     return [k / active if d > 0 else 0.0 for d in dof_row]
 
 
-def _rates_over_grid(blocks, receive, transmit, dof, snr_grid, power_scale=None):
-    num_users = len(blocks)
-    rates = np.zeros(len(snr_grid))
-    for i, snr in enumerate(snr_grid):
+def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
+    """Rates over the SNR grid, alignment residual, convergence and streams."""
+    rates = np.zeros(len(spec.snr_grid_db))
+    for i, snr in enumerate(spec.snr_grid_db):
         p = _snr_powers(snr)
-        if power_scale is None:
-            powers = [p] * num_users
-        else:
-            powers = [p * s for s in power_scale]
+        powers = [p * s for s in power_scale]
         _, rates[i] = sum_rate(blocks, receive, transmit, powers, dof, 1.0)
-    return rates
+    resid = alignment_residual(blocks, receive, transmit)
+    return rates, resid, conv, float(sum(dof))
 
 
 def _oneshot_slot(spec, equiv, dof_row):
@@ -259,11 +257,8 @@ def _oneshot_slot(spec, equiv, dof_row):
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
     except (OneShotInfeasible, RankDeficientDesired):
         return _failed_slot(len(spec.snr_grid_db))
-    rates = _rates_over_grid(equiv.blocks, beams.receive, beams.transmit,
-                             dof_row, spec.snr_grid_db,
-                             power_scale=_slot_power_scale(dof_row))
-    resid = alignment_residual(equiv.blocks, beams.receive, beams.transmit)
-    return rates, resid, 1.0, float(sum(dof_row))
+    return _scored_slot(spec, equiv.blocks, beams.receive, beams.transmit, dof_row,
+                        _slot_power_scale(dof_row), 1.0)
 
 
 def _distributed_slot(spec, blocks, dof_row, init_seed):
@@ -279,11 +274,8 @@ def _distributed_slot(spec, blocks, dof_row, init_seed):
         )
     except ValueError:
         return _failed_slot(len(spec.snr_grid_db))
-    rates = _rates_over_grid(blocks, trace.receive, trace.transmit,
-                             dof_row, spec.snr_grid_db,
-                             power_scale=_slot_power_scale(dof_row))
-    resid = alignment_residual(blocks, trace.receive, trace.transmit)
-    return rates, resid, 1.0 if trace.converged else 0.0, float(sum(dof_row))
+    return _scored_slot(spec, blocks, trace.receive, trace.transmit, dof_row,
+                        _slot_power_scale(dof_row), 1.0 if trace.converged else 0.0)
 
 
 def _bd_trial(spec, channel):
@@ -294,12 +286,8 @@ def _bd_trial(spec, channel):
     grid = [[channel.row_block(k)] * spec.num_users for k in range(spec.num_users)]
     # Full coordination pools the per-user power budgets and splits the
     # pool equally over all delivered streams.
-    total = sol.dof_total
-    scale = [spec.num_users * d / total for d in sol.dof]
-    rates = _rates_over_grid(grid, sol.receive, sol.transmit, sol.dof,
-                             spec.snr_grid_db, power_scale=scale)
-    resid = alignment_residual(grid, sol.receive, sol.transmit)
-    return rates, resid, 1.0, float(total)
+    scale = [spec.num_users * d / sol.dof_total for d in sol.dof]
+    return _scored_slot(spec, grid, sol.receive, sol.transmit, sol.dof, scale, 1.0)
 
 
 def _mean_ignoring_nan(values) -> float:

@@ -31,19 +31,11 @@ __all__ = [
 ]
 
 
-def _as_int_tuple(value, num_users: int, name: str) -> tuple:
+def _per_user(value, num_users: int, name: str, cast) -> tuple:
+    """Broadcast a scalar to every user, or check a per-user sequence."""
     if np.isscalar(value):
         value = [value] * num_users
-    out = tuple(int(v) for v in value)
-    if len(out) != num_users:
-        raise ValueError(f"{name} must have one entry per user, got {len(out)}")
-    return out
-
-
-def _as_float_tuple(value, num_users: int, name: str) -> tuple:
-    if np.isscalar(value):
-        value = [value] * num_users
-    out = tuple(float(v) for v in value)
+    out = tuple(cast(v) for v in value)
     if len(out) != num_users:
         raise ValueError(f"{name} must have one entry per user, got {len(out)}")
     return out
@@ -73,16 +65,10 @@ class NetworkConfig:
         num_users = len(tuple(self.rx_antennas))
         if num_users < 2:
             raise ValueError("the coordination ring needs at least two cells")
-        object.__setattr__(
-            self, "rx_antennas", _as_int_tuple(self.rx_antennas, num_users, "rx_antennas")
-        )
-        object.__setattr__(
-            self, "tx_antennas", _as_int_tuple(self.tx_antennas, num_users, "tx_antennas")
-        )
-        object.__setattr__(self, "dof", _as_int_tuple(self.dof, num_users, "dof"))
-        object.__setattr__(
-            self, "tx_power", _as_float_tuple(self.tx_power, num_users, "tx_power")
-        )
+        for name, cast in (("rx_antennas", int), ("tx_antennas", int),
+                           ("dof", int), ("tx_power", float)):
+            object.__setattr__(
+                self, name, _per_user(getattr(self, name), num_users, name, cast))
         object.__setattr__(self, "noise_power", float(self.noise_power))
         if any(m < 1 for m in self.rx_antennas):
             raise ValueError("every user needs at least one receive antenna")
@@ -146,12 +132,10 @@ class NetworkConfig:
         return tuple(k for k in range(self.num_users) if self.dof[k] > 0)
 
     def with_dof(self, dof: Sequence) -> "NetworkConfig":
-        return dataclasses.replace(self, dof=tuple(int(d) for d in dof))
+        return dataclasses.replace(self, dof=dof)
 
     def with_power(self, tx_power) -> "NetworkConfig":
-        if np.isscalar(tx_power):
-            tx_power = [tx_power] * self.num_users
-        return dataclasses.replace(self, tx_power=tuple(float(p) for p in tx_power))
+        return dataclasses.replace(self, tx_power=tx_power)
 
 
 @dataclasses.dataclass
@@ -257,19 +241,28 @@ class PermutationMap:
         return p
 
 
+def _stacking_order(config: NetworkConfig, k: int) -> tuple:
+    """Stations of user ``k``'s pair in the order its stack lists them.
+
+    User 0 lists its own station first and the ring neighbour second;
+    every other user lists the neighbour first.
+    """
+    if k == 0:
+        return k, config.secondary(k)
+    return config.secondary(k), k
+
+
 def build_permutation(config: NetworkConfig) -> PermutationMap:
     """Column map of the equivalent paired-transmitter channel.
 
-    User 0's group lists its own station's antennas first and then the
-    ring neighbour's; every other group lists the neighbour first. That
-    ordering matches how the stacked per-user precoders are split into
-    primary and secondary parts.
+    Each group gathers its serving pair's antennas in the stacking order
+    that :func:`split_beamformer` and :func:`stack_beamformer` also use:
+    user 0 lists its own station first, every other user its neighbour.
     """
     offsets = np.concatenate(([0], np.cumsum(config.tx_antennas)))
     order = []
     for k in range(config.num_users):
-        pair = (k, config.secondary(k)) if k == 0 else (config.secondary(k), k)
-        for b in pair:
+        for b in _stacking_order(config, k):
             order.extend(range(offsets[b], offsets[b] + config.tx_antennas[b]))
     return PermutationMap(
         column_order=np.asarray(order, dtype=np.intp),
@@ -339,14 +332,11 @@ def split_beamformer(transmit: Sequence, config: NetworkConfig):
                 f"user {k} beamformer has {w.shape[0]} rows, "
                 f"expected {config.paired_tx_antennas(k)}"
             )
-        own = config.tx_antennas[k]
-        if k == 0:
-            primary.append(w[:own])
-            secondary.append(w[own:])
-        else:
-            helper = config.tx_antennas[config.secondary(k)]
-            secondary.append(w[:helper])
-            primary.append(w[helper:])
+        first, second = _stacking_order(config, k)
+        cut = config.tx_antennas[first]
+        rows = {first: w[:cut], second: w[cut:]}
+        primary.append(rows[k])
+        secondary.append(rows[config.secondary(k)])
     return primary, secondary
 
 
@@ -354,10 +344,8 @@ def stack_beamformer(primary: Sequence, secondary: Sequence, config: NetworkConf
     """Inverse of :func:`split_beamformer`."""
     transmit = []
     for k in range(config.num_users):
-        if k == 0:
-            transmit.append(np.vstack([primary[k], secondary[k]]))
-        else:
-            transmit.append(np.vstack([secondary[k], primary[k]]))
+        rows = {k: primary[k], config.secondary(k): secondary[k]}
+        transmit.append(np.vstack([rows[b] for b in _stacking_order(config, k)]))
     return transmit
 
 

@@ -10,6 +10,8 @@ cross links exist in closed form and are found in one pass:
 1. receive filters from the dominant singular directions of each direct
    block,
 2. a reciprocal interference covariance per user on the paired stack,
+   from the kernel :func:`pcia.linalg.interference_covariances` shared
+   with the iterative baseline,
 3. its null space as the admissible precoder directions,
 4. a subset choice within that null space scored on the direct link.
 
@@ -25,7 +27,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import fix_column_phases, hermitize, pin_joint_phases
+from .linalg import (
+    _stream_weights,
+    fix_column_phases,
+    hermitize,
+    interference_covariances,
+    pin_joint_phases,
+    reciprocal,
+)
 from .network import (
     BeamformerSet,
     ChannelSet,
@@ -148,17 +157,8 @@ def reciprocal_interference_covariance(
     powers = list(config.tx_power) if reverse_power is None else list(reverse_power)
     if len(powers) != config.num_users:
         raise ValueError("need one reverse power per user")
-    covariances = []
-    for k in range(config.num_users):
-        width = config.paired_tx_antennas(k)
-        q = np.zeros((width, width), dtype=np.complex128)
-        for l in range(config.num_users):
-            if l == k or config.dof[l] == 0:
-                continue
-            eff = equiv.blocks[l][k].conj().T @ receive[l]
-            q += (powers[l] / config.dof[l]) * (eff @ eff.conj().T)
-        covariances.append(hermitize(q))
-    return covariances
+    return interference_covariances(
+        reciprocal(equiv.blocks), receive, _stream_weights(powers, config.dof))
 
 
 def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:

@@ -1,0 +1,98 @@
+"""The shared interference-covariance kernel on a ragged grid.
+
+Stations carry 2, 3 and 2 antennas and user 2 is silent, so the blocks
+are not square, the paired widths differ (4, 5, 5), and one transmitter
+sends nothing. Oracles: explicit sums over interferers and streams.
+"""
+
+import numpy as np
+import pytest
+
+from pcia import (
+    NetworkConfig,
+    build_permutation,
+    design_receive_beamformers,
+    equivalent_channel,
+    generate_channel,
+    reciprocal_interference_covariance,
+)
+from pcia.linalg import interference_covariances, reciprocal
+
+from conftest import random_orthonormal
+
+CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2),
+                       dof=(1, 2, 0), tx_power=(1.0, 2.0, 3.0))
+WEIGHTS = [1.0, 1.0, 0.0]   # power / streams, zero for the silent user
+
+
+@pytest.fixture(params=[0, 1, 2])
+def ragged(request):
+    rng = np.random.default_rng(request.param)
+    equiv = equivalent_channel(generate_channel(CONFIG, request.param),
+                               build_permutation(CONFIG))
+    transmit = [random_orthonormal(rng, w, d)
+                for w, d in zip(CONFIG.paired_widths, CONFIG.dof)]
+    receive, _ = design_receive_beamformers(equiv, CONFIG)
+    return equiv, transmit, receive
+
+
+def _double_sum(grid, beams, weights, k):
+    size = grid[k][k].shape[0]
+    q = np.zeros((size, size), dtype=np.complex128)
+    for l in range(len(grid)):
+        if l == k:
+            continue
+        for s in range(beams[l].shape[1]):
+            col = grid[k][l] @ beams[l][:, s]
+            q += weights[l] * np.outer(col, col.conj())
+    return q
+
+
+def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
+    blocks = ragged[0].blocks
+    rev = reciprocal(blocks)
+    for k in range(3):
+        for l in range(3):
+            assert np.array_equal(rev[k][l], blocks[l][k].conj().T)
+
+
+def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
+    blocks, transmit = ragged[0].blocks, ragged[1]
+    covs = interference_covariances(blocks, transmit, WEIGHTS)
+    for k, q in enumerate(covs):
+        assert q.shape == (CONFIG.rx_antennas[k],) * 2
+        assert np.array_equal(q, q.conj().T)
+        np.testing.assert_allclose(q, _double_sum(blocks, transmit, WEIGHTS, k),
+                                   rtol=0, atol=1e-12)
+
+
+def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
+    equiv, _, receive = ragged
+    blocks = equiv.blocks
+    covs = interference_covariances(reciprocal(blocks), receive, WEIGHTS)
+    public = reciprocal_interference_covariance(equiv, receive, CONFIG,
+                                                reverse_power=[1.0, 2.0, 3.0])
+    for k, q in enumerate(covs):
+        assert q.shape == (CONFIG.paired_widths[k],) * 2
+        assert np.array_equal(q, q.conj().T)
+        assert np.array_equal(q, public[k])
+        oracle = sum(WEIGHTS[l] * blocks[l][k].conj().T @ receive[l]
+                     @ receive[l].conj().T @ blocks[l][k]
+                     for l in range(3) if l != k)
+        np.testing.assert_allclose(q, oracle, rtol=0, atol=1e-12)
+
+
+def test_silent_transmitter_contributes_nothing(ragged):
+    equiv, transmit, receive = ragged
+    blocks = equiv.blocks
+    rev = reciprocal(blocks)
+    loud = [1.0, 1.0, 1e6]
+    scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in blocks]
+    for grid, beams in ((blocks, transmit), (rev, receive)):
+        base = interference_covariances(grid, beams, WEIGHTS)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(base, interference_covariances(grid, beams, loud)))
+    base = interference_covariances(blocks, transmit, WEIGHTS)
+    moved = interference_covariances(scrambled, transmit, WEIGHTS)
+    for k in (0, 1):
+        assert np.array_equal(base[k], moved[k])
