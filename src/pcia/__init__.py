@@ -36,7 +36,12 @@ from .oneshot import (
     reciprocal_state,
     select_transmit_beamformer,
 )
-from .distributed import IterationTrace, iterate_distributed_ia, leakage
+from .distributed import (
+    DistributedInfeasible,
+    IterationTrace,
+    iterate_distributed_ia,
+    leakage,
+)
 from .zeroforcing import BDInfeasible, BDSolution, bd_zero_forcing
 from .evaluation import (
     SCHEMES,

@@ -4,11 +4,18 @@ This is the classical alternating baseline: receive filters take the
 least-interfered directions of the forward covariance, transmit precoders
 take the least-leaking directions of the reciprocal covariance, and the
 two steps repeat until the residual interference power is negligible
-against the initial signal power. Both covariances come from the shared
-kernel :func:`pcia.linalg.interference_covariances`, the reverse one on
-the :func:`pcia.linalg.reciprocal` grid built once per run. It runs on
-any square block grid, so the same code covers the plain per-station
-channel and the paired one.
+against the initial signal power. It runs on any square block grid, so
+the same code covers the plain per-station channel and the paired one.
+
+The loop works on the grid stacked once per run into a zero-padded
+``(K, K, m, n)`` array, with its reciprocal built once as an array too.
+Each half-iteration makes one call to the shared covariance kernel of
+:mod:`pcia.linalg` and one batched ``eigh`` over all users; the recorded
+leakage is the sum of each user's smallest eigenvalues. Uneven stream
+counts, silent users included, ride as zero-weight padding columns;
+ragged antenna counts as padded dimensions loaded above the trace so they
+sort last. The covariances depend only on ``V V^H``, so column phases are
+pinned once, on the returned filters.
 """
 
 from __future__ import annotations
@@ -19,14 +26,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (
+    _covariance_stack,
+    _interferer_weights,
+    _stack,
+    _stack_grid,
     _stream_weights,
     fix_column_phases,
     interference_covariances,
-    reciprocal,
-    smallest_eigvecs,
 )
 
-__all__ = ["IterationTrace", "leakage", "iterate_distributed_ia"]
+__all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
+
+
+class DistributedInfeasible(ValueError):
+    """The stream request does not fit the block grid."""
 
 
 @dataclasses.dataclass
@@ -40,14 +53,6 @@ class IterationTrace:
     transmit: list
 
 
-def _leakage_total(receive, covs) -> float:
-    total = 0.0
-    for u, q in zip(receive, covs):
-        if u.shape[1]:
-            total += float(np.real(np.trace(u.conj().T @ q @ u)))
-    return total
-
-
 def leakage(blocks, receive, transmit, powers, dof) -> float:
     """Total interference power left at the receive filter outputs.
 
@@ -55,7 +60,27 @@ def leakage(blocks, receive, transmit, powers, dof) -> float:
     per-stream-power weighted covariances of all undesired transmitters.
     """
     covs = interference_covariances(blocks, transmit, _stream_weights(powers, dof))
-    return _leakage_total(receive, covs)
+    return sum(float(np.real(np.trace(u.conj().T @ q @ u))) for u, q in zip(receive, covs))
+
+
+def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):
+    """Batched ``eigh``; padded dimensions get a load above the trace.
+
+    A padded dimension is a zero row and column of ``q``, so loading its
+    diagonal entry past ``trace(q)`` (an upper bound on every eigenvalue
+    of a PSD matrix) sorts its direction after all the real ones.
+    """
+    if padded is not None:
+        load = 2.0 * np.trace(q, axis1=1, axis2=2).real + 1.0
+        q = q + load[:, None, None] * padded
+    return np.linalg.eigh(q)
+
+
+def _padding(sizes: Sequence, size: int) -> Optional[np.ndarray]:
+    """Diagonal ``(K, size, size)`` indicator of the padded dims, or None."""
+    if all(s == size for s in sizes):
+        return None
+    return np.stack([np.diag(np.arange(size) >= s).astype(float) for s in sizes])
 
 
 def iterate_distributed_ia(
@@ -90,59 +115,68 @@ def iterate_distributed_ia(
     num_users = len(blocks)
     dof = [int(d) for d in dof]
     if len(dof) != num_users or len(list(powers)) != num_users:
-        raise ValueError("need one stream count and one power per user")
+        raise DistributedInfeasible("need one stream count and one power per user")
     for k in range(num_users):
         cap = min(blocks[k][k].shape)
         if dof[k] > cap:
-            raise ValueError(
+            raise DistributedInfeasible(
                 f"user {k} asks for {dof[k]} streams on a {blocks[k][k].shape} block"
             )
-    fwd_weights = _stream_weights(powers, dof)
-    rev_weights = fwd_weights if reverse_powers is None else _stream_weights(
-        list(reverse_powers), dof)
-    reverse = reciprocal(blocks)
+    rows = [blocks[k][k].shape[0] for k in range(num_users)]
+    cols = [blocks[k][k].shape[1] for k in range(num_users)]
 
     if init == "svd":
-        transmit = []
+        start = []
         for k in range(num_users):
             _, _, vh = np.linalg.svd(blocks[k][k], full_matrices=False)
-            transmit.append(fix_column_phases(vh.conj().T[:, :dof[k]]))
+            start.append(vh.conj().T[:, :dof[k]])
     elif init == "random":
         rng = np.random.default_rng(seed)
-        transmit = []
+        start = []
         for k in range(num_users):
-            cols = blocks[k][k].shape[1]
-            raw = rng.standard_normal((cols, dof[k])) + 1j * rng.standard_normal(
-                (cols, dof[k]))
-            q, _ = np.linalg.qr(raw) if dof[k] else (np.zeros((cols, 0)), None)
-            transmit.append(fix_column_phases(np.asarray(q, dtype=np.complex128)))
+            raw = rng.standard_normal((cols[k], dof[k])) + 1j * rng.standard_normal(
+                (cols[k], dof[k]))
+            start.append(np.linalg.qr(raw)[0] if dof[k] else np.zeros((cols[k], 0)))
     else:
         raise ValueError(f"unknown init mode {init!r}")
 
-    signal_scale = sum(
-        fwd_weights[k] * float(np.linalg.norm(blocks[k][k] @ transmit[k], "fro") ** 2)
+    per_stream = _stream_weights(powers, dof)
+    threshold = leakage_tol * sum(
+        per_stream[k] * float(np.linalg.norm(blocks[k][k] @ start[k], "fro") ** 2)
         for k in range(num_users) if dof[k] > 0
     )
-    threshold = leakage_tol * signal_scale
 
-    receive = [np.zeros((blocks[k][k].shape[0], 0), dtype=np.complex128)
-               for k in range(num_users)]
+    grid = _stack_grid(blocks)
+    reverse = grid.conj().transpose(1, 0, 3, 2)
+    width = max(dof)
+    streams = np.arange(width) < np.array(dof)[:, None]
+    fwd_weights = _interferer_weights(per_stream, dof)
+    rev_weights = fwd_weights if reverse_powers is None else _interferer_weights(
+        _stream_weights(list(reverse_powers), dof), dof)
+    fwd_padded = _padding(rows, grid.shape[2])
+    rev_padded = _padding(cols, grid.shape[3])
+
+    transmit = _stack(start, grid.shape[3], width)
+
+    receive = np.zeros((num_users, grid.shape[2], 0), dtype=np.complex128)
     history = []
     converged = False
     for _ in range(max_iters):
-        covs = interference_covariances(blocks, transmit, fwd_weights)
-        receive = [smallest_eigvecs(covs[k], dof[k]) for k in range(num_users)]
-        total = _leakage_total(receive, covs)
+        vals, vecs = _smallest_first(
+            _covariance_stack(grid, transmit, fwd_weights), fwd_padded)
+        receive = vecs[:, :, :width]
+        total = float(np.sum(vals[:, :width] * streams))
         history.append(total)
         if total <= threshold:
             converged = True
             break
-        rev = interference_covariances(reverse, receive, rev_weights)
-        transmit = [smallest_eigvecs(rev[k], dof[k]) for k in range(num_users)]
+        _, vecs = _smallest_first(
+            _covariance_stack(reverse, receive, rev_weights), rev_padded)
+        transmit = vecs[:, :, :width]
     return IterationTrace(
         leakage=history,
         iterations=len(history),
         converged=converged,
-        receive=receive,
-        transmit=transmit,
+        receive=[fix_column_phases(receive[k, :rows[k], :dof[k]]) for k in range(num_users)],
+        transmit=[fix_column_phases(transmit[k, :cols[k], :dof[k]]) for k in range(num_users)],
     )

@@ -30,7 +30,6 @@ import numpy as np
 from .linalg import (
     _stream_weights,
     fix_column_phases,
-    hermitize,
     interference_covariances,
     pin_joint_phases,
     reciprocal,
@@ -167,7 +166,7 @@ def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
     Eigenvalues at or below ``rank_tol`` times the largest one count as
     zero; a zero matrix yields a full basis.
     """
-    vals, vecs = np.linalg.eigh(hermitize(q))
+    vals, vecs = np.linalg.eigh(q)
     largest = max(float(vals[-1]), 0.0)
     keep = vals <= rank_tol * largest
     return fix_column_phases(vecs[:, keep])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pcia import (
+    DistributedInfeasible,
     NetworkConfig,
     build_permutation,
     equivalent_channel,
@@ -140,3 +141,64 @@ def test_input_validation():
         iterate_distributed_ia(blocks, [3, 1, 1], cfg.tx_power)
     with pytest.raises(ValueError, match="init"):
         iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, init="warm")
+
+
+RAGGED = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2),
+                       dof=(1, 2, 0), tx_power=(1.0, 2.0, 3.0))
+TIME_SHARE_ROW = NetworkConfig.symmetric(3, 2, 2, [2, 1, 1])
+
+
+def _assert_pinned(a):
+    for col in a.T:
+        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+@pytest.mark.parametrize("cfg", [RAGGED, TIME_SHARE_ROW], ids=["ragged", "time-share-row"])
+@pytest.mark.parametrize("init", ["svd", "random"])
+def test_uneven_grids_give_orthonormal_pinned_filters(cfg, init):
+    blocks = _paired_blocks(cfg, 7)
+    trace = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=300,
+                                   init=init, seed=3)
+    assert trace.iterations == len(trace.leakage)
+    for k, d in enumerate(cfg.dof):
+        u, v = trace.receive[k], trace.transmit[k]
+        assert u.shape == (cfg.rx_antennas[k], d)
+        assert v.shape == (cfg.paired_widths[k], d)
+        assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+        assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
+        _assert_pinned(u)
+        _assert_pinned(v)
+    if cfg is RAGGED:
+        assert trace.receive[2].shape == (2, 0)
+        assert trace.transmit[2].shape == (5, 0)
+
+
+@pytest.mark.parametrize("cfg", [RAGGED, TIME_SHARE_ROW, NetworkConfig.symmetric(5, 2, 2, 1)],
+                         ids=["ragged", "time-share-row", "k5"])
+def test_recorded_leakage_is_the_explicit_trace(cfg):
+    # A loose tolerance stops the run on a receive update, so the returned
+    # filters are exactly the ones the last recorded leakage was read from.
+    blocks = _paired_blocks(cfg, 4)
+    trace = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=2000,
+                                   leakage_tol=1e-3, init="random", seed=8)
+    assert trace.converged
+    explicit = leakage(blocks, trace.receive, trace.transmit, cfg.tx_power, cfg.dof)
+    assert trace.leakage[-1] == pytest.approx(explicit, rel=1e-9)
+
+
+def test_every_returned_column_has_a_pinned_phase():
+    cfg = NetworkConfig.symmetric(5, 2, 2, 1)
+    trace = iterate_distributed_ia(_paired_blocks(cfg, 9), cfg.dof, cfg.tx_power,
+                                   max_iters=40, init="random", seed=1)
+    for a in trace.receive + trace.transmit:
+        _assert_pinned(a)
+
+
+def test_stream_requests_that_do_not_fit_are_typed():
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    blocks = generate_channel(cfg, 1).blocks
+    with pytest.raises(DistributedInfeasible, match="per user"):
+        iterate_distributed_ia(blocks, [1, 1], cfg.tx_power)
+    with pytest.raises(DistributedInfeasible, match="streams"):
+        iterate_distributed_ia(blocks, [3, 1, 1], cfg.tx_power)

@@ -24,6 +24,7 @@ from pcia import (
     run_experiment,
     sum_rate,
 )
+from pcia import evaluation
 from pcia.evaluation import _run_single_trial
 
 
@@ -83,6 +84,44 @@ def test_aligned_beams_earn_interference_free_rates(k3_config, k3_channel):
     _, without = sum_rate(silenced, beams.receive, beams.transmit,
                           powers, k3_config.dof, 1.0)
     assert with_cross == pytest.approx(without, rel=1e-9)
+
+
+def _explicit_rates(blocks, receive, transmit, powers, dof):
+    rates = []
+    for k, u in enumerate(receive):
+        if dof[k] == 0:
+            rates.append(0.0)
+            continue
+        phi = u.conj().T @ u
+        for l, v in enumerate(transmit):
+            if l != k and dof[l]:
+                e = u.conj().T @ blocks[k][l] @ v
+                phi = phi + powers[l] / dof[l] * e @ e.conj().T
+        e = u.conj().T @ blocks[k][k] @ transmit[k]
+        sig = powers[k] / dof[k] * e @ e.conj().T
+        rates.append((np.linalg.slogdet(phi + sig)[1] - np.linalg.slogdet(phi)[1])
+                     / math.log(2.0))
+    return rates
+
+
+def test_uneven_stream_rates_match_the_per_user_formula(rng):
+    # stream counts 2, 1 and 0 pad to a common width inside the batched
+    # evaluation; every SNR row must still be the per-user log-det formula
+    cfg = NetworkConfig.symmetric(3, 2, 2, [2, 1, 0])
+    blocks = equivalent_channel(generate_channel(cfg, 6), build_permutation(cfg)).blocks
+    receive = [np.linalg.qr(rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d)))[0]
+               for d in cfg.dof]
+    transmit = [np.linalg.qr(rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)))[0]
+                for d in cfg.dof]
+    powers = np.outer([1.0, 10.0, 1000.0], [1.5, 1.5, 0.0])
+    batched = evaluation._rates(blocks, receive, transmit, powers, cfg.dof, 1.0)
+    for row, rates in zip(powers, batched):
+        expected = _explicit_rates(blocks, receive, transmit, list(row), cfg.dof)
+        per_user, total = sum_rate(blocks, receive, transmit, list(row), cfg.dof, 1.0)
+        np.testing.assert_allclose(rates, expected, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(per_user, expected, rtol=1e-10, atol=0)
+        assert per_user[2] == 0.0
+        assert total == pytest.approx(sum(expected), rel=1e-10)
 
 
 def test_alignment_residual_oracle_and_scale_invariance(rng):
@@ -219,3 +258,24 @@ def test_spec_validation():
         ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=0)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(ExperimentSpec(**good, trials=1), workers=0)
+
+
+def test_infeasible_iterative_slot_counts_as_failure():
+    # two streams per user fit a paired stack of two antennas but not the
+    # single antenna of the serving station alone
+    spec = ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=1, dof_total=6,
+                          schemes=("distributed_generic",), snr_grid_db=(10.0,), trials=2)
+    stats = run_experiment(spec).point("distributed_generic", 10.0)
+    assert stats.mean_sum_rate == 0.0
+    assert stats.conv_frac == 0.0
+
+
+def test_untyped_solver_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(evaluation, "iterate_distributed_ia", broken)
+    spec = ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=3,
+                          schemes=("distributed_partial",), snr_grid_db=(10.0,), trials=1)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_experiment(spec)
