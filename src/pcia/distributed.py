@@ -33,6 +33,7 @@ from .linalg import (
     _stream_weights,
     fix_column_phases,
     interference_covariances,
+    reciprocal,
 )
 
 __all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
@@ -147,7 +148,7 @@ def iterate_distributed_ia(
     )
 
     grid = _stack_grid(blocks)
-    reverse = grid.conj().transpose(1, 0, 3, 2)
+    reverse = _stack_grid(reciprocal(blocks))
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     fwd_weights = _interferer_weights(per_stream, dof)

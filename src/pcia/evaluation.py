@@ -20,7 +20,13 @@ import numpy as np
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
-from .linalg import _stack, _stack_grid
+from .linalg import (
+    _covariance_stack,
+    _interferer_weights,
+    _stack,
+    _stack_grid,
+    _stream_weights,
+)
 from .network import (
     ChannelSet,
     NetworkConfig,
@@ -45,35 +51,6 @@ __all__ = [
 SCHEMES = ("oneshot_partial", "distributed_partial", "distributed_generic", "bdzf_full")
 
 
-def _rates(blocks, receive, transmit, powers: np.ndarray, dof, noise_power) -> np.ndarray:
-    """Per-user rates, one row per row of the ``(n, K)`` power array.
-
-    The SNR-independent products ``E_kl = U_k^H H_kl V_l`` and the noise
-    Grams are built once on the stacked grid, then every power row is
-    scored with one batched ``slogdet``. Streams are zero-padded to a
-    common width; padded dimensions get an identity, which leaves every
-    determinant unchanged.
-    """
-    dof = np.asarray(dof)
-    grid = _stack_grid(blocks)
-    width = max(b.shape[1] for b in (*receive, *transmit))
-    u = _stack(receive, grid.shape[2], width)
-    uh = u.conj().transpose(0, 2, 1)
-    eff = uh[:, None] @ grid @ _stack(transmit, grid.shape[3], width)
-    grams = eff @ eff.conj().transpose(0, 1, 3, 2)               # (K, K, d, d)
-    num_users = len(dof)
-    own = np.eye(num_users, dtype=bool)
-    padded = np.arange(width) >= np.array([b.shape[1] for b in receive])[:, None]
-    floor = noise_power * (uh @ u) + padded[:, :, None] * np.eye(width)
-    per_stream = np.where(dof > 0, powers / np.maximum(dof, 1), 0.0)
-    cross = np.where(own[:, :, None, None], 0.0, grams).reshape(num_users, num_users, -1)
-    phi = floor + (per_stream[None] @ cross).transpose(1, 0, 2).reshape(
-        len(powers), num_users, width, width)
-    signal = per_stream[:, :, None, None] * grams[own]
-    rates = (np.linalg.slogdet(phi + signal)[1] - np.linalg.slogdet(phi)[1]) / math.log(2.0)
-    return np.where(dof > 0, rates, 0.0)
-
-
 def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     """Achievable rates treating residual interference as noise.
 
@@ -88,9 +65,24 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     Returns:
         (per_user, total): rates in bits per channel use.
     """
-    rates = _rates(blocks, receive, transmit, np.asarray(powers, dtype=float)[None],
-                   dof, noise_power)
-    per_user = [float(r) for r in rates[0]]
+    # Users are scored together on the stacked grid: the interference
+    # term is U_k^H Q_k U_k with Q_k from the shared covariance kernel.
+    # Streams are zero-padded to a common width; padded dimensions get an
+    # identity, which leaves every determinant unchanged.
+    grid = _stack_grid(blocks)
+    counts = [b.shape[1] for b in transmit]
+    width = max(b.shape[1] for b in (*receive, *transmit))
+    u = _stack(receive, grid.shape[2], width)
+    v = _stack(transmit, grid.shape[3], width)
+    uh = u.conj().transpose(0, 2, 1)
+    per_stream = _stream_weights(powers, dof)
+    q = _covariance_stack(grid, v, _interferer_weights(per_stream, counts))
+    padded = np.arange(width) >= np.array([b.shape[1] for b in receive])[:, None]
+    phi = noise_power * (uh @ u) + uh @ q @ u + padded[:, :, None] * np.eye(width)
+    own = uh @ grid[range(len(dof)), range(len(dof))] @ v
+    signal = np.array(per_stream)[:, None, None] * (own @ own.conj().transpose(0, 2, 1))
+    rates = (np.linalg.slogdet(phi + signal)[1] - np.linalg.slogdet(phi)[1]) / math.log(2.0)
+    per_user = [float(r) if d > 0 else 0.0 for r, d in zip(rates, dof)]
     return per_user, float(sum(per_user))
 
 
@@ -256,8 +248,11 @@ def _slot_power_scale(dof_row):
 
 def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
     """Rates over the SNR grid, alignment residual, convergence and streams."""
-    powers = np.outer([_snr_powers(snr) for snr in spec.snr_grid_db], power_scale)
-    rates = _rates(blocks, receive, transmit, powers, dof, 1.0).sum(axis=1)
+    rates = np.zeros(len(spec.snr_grid_db))
+    for i, snr in enumerate(spec.snr_grid_db):
+        p = _snr_powers(snr)
+        powers = [p * s for s in power_scale]
+        _, rates[i] = sum_rate(blocks, receive, transmit, powers, dof, 1.0)
     resid = alignment_residual(blocks, receive, transmit)
     return rates, resid, conv, float(sum(dof))
 

