@@ -93,23 +93,22 @@ def alignment_residual(blocks, receive, transmit) -> float:
     interference, normalized by the norms of the three factors. Zero when
     no interfering pair exists.
     """
-    num_users = len(blocks)
-    worst = 0.0
-    for k in range(num_users):
-        if receive[k].shape[1] == 0:
-            continue
-        for l in range(num_users):
-            if l == k or transmit[l].shape[1] == 0:
-                continue
-            num = np.linalg.norm(receive[k].conj().T @ blocks[k][l] @ transmit[l], "fro")
-            den = (
-                np.linalg.norm(receive[k], "fro")
-                * np.linalg.norm(blocks[k][l], "fro")
-                * np.linalg.norm(transmit[l], "fro")
-            )
-            if den > 0:
-                worst = max(worst, float(num / den))
-    return worst
+    # Every filtered cross link at once on the stacked grid. Zero padding
+    # changes no norm, and a silent user's zero-width filter pads to zeros,
+    # so ``den > 0`` skips silent receivers and transmitters as well as
+    # the own links zeroed below.
+    grid = _stack_grid(blocks)
+    width = max(b.shape[1] for b in (*receive, *transmit))
+    uh = _stack(receive, grid.shape[2], width).conj().transpose(0, 2, 1)
+    v = _stack(transmit, grid.shape[3], width)
+    num = np.linalg.norm(uh[:, None] @ grid @ v, axis=(2, 3))
+    den = (np.linalg.norm(uh, axis=(1, 2))[:, None]
+           * np.linalg.norm(grid, axis=(2, 3))
+           * np.linalg.norm(v, axis=(1, 2)))
+    users = range(len(blocks))
+    den[users, users] = 0.0
+    cross = den > 0
+    return float(np.max(num[cross] / den[cross], initial=0.0))
 
 
 @dataclasses.dataclass(frozen=True)

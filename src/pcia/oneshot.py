@@ -13,7 +13,9 @@ cross links exist in closed form and are found in one pass:
    from the kernel :func:`pcia.linalg.interference_covariances` shared
    with the iterative baseline,
 3. its null space as the admissible precoder directions,
-4. a subset choice within that null space scored on the direct link.
+4. a subset choice within that null space scored on the direct link,
+   with the candidate subsets scored by batched ``|det|`` calls over
+   fixed-size chunks of their lexicographic order.
 
 No iteration and no channel extension is involved.
 """
@@ -56,6 +58,11 @@ __all__ = [
     "received_signal_power",
     "one_shot_ia",
 ]
+
+
+# Candidate subsets scored per stacked determinant call: bounds the
+# memory of the search when ``comb(nullity, d)`` is large.
+_SUBSET_CHUNK = 4096
 
 
 class OneShotInfeasible(RuntimeError):
@@ -207,11 +214,15 @@ def select_transmit_beamformer(
     through ``B = receive_k^H @ direct_block @ candidate``:
 
     * ``"geometric"`` (default): product of the eigenvalue moduli of
-      ``B``, favouring well-conditioned stream separation.
+      ``B``, favouring well-conditioned stream separation. It is computed
+      as ``|det B|``.
     * ``"power"``: squared Frobenius norm of ``B``, favouring raw
       received signal power.
 
-    Ties break toward the lexicographically first subset.
+    Subsets are taken in lexicographic order and scored in batches of at
+    most ``_SUBSET_CHUNK``, one stacked ``det`` (or norm) per batch, so
+    memory stays bounded however many subsets there are. Ties break
+    toward the lexicographically first subset.
 
     Raises:
         OneShotInfeasible: when fewer admissible directions exist than
@@ -231,17 +242,19 @@ def select_transmit_beamformer(
     if nullity == dof_k:
         return null_basis
     projected = receive_k.conj().T @ direct_block @ null_basis
+    subsets = itertools.combinations(range(nullity), dof_k)
     best_cols = None
     best_score = -np.inf
-    for cols in itertools.combinations(range(nullity), dof_k):
-        b = projected[:, cols]
+    while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
+        stack = projected[:, chunk].transpose(1, 0, 2)
         if criterion == "geometric":
-            score = float(np.prod(np.abs(np.linalg.eigvals(b))))
+            scores = np.abs(np.linalg.det(stack))
         else:
-            score = float(np.linalg.norm(b, "fro") ** 2)
-        if score > best_score:
-            best_score = score
-            best_cols = cols
+            scores = np.sum(stack.real ** 2 + stack.imag ** 2, axis=(1, 2))
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_score = scores[i]
+            best_cols = chunk[i]
     return null_basis[:, best_cols]
 
 
@@ -298,7 +311,7 @@ def one_shot_ia(
             raise ValueError("equivalent channel widths do not match the config")
     else:
         equiv = equivalent_channel(channel, build_permutation(config))
-    receive, _ = design_receive_beamformers(equiv, config)
+    receive, cache = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol, reverse_power)
     transmit = []
     for k in range(config.num_users):
@@ -311,11 +324,12 @@ def one_shot_ia(
     for k in config.active_users:
         eff = receive[k].conj().T @ equiv.blocks[k][k] @ transmit[k]
         svals = np.linalg.svd(eff, compute_uv=False)
-        # Reference scale is the unprojected direct link: filters with
+        # Reference scale is the unprojected direct link (its largest
+        # singular value, from the receive-side SVD): filters with
         # unit columns can only shrink it, and comparing within ``eff``
         # alone would make a uniformly collapsed link (d_k = 1 above
         # all) look healthy.
-        scale = np.linalg.norm(equiv.blocks[k][k], 2)
+        scale = cache.singular[k][0]
         if svals[-1] <= rank_tol * scale:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding",

@@ -27,6 +27,8 @@ from pcia import (
 from pcia import evaluation
 from pcia.evaluation import _run_single_trial
 
+from conftest import random_orthonormal
+
 
 def _unit(x):
     return np.array([[x]], dtype=np.complex128)
@@ -278,3 +280,46 @@ def test_untyped_solver_errors_propagate(monkeypatch):
                           schemes=("distributed_partial",), snr_grid_db=(10.0,), trials=1)
     with pytest.raises(ValueError, match="broadcast"):
         run_experiment(spec)
+
+
+def _residual_loop(blocks, receive, transmit):
+    # The per-pair scan: silent receivers and transmitters, the own link
+    # and zero-norm factors are skipped.
+    worst = 0.0
+    for k in range(len(blocks)):
+        for l in range(len(blocks)):
+            if l == k or receive[k].shape[1] == 0 or transmit[l].shape[1] == 0:
+                continue
+            num = np.linalg.norm(receive[k].conj().T @ blocks[k][l] @ transmit[l], "fro")
+            den = (np.linalg.norm(receive[k], "fro") * np.linalg.norm(blocks[k][l], "fro")
+                   * np.linalg.norm(transmit[l], "fro"))
+            if den > 0:
+                worst = max(worst, float(num / den))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_alignment_residual_on_a_ragged_grid_matches_the_pair_loop(seed):
+    # stations of 2, 3 and 2 antennas with user 2 silent: blocks are not
+    # square and pad to a common shape inside the stacked evaluation
+    rng = np.random.default_rng(seed)
+    cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0),
+                        tx_power=(1.0, 1.0, 1.0))
+    channel = generate_channel(cfg, seed)
+    blocks = equivalent_channel(channel, build_permutation(cfg)).blocks
+    receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
+    transmit = [random_orthonormal(rng, w, d) for w, d in zip(cfg.paired_widths, cfg.dof)]
+    expected = _residual_loop(blocks, receive, transmit)
+    assert expected > 0.0
+    assert alignment_residual(blocks, receive, transmit) == pytest.approx(expected, rel=1e-12)
+    # full coordination: each receiver sees one row block from every
+    # transmitter, with precoders on the whole antenna stack
+    rows = [[channel.row_block(k)] * 3 for k in range(3)]
+    wide = [random_orthonormal(rng, 7, d) for d in cfg.dof]
+    expected = _residual_loop(rows, receive, wide)
+    assert alignment_residual(rows, receive, wide) == pytest.approx(expected, rel=1e-12)
+    # a zero-norm cross block is skipped, not divided by
+    zeroed = [list(row) for row in blocks]
+    zeroed[0][1] = np.zeros_like(blocks[0][1])
+    expected = _residual_loop(zeroed, receive, transmit)
+    assert alignment_residual(zeroed, receive, transmit) == pytest.approx(expected, rel=1e-12)

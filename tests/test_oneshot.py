@@ -5,6 +5,8 @@ values of the direct block, covariance traces against an entrywise
 double sum, and subset selection against a determinant-modulus scan.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,9 @@ from pcia import (
     reciprocal_state,
     select_transmit_beamformer,
 )
+from pcia import oneshot
+
+from conftest import random_orthonormal
 
 
 def _equiv(config, seed):
@@ -275,3 +280,59 @@ def test_one_shot_always_cancels_cross_links(cfg_seed):
     for k in cfg.active_users:
         gram = beams.transmit[k].conj().T @ beams.transmit[k]
         assert np.allclose(gram, np.eye(cfg.dof[k]), atol=1e-10)
+
+
+def _loop_pick(receive, direct, basis, d, criterion):
+    # The per-subset scan the batched selector replaced: one eigvals (or
+    # norm) per subset, a later subset winning only on a strictly better
+    # score.
+    projected = receive.conj().T @ direct @ basis
+    best_cols, best_score = None, -np.inf
+    for cols in itertools.combinations(range(basis.shape[1]), d):
+        b = projected[:, cols]
+        if criterion == "geometric":
+            score = float(np.prod(np.abs(np.linalg.eigvals(b))))
+        else:
+            score = float(np.linalg.norm(b, "fro") ** 2)
+        if score > best_score:
+            best_cols, best_score = cols, score
+    return basis[:, best_cols]
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("criterion", ["geometric", "power"])
+def test_batched_selector_matches_per_subset_loop(monkeypatch, chunk, criterion):
+    if chunk is not None:
+        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
+    rng = np.random.default_rng(4096)
+    for nullity in range(3, 9):
+        for d in range(1, min(4, nullity - 1) + 1):
+            for _ in range(3):
+                width = nullity + 1
+                receive = random_orthonormal(rng, d + 1, d)
+                direct = (rng.standard_normal((d + 1, width))
+                          + 1j * rng.standard_normal((d + 1, width)))
+                basis = random_orthonormal(rng, width, nullity)
+                picked = select_transmit_beamformer(receive, direct, basis, d,
+                                                    criterion=criterion)
+                expected = _loop_pick(receive, direct, basis, d, criterion)
+                assert np.array_equal(picked, expected), (nullity, d)
+
+
+@pytest.mark.parametrize("criterion", ["geometric", "power"])
+def test_selector_ties_straddling_chunks_keep_first_subset(monkeypatch, criterion):
+    # The direct link drops the third coordinate, so basis columns 1 and
+    # 3 project to the same vector while staying distinguishable: the
+    # subsets (0, 1) and (0, 3) tie exactly under both criteria, and no
+    # subset scores higher.
+    receive = np.eye(2, dtype=np.complex128)
+    direct = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.complex128)
+    basis = np.array([[1, 0, 0.5, 0, 0.3],
+                      [0, 1, 0.2, 1, 0.3],
+                      [0, 0, 0.0, 1, 1.0]], dtype=np.complex128)
+    first = basis[:, [0, 1]]
+    for chunk in range(1, 12):
+        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
+        picked = select_transmit_beamformer(receive, direct, basis, 2, criterion=criterion)
+        assert np.array_equal(picked, first), chunk
+        assert np.array_equal(picked, _loop_pick(receive, direct, basis, 2, criterion))
