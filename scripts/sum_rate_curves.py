@@ -11,7 +11,7 @@ import argparse
 import csv
 import sys
 
-from pcia import ExperimentSpec, multiplexing_gain_estimate, run_experiment
+from pcia import ExperimentSpec, check_spec, multiplexing_gain_estimate, run_experiment
 
 DEFAULT_GRID = tuple(float(s) for s in range(0, 45, 5))
 
@@ -63,8 +63,14 @@ def main(argv=None):
     if args.snr is not None:
         grid = tuple(float(v) for v in args.snr.split(","))
 
+    curves = preset_specs(args.preset, args.trials, args.seed, grid)
+    for label, spec in curves:
+        reason = check_spec(spec)
+        if reason is not None:
+            sys.exit(f"error: {label}: {reason}")
+
     rows = []
-    for label, spec in preset_specs(args.preset, args.trials, args.seed, grid):
+    for label, spec in curves:
         result = run_experiment(spec, workers=args.workers)
         scheme = spec.schemes[0]
         for snr in grid:

@@ -49,6 +49,7 @@ from .evaluation import (
     ExperimentSpec,
     PointStats,
     alignment_residual,
+    check_spec,
     multiplexing_gain_estimate,
     run_experiment,
     sum_rate,

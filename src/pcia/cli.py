@@ -9,14 +9,13 @@ import json
 import sys
 from pathlib import Path
 
-from .evaluation import SCHEMES, ExperimentSpec, run_experiment
+from .evaluation import SCHEMES, ExperimentSpec, check_spec, run_experiment
 from .feasibility import (
     BackhaulReport,
     is_proper_generic,
     is_proper_partial,
     time_share_schedule,
 )
-from .oneshot import _single_pass_bound
 
 CSV_HEADER = [
     "scheme", "K", "m", "n", "dof_total", "snr_db", "trials",
@@ -78,44 +77,12 @@ class _ConfigError(Exception):
     pass
 
 
-def _infeasibility(spec: ExperimentSpec):
-    """Reason the requested schemes cannot run on this geometry, if any."""
-    slots = spec.slot_dof()
-    configs = []
-    for row in slots:
-        try:
-            configs.append(spec.slot_config(row))
-        except ValueError as exc:
-            return f"time sharing still puts too many streams in one slot: {exc}"
-    if "oneshot_partial" in spec.schemes:
-        for cfg in configs:
-            bound = _single_pass_bound(cfg)
-            if spec.dof_total > bound:
-                return (f"one-shot alignment cannot deliver {spec.dof_total} total "
-                        f"streams: the smallest paired antenna width is {bound}")
-    if "distributed_generic" in spec.schemes:
-        for row in slots:
-            for k, d in enumerate(row):
-                cap = min(spec.rx_antennas[k], spec.tx_antennas[k])
-                if d > cap:
-                    return (f"without pairing, user {k} cannot carry {d} streams "
-                            f"on a {spec.rx_antennas[k]}x{spec.tx_antennas[k]} link")
-    if "bdzf_full" in spec.schemes:
-        n_total = sum(spec.tx_antennas)
-        for k in range(spec.num_users):
-            foreign = sum(spec.rx_antennas) - spec.rx_antennas[k]
-            if n_total - foreign < 1:
-                return (f"zero forcing leaves user {k} no null-space direction: "
-                        f"{n_total} pooled antennas vs {foreign} foreign receive dims")
-    return None
-
-
 def cmd_run(args) -> int:
     try:
         spec = _load_spec(args)
     except _ConfigError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
-    reason = _infeasibility(spec)
+    reason = check_spec(spec)
     if reason is not None:
         return _fail(reason, EXIT_INFEASIBLE)
     result = run_experiment(spec, workers=args.workers)

@@ -115,8 +115,8 @@ def iterate_distributed_ia(
     """
     num_users = len(blocks)
     dof = [int(d) for d in dof]
-    if len(dof) != num_users or len(list(powers)) != num_users:
-        raise DistributedInfeasible("need one stream count and one power per user")
+    if len(dof) != num_users:
+        raise DistributedInfeasible("need one stream count per user")
     for k in range(num_users):
         cap = min(blocks[k][k].shape)
         if dof[k] > cap:

@@ -30,6 +30,7 @@ from .linalg import (
 from .network import (
     ChannelSet,
     NetworkConfig,
+    _per_user,
     build_permutation,
     equivalent_channel,
     generate_channel,
@@ -45,6 +46,7 @@ __all__ = [
     "sum_rate",
     "alignment_residual",
     "run_experiment",
+    "check_spec",
     "multiplexing_gain_estimate",
 ]
 
@@ -132,17 +134,11 @@ class ExperimentSpec:
         if k < 2:
             raise ValueError("experiments need at least two users")
         object.__setattr__(self, "num_users", k)
-
-        def per_user(value, name):
-            if np.isscalar(value):
-                value = [value] * k
-            out = tuple(int(v) for v in value)
-            if len(out) != k or any(v < 1 for v in out):
+        for name in ("rx_antennas", "tx_antennas"):
+            counts = _per_user(getattr(self, name), k, name, int)
+            if any(v < 1 for v in counts):
                 raise ValueError(f"{name} must give a positive count per user")
-            return out
-
-        object.__setattr__(self, "rx_antennas", per_user(self.rx_antennas, "rx_antennas"))
-        object.__setattr__(self, "tx_antennas", per_user(self.tx_antennas, "tx_antennas"))
+            object.__setattr__(self, name, counts)
         if int(self.dof_total) < 1:
             raise ValueError("dof_total must be positive")
         object.__setattr__(self, "dof_total", int(self.dof_total))
@@ -300,16 +296,20 @@ def _mean_ignoring_nan(values) -> float:
     return float(np.mean(vals)) if vals else float("nan")
 
 
+def _trial_channels(spec: ExperimentSpec, trial: int):
+    """Trial ``trial``'s channel draw, plus its paired view when a scheme needs it."""
+    shape_cfg = spec.slot_config(spec.slot_dof()[0])
+    channel = generate_channel(shape_cfg, np.random.SeedSequence((spec.seed, trial)))
+    equiv = None
+    if any(s in ("oneshot_partial", "distributed_partial") for s in spec.schemes):
+        equiv = equivalent_channel(channel, build_permutation(shape_cfg))
+    return channel, equiv
+
+
 def _run_single_trial(spec: ExperimentSpec, trial: int) -> dict:
     """All schemes on one channel realization; pure in (spec, trial)."""
     slots = spec.slot_dof()
-    shape_cfg = spec.slot_config(slots[0])
-    channel = generate_channel(shape_cfg, np.random.SeedSequence((spec.seed, trial)))
-    needs_equiv = any(s in ("oneshot_partial", "distributed_partial")
-                      for s in spec.schemes)
-    equiv = None
-    if needs_equiv:
-        equiv = equivalent_channel(channel, build_permutation(shape_cfg))
+    channel, equiv = _trial_channels(spec, trial)
     out = {}
     for scheme in spec.schemes:
         if scheme == "bdzf_full":
@@ -378,6 +378,42 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                 mean_dof=dof,
             )
     return ExperimentResult(spec=spec, points=points)
+
+
+def check_spec(spec: ExperimentSpec) -> Optional[str]:
+    """Why the requested schemes cannot run on ``spec``'s geometry, or None.
+
+    Every time-share slot must fit the antennas. Then each scheme's own
+    solver runs on trial 0's channel draw, once per slot as in the sweep,
+    so the check and the sweep share one set of rules. Only the solvers'
+    typed infeasibility errors count: a rank-deficient direct link is a
+    measure-zero event of one draw, not a verdict on the geometry.
+    :func:`run_experiment` does not call this; a sweep counts an
+    infeasible scheme's slots as zero-rate failures instead.
+    """
+    try:
+        configs = [spec.slot_config(row) for row in spec.slot_dof()]
+    except ValueError as exc:
+        return f"time sharing still puts too many streams in one slot: {exc}"
+    channel, equiv = _trial_channels(spec, 0)
+    for scheme in spec.schemes:
+        # The sweep runs zero forcing once per draw, on no slot table.
+        for cfg in configs[:1] if scheme == "bdzf_full" else configs:
+            try:
+                if scheme == "oneshot_partial":
+                    one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
+                elif scheme == "bdzf_full":
+                    bd_zero_forcing(channel, rank_tol=spec.rank_tol)
+                else:
+                    grid = equiv if scheme == "distributed_partial" else channel
+                    iterate_distributed_ia(grid.blocks, cfg.dof, cfg.tx_power, max_iters=1)
+            except RankDeficientDesired:
+                pass
+            except (OneShotInfeasible, DistributedInfeasible, BDInfeasible) as exc:
+                if scheme == "distributed_generic":
+                    return f"without pairing, {exc}"
+                return str(exc)
+    return None
 
 
 def multiplexing_gain_estimate(

@@ -14,6 +14,14 @@ __all__ = [
 ]
 
 
+def _pinning_phases(a: np.ndarray, tol: float) -> np.ndarray:
+    """Phases making each column's first entry above ``tol`` real positive (1 if none)."""
+    mag = np.abs(a)
+    lead = ((mag > tol).argmax(axis=0), np.arange(a.shape[1]))
+    size = mag[lead]
+    return np.divide(a[lead].conj(), size, out=np.ones(a.shape[1], a.dtype), where=size > tol)
+
+
 def fix_column_phases(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rotate each column so its first nonzero entry is real and positive.
 
@@ -21,13 +29,8 @@ def fix_column_phases(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     defined up to a unit phase; pinning the phase makes solver outputs
     reproducible across runs and platforms without changing any subspace.
     """
-    a = np.array(a, copy=True)
-    for j in range(a.shape[1]):
-        nz = np.flatnonzero(np.abs(a[:, j]) > tol)
-        if nz.size:
-            z = a[nz[0], j]
-            a[:, j] *= z.conjugate() / abs(z)
-    return a
+    a = np.asarray(a)
+    return a * _pinning_phases(a, tol)
 
 
 def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
@@ -38,20 +41,15 @@ def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
     and positive; the common rotation cancels in
     ``u @ diag(s) @ v.conj().T``, which is left exactly as it was.
     """
-    u = np.array(u, copy=True)
-    v = np.array(v, copy=True)
-    for j in range(u.shape[1]):
-        nz = np.flatnonzero(np.abs(u[:, j]) > tol)
-        if nz.size:
-            z = u[nz[0], j]
-            ph = z.conjugate() / abs(z)
-            u[:, j] *= ph
-            v[:, j] *= ph
-    return u, v
+    u = np.asarray(u)
+    phases = _pinning_phases(u, tol)
+    return u * phases, np.asarray(v) * phases
 
 
 def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     """Per-stream power of each user: its total split evenly, 0 when silent."""
+    if len(powers) != len(dof):
+        raise ValueError(f"need one power per user: got {len(powers)} for {len(dof)} users")
     return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
 
 
@@ -85,6 +83,9 @@ def _interferer_weights(weights: Sequence, counts: Sequence) -> np.ndarray:
     other transmitter, and zero for the receiver's own transmitter and for
     padding columns up to the widest beam ``d``.
     """
+    if len(weights) != len(counts):
+        raise ValueError(
+            f"need one weight per user: got {len(weights)} for {len(counts)} users")
     users = len(counts)
     out = np.zeros((users, users, max(counts)))
     for l, (w, count) in enumerate(zip(weights, counts)):

@@ -108,10 +108,6 @@ class NetworkConfig:
         return sum(self.tx_antennas)
 
     @property
-    def total_rx_antennas(self) -> int:
-        return sum(self.rx_antennas)
-
-    @property
     def dof_total(self) -> int:
         return sum(self.dof)
 
@@ -133,9 +129,6 @@ class NetworkConfig:
 
     def with_dof(self, dof: Sequence) -> "NetworkConfig":
         return dataclasses.replace(self, dof=dof)
-
-    def with_power(self, tx_power) -> "NetworkConfig":
-        return dataclasses.replace(self, tx_power=tx_power)
 
 
 @dataclasses.dataclass

@@ -161,8 +161,6 @@ def reciprocal_interference_covariance(
     default to the forward ones.
     """
     powers = list(config.tx_power) if reverse_power is None else list(reverse_power)
-    if len(powers) != config.num_users:
-        raise ValueError("need one reverse power per user")
     return interference_covariances(
         reciprocal(equiv.blocks), receive, _stream_weights(powers, config.dof))
 
@@ -272,10 +270,6 @@ def received_signal_power(
     return power_k / dof_k * float(np.real(np.trace(eff @ eff.conj().T)))
 
 
-def _single_pass_bound(config: NetworkConfig) -> int:
-    return min(config.paired_tx_antennas(k) for k in config.active_users)
-
-
 def one_shot_ia(
     config: NetworkConfig,
     channel,
@@ -298,11 +292,11 @@ def one_shot_ia(
     if not config.active_users:
         raise ValueError("no active users: every stream count is zero")
     d_hat = config.dof_total
-    bound = _single_pass_bound(config)
+    bound = min(config.paired_tx_antennas(k) for k in config.active_users)
     if d_hat > bound:
         raise OneShotInfeasible(
-            f"{d_hat} total streams exceed the single-pass bound of {bound} "
-            "(smallest paired antenna width among active users)",
+            f"one-shot alignment cannot deliver {d_hat} total streams: the "
+            f"smallest paired antenna width is {bound} among active users",
             nullity=bound, dof=d_hat,
         )
     if isinstance(channel, EquivalentChannel):

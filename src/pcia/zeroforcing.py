@@ -71,7 +71,7 @@ def bd_zero_forcing(
             continue
         if null.shape[1] == 0:
             raise BDInfeasible(
-                f"user {k} has no interference-free directions: "
+                f"zero forcing leaves user {k} no interference-free directions: "
                 f"{n_total} pooled antennas cannot avoid "
                 f"{stacked.shape[0]} foreign receive dimensions"
             )

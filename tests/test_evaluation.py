@@ -14,9 +14,12 @@ from pcia import (
     ExperimentResult,
     ExperimentSpec,
     NetworkConfig,
+    OneShotInfeasible,
     PointStats,
+    RankDeficientDesired,
     alignment_residual,
     build_permutation,
+    check_spec,
     equivalent_channel,
     generate_channel,
     multiplexing_gain_estimate,
@@ -123,6 +126,14 @@ def test_uneven_stream_rates_match_the_per_user_formula(rng):
         np.testing.assert_allclose(per_user, expected, rtol=1e-10, atol=0)
         assert per_user[2] == 0.0
         assert total == pytest.approx(sum(expected), rel=1e-10)
+
+
+@pytest.mark.parametrize("powers", [[1.0], [1.0] * 4])
+def test_sum_rate_rejects_a_power_list_of_the_wrong_length(k3_config, k3_channel, powers):
+    beams = one_shot_ia(k3_config, k3_channel)
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    with pytest.raises(ValueError, match="one power per user"):
+        sum_rate(equiv.blocks, beams.receive, beams.transmit, powers, k3_config.dof, 1.0)
 
 
 def test_alignment_residual_oracle_and_scale_invariance(rng):
@@ -323,3 +334,81 @@ def test_alignment_residual_on_a_ragged_grid_matches_the_pair_loop(seed):
     zeroed[0][1] = np.zeros_like(blocks[0][1])
     expected = _residual_loop(zeroed, receive, transmit)
     assert alignment_residual(zeroed, receive, transmit) == pytest.approx(expected, rel=1e-12)
+
+
+def _feasibility_oracle(spec):
+    """Closed-form verdict: which rule, if any, the spec breaks first."""
+    k_users, rx, tx = spec.num_users, spec.rx_antennas, spec.tx_antennas
+    paired = [tx[k] + tx[(k - 1) % k_users] for k in range(k_users)]
+    slots = spec.slot_dof()
+    users = range(k_users)
+    if any(row[k] > min(rx[k], paired[k]) for row in slots for k in users):
+        return "slot"
+    for scheme in spec.schemes:
+        if scheme == "oneshot_partial" and any(
+                spec.dof_total > min(paired[k] for k in users if row[k] > 0)
+                for row in slots):
+            return "oneshot"
+        if scheme == "distributed_generic" and any(
+                row[k] > min(rx[k], tx[k]) for row in slots for k in users):
+            return "generic"
+        if scheme == "bdzf_full" and any(
+                sum(tx) - (sum(rx) - rx[k]) < 1 for k in users):
+            return "bd"
+    return None
+
+
+FRAGMENTS = {
+    "slot": "in one slot",
+    "oneshot": "smallest paired antenna width is",
+    "generic": "without pairing",
+    "bd": "pooled antennas",
+}
+
+
+def _spec_grid(schemes):
+    for k in (2, 3, 4):
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                for d in range(1, k * min(m, 2 * n) + 2):
+                    yield ExperimentSpec(k, m, n, d, schemes, trials=1)
+    for d in range(1, 9):
+        yield ExperimentSpec(3, (2, 3, 1), (1, 3, 2), d, schemes, trials=1)
+
+
+@pytest.mark.parametrize("schemes", [(s,) for s in evaluation.SCHEMES]
+                         + [evaluation.SCHEMES[::-1]], ids="+".join)
+def test_check_spec_matches_the_closed_form_rules(schemes):
+    verdicts = set()
+    for spec in _spec_grid(schemes):
+        expected = _feasibility_oracle(spec)
+        reason = check_spec(spec)
+        label = (spec.rx_antennas, spec.tx_antennas, spec.dof_total, reason)
+        if expected is None:
+            assert reason is None, label
+        else:
+            assert reason is not None and FRAGMENTS[expected] in reason, label
+        verdicts.add(expected)
+    # every rule the requested schemes can break is exercised by the grid
+    assert verdicts >= {None, "slot"}
+    assert len(verdicts) == 2 + len({"oneshot_partial", "distributed_generic",
+                                     "bdzf_full"} & set(schemes))
+
+
+def test_check_spec_asks_the_one_shot_solver(monkeypatch):
+    spec = ExperimentSpec(3, 2, 2, 3, ("oneshot_partial",), trials=1)
+    assert check_spec(spec) is None
+
+    def raising(error):
+        def solver(*args, **kwargs):
+            raise error
+        return solver
+
+    # a rank-deficient direct link is a property of one draw, not of the
+    # geometry, so it does not make the spec infeasible
+    monkeypatch.setattr(evaluation, "one_shot_ia",
+                        raising(RankDeficientDesired("collapsed", user=0)))
+    assert check_spec(spec) is None
+    monkeypatch.setattr(evaluation, "one_shot_ia",
+                        raising(OneShotInfeasible("user 1 has no room")))
+    assert check_spec(spec) == "user 1 has no room"

@@ -16,7 +16,12 @@ from pcia import (
     generate_channel,
     reciprocal_interference_covariance,
 )
-from pcia.linalg import interference_covariances, reciprocal
+from pcia.linalg import (
+    fix_column_phases,
+    interference_covariances,
+    pin_joint_phases,
+    reciprocal,
+)
 
 from conftest import random_orthonormal
 
@@ -96,3 +101,49 @@ def test_silent_transmitter_contributes_nothing(ragged):
     moved = interference_covariances(scrambled, transmit, WEIGHTS)
     for k in (0, 1):
         assert np.array_equal(base[k], moved[k])
+
+
+def test_weight_lists_of_the_wrong_length_are_rejected(ragged):
+    equiv, transmit, receive = ragged
+    for weights in ([1.0], [1.0] * 4):
+        with pytest.raises(ValueError, match="one weight per user"):
+            interference_covariances(equiv.blocks, transmit, weights)
+        with pytest.raises(ValueError, match="one power per user"):
+            reciprocal_interference_covariance(equiv, receive, CONFIG, reverse_power=weights)
+
+
+def _pinned_loop(a, tol=1e-12):
+    # Reference rule, one column at a time: the first entry above ``tol``
+    # becomes real and positive; columns without one are left alone.
+    a = np.array(a, dtype=np.complex128)
+    phases = np.ones(a.shape[1], dtype=np.complex128)
+    for j in range(a.shape[1]):
+        nz = np.flatnonzero(np.abs(a[:, j]) > tol)
+        if nz.size:
+            phases[j] = a[nz[0], j].conjugate() / abs(a[nz[0], j])
+    return a * phases, phases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_phase_pinning_matches_the_column_loop(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((16, 10)) + 1j * rng.standard_normal((16, 10))
+    a[:3, 1] = 0.0           # leading zeros
+    a[0, 2] = 1e-13          # leading entry below the tolerance
+    a[:, 3] = 0.0            # nothing to pin
+    a[:, 4] = 1e-14 * (1 + 1j)
+    expected, phases = _pinned_loop(a)
+    got = fix_column_phases(a)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    for j in (3, 4):
+        assert np.array_equal(got[:, j], a[:, j])
+
+    v = rng.standard_normal((7, 10)) + 1j * rng.standard_normal((7, 10))
+    pu, pv = pin_joint_phases(a, v)
+    np.testing.assert_allclose(pu, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pv, v * phases, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pu @ pv.conj().T, a @ v.conj().T, rtol=0, atol=1e-13)
+    # a real basis keeps its dtype; its phases are signs
+    real = rng.standard_normal((5, 4))
+    assert fix_column_phases(real).dtype == real.dtype
+    assert np.array_equal(fix_column_phases(real), real * np.sign(real[0]))

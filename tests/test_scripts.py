@@ -1,0 +1,56 @@
+"""The experiment scripts: presets pass the feasibility check, reports print."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from pcia import ExperimentSpec, check_spec
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_preset_passes_check_spec():
+    curves = _load("sum_rate_curves")
+    checked = 0
+    for preset in curves.PRESETS:
+        for label, spec in curves.preset_specs(preset, 1, 0, curves.DEFAULT_GRID):
+            assert check_spec(spec) is None, f"{preset}: {label}"
+            checked += 1
+    assert checked == 10
+
+
+def test_infeasible_preset_exits_before_sweeping(monkeypatch):
+    curves = _load("sum_rate_curves")
+    too_many = ExperimentSpec(5, 2, 2, 5, ("oneshot_partial",), trials=1)
+    monkeypatch.setattr(curves, "preset_specs", lambda *args: [("oneshot d5", too_many)])
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept an infeasible preset")
+
+    monkeypatch.setattr(curves, "run_experiment", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        curves.main(["k5-2x2"])
+    assert "oneshot d5" in str(exc.value.code)
+    assert "smallest paired antenna width is 4" in str(exc.value.code)
+
+
+def test_coordination_report_prints_both_tables(capsys):
+    _load("coordination_report").main(["--max-users", "4"])
+    properness, backhaul = capsys.readouterr().out.strip().split("\n\n")
+    lines = properness.splitlines()
+    assert lines[0].split() == ["K", "m", "n", "dof", "generic", "paired"]
+    assert " 4  2  2    4    False    True" in lines
+    lines = backhaul.splitlines()
+    assert lines[0].split() == ["K", "partial", "ring", "partial", "line",
+                                "full", "line", "full", "ring"]
+    assert [line.split() for line in lines[1:]] == [
+        ["2", "2", "4", "4", "2"], ["3", "3", "6", "9", "6"], ["4", "4", "8", "16", "12"],
+    ]
