@@ -61,9 +61,15 @@ def main(argv=None):
 
     grid = DEFAULT_GRID
     if args.snr is not None:
-        grid = tuple(float(v) for v in args.snr.split(","))
+        try:
+            grid = tuple(float(v) for v in args.snr.split(",") if v.strip())
+        except ValueError:
+            parser.error(f"cannot parse --snr {args.snr!r} as comma-separated dB values")
 
-    curves = preset_specs(args.preset, args.trials, args.seed, grid)
+    try:
+        curves = preset_specs(args.preset, args.trials, args.seed, grid)
+    except ValueError as exc:
+        parser.error(f"invalid config: {exc}")
     for label, spec in curves:
         reason = check_spec(spec)
         if reason is not None:

@@ -112,11 +112,17 @@ def iterate_distributed_ia(
         IterationTrace. Convergence means the recorded leakage fell to
         ``leakage_tol`` times the initial desired-signal power; running
         out of iterations is reported, never raised.
+
+    Raises:
+        DistributedInfeasible: a user asks for more streams than its
+            direct block supports.
+        ValueError: ``dof`` does not give one count per user, or ``init``
+            is unknown. These are caller errors, not infeasibility.
     """
     num_users = len(blocks)
     dof = [int(d) for d in dof]
     if len(dof) != num_users:
-        raise DistributedInfeasible("need one stream count per user")
+        raise ValueError(f"need one stream count per user: got {len(dof)} for {num_users} users")
     for k in range(num_users):
         cap = min(blocks[k][k].shape)
         if dof[k] > cap:
@@ -148,7 +154,7 @@ def iterate_distributed_ia(
     )
 
     grid = _stack_grid(blocks)
-    reverse = _stack_grid(reciprocal(blocks))
+    reverse = reciprocal(grid)
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     fwd_weights = _interferer_weights(per_stream, dof)

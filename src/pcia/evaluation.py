@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -20,13 +21,7 @@ import numpy as np
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
-from .linalg import (
-    _covariance_stack,
-    _interferer_weights,
-    _stack,
-    _stack_grid,
-    _stream_weights,
-)
+from .linalg import _stack, _stack_grid, _stream_weights
 from .network import (
     ChannelSet,
     NetworkConfig,
@@ -58,7 +53,9 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
 
     Args:
         blocks: square grid; ``blocks[k][l]`` carries transmitter ``l``
-            into receiver ``k``.
+            into receiver ``k``. Either a list of lists of blocks or the
+            grid already stacked into one zero-padded ``(K, K, m, n)``
+            array, so a caller scoring one grid many times stacks it once.
         receive, transmit: per-user filter and precoder lists.
         powers: total power per user, split equally over its streams.
         dof: stream counts; users at zero contribute and receive nothing.
@@ -67,22 +64,28 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     Returns:
         (per_user, total): rates in bits per channel use.
     """
-    # Users are scored together on the stacked grid: the interference
-    # term is U_k^H Q_k U_k with Q_k from the shared covariance kernel.
-    # Streams are zero-padded to a common width; padded dimensions get an
+    # All users are scored together on the stacked grid. The filtered
+    # gains F_kl = U_k^H G_kl V_l sqrt(w_l) are built once; the signal of
+    # user k is F_kk F_kk^H and its interference the sum of F_kl F_kl^H
+    # over l != k. Filters are zero-padded to a common stream width, which
+    # adds nothing to any Gram product; padded receive dimensions get an
     # identity, which leaves every determinant unchanged.
     grid = _stack_grid(blocks)
-    counts = [b.shape[1] for b in transmit]
-    width = max(b.shape[1] for b in (*receive, *transmit))
+    users = len(dof)
+    rx_counts = [b.shape[1] for b in receive]
+    width = max(rx_counts + [b.shape[1] for b in transmit])
     u = _stack(receive, grid.shape[2], width)
     v = _stack(transmit, grid.shape[3], width)
     uh = u.conj().transpose(0, 2, 1)
-    per_stream = _stream_weights(powers, dof)
-    q = _covariance_stack(grid, v, _interferer_weights(per_stream, counts))
-    padded = np.arange(width) >= np.array([b.shape[1] for b in receive])[:, None]
-    phi = noise_power * (uh @ u) + uh @ q @ u + padded[:, :, None] * np.eye(width)
-    own = uh @ grid[range(len(dof)), range(len(dof))] @ v
-    signal = np.array(per_stream)[:, None, None] * (own @ own.conj().transpose(0, 2, 1))
+    amplitude = np.sqrt(_stream_weights(powers, dof))
+    gains = uh[:, None] @ grid @ (v * amplitude[:, None, None])
+    gram = (gains @ gains.conj().transpose(0, 1, 3, 2)).reshape(users * users, width, width)
+    own = gram[::users + 1]            # F_kk F_kk^H, a view
+    signal = own.copy()
+    own[...] = 0.0
+    phi = noise_power * (uh @ u) + gram.reshape(users, users, width, width).sum(axis=1)
+    diagonal = phi.reshape(users, width * width)[:, ::width + 1]
+    diagonal += np.arange(width) >= np.array(rx_counts)[:, None]
     rates = (np.linalg.slogdet(phi + signal)[1] - np.linalg.slogdet(phi)[1]) / math.log(2.0)
     per_user = [float(r) if d > 0 else 0.0 for r, d in zip(rates, dof)]
     return per_user, float(sum(per_user))
@@ -93,7 +96,8 @@ def alignment_residual(blocks, receive, transmit) -> float:
 
     Maximum over ordered user pairs of the Frobenius norm of the filtered
     interference, normalized by the norms of the three factors. Zero when
-    no interfering pair exists.
+    no interfering pair exists. ``blocks`` is a list grid or its stacked
+    zero-padded ``(K, K, m, n)`` array, as for :func:`sum_rate`.
     """
     # Every filtered cross link at once on the stacked grid. Zero padding
     # changes no norm, and a silent user's zero-width filter pads to zeros,
@@ -241,28 +245,30 @@ def _slot_power_scale(dof_row):
     return [k / active if d > 0 else 0.0 for d in dof_row]
 
 
-def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
-    """Rates over the SNR grid, alignment residual, convergence and streams."""
+def _scored_slot(spec, grid, receive, transmit, dof, power_scale, conv):
+    """Rates over the SNR grid, alignment residual, convergence and streams.
+
+    ``grid`` is the trial's stacked block grid, shared by every call.
+    """
     rates = np.zeros(len(spec.snr_grid_db))
     for i, snr in enumerate(spec.snr_grid_db):
         p = _snr_powers(snr)
         powers = [p * s for s in power_scale]
-        _, rates[i] = sum_rate(blocks, receive, transmit, powers, dof, 1.0)
-    resid = alignment_residual(blocks, receive, transmit)
+        _, rates[i] = sum_rate(grid, receive, transmit, powers, dof, 1.0)
+    resid = alignment_residual(grid, receive, transmit)
     return rates, resid, conv, float(sum(dof))
 
 
-def _oneshot_slot(spec, equiv, dof_row):
-    cfg = spec.slot_config(dof_row)
+def _oneshot_slot(spec, cfg, equiv, grid):
     try:
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
     except (OneShotInfeasible, RankDeficientDesired):
         return _failed_slot(len(spec.snr_grid_db))
-    return _scored_slot(spec, equiv.blocks, beams.receive, beams.transmit, dof_row,
-                        _slot_power_scale(dof_row), 1.0)
+    return _scored_slot(spec, grid, beams.receive, beams.transmit, cfg.dof,
+                        _slot_power_scale(cfg.dof), 1.0)
 
 
-def _distributed_slot(spec, blocks, dof_row, init_seed):
+def _distributed_slot(spec, blocks, grid, dof_row, trial, slot):
     # The iterative baseline is defined by leakage minimization alone, so
     # start it from seeded random precoders. An SVD start would hand it
     # the signal-aware solution the one-shot scheme is being credited
@@ -271,11 +277,11 @@ def _distributed_slot(spec, blocks, dof_row, init_seed):
         trace = iterate_distributed_ia(
             blocks, dof_row, powers=[1.0] * spec.num_users,
             max_iters=spec.max_iters, leakage_tol=spec.leakage_tol,
-            init="random", seed=init_seed,
+            init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )
     except DistributedInfeasible:
         return _failed_slot(len(spec.snr_grid_db))
-    return _scored_slot(spec, blocks, trace.receive, trace.transmit, dof_row,
+    return _scored_slot(spec, grid, trace.receive, trace.transmit, dof_row,
                         _slot_power_scale(dof_row), 1.0 if trace.converged else 0.0)
 
 
@@ -284,10 +290,15 @@ def _bd_trial(spec, channel):
         sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
     except BDInfeasible:
         return _failed_slot(len(spec.snr_grid_db))
-    grid = [[channel.row_block(k)] * spec.num_users for k in range(spec.num_users)]
+    # Every receiver sees its whole row block from every transmitter: one
+    # stacked row per user, repeated along the transmitter axis as a view.
+    users = spec.num_users
+    rows = _stack([channel.row_block(k) for k in range(users)],
+                  max(spec.rx_antennas), sum(spec.tx_antennas))
+    grid = np.broadcast_to(rows[:, None], (users, users) + rows.shape[1:])
     # Full coordination pools the per-user power budgets and splits the
     # pool equally over all delivered streams.
-    scale = [spec.num_users * d / sol.dof_total for d in sol.dof]
+    scale = [users * d / sol.dof_total for d in sol.dof]
     return _scored_slot(spec, grid, sol.receive, sol.transmit, sol.dof, scale, 1.0)
 
 
@@ -296,9 +307,15 @@ def _mean_ignoring_nan(values) -> float:
     return float(np.mean(vals)) if vals else float("nan")
 
 
+@functools.lru_cache(maxsize=16)
+def _slot_configs(spec: ExperimentSpec) -> tuple:
+    """The validated config of every time-share slot, built once per spec."""
+    return tuple(spec.slot_config(row) for row in spec.slot_dof())
+
+
 def _trial_channels(spec: ExperimentSpec, trial: int):
     """Trial ``trial``'s channel draw, plus its paired view when a scheme needs it."""
-    shape_cfg = spec.slot_config(spec.slot_dof()[0])
+    shape_cfg = _slot_configs(spec)[0]
     channel = generate_channel(shape_cfg, np.random.SeedSequence((spec.seed, trial)))
     equiv = None
     if any(s in ("oneshot_partial", "distributed_partial") for s in spec.schemes):
@@ -308,23 +325,26 @@ def _trial_channels(spec: ExperimentSpec, trial: int):
 
 def _run_single_trial(spec: ExperimentSpec, trial: int) -> dict:
     """All schemes on one channel realization; pure in (spec, trial)."""
-    slots = spec.slot_dof()
+    configs = _slot_configs(spec)
     channel, equiv = _trial_channels(spec, trial)
+    # Each grid is stacked once per draw and scored by every slot.
+    paired = None if equiv is None else _stack_grid(equiv.blocks)
     out = {}
     for scheme in spec.schemes:
         if scheme == "bdzf_full":
             rates, resid, conv, dof = _bd_trial(spec, channel)
             out[scheme] = {"rates": rates, "resid": resid, "conv": conv, "dof": dof}
             continue
+        if scheme == "distributed_generic":
+            blocks, grid = channel.blocks, _stack_grid(channel.blocks)
+        else:
+            blocks, grid = equiv.blocks, paired
         slot_rates, slot_resid, slot_conv, slot_dof = [], [], [], []
-        for slot, row in enumerate(slots):
-            init_seed = np.random.SeedSequence((spec.seed, trial, slot))
+        for slot, cfg in enumerate(configs):
             if scheme == "oneshot_partial":
-                r, e, c, d = _oneshot_slot(spec, equiv, row)
-            elif scheme == "distributed_partial":
-                r, e, c, d = _distributed_slot(spec, equiv.blocks, row, init_seed)
+                r, e, c, d = _oneshot_slot(spec, cfg, equiv, grid)
             else:
-                r, e, c, d = _distributed_slot(spec, channel.blocks, row, init_seed)
+                r, e, c, d = _distributed_slot(spec, blocks, grid, cfg.dof, trial, slot)
             slot_rates.append(r)
             slot_resid.append(e)
             slot_conv.append(c)
@@ -392,7 +412,7 @@ def check_spec(spec: ExperimentSpec) -> Optional[str]:
     infeasible scheme's slots as zero-rate failures instead.
     """
     try:
-        configs = [spec.slot_config(row) for row in spec.slot_dof()]
+        configs = _slot_configs(spec)
     except ValueError as exc:
         return f"time sharing still puts too many streams in one slot: {exc}"
     channel, equiv = _trial_channels(spec, 0)

@@ -15,11 +15,17 @@ __all__ = [
 
 
 def _pinning_phases(a: np.ndarray, tol: float) -> np.ndarray:
-    """Phases making each column's first entry above ``tol`` real positive (1 if none)."""
+    """Phases making each column's first entry above ``tol`` real positive (1 if none).
+
+    ``a`` may be one matrix or a stack of them; the phases have one entry
+    per column of each matrix.
+    """
     mag = np.abs(a)
-    lead = ((mag > tol).argmax(axis=0), np.arange(a.shape[1]))
-    size = mag[lead]
-    return np.divide(a[lead].conj(), size, out=np.ones(a.shape[1], a.dtype), where=size > tol)
+    lead = (mag > tol).argmax(axis=-2)
+    *outer, cols = np.indices(lead.shape, sparse=True)
+    at = (*outer, lead, cols)
+    size = mag[at]
+    return np.divide(a[at].conj(), size, out=np.ones(size.shape, a.dtype), where=size > tol)
 
 
 def fix_column_phases(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -28,9 +34,10 @@ def fix_column_phases(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Basis vectors from eigen or singular value decompositions are only
     defined up to a unit phase; pinning the phase makes solver outputs
     reproducible across runs and platforms without changing any subspace.
+    A stack of matrices is pinned matrix by matrix.
     """
     a = np.asarray(a)
-    return a * _pinning_phases(a, tol)
+    return a * _pinning_phases(a, tol)[..., None, :]
 
 
 def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
@@ -39,10 +46,11 @@ def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
     Column ``j`` of ``u`` and of ``v`` carry one shared free phase. Both
     get rotated by the phase that makes ``u``'s first nonzero entry real
     and positive; the common rotation cancels in
-    ``u @ diag(s) @ v.conj().T``, which is left exactly as it was.
+    ``u @ diag(s) @ v.conj().T``, which is left exactly as it was. Stacks
+    of ``u`` and ``v`` are pinned pair by pair.
     """
     u = np.asarray(u)
-    phases = _pinning_phases(u, tol)
+    phases = _pinning_phases(u, tol)[..., None, :]
     return u * phases, np.asarray(v) * phases
 
 
@@ -53,8 +61,15 @@ def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
 
 
-def reciprocal(grid) -> list:
-    """The reversed-link grid: entry ``[k][l]`` is ``grid[l][k]^H``."""
+def reciprocal(grid):
+    """The reversed-link grid: entry ``[k][l]`` is ``grid[l][k]^H``.
+
+    A list grid gives a list grid; a stacked ``(K, K, m, n)`` array gives
+    a C-contiguous ``(K, K, n, m)`` array, laid out as if the reversed
+    list grid had been stacked.
+    """
+    if isinstance(grid, np.ndarray):
+        return np.ascontiguousarray(grid.transpose(1, 0, 3, 2)).conj()
     return [[row[k].conj().T for row in grid] for k in range(len(grid))]
 
 
@@ -69,11 +84,36 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
 
 
 def _stack_grid(grid) -> np.ndarray:
-    """A ``K x K`` block grid as one zero-padded ``(K, K, m, n)`` array."""
+    """A ``K x K`` block grid as one zero-padded ``(K, K, m, n)`` array.
+
+    An array is taken to be stacked already and comes back unchanged.
+    """
+    if isinstance(grid, np.ndarray):
+        return grid
     blocks = [b for row in grid for b in row]
+    shape = blocks[0].shape
+    if all(b.shape == shape for b in blocks):
+        return np.array(grid, dtype=np.complex128)
     rows = max(b.shape[0] for b in blocks)
     cols = max(b.shape[1] for b in blocks)
     return _stack(blocks, rows, cols).reshape(len(grid), len(grid), rows, cols)
+
+
+def _batched(fn, mats) -> list:
+    """``fn`` once per shape group of ``mats``; entry ``i`` is its result for ``mats[i]``.
+
+    ``fn`` maps an ``(S, m, n)`` stack to ``S`` per-matrix results. Batched
+    LAPACK calls need one shape per stack; grouping instead of padding
+    keeps every decomposition exactly the one of its own matrix.
+    """
+    groups = {}
+    for i, a in enumerate(mats):
+        groups.setdefault(a.shape, []).append(i)
+    out = [None] * len(mats)
+    for group in groups.values():
+        for i, result in zip(group, fn(np.array([mats[i] for i in group]))):
+            out[i] = result
+    return out
 
 
 def _interferer_weights(weights: Sequence, counts: Sequence) -> np.ndarray:
@@ -87,9 +127,9 @@ def _interferer_weights(weights: Sequence, counts: Sequence) -> np.ndarray:
         raise ValueError(
             f"need one weight per user: got {len(weights)} for {len(counts)} users")
     users = len(counts)
-    out = np.zeros((users, users, max(counts)))
-    for l, (w, count) in enumerate(zip(weights, counts)):
-        out[:, l, :count] = w
+    real = np.arange(max(counts)) < np.array(counts)[:, None]
+    out = np.repeat(np.where(real, np.array(weights, dtype=float)[:, None], 0.0)[None],
+                    users, axis=0)
     out[range(users), range(users)] = 0.0
     return out
 
@@ -110,6 +150,13 @@ def _covariance_stack(grid: np.ndarray, beams: np.ndarray, weights: np.ndarray) 
     return 0.5 * (q + q.conj().transpose(0, 2, 1))
 
 
+def _covariances(grid: np.ndarray, beams: Sequence, weights: Sequence) -> np.ndarray:
+    """:func:`_covariance_stack` of a stacked grid, beams and weights given per user."""
+    counts = [b.shape[1] for b in beams]
+    return _covariance_stack(grid, _stack(beams, grid.shape[3], max(counts)),
+                             _interferer_weights(weights, counts))
+
+
 def interference_covariances(grid, beams: Sequence, weights: Sequence) -> list:
     """Stream-weighted interference covariance seen at each receiver.
 
@@ -120,9 +167,6 @@ def interference_covariances(grid, beams: Sequence, weights: Sequence) -> list:
     of the reversed network. A list adapter over the stacked kernel that
     the iterative solver runs on directly.
     """
-    stacked = _stack_grid(grid)
-    counts = [b.shape[1] for b in beams]
-    q = _covariance_stack(stacked, _stack(beams, stacked.shape[3], max(counts)),
-                          _interferer_weights(weights, counts))
+    q = _covariances(_stack_grid(grid), beams, weights)
     sizes = [row[k].shape[0] for k, row in enumerate(grid)]
     return [q[k, :size, :size] for k, size in enumerate(sizes)]

@@ -12,6 +12,7 @@ paired-transmitter channel.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -119,11 +120,12 @@ class NetworkConfig:
         """Combined antenna count of user ``k``'s serving pair."""
         return self.tx_antennas[k] + self.tx_antennas[self.secondary(k)]
 
-    @property
+    # Computed once per config: the solvers read these on every call.
+    @functools.cached_property
     def paired_widths(self) -> tuple:
         return tuple(self.paired_tx_antennas(k) for k in range(self.num_users))
 
-    @property
+    @functools.cached_property
     def active_users(self) -> tuple:
         return tuple(k for k in range(self.num_users) if self.dof[k] > 0)
 
@@ -320,10 +322,10 @@ def split_beamformer(transmit: Sequence, config: NetworkConfig):
     primary, secondary = [], []
     for k, w in enumerate(transmit):
         w = np.asarray(w)
-        if w.shape[0] != config.paired_tx_antennas(k):
+        if w.shape[0] != config.paired_widths[k]:
             raise ValueError(
                 f"user {k} beamformer has {w.shape[0]} rows, "
-                f"expected {config.paired_tx_antennas(k)}"
+                f"expected {config.paired_widths[k]}"
             )
         first, second = _stacking_order(config, k)
         cut = config.tx_antennas[first]

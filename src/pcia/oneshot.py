@@ -10,12 +10,20 @@ cross links exist in closed form and are found in one pass:
 1. receive filters from the dominant singular directions of each direct
    block,
 2. a reciprocal interference covariance per user on the paired stack,
-   from the kernel :func:`pcia.linalg.interference_covariances` shared
-   with the iterative baseline,
+   from the covariance kernel of :mod:`pcia.linalg` shared with the
+   iterative baseline,
 3. its null space as the admissible precoder directions,
 4. a subset choice within that null space scored on the direct link,
    with the candidate subsets scored by batched ``|det|`` calls over
    fixed-size chunks of their lexicographic order.
+
+Steps 1 to 3 and the final rank check are batched over users: the grid
+is stacked once per design into a zero-padded array, its reciprocal is
+built as a contiguous array, and each LAPACK step (``svd``, ``eigh``,
+singular values) runs once per distinct matrix shape, with column phases
+pinned on the stack. Ragged antenna counts are grouped by shape, never
+padded, so each decomposition is exactly the one of its own matrix and
+the ``rank_tol`` null-space threshold sees only real eigenvalues.
 
 No iteration and no channel extension is involved.
 """
@@ -30,9 +38,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (
+    _batched,
+    _covariances,
+    _stack_grid,
     _stream_weights,
     fix_column_phases,
-    interference_covariances,
     pin_joint_phases,
     reciprocal,
 )
@@ -112,8 +122,18 @@ class ReciprocalState:
     choice_counts: list  # number of candidate column subsets per user
 
 
+def _pinned_svd(stack: np.ndarray) -> list:
+    """Thin SVD triplets ``(u, s, v)`` of each matrix, phases pinned jointly."""
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    u, v = pin_joint_phases(u, vh.conj().transpose(0, 2, 1))
+    return list(zip(u, s, v))
+
+
 def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
     """Receive filters from the dominant left singular vectors.
+
+    The direct blocks are decomposed by one batched ``svd`` per distinct
+    block shape, and their singular-vector phases pinned on the stack.
 
     Returns:
         (receive, cache): per-user ``m_k x d_k`` filters with orthonormal
@@ -124,26 +144,17 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
         ValueError: if any user asks for more streams than its direct
             block supports.
     """
-    receive = []
-    left, singular, right = [], [], []
-    left_t, singular_t, right_t = [], [], []
-    for k in range(config.num_users):
-        block = equiv.blocks[k][k]
-        d = config.dof[k]
+    direct = [equiv.blocks[k][k] for k in range(config.num_users)]
+    for k, (block, d) in enumerate(zip(direct, config.dof)):
         if d > min(block.shape):
             raise ValueError(
                 f"user {k} asks for {d} streams on a {block.shape} direct block"
             )
-        u, s, vh = np.linalg.svd(block, full_matrices=False)
-        u, m_right = pin_joint_phases(u, vh.conj().T)
-        left.append(u)
-        singular.append(s)
-        right.append(m_right)
-        left_t.append(u[:, :d])
-        singular_t.append(s[:d])
-        right_t.append(m_right[:, :d])
-        receive.append(u[:, :d])
-    cache = SvdCache(left, singular, right, left_t, singular_t, right_t)
+    left, singular, right = map(list, zip(*_batched(_pinned_svd, direct)))
+    receive = [u[:, :d] for u, d in zip(left, config.dof)]
+    cache = SvdCache(left, singular, right, list(receive),
+                     [s[:d] for s, d in zip(singular, config.dof)],
+                     [v[:, :d] for v, d in zip(right, config.dof)])
     return receive, cache
 
 
@@ -161,8 +172,16 @@ def reciprocal_interference_covariance(
     default to the forward ones.
     """
     powers = list(config.tx_power) if reverse_power is None else list(reverse_power)
-    return interference_covariances(
-        reciprocal(equiv.blocks), receive, _stream_weights(powers, config.dof))
+    q = _covariances(reciprocal(_stack_grid(equiv.blocks)), receive,
+                     _stream_weights(powers, config.dof))
+    return [q[k, :w, :w] for k, w in enumerate(config.paired_widths)]
+
+
+def _null_bases(qs: np.ndarray, rank_tol: float) -> list:
+    """Null-space bases of a ``(S, n, n)`` Hermitian PSD stack, one batched ``eigh``."""
+    vals, vecs = np.linalg.eigh(qs)
+    keep = vals <= rank_tol * np.maximum(vals[:, -1:], 0.0)
+    return [v[:, mask] for v, mask in zip(fix_column_phases(vecs), keep)]
 
 
 def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
@@ -171,10 +190,7 @@ def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
     Eigenvalues at or below ``rank_tol`` times the largest one count as
     zero; a zero matrix yields a full basis.
     """
-    vals, vecs = np.linalg.eigh(q)
-    largest = max(float(vals[-1]), 0.0)
-    keep = vals <= rank_tol * largest
-    return fix_column_phases(vecs[:, keep])
+    return _null_bases(np.asarray(q)[None], rank_tol)[0]
 
 
 def reciprocal_state(
@@ -184,16 +200,16 @@ def reciprocal_state(
     rank_tol: float = 1e-9,
     reverse_power: Optional[Sequence] = None,
 ) -> ReciprocalState:
-    """Covariances plus null-space bases and candidate counts per user."""
+    """Covariances plus null-space bases and candidate counts per user.
+
+    The null spaces come from one batched ``eigh`` per distinct paired
+    width.
+    """
     covariances = reciprocal_interference_covariance(equiv, receive, config, reverse_power)
-    ranks, nullities, bases, counts = [], [], [], []
-    for k, q in enumerate(covariances):
-        basis = null_space_basis(q, rank_tol)
-        nullity = basis.shape[1]
-        ranks.append(q.shape[0] - nullity)
-        nullities.append(nullity)
-        bases.append(basis)
-        counts.append(math.comb(nullity, config.dof[k]) if nullity >= config.dof[k] else 0)
+    bases = _batched(lambda qs: _null_bases(qs, rank_tol), covariances)
+    nullities = [b.shape[1] for b in bases]
+    ranks = [q.shape[0] - a for q, a in zip(covariances, nullities)]
+    counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
     return ReciprocalState(covariances, ranks, nullities, bases, counts)
 
 
@@ -289,10 +305,11 @@ def one_shot_ia(
         RankDeficientDesired: a direct link lost stream rank after
             precoding (a measure-zero event for generic channels).
     """
-    if not config.active_users:
+    active = config.active_users
+    if not active:
         raise ValueError("no active users: every stream count is zero")
     d_hat = config.dof_total
-    bound = min(config.paired_tx_antennas(k) for k in config.active_users)
+    bound = min(config.paired_widths[k] for k in active)
     if d_hat > bound:
         raise OneShotInfeasible(
             f"one-shot alignment cannot deliver {d_hat} total streams: the "
@@ -315,16 +332,14 @@ def one_shot_ia(
                 config.dof[k], criterion=criterion, user=k,
             )
         )
-    for k in config.active_users:
-        eff = receive[k].conj().T @ equiv.blocks[k][k] @ transmit[k]
-        svals = np.linalg.svd(eff, compute_uv=False)
-        # Reference scale is the unprojected direct link (its largest
-        # singular value, from the receive-side SVD): filters with
-        # unit columns can only shrink it, and comparing within ``eff``
-        # alone would make a uniformly collapsed link (d_k = 1 above
-        # all) look healthy.
-        scale = cache.singular[k][0]
-        if svals[-1] <= rank_tol * scale:
+    # Reference scale is the unprojected direct link (its largest singular
+    # value, from the receive-side SVD): filters with unit columns can
+    # only shrink it, and comparing within ``eff`` alone would make a
+    # uniformly collapsed link (d_k = 1 above all) look healthy.
+    effs = [receive[k].conj().T @ equiv.blocks[k][k] @ transmit[k] for k in active]
+    smallest = _batched(lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1], effs)
+    for k, sval in zip(active, smallest):
+        if sval <= rank_tol * cache.singular[k][0]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding",
                 user=k,

@@ -210,7 +210,16 @@ def test_every_returned_column_has_a_pinned_phase():
 def test_stream_requests_that_do_not_fit_are_typed():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 1).blocks
-    with pytest.raises(DistributedInfeasible, match="per user"):
-        iterate_distributed_ia(blocks, [1, 1], cfg.tx_power)
     with pytest.raises(DistributedInfeasible, match="streams"):
         iterate_distributed_ia(blocks, [3, 1, 1], cfg.tx_power)
+
+
+@pytest.mark.parametrize("dof", [[1, 1], [1, 1, 1, 1]], ids=["short", "long"])
+def test_stream_lists_of_the_wrong_length_are_caller_errors(dof):
+    # A caller bug, not an infeasible request: the harness must not
+    # count it as a zero-rate slot, so it is not DistributedInfeasible.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    blocks = generate_channel(cfg, 1).blocks
+    with pytest.raises(ValueError, match="one stream count per user") as exc:
+        iterate_distributed_ia(blocks, dof, cfg.tx_power)
+    assert not isinstance(exc.value, DistributedInfeasible)

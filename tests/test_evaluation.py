@@ -18,10 +18,12 @@ from pcia import (
     PointStats,
     RankDeficientDesired,
     alignment_residual,
+    bd_zero_forcing,
     build_permutation,
     check_spec,
     equivalent_channel,
     generate_channel,
+    iterate_distributed_ia,
     multiplexing_gain_estimate,
     one_shot_ia,
     run_experiment,
@@ -412,3 +414,92 @@ def test_check_spec_asks_the_one_shot_solver(monkeypatch):
     monkeypatch.setattr(evaluation, "one_shot_ia",
                         raising(OneShotInfeasible("user 1 has no room")))
     assert check_spec(spec) == "user 1 has no room"
+
+
+RAGGED_SPEC = dict(num_users=3, rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof_total=4,
+                   schemes=("oneshot_partial", "bdzf_full", "distributed_partial"),
+                   snr_grid_db=(0.0, 20.0, 40.0), trials=4, seed=11)
+
+
+def _list_grid_rates(spec):
+    # The sweep's mean sum rates rebuilt by hand: every design re-run as
+    # the harness runs it, every rate scored by ``sum_rate`` on per-user
+    # list grids, with the harness's power pooling.
+    users = spec.num_users
+    configs = [spec.slot_config(row) for row in spec.slot_dof()]
+    totals = {s: np.zeros(len(spec.snr_grid_db)) for s in spec.schemes}
+    for t in range(spec.trials):
+        channel = generate_channel(configs[0], np.random.SeedSequence((spec.seed, t)))
+        equiv = equivalent_channel(channel, build_permutation(configs[0]))
+        for scheme in spec.schemes:
+            if scheme == "bdzf_full":
+                sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
+                rows = [[channel.row_block(k)] * users for k in range(users)]
+                scale = [users * d / sol.dof_total for d in sol.dof]
+                slots = [(rows, sol.receive, sol.transmit, sol.dof, scale)]
+            else:
+                slots = []
+                for slot, cfg in enumerate(configs):
+                    if scheme == "oneshot_partial":
+                        beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
+                    else:
+                        beams = iterate_distributed_ia(
+                            equiv.blocks, cfg.dof, [1.0] * users, max_iters=spec.max_iters,
+                            leakage_tol=spec.leakage_tol, init="random",
+                            seed=np.random.SeedSequence((spec.seed, t, slot)))
+                    active = sum(d > 0 for d in cfg.dof)
+                    scale = [users / active if d > 0 else 0.0 for d in cfg.dof]
+                    slots.append((equiv.blocks, beams.receive, beams.transmit, cfg.dof, scale))
+            for i, snr in enumerate(spec.snr_grid_db):
+                p = 10.0 ** (snr / 10.0)
+                totals[scheme][i] += np.mean([
+                    sum_rate(grid, u, v, [p * s for s in scale], dof, 1.0)[1]
+                    for grid, u, v, dof, scale in slots])
+    return {s: total / spec.trials for s, total in totals.items()}
+
+
+def test_ragged_sweep_matches_list_grid_scoring():
+    # Stations of 2, 3 and 2 antennas: the paired widths (4, 5, 5) and
+    # the zero-forcing row blocks (2, 3 and 2 rows by 7) are all padded
+    # inside the stacked sweep.
+    spec = ExperimentSpec(**RAGGED_SPEC)
+    result = run_experiment(spec, workers=1)
+    expected = _list_grid_rates(spec)
+    for scheme in spec.schemes:
+        assert result.point(scheme, 0.0).conv_frac == 1.0
+        got = [result.point(scheme, snr).mean_sum_rate for snr in spec.snr_grid_db]
+        np.testing.assert_allclose(got, expected[scheme], rtol=1e-12, atol=0)
+
+
+def _zero_padded(grid):
+    # The documented stacked form, built without the package's helpers.
+    rows = max(b.shape[0] for row in grid for b in row)
+    cols = max(b.shape[1] for row in grid for b in row)
+    out = np.zeros((len(grid), len(grid), rows, cols), dtype=np.complex128)
+    for k, row in enumerate(grid):
+        for l, b in enumerate(row):
+            out[k, l, :b.shape[0], :b.shape[1]] = b
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_grid_scores_like_the_list_grid(seed):
+    rng = np.random.default_rng(seed)
+    cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 1),
+                        tx_power=(1.0, 1.0, 1.0))
+    channel = generate_channel(cfg, seed)
+    paired = equivalent_channel(channel, build_permutation(cfg)).blocks
+    rows = [[channel.row_block(k)] * 3 for k in range(3)]
+    receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
+    for grid, widths in ((paired, cfg.paired_widths), (rows, (7, 7, 7))):
+        transmit = [random_orthonormal(rng, w, d) for w, d in zip(widths, cfg.dof)]
+        stacked = _zero_padded(grid)
+        assert stacked.shape[2] == 3
+        for p in (1.0, 100.0, 1e4):
+            powers = [p, 2.0 * p, 0.5 * p]
+            listed = sum_rate(grid, receive, transmit, powers, cfg.dof, 1.0)
+            padded = sum_rate(stacked, receive, transmit, powers, cfg.dof, 1.0)
+            np.testing.assert_allclose(padded[0], listed[0], rtol=1e-12, atol=0)
+            assert padded[1] == pytest.approx(listed[1], rel=1e-12)
+        assert alignment_residual(stacked, receive, transmit) == pytest.approx(
+            alignment_residual(grid, receive, transmit), rel=1e-12)

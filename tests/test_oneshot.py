@@ -336,3 +336,72 @@ def test_selector_ties_straddling_chunks_keep_first_subset(monkeypatch, criterio
         picked = select_transmit_beamformer(receive, direct, basis, 2, criterion=criterion)
         assert np.array_equal(picked, first), chunk
         assert np.array_equal(picked, _loop_pick(receive, direct, basis, 2, criterion))
+
+
+def _pinned_by_column(a, tol=1e-12):
+    # One column at a time: the phase that makes the first entry above
+    # ``tol`` real and positive (1 when there is none).
+    phases = np.ones(a.shape[1], dtype=a.dtype)
+    for j in range(a.shape[1]):
+        nz = np.flatnonzero(np.abs(a[:, j]) > tol)
+        if nz.size:
+            lead = a[nz[0], j]
+            phases[j] = np.divide(lead.conjugate(), np.abs(lead))
+    return phases
+
+
+def _design_by_user(cfg, equiv, rank_tol=1e-9):
+    # The per-user loop the batched steps replace: one svd per direct
+    # block, one eigh per covariance, phases pinned column by column.
+    left, singular, right = [], [], []
+    for k in range(cfg.num_users):
+        u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
+        phases = _pinned_by_column(u)
+        left.append(u * phases)
+        singular.append(s)
+        right.append(vh.conj().T * phases)
+    receive = [u[:, :d] for u, d in zip(left, cfg.dof)]
+    covariances = reciprocal_interference_covariance(equiv, receive, cfg)
+    bases = []
+    for q in covariances:
+        vals, vecs = np.linalg.eigh(q)
+        basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
+        bases.append(basis * _pinned_by_column(basis))
+    transmit = [select_transmit_beamformer(receive[k], equiv.blocks[k][k], bases[k],
+                                           cfg.dof[k], user=k)
+                for k in range(cfg.num_users)]
+    return left, singular, right, bases, transmit
+
+
+BATCHED_CONFIGS = [
+    NetworkConfig.symmetric(5, 2, 2, [1, 1, 1, 1, 0]),
+    NetworkConfig.symmetric(3, 2, 2, [2, 1, 1]),
+    NetworkConfig.symmetric(3, 8, 8, 3),                      # nullity 10 > d = 3
+    NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0),
+                  tx_power=(1.0, 1.0, 1.0)),
+    NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1),
+                  tx_power=(1.0, 2.0, 1.0)),                  # ragged, nullity > d
+]
+
+
+@pytest.mark.parametrize("cfg", BATCHED_CONFIGS,
+                         ids=["k5-silent", "k3-row-211", "k3-8x8", "ragged-232", "ragged-322"])
+def test_batched_design_matches_the_per_user_loop(cfg):
+    for seed in range(4):
+        equiv = _equiv(cfg, seed)
+        left, singular, right, bases, transmit = _design_by_user(cfg, equiv)
+        receive, cache = design_receive_beamformers(equiv, cfg)
+        for k, d in enumerate(cfg.dof):
+            assert np.array_equal(cache.left[k], left[k])
+            assert np.array_equal(cache.singular[k], singular[k])
+            assert np.array_equal(cache.right[k], right[k])
+            assert np.array_equal(receive[k], left[k][:, :d])
+            assert np.array_equal(cache.right_trunc[k], right[k][:, :d])
+        state = reciprocal_state(equiv, receive, cfg)
+        assert state.nullities == [b.shape[1] for b in bases]
+        for got, want in zip(state.null_bases, bases):
+            assert np.array_equal(got, want)
+        assert np.array_equal(null_space_basis(state.covariances[0]), bases[0])
+        beams = one_shot_ia(cfg, equiv)
+        for got, want in zip(beams.transmit, transmit):
+            assert np.array_equal(got, want)

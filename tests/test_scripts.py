@@ -54,3 +54,18 @@ def test_coordination_report_prints_both_tables(capsys):
     assert [line.split() for line in lines[1:]] == [
         ["2", "2", "4", "4", "2"], ["3", "3", "6", "9", "6"], ["4", "4", "8", "16", "12"],
     ]
+
+
+@pytest.mark.parametrize("snr, fragment", [("a,b", "cannot parse --snr 'a,b'"),
+                                           (",", "snr_grid_db must not be empty")])
+def test_bad_snr_grid_exits_two(monkeypatch, capsys, snr, fragment):
+    curves = _load("sum_rate_curves")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept with a bad --snr")
+
+    monkeypatch.setattr(curves, "run_experiment", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        curves.main(["k3-2x2", "--snr", snr])
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
