@@ -91,9 +91,6 @@ def _stack_grid(grid) -> np.ndarray:
     if isinstance(grid, np.ndarray):
         return grid
     blocks = [b for row in grid for b in row]
-    shape = blocks[0].shape
-    if all(b.shape == shape for b in blocks):
-        return np.array(grid, dtype=np.complex128)
     rows = max(b.shape[0] for b in blocks)
     cols = max(b.shape[1] for b in blocks)
     return _stack(blocks, rows, cols).reshape(len(grid), len(grid), rows, cols)
@@ -127,9 +124,9 @@ def _interferer_weights(weights: Sequence, counts: Sequence) -> np.ndarray:
         raise ValueError(
             f"need one weight per user: got {len(weights)} for {len(counts)} users")
     users = len(counts)
-    real = np.arange(max(counts)) < np.array(counts)[:, None]
-    out = np.repeat(np.where(real, np.array(weights, dtype=float)[:, None], 0.0)[None],
-                    users, axis=0)
+    out = np.zeros((users, users, max(counts)))
+    for l, (w, count) in enumerate(zip(weights, counts)):
+        out[:, l, :count] = w
     out[range(users), range(users)] = 0.0
     return out
 

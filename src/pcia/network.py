@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import _stack_grid
+
 __all__ = [
     "NetworkConfig",
     "ChannelSet",
@@ -120,12 +122,11 @@ class NetworkConfig:
         """Combined antenna count of user ``k``'s serving pair."""
         return self.tx_antennas[k] + self.tx_antennas[self.secondary(k)]
 
-    # Computed once per config: the solvers read these on every call.
-    @functools.cached_property
+    @property
     def paired_widths(self) -> tuple:
         return tuple(self.paired_tx_antennas(k) for k in range(self.num_users))
 
-    @functools.cached_property
+    @property
     def active_users(self) -> tuple:
         return tuple(k for k in range(self.num_users) if self.dof[k] > 0)
 
@@ -133,8 +134,22 @@ class NetworkConfig:
         return dataclasses.replace(self, dof=dof)
 
 
+class _BlockGrid:
+    """A channel held as a square ``blocks`` grid."""
+
+    @functools.cached_property
+    def _stacked(self) -> np.ndarray:
+        """``blocks`` as one zero-padded ``(K, K, m, n)`` array, stacked on first use.
+
+        Solvers and the scoring harness read this one copy, however many
+        designs and SNR points share the draw; ``blocks`` is not changed
+        after construction.
+        """
+        return _stack_grid(self.blocks)
+
+
 @dataclasses.dataclass
-class ChannelSet:
+class ChannelSet(_BlockGrid):
     """One realization of the per-station downlink channel.
 
     ``blocks[i][j]`` is the ``m_i x n_j`` matrix from base station ``j``
@@ -267,7 +282,7 @@ def build_permutation(config: NetworkConfig) -> PermutationMap:
 
 
 @dataclasses.dataclass
-class EquivalentChannel:
+class EquivalentChannel(_BlockGrid):
     """Paired-transmitter view of a channel realization.
 
     ``blocks[i][k]`` is ``m_i x (n_k' + n_k)``: user ``i``'s channel from
@@ -322,10 +337,10 @@ def split_beamformer(transmit: Sequence, config: NetworkConfig):
     primary, secondary = [], []
     for k, w in enumerate(transmit):
         w = np.asarray(w)
-        if w.shape[0] != config.paired_widths[k]:
+        if w.shape[0] != config.paired_tx_antennas(k):
             raise ValueError(
                 f"user {k} beamformer has {w.shape[0]} rows, "
-                f"expected {config.paired_widths[k]}"
+                f"expected {config.paired_tx_antennas(k)}"
             )
         first, second = _stacking_order(config, k)
         cut = config.tx_antennas[first]

@@ -17,13 +17,14 @@ cross links exist in closed form and are found in one pass:
    with the candidate subsets scored by batched ``|det|`` calls over
    fixed-size chunks of their lexicographic order.
 
-Steps 1 to 3 and the final rank check are batched over users: the grid
-is stacked once per design into a zero-padded array, its reciprocal is
-built as a contiguous array, and each LAPACK step (``svd``, ``eigh``,
-singular values) runs once per distinct matrix shape, with column phases
-pinned on the stack. Ragged antenna counts are grouped by shape, never
-padded, so each decomposition is exactly the one of its own matrix and
-the ``rank_tol`` null-space threshold sees only real eigenvalues.
+Steps 1 to 3 and the final rank check are batched over users: the
+channel's grid is stacked once into a zero-padded array that every
+design on that channel reads, its reciprocal is built as a contiguous
+array, and each LAPACK step (``svd``, ``eigh``, singular values) runs
+once per distinct matrix shape, with column phases pinned on the stack.
+Ragged antenna counts are grouped by shape, never padded, so each
+decomposition is exactly the one of its own matrix and the
+``rank_tol`` null-space threshold sees only real eigenvalues.
 
 No iteration and no channel extension is involved.
 """
@@ -40,7 +41,6 @@ import numpy as np
 from .linalg import (
     _batched,
     _covariances,
-    _stack_grid,
     _stream_weights,
     fix_column_phases,
     pin_joint_phases,
@@ -172,7 +172,7 @@ def reciprocal_interference_covariance(
     default to the forward ones.
     """
     powers = list(config.tx_power) if reverse_power is None else list(reverse_power)
-    q = _covariances(reciprocal(_stack_grid(equiv.blocks)), receive,
+    q = _covariances(reciprocal(equiv._stacked), receive,
                      _stream_weights(powers, config.dof))
     return [q[k, :w, :w] for k, w in enumerate(config.paired_widths)]
 
@@ -309,7 +309,7 @@ def one_shot_ia(
     if not active:
         raise ValueError("no active users: every stream count is zero")
     d_hat = config.dof_total
-    bound = min(config.paired_widths[k] for k in active)
+    bound = min(config.paired_tx_antennas(k) for k in active)
     if d_hat > bound:
         raise OneShotInfeasible(
             f"one-shot alignment cannot deliver {d_hat} total streams: the "
