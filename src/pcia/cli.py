@@ -19,7 +19,7 @@ from .feasibility import (
 
 CSV_HEADER = [
     "scheme", "K", "m", "n", "dof_total", "snr_db", "trials",
-    "mean_sum_rate", "std_err", "align_residual", "conv_frac",
+    "mean_sum_rate", "std_err", "align_residual", "conv_frac", "mean_dof",
 ]
 
 EXIT_BAD_CONFIG = 2
@@ -101,6 +101,7 @@ def cmd_run(args) -> int:
             _fmt(rec["std_err"]),
             _fmt(rec["align_residual"]),
             _fmt(rec["conv_frac"]),
+            _fmt(rec["mean_dof"]),
         ])
     with out_csv.open("w", newline="") as fh:
         writer = csv.writer(fh)

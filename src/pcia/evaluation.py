@@ -48,6 +48,18 @@ __all__ = [
 SCHEMES = ("oneshot_partial", "distributed_partial", "distributed_generic", "bdzf_full")
 
 
+def _filter_stacks(grid: np.ndarray, receive, transmit):
+    """Receive and transmit filters as zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks.
+
+    Two arrays are taken to be stacked already and come back unchanged;
+    per-user lists are padded to the widest filter on either side.
+    """
+    if isinstance(receive, np.ndarray) and isinstance(transmit, np.ndarray):
+        return receive, transmit
+    width = max(b.shape[1] for b in (*receive, *transmit))
+    return _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
+
+
 def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     """Achievable rates treating residual interference as noise.
 
@@ -56,7 +68,11 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
             into receiver ``k``. Either a list of lists of blocks or the
             grid already stacked into one zero-padded ``(K, K, m, n)``
             array, so a caller scoring one grid many times stacks it once.
-        receive, transmit: per-user filter and precoder lists.
+        receive, transmit: per-user filter and precoder lists, user ``k``'s
+            with ``dof[k]`` columns; or both already stacked into
+            zero-padded ``(K, m, d)`` and ``(K, n, d)`` arrays, matching a
+            stacked ``blocks``, so a caller scoring one design at many
+            powers stacks it once.
         powers: total power per user, split equally over its streams.
         dof: stream counts; users at zero contribute and receive nothing.
         noise_power: receive noise variance per antenna.
@@ -68,14 +84,11 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     # gains F_kl = U_k^H G_kl V_l sqrt(w_l) are built once; the signal of
     # user k is F_kk F_kk^H and its interference the sum of F_kl F_kl^H
     # over l != k. Filters are zero-padded to a common stream width, which
-    # adds nothing to any Gram product; padded receive dimensions get an
-    # identity, which leaves every determinant unchanged.
+    # adds nothing to any Gram product; user k's filter outputs past
+    # dof[k] get an identity, which leaves every determinant unchanged.
     grid = _stack_grid(blocks)
-    users = len(dof)
-    rx_counts = [b.shape[1] for b in receive]
-    width = max(rx_counts + [b.shape[1] for b in transmit])
-    u = _stack(receive, grid.shape[2], width)
-    v = _stack(transmit, grid.shape[3], width)
+    u, v = _filter_stacks(grid, receive, transmit)
+    users, _, width = u.shape
     uh = u.conj().transpose(0, 2, 1)
     amplitude = np.sqrt(_stream_weights(powers, dof))
     gains = uh[:, None] @ grid @ (v * amplitude[:, None, None])
@@ -85,7 +98,7 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     own[...] = 0.0
     phi = noise_power * (uh @ u) + gram.reshape(users, users, width, width).sum(axis=1)
     diagonal = phi.reshape(users, width * width)[:, ::width + 1]
-    diagonal += np.arange(width) >= np.array(rx_counts)[:, None]
+    diagonal += np.arange(width) >= np.array(dof)[:, None]
     rates = (np.linalg.slogdet(phi + signal)[1] - np.linalg.slogdet(phi)[1]) / math.log(2.0)
     per_user = [float(r) if d > 0 else 0.0 for r, d in zip(rates, dof)]
     return per_user, float(sum(per_user))
@@ -97,21 +110,22 @@ def alignment_residual(blocks, receive, transmit) -> float:
     Maximum over ordered user pairs of the Frobenius norm of the filtered
     interference, normalized by the norms of the three factors. Zero when
     no interfering pair exists. ``blocks`` is a list grid or its stacked
-    zero-padded ``(K, K, m, n)`` array, as for :func:`sum_rate`.
+    zero-padded ``(K, K, m, n)`` array, and the filters per-user lists or
+    zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks, as for
+    :func:`sum_rate`.
     """
     # Every filtered cross link at once on the stacked grid. Zero padding
     # changes no norm, and a silent user's zero-width filter pads to zeros,
     # so ``den > 0`` skips silent receivers and transmitters as well as
     # the own links zeroed below.
     grid = _stack_grid(blocks)
-    width = max(b.shape[1] for b in (*receive, *transmit))
-    uh = _stack(receive, grid.shape[2], width).conj().transpose(0, 2, 1)
-    v = _stack(transmit, grid.shape[3], width)
+    u, v = _filter_stacks(grid, receive, transmit)
+    uh = u.conj().transpose(0, 2, 1)
     num = np.linalg.norm(uh[:, None] @ grid @ v, axis=(2, 3))
     den = (np.linalg.norm(uh, axis=(1, 2))[:, None]
            * np.linalg.norm(grid, axis=(2, 3))
            * np.linalg.norm(v, axis=(1, 2)))
-    users = range(len(blocks))
+    users = range(len(grid))
     den[users, users] = 0.0
     cross = den > 0
     return float(np.max(num[cross] / den[cross], initial=0.0))
@@ -246,7 +260,11 @@ def _slot_power_scale(dof_row):
 
 
 def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
-    """Rates over the SNR grid, alignment residual, convergence and streams."""
+    """Rates over the SNR grid, alignment residual, convergence and streams.
+
+    The filters are stacked once here and scored at every SNR point.
+    """
+    receive, transmit = _filter_stacks(blocks, receive, transmit)
     rates = np.zeros(len(spec.snr_grid_db))
     for i, snr in enumerate(spec.snr_grid_db):
         p = _snr_powers(snr)
@@ -290,8 +308,7 @@ def _bd_trial(spec, channel):
     # Every receiver sees its whole row block from every transmitter: one
     # stacked row per user, repeated along the transmitter axis as a view.
     users = spec.num_users
-    rows = _stack([channel.row_block(k) for k in range(users)],
-                  max(spec.rx_antennas), sum(spec.tx_antennas))
+    rows = _stack(channel._rows, max(spec.rx_antennas), sum(spec.tx_antennas))
     grid = np.broadcast_to(rows[:, None], (users, users) + rows.shape[1:])
     # Full coordination pools the per-user power budgets and splits the
     # pool equally over all delivered streams.

@@ -54,6 +54,13 @@ def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
     return u * phases, np.asarray(v) * phases
 
 
+def _pinned_svd(stack: np.ndarray) -> list:
+    """Thin SVD triplets ``(u, s, v)`` of each matrix, phases pinned jointly."""
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    u, v = pin_joint_phases(u, vh.conj().transpose(0, 2, 1))
+    return list(zip(u, s, v))
+
+
 def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     """Per-stream power of each user: its total split evenly, 0 when silent."""
     if len(powers) != len(dof):

@@ -7,6 +7,12 @@ transmit side the downlink behaves like an interference channel whose
 holds the static configuration, the random channel draw, and the
 reindexing between the physical per-station channel and the equivalent
 paired-transmitter channel.
+
+Both channel views cache, on first use, the arrays that depend on the
+draw alone: the zero-padded stacked grid, its reciprocal, the pinned SVD
+of the direct blocks and, for the per-station channel, each user's row
+block. Every design and every score on one draw reads the same copy,
+whatever its time-share slot or SNR point. Cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _stack_grid
+from .linalg import _batched, _pinned_svd, _stack_grid, reciprocal
 
 __all__ = [
     "NetworkConfig",
@@ -134,18 +140,47 @@ class NetworkConfig:
         return dataclasses.replace(self, dof=dof)
 
 
+def _read_only(*arrays):
+    """Mark arrays read-only so a cached copy cannot be changed through them."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class _BlockGrid:
-    """A channel held as a square ``blocks`` grid."""
+    """A channel held as a square ``blocks`` grid, with per-draw caches.
+
+    Each cached view depends on the draw alone, not on a slot's stream
+    counts or on the SNR, so it is computed on first use and then read by
+    every design and every score on the channel. ``blocks`` is not changed
+    after construction, and every cached array is read-only.
+    """
 
     @functools.cached_property
     def _stacked(self) -> np.ndarray:
-        """``blocks`` as one zero-padded ``(K, K, m, n)`` array, stacked on first use.
+        """``blocks`` as one zero-padded ``(K, K, m, n)`` array."""
+        grid = _stack_grid(self.blocks)
+        _read_only(grid)
+        return grid
 
-        Solvers and the scoring harness read this one copy, however many
-        designs and SNR points share the draw; ``blocks`` is not changed
-        after construction.
+    @functools.cached_property
+    def _reciprocal(self) -> np.ndarray:
+        """The reversed-link grid of :attr:`_stacked`, see :func:`pcia.linalg.reciprocal`."""
+        grid = reciprocal(self._stacked)
+        _read_only(grid)
+        return grid
+
+    @functools.cached_property
+    def _direct_svd(self) -> tuple:
+        """Thin SVD triplets ``(u, s, v)`` of each direct block ``blocks[k][k]``.
+
+        One batched ``svd`` per distinct block shape, singular-vector
+        phases pinned jointly on the stack.
         """
-        return _stack_grid(self.blocks)
+        direct = [row[k] for k, row in enumerate(self.blocks)]
+        triplets = tuple(_batched(_pinned_svd, direct))
+        for triplet in triplets:
+            _read_only(*triplet)
+        return triplets
 
 
 @dataclasses.dataclass
@@ -153,7 +188,7 @@ class ChannelSet(_BlockGrid):
     """One realization of the per-station downlink channel.
 
     ``blocks[i][j]`` is the ``m_i x n_j`` matrix from base station ``j``
-    to user ``i``.
+    to user ``i``. Every entry must be finite.
     """
 
     blocks: list
@@ -173,6 +208,15 @@ class ChannelSet(_BlockGrid):
             cols = {self.blocks[i][j].shape[1] for i in range(num_users)}
             if len(cols) != 1:
                 raise ValueError(f"inconsistent transmit dimensions in column {j}")
+        # One pass with the abs and max loops every design runs anyway: a
+        # NaN or inf entry fails ``< inf``. A first ``isfinite(...).all()``
+        # here raised a sweep's peak RSS by ~0.15 MiB. A finite entry whose
+        # modulus overflows fails the test too, so the blocks confirm.
+        if not np.abs(self.assemble()).max() < np.inf:
+            bad = [(i, j) for i, row in enumerate(self.blocks)
+                   for j, b in enumerate(row) if not np.isfinite(b).all()]
+            if bad:
+                raise ValueError(f"channel block {bad[0]} has a NaN or infinite entry")
 
     @property
     def num_users(self) -> int:
@@ -186,12 +230,19 @@ class ChannelSet(_BlockGrid):
     def tx_sizes(self) -> tuple:
         return tuple(self.blocks[0][j].shape[1] for j in range(self.num_users))
 
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        """Each user's ``m_i x sum(n)`` receive rows, stations side by side."""
+        rows = tuple(np.concatenate(row, axis=1) for row in self.blocks)
+        _read_only(*rows)
+        return rows
+
     def row_block(self, i: int) -> np.ndarray:
-        """All of user ``i``'s receive rows, stations side by side."""
-        return np.hstack(self.blocks[i])
+        """All of user ``i``'s receive rows, stations side by side (read-only)."""
+        return self._rows[i]
 
     def assemble(self) -> np.ndarray:
-        return np.vstack([self.row_block(i) for i in range(self.num_users)])
+        return np.concatenate(self._rows)
 
 
 def generate_channel(config: NetworkConfig, seed) -> ChannelSet:

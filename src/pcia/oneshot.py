@@ -17,14 +17,16 @@ cross links exist in closed form and are found in one pass:
    with the candidate subsets scored by batched ``|det|`` calls over
    fixed-size chunks of their lexicographic order.
 
-Steps 1 to 3 and the final rank check are batched over users: the
-channel's grid is stacked once into a zero-padded array that every
-design on that channel reads, its reciprocal is built as a contiguous
-array, and each LAPACK step (``svd``, ``eigh``, singular values) runs
-once per distinct matrix shape, with column phases pinned on the stack.
-Ragged antenna counts are grouped by shape, never padded, so each
-decomposition is exactly the one of its own matrix and the
-``rank_tol`` null-space threshold sees only real eigenvalues.
+Steps 1 to 3 and the final rank check are batched over users, and
+what does not depend on the slot's stream counts is computed once per
+draw: the channel caches its stacked grid, the contiguous reciprocal of
+that grid and the pinned SVD of its direct blocks, which every
+time-share slot's design on that channel reads. Each LAPACK step
+(``svd``, ``eigh``, singular values) runs once per distinct matrix
+shape, with column phases pinned on the stack. Ragged antenna counts are
+grouped by shape, never padded, so each decomposition is exactly the one
+of its own matrix and the ``rank_tol`` null-space threshold sees only
+real eigenvalues.
 
 No iteration and no channel extension is involved.
 """
@@ -43,8 +45,6 @@ from .linalg import (
     _covariances,
     _stream_weights,
     fix_column_phases,
-    pin_joint_phases,
-    reciprocal,
 )
 from .network import (
     BeamformerSet,
@@ -122,18 +122,12 @@ class ReciprocalState:
     choice_counts: list  # number of candidate column subsets per user
 
 
-def _pinned_svd(stack: np.ndarray) -> list:
-    """Thin SVD triplets ``(u, s, v)`` of each matrix, phases pinned jointly."""
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    u, v = pin_joint_phases(u, vh.conj().transpose(0, 2, 1))
-    return list(zip(u, s, v))
-
-
 def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
     """Receive filters from the dominant left singular vectors.
 
-    The direct blocks are decomposed by one batched ``svd`` per distinct
-    block shape, and their singular-vector phases pinned on the stack.
+    The filters slice the channel's cached direct-block SVD, which one
+    batched ``svd`` per distinct block shape builds once per draw and
+    every time-share slot then reads; the filters are read-only views.
 
     Returns:
         (receive, cache): per-user ``m_k x d_k`` filters with orthonormal
@@ -150,7 +144,7 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
             raise ValueError(
                 f"user {k} asks for {d} streams on a {block.shape} direct block"
             )
-    left, singular, right = map(list, zip(*_batched(_pinned_svd, direct)))
+    left, singular, right = map(list, zip(*equiv._direct_svd))
     receive = [u[:, :d] for u, d in zip(left, config.dof)]
     cache = SvdCache(left, singular, right, list(receive),
                      [s[:d] for s, d in zip(singular, config.dof)],
@@ -172,7 +166,7 @@ def reciprocal_interference_covariance(
     default to the forward ones.
     """
     powers = list(config.tx_power) if reverse_power is None else list(reverse_power)
-    q = _covariances(reciprocal(equiv._stacked), receive,
+    q = _covariances(equiv._reciprocal, receive,
                      _stream_weights(powers, config.dof))
     return [q[k, :w, :w] for k, w in enumerate(config.paired_widths)]
 

@@ -38,3 +38,12 @@ def k3_config():
 @pytest.fixture
 def k3_channel(k3_config):
     return generate_channel(k3_config, 424242)
+
+
+def cached_arrays(channel, equiv) -> list:
+    """Every per-draw cached array of a channel and its paired view, built by reading it."""
+    arrays = list(channel._rows)
+    for grid in (channel, equiv):
+        arrays += [grid._stacked, grid._reciprocal]
+        arrays += [a for triplet in grid._direct_svd for a in triplet]
+    return arrays

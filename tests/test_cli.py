@@ -45,6 +45,10 @@ def test_run_writes_csv_and_json(tmp_path):
         # floats are printed with nine significant digits
         assert row[7] == format(float(row[7]), ".9g")
     mirror = json.loads(out.with_suffix(".json").read_text())
+    # the last column is the delivered stream count of the mirror's record
+    assert CSV_HEADER[-1] == "mean_dof"
+    assert [row[-1] for row in rows[1:]] == [
+        format(rec["mean_dof"], ".9g") for rec in mirror["results"]]
     assert mirror["spec"]["num_users"] == 3
     assert len(mirror["results"]) == 4
     assert mirror["diagnostics"]["slots"] == 1

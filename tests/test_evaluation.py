@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcia import (
     ExperimentResult,
@@ -32,7 +34,7 @@ from pcia import (
 from pcia import evaluation
 from pcia.evaluation import _run_single_trial
 
-from conftest import random_orthonormal
+from conftest import cached_arrays, random_orthonormal
 
 
 def _unit(x):
@@ -482,24 +484,88 @@ def _zero_padded(grid):
     return out
 
 
+def _padded_filters(filters, rows, width):
+    # Zero-padded (K, rows, width) filter stack, built without the package.
+    out = np.zeros((len(filters), rows, width), dtype=np.complex128)
+    for k, f in enumerate(filters):
+        out[k, :f.shape[0], :f.shape[1]] = f
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stacked_grid_scores_like_the_list_grid(seed):
+    # Stations of 2, 3 and 2 antennas, all active or with user 2 silent,
+    # on the paired grid and on the zero-forcing row grid: the stacked
+    # grid, with list filters or with zero-padded filter stacks as wide
+    # as the widest filter or wider, scores as the list grid does.
     rng = np.random.default_rng(seed)
-    cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 1),
-                        tx_power=(1.0, 1.0, 1.0))
-    channel = generate_channel(cfg, seed)
-    paired = equivalent_channel(channel, build_permutation(cfg)).blocks
-    rows = [[channel.row_block(k)] * 3 for k in range(3)]
-    receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
-    for grid, widths in ((paired, cfg.paired_widths), (rows, (7, 7, 7))):
-        transmit = [random_orthonormal(rng, w, d) for w, d in zip(widths, cfg.dof)]
-        stacked = _zero_padded(grid)
-        assert stacked.shape[2] == 3
-        for p in (1.0, 100.0, 1e4):
-            powers = [p, 2.0 * p, 0.5 * p]
-            listed = sum_rate(grid, receive, transmit, powers, cfg.dof, 1.0)
-            padded = sum_rate(stacked, receive, transmit, powers, cfg.dof, 1.0)
-            np.testing.assert_allclose(padded[0], listed[0], rtol=1e-12, atol=0)
-            assert padded[1] == pytest.approx(listed[1], rel=1e-12)
-        assert alignment_residual(stacked, receive, transmit) == pytest.approx(
-            alignment_residual(grid, receive, transmit), rel=1e-12)
+    for dof in ((1, 2, 1), (1, 2, 0)):
+        cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=dof,
+                            tx_power=(1.0, 1.0, 1.0))
+        channel = generate_channel(cfg, seed)
+        paired = equivalent_channel(channel, build_permutation(cfg)).blocks
+        rows = [[channel.row_block(k)] * 3 for k in range(3)]
+        receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
+        for grid, widths in ((paired, cfg.paired_widths), (rows, (7, 7, 7))):
+            transmit = [random_orthonormal(rng, w, d) for w, d in zip(widths, cfg.dof)]
+            stacked = _zero_padded(grid)
+            assert stacked.shape[2] == 3
+            filters = [(receive, transmit)] + [
+                (_padded_filters(receive, stacked.shape[2], width),
+                 _padded_filters(transmit, stacked.shape[3], width))
+                for width in (2, 3)]
+            listed_residual = alignment_residual(grid, receive, transmit)
+            for p in (1.0, 100.0, 1e4):
+                powers = [p, 2.0 * p, 0.5 * p]
+                listed = sum_rate(grid, receive, transmit, powers, cfg.dof, 1.0)
+                for u, v in filters:
+                    padded = sum_rate(stacked, u, v, powers, cfg.dof, 1.0)
+                    np.testing.assert_allclose(padded[0], listed[0], rtol=1e-12, atol=0)
+                    assert padded[1] == pytest.approx(listed[1], rel=1e-12)
+            for u, v in filters:
+                assert alignment_residual(stacked, u, v) == pytest.approx(
+                    listed_residual, rel=1e-12)
+
+
+def test_a_trial_writes_into_no_filter_and_no_cache(monkeypatch):
+    # The one-shot receive filters are read-only views of the draw's
+    # cached SVD, so a write into them anywhere in the sweep would raise;
+    # every cache of the draw reads the same after a trial of every scheme.
+    spec = ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=4,
+                          snr_grid_db=(0.0, 30.0), max_iters=50, trials=1, seed=2)
+    plain = _run_single_trial(spec, 0)
+    channel, equiv = evaluation._trial_channels(spec, 0)
+    beams = one_shot_ia(spec.slot_config(spec.slot_dof()[0]), equiv)
+    assert not any(u.flags.writeable for u in beams.receive)
+    caches = cached_arrays(channel, equiv)
+    before = [a.copy() for a in caches]
+    monkeypatch.setattr(evaluation, "_trial_channels", lambda spec, trial: (channel, equiv))
+    again = _run_single_trial(spec, 0)
+    for scheme in spec.schemes:
+        assert np.array_equal(again[scheme]["rates"], plain[scheme]["rates"])
+    for a, b in zip(caches, before, strict=True):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def small_sweeps(draw):
+    users = draw(st.integers(2, 4))
+    rx = draw(st.integers(1, 3))
+    tx = draw(st.integers(1, 3))
+    return ExperimentSpec(
+        num_users=users, rx_antennas=rx, tx_antennas=tx,
+        dof_total=draw(st.integers(1, users * min(rx, 2 * tx))),
+        schemes=draw(st.lists(st.sampled_from(evaluation.SCHEMES), min_size=1,
+                              max_size=4, unique=True)),
+        snr_grid_db=draw(st.lists(st.floats(-20.0, 50.0), min_size=1, max_size=3)),
+        trials=2, seed=draw(st.integers(0, 2**16)), max_iters=30)
+
+
+@given(small_sweeps())
+@settings(max_examples=15, deadline=None)
+def test_every_sweep_rate_is_finite_and_non_negative(spec):
+    result = run_experiment(spec, workers=1)
+    for rec in result.to_records():
+        assert math.isfinite(rec["mean_sum_rate"]), rec
+        assert rec["mean_sum_rate"] >= 0.0, rec
+        assert math.isfinite(rec["std_err"]), rec

@@ -17,7 +17,7 @@ from pcia.network import (
     stack_beamformer,
 )
 
-from conftest import blockdiag, random_orthonormal
+from conftest import blockdiag, cached_arrays, random_orthonormal
 
 
 def test_block_shapes_and_assembly(k3_config, k3_channel):
@@ -212,3 +212,35 @@ def test_channel_rejects_ragged_grid():
     with pytest.raises(ValueError, match="receive dimensions"):
         ChannelSet([[np.zeros((2, 2)), np.zeros((3, 2))],
                     [np.zeros((2, 2)), np.zeros((2, 2))]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+def test_channel_rejects_non_finite_entries(k3_channel, value, where):
+    blocks = [[b.copy() for b in row] for row in k3_channel.blocks]
+    i, j = where
+    blocks[i][j][1, 0] = value
+    with pytest.raises(ValueError, match=rf"block \({i}, {j}\) has a NaN or infinite"):
+        ChannelSet(blocks)
+
+
+def test_writing_into_a_cached_array_raises():
+    cfg = NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1),
+                        tx_power=(1.0, 1.0, 1.0))
+    channel = generate_channel(cfg, 3)
+    equiv = equivalent_channel(channel, build_permutation(cfg))
+    for a in cached_arrays(channel, equiv):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        channel.row_block(0)[0, 0] = 1.0
+    # each cache is built once and shared
+    assert equiv._direct_svd is equiv._direct_svd
+    assert channel.row_block(1) is channel._rows[1]
+
+
+def test_channel_accepts_finite_entries_whose_modulus_overflows():
+    huge = np.full((2, 2), 1.5e308 + 1.5e308j)
+    assert not np.isfinite(np.abs(huge)).any()
+    channel = ChannelSet([[huge, huge], [huge, huge]])
+    assert channel.num_users == 2

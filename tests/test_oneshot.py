@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pcia import (
     ChannelSet,
+    ExperimentSpec,
     NetworkConfig,
     OneShotInfeasible,
     RankDeficientDesired,
@@ -405,3 +406,27 @@ def test_batched_design_matches_the_per_user_loop(cfg):
         beams = one_shot_ia(cfg, equiv)
         for got, want in zip(beams.transmit, transmit):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("geometry", [dict(rx_antennas=2, tx_antennas=2, num_users=5),
+                                      dict(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3),
+                                           num_users=3)],
+                         ids=["k5-2x2", "ragged-322"])
+def test_cached_direct_svd_serves_every_time_share_slot(geometry):
+    # One draw, every slot of its time-share table: the receive filters
+    # and triplets sliced from the draw's cached SVD equal a fresh
+    # per-user SVD with phases pinned column by column.
+    spec = ExperimentSpec(**geometry, dof_total=4, schemes=("oneshot_partial",))
+    configs = [spec.slot_config(row) for row in spec.slot_dof()]
+    assert len(configs) > 1
+    equiv = _equiv(configs[0], 17)
+    for cfg in configs:
+        receive, cache = design_receive_beamformers(equiv, cfg)
+        for k, d in enumerate(cfg.dof):
+            u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
+            phases = _pinned_by_column(u)
+            assert np.array_equal(cache.left[k], u * phases)
+            assert np.array_equal(cache.singular[k], s)
+            assert np.array_equal(cache.right[k], vh.conj().T * phases)
+            assert np.array_equal(receive[k], (u * phases)[:, :d])
+            assert not receive[k].flags.writeable

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from pcia import BDInfeasible, ChannelSet, NetworkConfig, bd_zero_forcing, generate_channel
+from pcia import (
+    BDInfeasible,
+    BDSolution,
+    ChannelSet,
+    NetworkConfig,
+    bd_zero_forcing,
+    generate_channel,
+)
+from pcia.linalg import pin_joint_phases
 
 
 def _channel(num_users, m, n, seed):
@@ -78,3 +86,88 @@ def test_single_user_reduces_to_eigenbeamforming():
     eff = sol.receive[0].conj().T @ h @ sol.transmit[0]
     assert np.allclose(np.real(np.diag(eff)), s[:2], atol=1e-10)
     assert np.max(np.abs(eff - np.diag(np.diag(eff)))) < 1e-10
+
+
+def _bd_by_user(channel, dof=None, rank_tol=1e-9):
+    # The per-user loop the batched design replaces: one full svd of the
+    # other users' rows and one thin svd of the effective channel per
+    # user, phases pinned on the truncated factors.
+    num_users = channel.num_users
+    n_total = sum(channel.tx_sizes)
+    transmit, receive, granted = [], [], []
+    for k in range(num_users):
+        rows = [np.hstack(channel.blocks[l]) for l in range(num_users) if l != k]
+        if rows:
+            stacked = np.vstack(rows)
+            _, svals, vh = np.linalg.svd(stacked)
+            rank = int(np.sum(svals > rank_tol * svals[0]))
+            null = vh.conj().T[:, rank:]
+        else:
+            null = np.eye(n_total, dtype=np.complex128)
+        if dof is not None and int(dof[k]) == 0:
+            transmit.append(np.zeros((n_total, 0), dtype=np.complex128))
+            receive.append(np.zeros((channel.rx_sizes[k], 0), dtype=np.complex128))
+            granted.append(0)
+            continue
+        if null.shape[1] == 0:
+            raise BDInfeasible(
+                f"zero forcing leaves user {k} no interference-free directions: "
+                f"{n_total} pooled antennas cannot avoid "
+                f"{stacked.shape[0]} foreign receive dimensions")
+        effective = np.hstack(channel.blocks[k]) @ null
+        cap = min(effective.shape)
+        want = cap if dof is None else int(dof[k])
+        if want > cap:
+            raise BDInfeasible(f"user {k} asked for {want} streams but zero forcing supports {cap}")
+        u, _, vh_eff = np.linalg.svd(effective, full_matrices=False)
+        u_t, v_t = pin_joint_phases(u[:, :want], vh_eff.conj().T[:, :want])
+        transmit.append(null @ v_t)
+        receive.append(u_t)
+        granted.append(want)
+    return BDSolution(transmit=transmit, receive=receive, dof=tuple(granted))
+
+
+def _ragged_channel(rx, tx, seed):
+    return generate_channel(NetworkConfig(rx, tx, 0, 1.0), seed)
+
+
+def _single_user_channel(seed):
+    rng = np.random.default_rng(seed)
+    return ChannelSet([[rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))]])
+
+
+BATCHED_CASES = {
+    "k5-2x2": (lambda seed: _channel(5, 2, 2, seed), None),
+    "stations-232": (lambda seed: _ragged_channel((2, 3, 2), (2, 3, 2), seed), None),
+    "rx322-tx223": (lambda seed: _ragged_channel((3, 2, 2), (2, 2, 3), seed), None),
+    "dof-201": (lambda seed: _channel(3, 2, 2, seed), [2, 0, 1]),
+    "single-user": (_single_user_channel, None),
+}
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_batched_design_matches_the_per_user_loop(case):
+    draw, dof = BATCHED_CASES[case]
+    for seed in range(5):
+        channel = draw(seed)
+        got = bd_zero_forcing(channel, dof=dof)
+        want = _bd_by_user(channel, dof=dof)
+        assert got.dof == want.dof
+        for side in ("transmit", "receive"):
+            for a, b in zip(getattr(got, side), getattr(want, side), strict=True):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("channel, dof, fragment", [
+    (_channel(3, 2, 1, 17), None, "no interference-free directions"),
+    (_channel(3, 2, 1, 17), [0, 1, 1], "foreign receive dimensions"),
+    (_channel(2, 2, 2, 11), [3, 1], "asked for 3 streams but zero forcing supports 2"),
+    (_ragged_channel((3, 2, 2), (2, 2, 3), 5), [1, 3, 1], "user 1 asked for 3"),
+])
+def test_infeasible_designs_keep_their_messages(channel, dof, fragment):
+    with pytest.raises(BDInfeasible, match=fragment) as batched:
+        bd_zero_forcing(channel, dof=dof)
+    with pytest.raises(BDInfeasible) as looped:
+        _bd_by_user(channel, dof=dof)
+    assert str(batched.value) == str(looped.value)
