@@ -58,6 +58,8 @@ def main(argv=None):
                         help="comma-separated grid in dB (default 0..40 step 5)")
     parser.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be positive, got {args.workers}")
 
     grid = DEFAULT_GRID
     if args.snr is not None:

@@ -78,6 +78,8 @@ class _ConfigError(Exception):
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        return _fail(f"--workers must be positive, got {args.workers}", EXIT_BAD_CONFIG)
     try:
         spec = _load_spec(args)
     except _ConfigError as exc:

@@ -170,6 +170,8 @@ class ExperimentSpec:
         snr = tuple(float(v) for v in self.snr_grid_db)
         if not snr:
             raise ValueError("snr_grid_db must not be empty")
+        if not all(map(math.isfinite, snr)):
+            raise ValueError("snr_grid_db must hold finite values")
         object.__setattr__(self, "snr_grid_db", snr)
         if int(self.trials) < 1:
             raise ValueError("trials must be positive")
@@ -178,10 +180,11 @@ class ExperimentSpec:
         if int(self.max_iters) < 1:
             raise ValueError("max_iters must be positive")
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        if float(self.leakage_tol) <= 0 or float(self.rank_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        object.__setattr__(self, "leakage_tol", float(self.leakage_tol))
-        object.__setattr__(self, "rank_tol", float(self.rank_tol))
+        for name in ("leakage_tol", "rank_tol"):
+            tol = float(getattr(self, name))
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, tol)
 
     def slot_dof(self) -> tuple:
         """Per-slot stream assignments realizing ``dof_total`` on average."""
@@ -242,10 +245,6 @@ def _snr_powers(snr_db: float) -> float:
     return float(10.0 ** (snr_db / 10.0))
 
 
-def _failed_slot(n_snr: int):
-    return np.zeros(n_snr), float("nan"), 0.0, 0.0
-
-
 def _slot_power_scale(dof_row):
     """Per-message power factors keeping the slot's network power at K*P.
 
@@ -274,46 +273,52 @@ def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
     return rates, resid, conv, float(sum(dof))
 
 
-def _oneshot_slot(spec, cfg, equiv):
-    try:
+# The solvers' typed infeasibility errors: a sweep counts such a slot as
+# a zero-rate failure, and :func:`check_spec` reports the message.
+_INFEASIBLE = (OneShotInfeasible, RankDeficientDesired, DistributedInfeasible, BDInfeasible)
+
+
+def _scheme_slots(scheme, configs):
+    """The slot configs a scheme designs on: zero forcing runs once per draw."""
+    return configs[:1] if scheme == "bdzf_full" else configs
+
+
+def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
+    """One scheme's design for one slot of one draw, ready to score.
+
+    Returns ``(grid, receive, transmit, dof, power_scale, conv)``: the
+    stacked grid the filters act on, the filters, the delivered streams,
+    the per-message power factors and the convergence flag. A solver's
+    typed infeasibility error propagates.
+    """
+    if scheme == "bdzf_full":
+        sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
+        # Every receiver sees its whole row block from every transmitter:
+        # one stacked row per user, repeated along the transmitter axis as
+        # a view. Full coordination pools the per-user power budgets and
+        # splits the pool equally over all delivered streams.
+        users = spec.num_users
+        rows = _stack(channel._rows, max(spec.rx_antennas), sum(spec.tx_antennas))
+        grid = np.broadcast_to(rows[:, None], (users, users) + rows.shape[1:])
+        scale = [users * d / sol.dof_total for d in sol.dof]
+        return grid, sol.receive, sol.transmit, sol.dof, scale, 1.0
+    if scheme == "oneshot_partial":
+        grid, conv = equiv, 1.0
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
-    except (OneShotInfeasible, RankDeficientDesired):
-        return _failed_slot(len(spec.snr_grid_db))
-    return _scored_slot(spec, equiv._stacked, beams.receive, beams.transmit, cfg.dof,
-                        _slot_power_scale(cfg.dof), 1.0)
-
-
-def _distributed_slot(spec, channel, dof_row, trial, slot):
-    # The iterative baseline is defined by leakage minimization alone, so
-    # start it from seeded random precoders. An SVD start would hand it
-    # the signal-aware solution the one-shot scheme is being credited
-    # for, hiding the low-SNR gap the comparison exists to measure.
-    try:
-        trace = iterate_distributed_ia(
-            channel.blocks, dof_row, powers=[1.0] * spec.num_users,
-            max_iters=spec.max_iters, leakage_tol=spec.leakage_tol,
+    else:
+        # The iterative baseline is defined by leakage minimization alone,
+        # so start it from seeded random precoders. An SVD start would hand
+        # it the signal-aware solution the one-shot scheme is being credited
+        # for, hiding the low-SNR gap the comparison exists to measure.
+        grid = equiv if scheme == "distributed_partial" else channel
+        beams = iterate_distributed_ia(
+            grid.blocks, cfg.dof, powers=[1.0] * spec.num_users,
+            max_iters=max_iters, leakage_tol=spec.leakage_tol,
             init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )
-    except DistributedInfeasible:
-        return _failed_slot(len(spec.snr_grid_db))
-    return _scored_slot(spec, channel._stacked, trace.receive, trace.transmit, dof_row,
-                        _slot_power_scale(dof_row), 1.0 if trace.converged else 0.0)
-
-
-def _bd_trial(spec, channel):
-    try:
-        sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
-    except BDInfeasible:
-        return _failed_slot(len(spec.snr_grid_db))
-    # Every receiver sees its whole row block from every transmitter: one
-    # stacked row per user, repeated along the transmitter axis as a view.
-    users = spec.num_users
-    rows = _stack(channel._rows, max(spec.rx_antennas), sum(spec.tx_antennas))
-    grid = np.broadcast_to(rows[:, None], (users, users) + rows.shape[1:])
-    # Full coordination pools the per-user power budgets and splits the
-    # pool equally over all delivered streams.
-    scale = [users * d / sol.dof_total for d in sol.dof]
-    return _scored_slot(spec, grid, sol.receive, sol.transmit, sol.dof, scale, 1.0)
+        conv = 1.0 if beams.converged else 0.0
+    return (grid._stacked, beams.receive, beams.transmit, cfg.dof,
+            _slot_power_scale(cfg.dof), conv)
 
 
 def _mean_ignoring_nan(values) -> float:
@@ -343,27 +348,20 @@ def _run_single_trial(spec: ExperimentSpec, trial: int) -> dict:
     channel, equiv = _trial_channels(spec, trial)
     out = {}
     for scheme in spec.schemes:
-        if scheme == "bdzf_full":
-            rates, resid, conv, dof = _bd_trial(spec, channel)
-            out[scheme] = {"rates": rates, "resid": resid, "conv": conv, "dof": dof}
-            continue
-        slot_rates, slot_resid, slot_conv, slot_dof = [], [], [], []
-        for slot, cfg in enumerate(configs):
-            if scheme == "oneshot_partial":
-                r, e, c, d = _oneshot_slot(spec, cfg, equiv)
-            elif scheme == "distributed_partial":
-                r, e, c, d = _distributed_slot(spec, equiv, cfg.dof, trial, slot)
+        slots = []
+        for slot, cfg in enumerate(_scheme_slots(scheme, configs)):
+            try:
+                design = _design(spec, scheme, cfg, channel, equiv, trial, slot, spec.max_iters)
+            except _INFEASIBLE:
+                slots.append((np.zeros(len(spec.snr_grid_db)), math.nan, 0.0, 0.0))
             else:
-                r, e, c, d = _distributed_slot(spec, channel, cfg.dof, trial, slot)
-            slot_rates.append(r)
-            slot_resid.append(e)
-            slot_conv.append(c)
-            slot_dof.append(d)
+                slots.append(_scored_slot(spec, *design))
+        rates, resid, conv, dof = zip(*slots)
         out[scheme] = {
-            "rates": np.mean(np.vstack(slot_rates), axis=0),
-            "resid": _mean_ignoring_nan(slot_resid),
-            "conv": float(np.mean(slot_conv)),
-            "dof": float(np.mean(slot_dof)),
+            "rates": np.mean(np.vstack(rates), axis=0),
+            "resid": _mean_ignoring_nan(resid),
+            "conv": float(np.mean(conv)),
+            "dof": float(np.mean(dof)),
         }
     return out
 
@@ -413,13 +411,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 def check_spec(spec: ExperimentSpec) -> Optional[str]:
     """Why the requested schemes cannot run on ``spec``'s geometry, or None.
 
-    Every time-share slot must fit the antennas. Then each scheme's own
-    solver runs on trial 0's channel draw, once per slot as in the sweep,
-    so the check and the sweep share one set of rules. Only the solvers'
-    typed infeasibility errors count: a rank-deficient direct link is a
-    measure-zero event of one draw, not a verdict on the geometry.
-    :func:`run_experiment` does not call this; a sweep counts an
-    infeasible scheme's slots as zero-rate failures instead.
+    Every time-share slot must fit the antennas. Then the sweep's own
+    per-slot design step runs each scheme on trial 0's channel draw, with
+    the sweep's arguments but one iteration, so the check and the sweep
+    share one set of rules. Only the solvers' typed infeasibility errors
+    count: a rank-deficient direct link is a measure-zero event of one
+    draw, not a verdict on the geometry. :func:`run_experiment` does not
+    call this; a sweep counts an infeasible scheme's slots as zero-rate
+    failures instead.
     """
     try:
         configs = _slot_configs(spec)
@@ -427,19 +426,12 @@ def check_spec(spec: ExperimentSpec) -> Optional[str]:
         return f"time sharing still puts too many streams in one slot: {exc}"
     channel, equiv = _trial_channels(spec, 0)
     for scheme in spec.schemes:
-        # The sweep runs zero forcing once per draw, on no slot table.
-        for cfg in configs[:1] if scheme == "bdzf_full" else configs:
+        for slot, cfg in enumerate(_scheme_slots(scheme, configs)):
             try:
-                if scheme == "oneshot_partial":
-                    one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
-                elif scheme == "bdzf_full":
-                    bd_zero_forcing(channel, rank_tol=spec.rank_tol)
-                else:
-                    grid = equiv if scheme == "distributed_partial" else channel
-                    iterate_distributed_ia(grid.blocks, cfg.dof, cfg.tx_power, max_iters=1)
+                _design(spec, scheme, cfg, channel, equiv, 0, slot, max_iters=1)
             except RankDeficientDesired:
                 pass
-            except (OneShotInfeasible, DistributedInfeasible, BDInfeasible) as exc:
+            except _INFEASIBLE as exc:
                 if scheme == "distributed_generic":
                     return f"without pairing, {exc}"
                 return str(exc)

@@ -378,6 +378,17 @@ def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentC
     return EquivalentChannel(blocks)
 
 
+def _check_paired_rows(transmit: Sequence, config: NetworkConfig) -> None:
+    """Each user's beamformer must span its paired antenna stack."""
+    for k, w in enumerate(transmit):
+        rows = np.shape(w)[0]
+        if rows != config.paired_tx_antennas(k):
+            raise ValueError(
+                f"user {k} beamformer has {rows} rows, "
+                f"expected {config.paired_tx_antennas(k)}"
+            )
+
+
 def split_beamformer(transmit: Sequence, config: NetworkConfig):
     """Split each stacked transmit beamformer into its per-station parts.
 
@@ -385,14 +396,10 @@ def split_beamformer(transmit: Sequence, config: NetworkConfig):
         (primary, secondary): lists of the rows applied at the user's own
         station and at the helping neighbour, respectively.
     """
+    _check_paired_rows(transmit, config)
     primary, secondary = [], []
     for k, w in enumerate(transmit):
         w = np.asarray(w)
-        if w.shape[0] != config.paired_tx_antennas(k):
-            raise ValueError(
-                f"user {k} beamformer has {w.shape[0]} rows, "
-                f"expected {config.paired_tx_antennas(k)}"
-            )
         first, second = _stacking_order(config, k)
         cut = config.tx_antennas[first]
         rows = {first: w[:cut], second: w[cut:]}
@@ -414,20 +421,18 @@ def stack_beamformer(primary: Sequence, secondary: Sequence, config: NetworkConf
 class BeamformerSet:
     """Receive filters plus transmit precoders for one realization.
 
-    ``transmit[k]`` acts on user ``k``'s paired antenna stack; the
-    ``primary``/``secondary`` entries are its per-station rows.
+    ``transmit[k]`` acts on user ``k``'s paired antenna stack;
+    :func:`split_beamformer` gives its per-station rows.
     """
 
     receive: list
     transmit: list
-    primary: list
-    secondary: list
 
     @classmethod
     def from_joint(cls, receive: Sequence, transmit: Sequence,
                    config: NetworkConfig) -> "BeamformerSet":
-        primary, secondary = split_beamformer(transmit, config)
-        return cls(list(receive), list(transmit), primary, secondary)
+        _check_paired_rows(transmit, config)
+        return cls(list(receive), list(transmit))
 
 
 def effective_overall_precoder(beams: BeamformerSet, config: NetworkConfig) -> np.ndarray:
@@ -438,6 +443,7 @@ def effective_overall_precoder(beams: BeamformerSet, config: NetworkConfig) -> n
     equivalent channel applied to the stacked precoders. Each stream
     column touches exactly the two stations of its serving pair.
     """
+    primary, secondary = split_beamformer(beams.transmit, config)
     row_offsets = np.concatenate(([0], np.cumsum(config.tx_antennas)))
     col_offsets = np.concatenate(([0], np.cumsum(config.dof)))
     v = np.zeros((config.total_tx_antennas, config.dof_total), dtype=np.complex128)
@@ -447,6 +453,6 @@ def effective_overall_precoder(beams: BeamformerSet, config: NetworkConfig) -> n
         helper_idx = config.secondary(k)
         helper = slice(row_offsets[helper_idx],
                        row_offsets[helper_idx] + config.tx_antennas[helper_idx])
-        v[own, cols] = beams.primary[k]
-        v[helper, cols] = beams.secondary[k]
+        v[own, cols] = primary[k]
+        v[helper, cols] = secondary[k]
     return v

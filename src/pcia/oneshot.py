@@ -338,4 +338,4 @@ def one_shot_ia(
                 f"direct link of user {k} is rank deficient after precoding",
                 user=k,
             )
-    return BeamformerSet.from_joint(receive, transmit, config)
+    return BeamformerSet(receive, transmit)

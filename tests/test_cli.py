@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pcia import cli
 from pcia.cli import CSV_HEADER, main
 
 
@@ -112,6 +113,9 @@ def test_generic_scheme_needs_single_station_support(tmp_path, capsys):
     ({"trials": 0}, "invalid config"),
     ({"extra_knob": 1}, "unknown config keys"),
     ({"schemes": ["zf"]}, "invalid config"),
+    ({"snr_grid_db": [float("nan"), 10.0]}, "snr_grid_db"),
+    ({"leakage_tol": float("nan")}, "leakage_tol"),
+    ({"rank_tol": float("inf")}, "rank_tol"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, breakage, fragment):
     config = _write_config(tmp_path, **breakage)
@@ -135,6 +139,19 @@ def test_bad_snr_override_exits_two(tmp_path, capsys):
     code, _ = _run(tmp_path, config, "out.csv", "--snr", "a,b")
     assert code == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bad_worker_count_exits_two_before_any_work(tmp_path, capsys, monkeypatch, workers):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked with a bad --workers")
+
+    monkeypatch.setattr(cli, "check_spec", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    code, out = _run(tmp_path, _write_config(tmp_path), "out.csv", "--workers", workers)
+    assert code == 2
+    assert not out.exists()
+    assert "--workers must be positive" in capsys.readouterr().err
 
 
 def test_feasibility_table(capsys):

@@ -274,6 +274,14 @@ def test_spec_validation():
         ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=0)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(ExperimentSpec(**good, trials=1), workers=0)
+    # non-finite values would otherwise write NaN rows, zero every
+    # one-shot slot or keep the iterative solver from converging
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            ExperimentSpec(**good, snr_grid_db=(bad, 10.0))
+        for name in ("leakage_tol", "rank_tol"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentSpec(**good, **{name: bad})
 
 
 def test_infeasible_iterative_slot_counts_as_failure():
@@ -416,6 +424,49 @@ def test_check_spec_asks_the_one_shot_solver(monkeypatch):
     monkeypatch.setattr(evaluation, "one_shot_ia",
                         raising(OneShotInfeasible("user 1 has no room")))
     assert check_spec(spec) == "user 1 has no room"
+
+
+def _canonical(value):
+    """A comparable stand-in for a solver argument: grids and arrays by value."""
+    if hasattr(value, "blocks"):
+        value = value.blocks
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, np.random.SeedSequence):
+        return value.entropy, value.spawn_key
+    return value
+
+
+def test_check_spec_makes_the_sweeps_solver_calls(monkeypatch):
+    # check_spec and the sweep share one per-slot design step: on trial
+    # 0 they call every solver with the same arguments, except that the
+    # check stops the iterative solvers after one iteration.
+    calls = []
+
+    def recording(name):
+        solver = getattr(evaluation, name)
+
+        def record(*args, **kwargs):
+            calls.append((name, _canonical(args), {k: _canonical(v) for k, v in kwargs.items()}))
+            return solver(*args, **kwargs)
+        return record
+
+    for name in ("one_shot_ia", "iterate_distributed_ia", "bd_zero_forcing"):
+        monkeypatch.setattr(evaluation, name, recording(name))
+    spec = ExperimentSpec(3, 2, 2, 4, evaluation.SCHEMES, snr_grid_db=(10.0,),
+                          trials=1, seed=4, max_iters=7)
+    assert len(spec.slot_dof()) == 3
+    assert check_spec(spec) is None
+    checked = calls[:]
+    calls.clear()
+    _run_single_trial(spec, 0)
+    swept = calls
+    assert len(swept) == 3 * 3 + 1
+    assert [c[2].pop("max_iters", None) for c in checked] == [None] * 3 + [1] * 6 + [None]
+    assert [c[2].pop("max_iters", None) for c in swept] == [None] * 3 + [7] * 6 + [None]
+    assert checked == swept
 
 
 RAGGED_SPEC = dict(num_users=3, rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof_total=4,

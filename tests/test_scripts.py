@@ -69,3 +69,18 @@ def test_bad_snr_grid_exits_two(monkeypatch, capsys, snr, fragment):
         curves.main(["k3-2x2", "--snr", snr])
     assert exc.value.code == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bad_worker_count_exits_two_before_any_work(monkeypatch, capsys, workers):
+    curves = _load("sum_rate_curves")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked with a bad --workers")
+
+    monkeypatch.setattr(curves, "check_spec", no_work)
+    monkeypatch.setattr(curves, "run_experiment", no_work)
+    with pytest.raises(SystemExit) as exc:
+        curves.main(["k3-2x2", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers must be positive" in capsys.readouterr().err
