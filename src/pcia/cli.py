@@ -129,6 +129,8 @@ def cmd_run(args) -> int:
 def cmd_feasibility(args) -> int:
     if args.k_min < 2 or args.k_max < args.k_min:
         return _fail("need 2 <= k-min <= k-max", EXIT_BAD_CONFIG)
+    if args.m < 1 or args.n < 1:
+        return _fail("--m and --n must be positive antenna counts", EXIT_BAD_CONFIG)
     modes = ["generic", "partial"] if args.mode == "both" else [args.mode]
     for k in range(args.k_min, args.k_max + 1):
         for mode in modes:

@@ -176,6 +176,8 @@ class ExperimentSpec:
         if int(self.trials) < 1:
             raise ValueError("trials must be positive")
         object.__setattr__(self, "trials", int(self.trials))
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         if int(self.max_iters) < 1:
             raise ValueError("max_iters must be positive")

@@ -6,19 +6,23 @@ transmit side the downlink behaves like an interference channel whose
 ``k``-th input stacks the antenna groups of that serving pair. This module
 holds the static configuration, the random channel draw, and the
 reindexing between the physical per-station channel and the equivalent
-paired-transmitter channel.
+paired-transmitter channel, which is a column gather of the physical one.
 
-Both channel views cache, on first use, the arrays that depend on the
-draw alone: the zero-padded stacked grid, its reciprocal, the pinned SVD
-of the direct blocks and, for the per-station channel, each user's row
-block. Every design and every score on one draw reads the same copy,
-whatever its time-share slot or SNR point. Cached arrays are read-only.
+Each channel view is one read-only matrix cut into blocks: ``blocks``,
+the row blocks and :meth:`~ChannelSet.assemble` are views of that
+matrix, and a list grid given to the constructor is checked and copied
+into it. Built from the matrix on first use, each view also caches the
+arrays that depend on the draw alone: the zero-padded stacked grid, its
+reciprocal and the pinned SVD of the direct blocks. Every design and
+every score on one draw reads the same copy, whatever its time-share slot
+or SNR point. Views and caches are read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -126,11 +130,13 @@ class NetworkConfig:
 
     def paired_tx_antennas(self, k: int) -> int:
         """Combined antenna count of user ``k``'s serving pair."""
-        return self.tx_antennas[k] + self.tx_antennas[self.secondary(k)]
+        return self.paired_widths[k]
 
-    @property
+    @functools.cached_property
     def paired_widths(self) -> tuple:
-        return tuple(self.paired_tx_antennas(k) for k in range(self.num_users))
+        """Combined antenna count of each user's serving pair, computed once."""
+        n = self.tx_antennas
+        return tuple(n[k] + n[self.secondary(k)] for k in range(self.num_users))
 
     @property
     def active_users(self) -> tuple:
@@ -140,34 +146,98 @@ class NetworkConfig:
         return dataclasses.replace(self, dof=dof)
 
 
-def _read_only(*arrays):
-    """Mark arrays read-only so a cached copy cannot be changed through them."""
-    for a in arrays:
-        a.flags.writeable = False
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only so a shared copy cannot be changed through it."""
+    a.flags.writeable = False
+    return a
+
+
+def _slices(sizes) -> list:
+    """Consecutive slices of the given lengths, starting at 0."""
+    edges = list(itertools.accumulate(sizes, initial=0))
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 class _BlockGrid:
-    """A channel held as a square ``blocks`` grid, with per-draw caches.
+    """A square block grid held as one read-only matrix, with per-draw caches.
 
-    Each cached view depends on the draw alone, not on a slot's stream
-    counts or on the SNR, so it is computed on first use and then read by
-    every design and every score on the channel. ``blocks`` is not changed
-    after construction, and every cached array is read-only.
+    ``blocks[i][j]`` is the ``rx_sizes[i] x tx_sizes[j]`` block of the
+    matrix. The list constructor checks the grid and copies it into a new
+    matrix, so no caller's array is shared. Each cached array depends on
+    the draw alone, not on a slot's stream counts or on the SNR, so it is
+    computed on first use and then read by every design and every score
+    on the channel.
     """
+
+    def __init__(self, blocks):
+        num_users = len(blocks)
+        if num_users < 1 or any(len(row) != num_users for row in blocks):
+            raise ValueError("channel blocks must form a square grid")
+        blocks = [[np.asarray(b, dtype=np.complex128) for b in row] for row in blocks]
+        for i, row in enumerate(blocks):
+            if len({b.shape[0] for b in row}) != 1:
+                raise ValueError(f"inconsistent receive dimensions in row {i}")
+        for j in range(num_users):
+            if len({row[j].shape[1] for row in blocks}) != 1:
+                raise ValueError(f"inconsistent transmit dimensions in column {j}")
+        matrix = np.concatenate([np.concatenate(row, axis=1) for row in blocks])
+        # One pass with the abs and max loops every design runs anyway: a
+        # NaN or inf entry fails ``< inf``. A first ``isfinite(...).all()``
+        # here raised a sweep's peak RSS by ~0.15 MiB. A finite entry whose
+        # modulus overflows fails the test too, so the blocks confirm.
+        if not np.abs(matrix).max() < np.inf:
+            bad = [(i, j) for i, row in enumerate(blocks)
+                   for j, b in enumerate(row) if not np.isfinite(b).all()]
+            if bad:
+                raise ValueError(f"channel block {bad[0]} has a NaN or infinite entry")
+        self._hold(matrix, [row[0].shape[0] for row in blocks],
+                   [b.shape[1] for b in blocks[0]])
+
+    def _hold(self, matrix: np.ndarray, rx_sizes, tx_sizes) -> None:
+        """Take ``matrix`` as the view's only data, cut into ``rx_sizes x tx_sizes`` blocks."""
+        self._matrix = _read_only(matrix)
+        self.rx_sizes = tuple(rx_sizes)
+        self.tx_sizes = tuple(tx_sizes)
+
+    @classmethod
+    def _cut(cls, matrix: np.ndarray, rx_sizes, tx_sizes):
+        """A view holding ``matrix`` as it is: the list constructor's last step, unchecked."""
+        grid = cls.__new__(cls)
+        grid._hold(matrix, rx_sizes, tx_sizes)
+        return grid
+
+    @property
+    def num_users(self) -> int:
+        return len(self.rx_sizes)
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        """Each user's ``m_i x sum(n)`` receive rows, stations side by side."""
+        return tuple(self._matrix[rows] for rows in _slices(self.rx_sizes))
+
+    @functools.cached_property
+    def blocks(self) -> list:
+        """``blocks[i][j]``: user ``i``'s rows under transmitter ``j``'s columns."""
+        cols = _slices(self.tx_sizes)
+        return [[row[:, c] for c in cols] for row in self._rows]
+
+    def row_block(self, i: int) -> np.ndarray:
+        """All of user ``i``'s receive rows, stations side by side (read-only)."""
+        return self._rows[i]
+
+    def assemble(self) -> np.ndarray:
+        """The whole channel as one matrix: the view's own read-only data."""
+        return self._matrix
 
     @functools.cached_property
     def _stacked(self) -> np.ndarray:
         """``blocks`` as one zero-padded ``(K, K, m, n)`` array."""
-        grid = _stack_grid(self.blocks)
-        _read_only(grid)
-        return grid
+        return _read_only(_stack_grid(self.blocks))
 
     @functools.cached_property
     def _reciprocal(self) -> np.ndarray:
         """The reversed-link grid of :attr:`_stacked`, see :func:`pcia.linalg.reciprocal`."""
-        grid = reciprocal(self._stacked)
-        _read_only(grid)
-        return grid
+        return _read_only(reciprocal(self._stacked))
 
     @functools.cached_property
     def _direct_svd(self) -> tuple:
@@ -179,70 +249,17 @@ class _BlockGrid:
         direct = [row[k] for k, row in enumerate(self.blocks)]
         triplets = tuple(_batched(_pinned_svd, direct))
         for triplet in triplets:
-            _read_only(*triplet)
+            for a in triplet:
+                _read_only(a)
         return triplets
 
 
-@dataclasses.dataclass
 class ChannelSet(_BlockGrid):
     """One realization of the per-station downlink channel.
 
     ``blocks[i][j]`` is the ``m_i x n_j`` matrix from base station ``j``
     to user ``i``. Every entry must be finite.
     """
-
-    blocks: list
-
-    def __post_init__(self):
-        num_users = len(self.blocks)
-        if num_users < 1 or any(len(row) != num_users for row in self.blocks):
-            raise ValueError("channel blocks must form a square grid")
-        self.blocks = [
-            [np.asarray(b, dtype=np.complex128) for b in row] for row in self.blocks
-        ]
-        for i, row in enumerate(self.blocks):
-            rows = {b.shape[0] for b in row}
-            if len(rows) != 1:
-                raise ValueError(f"inconsistent receive dimensions in row {i}")
-        for j in range(num_users):
-            cols = {self.blocks[i][j].shape[1] for i in range(num_users)}
-            if len(cols) != 1:
-                raise ValueError(f"inconsistent transmit dimensions in column {j}")
-        # One pass with the abs and max loops every design runs anyway: a
-        # NaN or inf entry fails ``< inf``. A first ``isfinite(...).all()``
-        # here raised a sweep's peak RSS by ~0.15 MiB. A finite entry whose
-        # modulus overflows fails the test too, so the blocks confirm.
-        if not np.abs(self.assemble()).max() < np.inf:
-            bad = [(i, j) for i, row in enumerate(self.blocks)
-                   for j, b in enumerate(row) if not np.isfinite(b).all()]
-            if bad:
-                raise ValueError(f"channel block {bad[0]} has a NaN or infinite entry")
-
-    @property
-    def num_users(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def rx_sizes(self) -> tuple:
-        return tuple(row[0].shape[0] for row in self.blocks)
-
-    @property
-    def tx_sizes(self) -> tuple:
-        return tuple(self.blocks[0][j].shape[1] for j in range(self.num_users))
-
-    @functools.cached_property
-    def _rows(self) -> tuple:
-        """Each user's ``m_i x sum(n)`` receive rows, stations side by side."""
-        rows = tuple(np.concatenate(row, axis=1) for row in self.blocks)
-        _read_only(*rows)
-        return rows
-
-    def row_block(self, i: int) -> np.ndarray:
-        """All of user ``i``'s receive rows, stations side by side (read-only)."""
-        return self._rows[i]
-
-    def assemble(self) -> np.ndarray:
-        return np.concatenate(self._rows)
 
 
 def generate_channel(config: NetworkConfig, seed) -> ChannelSet:
@@ -260,17 +277,13 @@ def generate_channel(config: NetworkConfig, seed) -> ChannelSet:
         ChannelSet with ``config.num_users`` squared blocks.
     """
     rng = np.random.default_rng(seed)
-    blocks = []
-    for i in range(config.num_users):
-        row = []
-        for j in range(config.num_users):
-            shape = (config.rx_antennas[i], config.tx_antennas[j])
-            row.append(
-                (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                / np.sqrt(2.0)
-            )
-        blocks.append(row)
-    return ChannelSet(blocks)
+    matrix = np.empty((sum(config.rx_antennas), config.total_tx_antennas), dtype=np.complex128)
+    for rows in _slices(config.rx_antennas):
+        for cols in _slices(config.tx_antennas):
+            block = matrix[rows, cols]
+            block[...] = (rng.standard_normal(block.shape)
+                          + 1j * rng.standard_normal(block.shape)) / np.sqrt(2.0)
+    return ChannelSet._cut(matrix, config.rx_antennas, config.tx_antennas)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -278,8 +291,9 @@ class PermutationMap:
     """Column reindexing from the physical channel to the paired one.
 
     ``column_order[c]`` gives the physical column feeding equivalent
-    column ``c``. Every physical column appears exactly twice because
-    each base station serves its own user and one neighbour.
+    column ``c``; it is a read-only copy. Every physical column appears
+    exactly twice because each base station serves its own user and one
+    neighbour.
     """
 
     column_order: np.ndarray
@@ -287,12 +301,11 @@ class PermutationMap:
     n_hat: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "column_order", np.asarray(self.column_order, dtype=np.intp)
-        )
-        if self.column_order.ndim != 1:
+        order = _read_only(np.array(self.column_order, dtype=np.intp))
+        object.__setattr__(self, "column_order", order)
+        if order.ndim != 1:
             raise ValueError("column_order must be one-dimensional")
-        if len(self.column_order) != sum(self.group_widths):
+        if len(order) != sum(self.group_widths):
             raise ValueError("column_order length must match the group widths")
 
     def as_matrix(self) -> np.ndarray:
@@ -313,26 +326,24 @@ def _stacking_order(config: NetworkConfig, k: int) -> tuple:
     return config.secondary(k), k
 
 
+@functools.lru_cache(maxsize=16)
 def build_permutation(config: NetworkConfig) -> PermutationMap:
-    """Column map of the equivalent paired-transmitter channel.
+    """Column map of the equivalent paired-transmitter channel, one per config.
 
     Each group gathers its serving pair's antennas in the stacking order
     that :func:`split_beamformer` and :func:`stack_beamformer` also use:
     user 0 lists its own station first, every other user its neighbour.
     """
-    offsets = np.concatenate(([0], np.cumsum(config.tx_antennas)))
-    order = []
-    for k in range(config.num_users):
-        for b in _stacking_order(config, k):
-            order.extend(range(offsets[b], offsets[b] + config.tx_antennas[b]))
+    stations = _slices(config.tx_antennas)
+    antennas = np.arange(config.total_tx_antennas)
     return PermutationMap(
-        column_order=np.asarray(order, dtype=np.intp),
+        column_order=np.concatenate([antennas[stations[b]] for k in range(config.num_users)
+                                     for b in _stacking_order(config, k)]),
         group_widths=config.paired_widths,
         n_hat=config.total_tx_antennas,
     )
 
 
-@dataclasses.dataclass
 class EquivalentChannel(_BlockGrid):
     """Paired-transmitter view of a channel realization.
 
@@ -340,18 +351,9 @@ class EquivalentChannel(_BlockGrid):
     the pair of stations that cooperate on user ``k``'s message.
     """
 
-    blocks: list
-
-    @property
-    def num_users(self) -> int:
-        return len(self.blocks)
-
     @property
     def widths(self) -> tuple:
-        return tuple(self.blocks[0][k].shape[1] for k in range(self.num_users))
-
-    def assemble(self) -> np.ndarray:
-        return np.vstack([np.hstack(row) for row in self.blocks])
+        return self.tx_sizes
 
 
 def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentChannel:
@@ -365,17 +367,8 @@ def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentC
         raise ValueError(
             f"channel has {full.shape[1]} transmit antennas, map expects {perm.n_hat}"
         )
-    gathered = full[:, perm.column_order]
-    row_edges = np.concatenate(([0], np.cumsum(channel.rx_sizes)))
-    col_edges = np.concatenate(([0], np.cumsum(perm.group_widths)))
-    blocks = [
-        [
-            gathered[row_edges[i]:row_edges[i + 1], col_edges[k]:col_edges[k + 1]]
-            for k in range(len(perm.group_widths))
-        ]
-        for i in range(channel.num_users)
-    ]
-    return EquivalentChannel(blocks)
+    return EquivalentChannel._cut(full[:, perm.column_order], channel.rx_sizes,
+                                  perm.group_widths)
 
 
 def _check_paired_rows(transmit: Sequence, config: NetworkConfig) -> None:
@@ -441,18 +434,13 @@ def effective_overall_precoder(beams: BeamformerSet, config: NetworkConfig) -> n
     The returned matrix ``V`` maps all streams to all physical transmit
     antennas; multiplying the physical channel by ``V`` reproduces the
     equivalent channel applied to the stacked precoders. Each stream
-    column touches exactly the two stations of its serving pair.
+    column touches exactly the two stations of its serving pair: the rows
+    :func:`build_permutation` gathers into that user's stack.
     """
-    primary, secondary = split_beamformer(beams.transmit, config)
-    row_offsets = np.concatenate(([0], np.cumsum(config.tx_antennas)))
-    col_offsets = np.concatenate(([0], np.cumsum(config.dof)))
+    _check_paired_rows(beams.transmit, config)
+    order = build_permutation(config).column_order
     v = np.zeros((config.total_tx_antennas, config.dof_total), dtype=np.complex128)
-    for k in range(config.num_users):
-        cols = slice(col_offsets[k], col_offsets[k + 1])
-        own = slice(row_offsets[k], row_offsets[k] + config.tx_antennas[k])
-        helper_idx = config.secondary(k)
-        helper = slice(row_offsets[helper_idx],
-                       row_offsets[helper_idx] + config.tx_antennas[helper_idx])
-        v[own, cols] = primary[k]
-        v[helper, cols] = secondary[k]
+    for w, group, cols in zip(beams.transmit, _slices(config.paired_widths),
+                              _slices(config.dof), strict=True):
+        v[order[group], cols] = w
     return v

@@ -116,6 +116,7 @@ def test_generic_scheme_needs_single_station_support(tmp_path, capsys):
     ({"snr_grid_db": [float("nan"), 10.0]}, "snr_grid_db"),
     ({"leakage_tol": float("nan")}, "leakage_tol"),
     ({"rank_tol": float("inf")}, "rank_tol"),
+    ({"seed": -1}, "seed must not be negative"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, breakage, fragment):
     config = _write_config(tmp_path, **breakage)
@@ -178,6 +179,25 @@ def test_feasibility_reports_skipped_systems(capsys):
 def test_feasibility_rejects_bad_range(capsys):
     assert main(["feasibility", "--m", "2", "--n", "2",
                  "--k-min", "4", "--k-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("m, n", [("0", "2"), ("2", "-1")])
+def test_feasibility_rejects_non_positive_antennas(capsys, m, n):
+    assert main(["feasibility", "--m", m, "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--m and --n must be positive" in err
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked with a negative --seed")
+
+    monkeypatch.setattr(cli, "check_spec", no_work)
+    code, out = _run(tmp_path, _write_config(tmp_path), "out.csv", "--seed", "-1")
+    assert code == 2
+    assert not out.exists()
+    assert "seed must not be negative" in capsys.readouterr().err
 
 
 def test_schedule_command(capsys):

@@ -272,6 +272,8 @@ def test_spec_validation():
         ExperimentSpec(num_users=1, rx_antennas=2, tx_antennas=2, dof_total=1)
     with pytest.raises(ValueError, match="dof_total"):
         ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=0)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentSpec(**good, seed=-1)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(ExperimentSpec(**good, trials=1), workers=0)
     # non-finite values would otherwise write NaN rows, zero every

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pcia.network import (
     BeamformerSet,
     ChannelSet,
+    EquivalentChannel,
     NetworkConfig,
     build_permutation,
     effective_overall_precoder,
@@ -244,3 +245,58 @@ def test_channel_accepts_finite_entries_whose_modulus_overflows():
     assert not np.isfinite(np.abs(huge)).any()
     channel = ChannelSet([[huge, huge], [huge, huge]])
     assert channel.num_users == 2
+
+
+RAGGED = NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1),
+                       tx_power=(1.0, 1.0, 1.0))
+
+
+def _ragged_views():
+    channel = generate_channel(RAGGED, 3)
+    return channel, equivalent_channel(channel, build_permutation(RAGGED))
+
+
+def test_each_view_is_one_read_only_matrix():
+    channel, equiv = _ragged_views()
+    assert channel.rx_sizes == equiv.rx_sizes == (3, 2, 2)
+    assert channel.tx_sizes == (2, 2, 3)
+    assert equiv.widths == equiv.tx_sizes == RAGGED.paired_widths == (5, 4, 5)
+    for view in (channel, equiv):
+        matrix = view.assemble()
+        assert view.assemble() is matrix
+        parts = [b for row in view.blocks for b in row]
+        parts += [view.row_block(i) for i in range(view.num_users)]
+        for part in parts + [matrix]:
+            assert np.shares_memory(part, matrix)
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 1.0
+
+
+def test_channel_copies_the_callers_arrays():
+    source = [[b.copy() for b in row] for row in generate_channel(RAGGED, 3).blocks]
+    channel = ChannelSet(source)
+    block, stacked = channel.blocks[0][0].copy(), channel._stacked.copy()
+    source[0][0][0, 0] = 99.0
+    assert np.array_equal(channel.blocks[0][0], block)
+    assert np.array_equal(channel._stacked, stacked)
+
+
+_ONES = np.ones((2, 2))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[_ONES, np.full((2, 2), np.nan)], [_ONES, _ONES]], r"block \(0, 1\) has a NaN"),
+    ([[_ONES, np.ones((3, 2))], [_ONES, _ONES]], "receive dimensions in row 0"),
+    ([[_ONES, _ONES], [_ONES, np.ones((2, 3))]], "transmit dimensions in column 1"),
+], ids=["nan", "rows", "columns"])
+@pytest.mark.parametrize("cls", [ChannelSet, EquivalentChannel])
+def test_both_views_check_a_hand_built_grid(cls, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        cls(blocks)
+
+
+def test_one_permutation_map_per_config():
+    perm = build_permutation(RAGGED)
+    assert build_permutation(RAGGED) is perm
+    with pytest.raises(ValueError, match="read-only"):
+        perm.column_order[0] = 0

@@ -71,6 +71,19 @@ def test_bad_snr_grid_exits_two(monkeypatch, capsys, snr, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_negative_seed_exits_two(monkeypatch, capsys):
+    curves = _load("sum_rate_curves")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked with a negative --seed")
+
+    monkeypatch.setattr(curves, "check_spec", no_work)
+    with pytest.raises(SystemExit) as exc:
+        curves.main(["k3-2x2", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed must not be negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_bad_worker_count_exits_two_before_any_work(monkeypatch, capsys, workers):
     curves = _load("sum_rate_curves")
