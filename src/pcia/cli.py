@@ -84,11 +84,13 @@ def cmd_run(args) -> int:
         spec = _load_spec(args)
     except _ConfigError as exc:
         return _fail(str(exc), EXIT_BAD_CONFIG)
+    out_csv = Path(args.out)
+    if not out_csv.parent.is_dir():
+        return _fail(f"output directory {out_csv.parent} does not exist", EXIT_BAD_CONFIG)
     reason = check_spec(spec)
     if reason is not None:
         return _fail(reason, EXIT_INFEASIBLE)
     result = run_experiment(spec, workers=args.workers)
-    out_csv = Path(args.out)
     rows = []
     for rec in result.to_records():
         rows.append([

@@ -25,6 +25,7 @@ from .linalg import _stack, _stack_grid, _stream_weights
 from .network import (
     ChannelSet,
     NetworkConfig,
+    _integral,
     _per_user,
     build_permutation,
     equivalent_channel,
@@ -99,7 +100,8 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     phi = noise_power * (uh @ u) + gram.reshape(users, users, width, width).sum(axis=1)
     diagonal = phi.reshape(users, width * width)[:, ::width + 1]
     diagonal += np.arange(width) >= np.array(dof)[:, None]
-    rates = (np.linalg.slogdet(phi + signal)[1] - np.linalg.slogdet(phi)[1]) / math.log(2.0)
+    logdet = np.linalg.slogdet(np.concatenate((phi + signal, phi)))[1]
+    rates = (logdet[:users] - logdet[users:]) / math.log(2.0)
     per_user = [float(r) if d > 0 else 0.0 for r, d in zip(rates, dof)]
     return per_user, float(sum(per_user))
 
@@ -148,18 +150,18 @@ class ExperimentSpec:
     rank_tol: float = 1e-9
 
     def __post_init__(self):
-        k = int(self.num_users)
+        for name in ("num_users", "dof_total", "trials", "seed", "max_iters"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        k = self.num_users
         if k < 2:
             raise ValueError("experiments need at least two users")
-        object.__setattr__(self, "num_users", k)
         for name in ("rx_antennas", "tx_antennas"):
-            counts = _per_user(getattr(self, name), k, name, int)
+            counts = _per_user(getattr(self, name), k, name)
             if any(v < 1 for v in counts):
                 raise ValueError(f"{name} must give a positive count per user")
             object.__setattr__(self, name, counts)
-        if int(self.dof_total) < 1:
+        if self.dof_total < 1:
             raise ValueError("dof_total must be positive")
-        object.__setattr__(self, "dof_total", int(self.dof_total))
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("at least one scheme is required")
@@ -172,16 +174,15 @@ class ExperimentSpec:
             raise ValueError("snr_grid_db must not be empty")
         if not all(map(math.isfinite, snr)):
             raise ValueError("snr_grid_db must hold finite values")
+        if len(set(snr)) != len(snr):
+            raise ValueError(f"snr_grid_db must not repeat a point, got {list(snr)}")
         object.__setattr__(self, "snr_grid_db", snr)
-        if int(self.trials) < 1:
+        if self.trials < 1:
             raise ValueError("trials must be positive")
-        object.__setattr__(self, "trials", int(self.trials))
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
         for name in ("leakage_tol", "rank_tol"):
             tol = float(getattr(self, name))
             if not (math.isfinite(tol) and tol > 0):

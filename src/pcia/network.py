@@ -7,13 +7,16 @@ transmit side the downlink behaves like an interference channel whose
 holds the static configuration, the random channel draw, and the
 reindexing between the physical per-station channel and the equivalent
 paired-transmitter channel, which is a column gather of the physical one.
+A draw is one ``standard_normal`` call, gathered into the channel matrix
+by an index built once per antenna layout.
 
 Each channel view is one read-only matrix cut into blocks: ``blocks``,
 the row blocks and :meth:`~ChannelSet.assemble` are views of that
 matrix, and a list grid given to the constructor is checked and copied
 into it. Built from the matrix on first use, each view also caches the
-arrays that depend on the draw alone: the zero-padded stacked grid, its
-reciprocal and the pinned SVD of the direct blocks. Every design and
+arrays that depend on the draw alone: the zero-padded stacked grid (on
+a uniform grid, the matrix reshaped rather than copied block by block),
+its reciprocal and the pinned SVD of the direct blocks. Every design and
 every score on one draw reads the same copy, whatever its time-share slot
 or SNR point. Views and caches are read-only.
 """
@@ -44,11 +47,29 @@ __all__ = [
 ]
 
 
-def _per_user(value, num_users: int, name: str, cast) -> tuple:
-    """Broadcast a scalar to every user, or check a per-user sequence."""
+def _integral(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is a whole number.
+
+    An integral float such as ``3.0`` passes; ``3.9`` is not truncated.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
+def _per_user(value, num_users: int, name: str, cast=_integral) -> tuple:
+    """Broadcast a scalar to every user, or check a per-user sequence.
+
+    ``cast(entry, name)`` converts each entry; by default it must be a
+    whole number.
+    """
     if np.isscalar(value):
         value = [value] * num_users
-    out = tuple(cast(v) for v in value)
+    out = tuple(cast(v, name) for v in value)
     if len(out) != num_users:
         raise ValueError(f"{name} must have one entry per user, got {len(out)}")
     return out
@@ -78,10 +99,10 @@ class NetworkConfig:
         num_users = len(tuple(self.rx_antennas))
         if num_users < 2:
             raise ValueError("the coordination ring needs at least two cells")
-        for name, cast in (("rx_antennas", int), ("tx_antennas", int),
-                           ("dof", int), ("tx_power", float)):
-            object.__setattr__(
-                self, name, _per_user(getattr(self, name), num_users, name, cast))
+        for name in ("rx_antennas", "tx_antennas", "dof"):
+            object.__setattr__(self, name, _per_user(getattr(self, name), num_users, name))
+        object.__setattr__(self, "tx_power", _per_user(
+            self.tx_power, num_users, "tx_power", lambda v, _: float(v)))
         object.__setattr__(self, "noise_power", float(self.noise_power))
         if any(m < 1 for m in self.rx_antennas):
             raise ValueError("every user needs at least one receive antenna")
@@ -231,8 +252,15 @@ class _BlockGrid:
 
     @functools.cached_property
     def _stacked(self) -> np.ndarray:
-        """``blocks`` as one zero-padded ``(K, K, m, n)`` array."""
-        return _read_only(_stack_grid(self.blocks))
+        """``blocks`` as one zero-padded ``(K, K, m, n)`` array.
+
+        On a uniform grid no block needs padding, and the matrix reshaped
+        to ``(K, m, K, n)`` with its middle axes swapped is that array.
+        """
+        if len(set(self.rx_sizes)) > 1 or len(set(self.tx_sizes)) > 1:
+            return _read_only(_stack_grid(self.blocks))
+        k, m, n = self.num_users, self.rx_sizes[0], self.tx_sizes[0]
+        return _read_only(np.ascontiguousarray(self._matrix.reshape(k, m, k, n).swapaxes(1, 2)))
 
     @functools.cached_property
     def _reciprocal(self) -> np.ndarray:
@@ -265,9 +293,11 @@ class ChannelSet(_BlockGrid):
 def generate_channel(config: NetworkConfig, seed) -> ChannelSet:
     r"""Draw one i.i.d. Rayleigh-fading realization.
 
-    Entries are circularly symmetric complex Gaussian with unit variance,
-    drawn block by block in receiver-major order so the result is a pure
-    function of ``(config, seed)``.
+    Entries are circularly symmetric complex Gaussian with unit variance.
+    One ``standard_normal`` call draws them all, and a gather index fixed
+    per antenna layout places them as a block-by-block draw in
+    receiver-major order would, so the result is a pure function of
+    ``(config, seed)``.
 
     Args:
         config: network description fixing all block shapes.
@@ -276,14 +306,28 @@ def generate_channel(config: NetworkConfig, seed) -> ChannelSet:
     Returns:
         ChannelSet with ``config.num_users`` squared blocks.
     """
-    rng = np.random.default_rng(seed)
-    matrix = np.empty((sum(config.rx_antennas), config.total_tx_antennas), dtype=np.complex128)
-    for rows in _slices(config.rx_antennas):
-        for cols in _slices(config.tx_antennas):
-            block = matrix[rows, cols]
-            block[...] = (rng.standard_normal(block.shape)
-                          + 1j * rng.standard_normal(block.shape)) / np.sqrt(2.0)
+    order = _draw_order(config.rx_antennas, config.tx_antennas)
+    parts = np.random.default_rng(seed).standard_normal(order.size)[order]
+    matrix = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
     return ChannelSet._cut(matrix, config.rx_antennas, config.tx_antennas)
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_order(rx_antennas: tuple, tx_antennas: tuple) -> np.ndarray:
+    """Read-only ``(2, sum(rx), sum(tx))`` positions of each entry's parts in one flat draw.
+
+    ``[0]`` indexes the real parts and ``[1]`` the imaginary ones. Blocks
+    take consecutive values in receiver-major order, each block its real
+    parts and then its imaginary parts, row by row: the order of a
+    block-by-block draw. Built once per antenna layout.
+    """
+    order = np.empty((2, sum(rx_antennas), sum(tx_antennas)), dtype=np.intp)
+    start = 0
+    for rows, m in zip(_slices(rx_antennas), rx_antennas):
+        for cols, n in zip(_slices(tx_antennas), tx_antennas):
+            order[:, rows, cols] = np.arange(start, start + 2 * m * n).reshape(2, m, n)
+            start += 2 * m * n
+    return _read_only(order)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,9 +15,11 @@ cross links exist in closed form and are found in one pass:
 3. its null space as the admissible precoder directions,
 4. a subset choice within that null space scored on the direct link,
    with the candidate subsets scored by batched ``|det|`` calls over
-   fixed-size chunks of their lexicographic order.
+   fixed-size chunks of their lexicographic order. Users whose null
+   bases and stream counts share a shape are searched together, one
+   stacked call per chunk for the whole group.
 
-Steps 1 to 3 and the final rank check are batched over users, and
+Every step and the final rank check are batched over users, and
 what does not depend on the slot's stream counts is computed once per
 draw: the channel caches its stacked grid, the contiguous reciprocal of
 that grid and the pinned SVD of its direct blocks, which every
@@ -232,15 +234,21 @@ def select_transmit_beamformer(
     memory stays bounded however many subsets there are. Ties break
     toward the lexicographically first subset.
 
+    Stacks with a leading user axis, ``(G, m, d)`` filters, ``(G, m, n)``
+    direct blocks and ``(G, n, a)`` bases sharing one ``dof_k``, give the
+    ``(G, n, d)`` stack of every user's own pick from one search: each
+    batch is scored for all ``G`` users in one call. ``user`` then names
+    the stack's first user.
+
     Raises:
         OneShotInfeasible: when fewer admissible directions exist than
             streams requested.
     """
     if criterion not in ("geometric", "power"):
         raise ValueError(f"unknown selection criterion {criterion!r}")
-    nullity = null_basis.shape[1]
+    nullity = null_basis.shape[-1]
     if dof_k == 0:
-        return np.zeros((null_basis.shape[0], 0), dtype=np.complex128)
+        return np.zeros(null_basis.shape[:-1] + (0,), dtype=np.complex128)
     if nullity < dof_k:
         raise OneShotInfeasible(
             f"user {user if user is not None else '?'} has only {nullity} "
@@ -249,21 +257,27 @@ def select_transmit_beamformer(
         )
     if nullity == dof_k:
         return null_basis
-    projected = receive_k.conj().T @ direct_block @ null_basis
-    subsets = itertools.combinations(range(nullity), dof_k)
-    best_cols = None
-    best_score = -np.inf
-    while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
-        stack = projected[:, chunk].transpose(1, 0, 2)
+    stacked = null_basis.ndim == 3
+    if not stacked:
+        receive_k, direct_block, null_basis = receive_k[None], direct_block[None], null_basis[None]
+    projected = receive_k.conj().transpose(0, 2, 1) @ direct_block @ null_basis
+    columns = itertools.chain.from_iterable(itertools.combinations(range(nullity), dof_k))
+    best_cols = np.zeros((len(projected), dof_k), dtype=np.intp)
+    best_score = np.full(len(projected), -np.inf)
+    for _ in range(0, math.comb(nullity, dof_k), _SUBSET_CHUNK):
+        chunk = np.fromiter(itertools.islice(columns, _SUBSET_CHUNK * dof_k),
+                            dtype=np.intp).reshape(-1, dof_k)
+        stack = projected[:, :, chunk].transpose(0, 2, 1, 3)
         if criterion == "geometric":
             scores = np.abs(np.linalg.det(stack))
         else:
-            scores = np.sum(stack.real ** 2 + stack.imag ** 2, axis=(1, 2))
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best_score = scores[i]
-            best_cols = chunk[i]
-    return null_basis[:, best_cols]
+            scores = np.sum(stack.real ** 2 + stack.imag ** 2, axis=(2, 3))
+        first, top = scores.argmax(axis=1), scores.max(axis=1)
+        better = top > best_score
+        best_score[better] = top[better]
+        best_cols[better] = chunk[first[better]]
+    picks = np.take_along_axis(null_basis, best_cols[:, None, :], axis=2)
+    return picks if stacked else picks[0]
 
 
 def received_signal_power(
@@ -318,14 +332,24 @@ def one_shot_ia(
         equiv = equivalent_channel(channel, build_permutation(config))
     receive, cache = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol, reverse_power)
-    transmit = []
-    for k in range(config.num_users):
-        transmit.append(
-            select_transmit_beamformer(
-                receive[k], equiv.blocks[k][k], state.null_bases[k],
-                config.dof[k], criterion=criterion, user=k,
-            )
-        )
+    # Users with a subset to choose are searched together, one stacked
+    # search per shape; the others take their whole basis, or nothing.
+    direct = [equiv.blocks[k][k] for k in range(config.num_users)]
+    transmit = [None] * config.num_users
+    searches = {}
+    for k, (basis, d) in enumerate(zip(state.null_bases, config.dof)):
+        if 0 < d < basis.shape[1]:
+            searches.setdefault((receive[k].shape, basis.shape), []).append(k)
+        else:
+            transmit[k] = select_transmit_beamformer(
+                receive[k], direct[k], basis, d, criterion=criterion, user=k)
+    for users in searches.values():
+        stacks = (np.array([x[k] for k in users])
+                  for x in (receive, direct, state.null_bases))
+        picks = select_transmit_beamformer(*stacks, config.dof[users[0]],
+                                           criterion=criterion, user=users[0])
+        for k, pick in zip(users, picks):
+            transmit[k] = pick
     # Reference scale is the unprojected direct link (its largest singular
     # value, from the receive-side SVD): filters with unit columns can
     # only shrink it, and comparing within ``eff`` alone would make a

@@ -117,6 +117,9 @@ def test_generic_scheme_needs_single_station_support(tmp_path, capsys):
     ({"leakage_tol": float("nan")}, "leakage_tol"),
     ({"rank_tol": float("inf")}, "rank_tol"),
     ({"seed": -1}, "seed must not be negative"),
+    ({"trials": 2.9}, "trials must be a whole number"),
+    ({"rx_antennas": 2.5}, "rx_antennas must be a whole number"),
+    ({"snr_grid_db": [10.0, 10.0]}, "snr_grid_db must not repeat a point"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, breakage, fragment):
     config = _write_config(tmp_path, **breakage)
@@ -153,6 +156,25 @@ def test_bad_worker_count_exits_two_before_any_work(tmp_path, capsys, monkeypatc
     assert code == 2
     assert not out.exists()
     assert "--workers must be positive" in capsys.readouterr().err
+
+
+def test_repeated_snr_override_exits_two(tmp_path, capsys):
+    code, out = _run(tmp_path, _write_config(tmp_path), "out.csv", "--snr", "10,10")
+    assert code == 2
+    assert not out.exists()
+    assert "snr_grid_db must not repeat a point" in capsys.readouterr().err
+
+
+def test_missing_output_directory_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked without an output directory")
+
+    monkeypatch.setattr(cli, "check_spec", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    code, out = _run(tmp_path, _write_config(tmp_path), "missing/out.csv")
+    assert code == 2
+    assert not out.parent.exists()
+    assert "output directory" in capsys.readouterr().err
 
 
 def test_feasibility_table(capsys):

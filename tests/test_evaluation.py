@@ -284,6 +284,20 @@ def test_spec_validation():
         for name in ("leakage_tol", "rank_tol"):
             with pytest.raises(ValueError, match=name):
                 ExperimentSpec(**good, **{name: bad})
+    # counts are never truncated, and an SNR point is scored once
+    for name, value in (("num_users", 3.9), ("rx_antennas", 2.5), ("tx_antennas", (2, 2, 1.5)),
+                        ("dof_total", 3.7), ("trials", 2.9), ("seed", 1.5),
+                        ("max_iters", 10.8)):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            ExperimentSpec(**{**good, name: value})
+    whole = ExperimentSpec(num_users=3.0, rx_antennas=2.0, tx_antennas=(2, 2.0, 2),
+                           dof_total=3.0, trials=2.0, seed=1.0, max_iters=10.0)
+    assert (whole.num_users, whole.dof_total, whole.trials, whole.seed) == (3, 3, 2, 1)
+    assert whole.rx_antennas == whole.tx_antennas == (2, 2, 2)
+    assert type(whole.max_iters) is int
+    for grid in ((10.0, 10.0), (0.0, 20.0, -0.0)):
+        with pytest.raises(ValueError, match="snr_grid_db must not repeat a point"):
+            ExperimentSpec(**good, snr_grid_db=grid)
 
 
 def test_infeasible_iterative_slot_counts_as_failure():
@@ -610,7 +624,8 @@ def small_sweeps(draw):
         dof_total=draw(st.integers(1, users * min(rx, 2 * tx))),
         schemes=draw(st.lists(st.sampled_from(evaluation.SCHEMES), min_size=1,
                               max_size=4, unique=True)),
-        snr_grid_db=draw(st.lists(st.floats(-20.0, 50.0), min_size=1, max_size=3)),
+        snr_grid_db=draw(st.lists(st.floats(-20.0, 50.0), min_size=1, max_size=3,
+                                  unique=True)),
         trials=2, seed=draw(st.integers(0, 2**16)), max_iters=30)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcia.linalg import _stack_grid
 from pcia.network import (
     BeamformerSet,
     ChannelSet,
@@ -198,6 +199,16 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="negative"):
         NetworkConfig(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, -1],
                       tx_power=[1.0, 1.0])
+    # counts are never truncated: 2.5 antennas or 1.5 streams is an error
+    for name in ("rx_antennas", "tx_antennas", "dof"):
+        counts = dict(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, 1])
+        counts[name] = [counts[name][0], counts[name][1] + 0.5]
+        with pytest.raises(ValueError, match=rf"{name} must be a whole number, got \d\.5"):
+            NetworkConfig(**counts, tx_power=[1.0, 1.0])
+    whole = NetworkConfig(rx_antennas=[2.0, 2], tx_antennas=2.0, dof=[1.0, 1],
+                          tx_power=[1.0, 1.0])
+    assert whole.rx_antennas == whole.tx_antennas == (2, 2)
+    assert whole.dof == (1, 1)
 
 
 def test_ring_neighbour_indexing():
@@ -300,3 +311,34 @@ def test_one_permutation_map_per_config():
     assert build_permutation(RAGGED) is perm
     with pytest.raises(ValueError, match="read-only"):
         perm.column_order[0] = 0
+
+
+def _block_by_block_draw(config, seed):
+    # The reference draw: two standard_normal calls per block, blocks in
+    # receiver-major order.
+    rng = np.random.default_rng(seed)
+    return [[(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+             for n in config.tx_antennas] for m in config.rx_antennas]
+
+
+UNIFORM = NetworkConfig.symmetric(3, 8, 8, 3)
+
+
+@pytest.mark.parametrize("cfg", [UNIFORM, RAGGED], ids=["k3-8x8", "ragged-322"])
+def test_one_call_draw_matches_a_block_by_block_draw(cfg):
+    for seed in (0, 5, np.random.SeedSequence((7, 3))):
+        channel = generate_channel(cfg, seed)
+        for got_row, want_row in zip(channel.blocks, _block_by_block_draw(cfg, seed)):
+            for got, want in zip(got_row, want_row):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cfg", [UNIFORM, NetworkConfig.symmetric(3, 1, 2, 1), RAGGED],
+                         ids=["k3-8x8", "k3-1x2", "ragged-322"])
+def test_stacked_grid_equals_the_block_copy(cfg):
+    channel = generate_channel(cfg, 11)
+    for view in (channel, equivalent_channel(channel, build_permutation(cfg))):
+        stacked = view._stacked
+        assert np.array_equal(stacked, _stack_grid(view.blocks))
+        assert stacked.flags.c_contiguous
+        assert not stacked.flags.writeable

@@ -430,3 +430,89 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
             assert np.array_equal(cache.right[k], vh.conj().T * phases)
             assert np.array_equal(receive[k], (u * phases)[:, :d])
             assert not receive[k].flags.writeable
+
+
+def _record_selects(monkeypatch):
+    # Wrap the module's selector the way a tracer does, keeping the
+    # ``null_basis`` of every call.
+    calls = []
+    select = oneshot.select_transmit_beamformer
+
+    def recorded(receive_k, direct_block, null_basis, *args, **kwargs):
+        calls.append(null_basis)
+        return select(receive_k, direct_block, null_basis, *args, **kwargs)
+
+    monkeypatch.setattr(oneshot, "select_transmit_beamformer", recorded)
+    return calls
+
+
+SEARCH_CONFIGS = [
+    NetworkConfig.symmetric(3, 8, 8, 3),
+    # receive filters of 4 and 3 rows: two stacked searches of two users
+    NetworkConfig(rx_antennas=(4, 4, 3, 3), tx_antennas=(4, 3, 4, 3), dof=(1, 1, 1, 1),
+                  tx_power=(1.0, 1.0, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("criterion", ["geometric", "power"])
+@pytest.mark.parametrize("cfg, groups", zip(SEARCH_CONFIGS, [[3], [2, 2]]),
+                         ids=["k3-8x8", "ragged-4433"])
+def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups,
+                                                       criterion, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
+    calls = _record_selects(monkeypatch)
+    for seed in range(3):
+        equiv = _equiv(cfg, seed)
+        receive, _ = design_receive_beamformers(equiv, cfg)
+        state = reciprocal_state(equiv, receive, cfg)
+        # the selector imported above, not the recorded module attribute
+        want = [select_transmit_beamformer(receive[k], equiv.blocks[k][k],
+                                           state.null_bases[k], cfg.dof[k],
+                                           criterion=criterion, user=k)
+                for k in range(cfg.num_users)]
+        calls.clear()
+        beams = one_shot_ia(cfg, equiv, criterion=criterion)
+        # every user searched, one call per shape group
+        assert [len(basis) for basis in calls] == groups
+        assert all(basis.ndim == 3 for basis in calls)
+        for got, expected in zip(beams.transmit, want):
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("criterion", ["geometric", "power"])
+def test_stacked_ties_straddling_chunks_keep_each_users_first_subset(monkeypatch,
+                                                                    criterion):
+    # The tie of test_selector_ties_straddling_chunks_keep_first_subset,
+    # stacked with its column-reversed copy, whose tied best subsets sit
+    # elsewhere in the lexicographic order, and a random user: the
+    # stacked search breaks every user's tie as that user's own call
+    # does.
+    rng = np.random.default_rng(8)
+    receive = np.eye(2, dtype=np.complex128)
+    direct = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.complex128)
+    basis = np.array([[1, 0, 0.5, 0, 0.3],
+                      [0, 1, 0.2, 1, 0.3],
+                      [0, 0, 0.0, 1, 1.0]], dtype=np.complex128)
+    bases = np.array([basis, basis[:, ::-1],
+                      rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))])
+    receives = np.array([receive, receive, random_orthonormal(rng, 2, 2)])
+    directs = np.array([direct, direct,
+                        rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))])
+    for chunk in range(1, 12):
+        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
+        picks = select_transmit_beamformer(receives, directs, bases, 2, criterion=criterion)
+        assert picks.shape == (3, 3, 2)
+        assert np.array_equal(picks[0], basis[:, [0, 1]])
+        for pick, r, h, b in zip(picks, receives, directs, bases):
+            assert np.array_equal(pick, select_transmit_beamformer(r, h, b, 2,
+                                                                   criterion=criterion))
+            assert np.array_equal(pick, _loop_pick(r, h, b, 2, criterion))
+
+
+@pytest.mark.parametrize("cfg", [BATCHED_CONFIGS[0], SEARCH_CONFIGS[0]],
+                         ids=["no-search", "all-search"])
+def test_unknown_criterion_raises_with_or_without_a_search(cfg):
+    with pytest.raises(ValueError, match="unknown selection criterion 'best'"):
+        one_shot_ia(cfg, _equiv(cfg, 0), criterion="best")

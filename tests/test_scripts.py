@@ -1,6 +1,7 @@
 """The experiment scripts: presets pass the feasibility check, reports print."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -57,7 +58,8 @@ def test_coordination_report_prints_both_tables(capsys):
 
 
 @pytest.mark.parametrize("snr, fragment", [("a,b", "cannot parse --snr 'a,b'"),
-                                           (",", "snr_grid_db must not be empty")])
+                                           (",", "snr_grid_db must not be empty"),
+                                           ("10,10", "snr_grid_db must not repeat a point")])
 def test_bad_snr_grid_exits_two(monkeypatch, capsys, snr, fragment):
     curves = _load("sum_rate_curves")
 
@@ -97,3 +99,13 @@ def test_bad_worker_count_exits_two_before_any_work(monkeypatch, capsys, workers
         curves.main(["k3-2x2", "--workers", workers])
     assert exc.value.code == 2
     assert "--workers must be positive" in capsys.readouterr().err
+
+
+def test_records_digest_is_one_hash_for_any_worker_count(capsys):
+    digest = _load("records_digest")
+    outputs = []
+    for workers in ("1", "2"):
+        digest.main(["--trials", "1", "--workers", workers])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert re.fullmatch(r"[0-9a-f]{64}\n", outputs[0])
