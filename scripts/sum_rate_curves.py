@@ -10,6 +10,7 @@ point and is ready for any plotting tool:
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 from pcia import ExperimentSpec, check_spec, multiplexing_gain_estimate, run_experiment
 
@@ -60,6 +61,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be positive, got {args.workers}")
+    if args.out and not Path(args.out).parent.is_dir():
+        parser.error(f"output directory {Path(args.out).parent} does not exist")
 
     grid = DEFAULT_GRID
     if args.snr is not None:

@@ -10,8 +10,6 @@ from .network import (
     effective_overall_precoder,
     equivalent_channel,
     generate_channel,
-    split_beamformer,
-    stack_beamformer,
 )
 from .feasibility import (
     BackhaulReport,

@@ -88,7 +88,6 @@ def iterate_distributed_ia(
     blocks,
     dof: Sequence,
     powers: Sequence,
-    reverse_powers: Optional[Sequence] = None,
     max_iters: int = 1000,
     leakage_tol: float = 1e-8,
     init: str = "svd",
@@ -101,9 +100,7 @@ def iterate_distributed_ia(
             receiver ``k``.
         dof: streams per user (zero marks a silent user).
         powers: total transmit power per user; per-stream weights are
-            ``powers[k] / dof[k]``.
-        reverse_powers: weights for the transmit-side update, defaulting
-            to the forward powers.
+            ``powers[k] / dof[k]``, on the forward and reverse links alike.
         init: ``"svd"`` starts from the dominant right singular vectors
             of each direct block; ``"random"`` draws a seeded orthonormal
             start instead.
@@ -157,9 +154,7 @@ def iterate_distributed_ia(
     reverse = reciprocal(grid)
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
-    fwd_weights = _interferer_weights(per_stream, dof)
-    rev_weights = fwd_weights if reverse_powers is None else _interferer_weights(
-        _stream_weights(list(reverse_powers), dof), dof)
+    weights = _interferer_weights(per_stream, dof)
     fwd_padded = _padding(rows, grid.shape[2])
     rev_padded = _padding(cols, grid.shape[3])
 
@@ -170,7 +165,7 @@ def iterate_distributed_ia(
     converged = False
     for _ in range(max_iters):
         vals, vecs = _smallest_first(
-            _covariance_stack(grid, transmit, fwd_weights), fwd_padded)
+            _covariance_stack(grid, transmit, weights), fwd_padded)
         receive = vecs[:, :, :width]
         total = float(np.sum(vals[:, :width] * streams))
         history.append(total)
@@ -178,7 +173,7 @@ def iterate_distributed_ia(
             converged = True
             break
         _, vecs = _smallest_first(
-            _covariance_stack(reverse, receive, rev_weights), rev_padded)
+            _covariance_stack(reverse, receive, weights), rev_padded)
         transmit = vecs[:, :, :width]
     return IterationTrace(
         leakage=history,

@@ -169,11 +169,17 @@ class ExperimentSpec:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
         object.__setattr__(self, "schemes", schemes)
+        if isinstance(self.snr_grid_db, (str, bytes)):
+            raise ValueError(f"snr_grid_db must be a list of dB values, got {self.snr_grid_db!r}")
         snr = tuple(float(v) for v in self.snr_grid_db)
         if not snr:
             raise ValueError("snr_grid_db must not be empty")
-        if not all(map(math.isfinite, snr)):
-            raise ValueError("snr_grid_db must hold finite values")
+        try:
+            finite = all(math.isfinite(v) and math.isfinite(_snr_powers(v)) for v in snr)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("snr_grid_db must hold finite values with a finite linear power")
         if len(set(snr)) != len(snr):
             raise ValueError(f"snr_grid_db must not repeat a point, got {list(snr)}")
         object.__setattr__(self, "snr_grid_db", snr)

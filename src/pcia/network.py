@@ -41,8 +41,6 @@ __all__ = [
     "generate_channel",
     "build_permutation",
     "equivalent_channel",
-    "split_beamformer",
-    "stack_beamformer",
     "effective_overall_precoder",
 ]
 
@@ -116,10 +114,11 @@ class NetworkConfig:
                 raise ValueError(
                     f"user {k} asks for {self.dof[k]} streams but supports at most {cap}"
                 )
-        if any(p <= 0 for p in self.tx_power):
-            raise ValueError("transmit powers must be positive")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
+        # written so that NaN fails the comparison too
+        if not all(0 < p < np.inf for p in self.tx_power):
+            raise ValueError(f"tx_power must be positive and finite, got {self.tx_power}")
+        if not 0 < self.noise_power < np.inf:
+            raise ValueError(f"noise_power must be positive and finite, got {self.noise_power}")
 
     @classmethod
     def symmetric(cls, num_users: int, rx_antennas: int, tx_antennas: int,
@@ -374,8 +373,7 @@ def _stacking_order(config: NetworkConfig, k: int) -> tuple:
 def build_permutation(config: NetworkConfig) -> PermutationMap:
     """Column map of the equivalent paired-transmitter channel, one per config.
 
-    Each group gathers its serving pair's antennas in the stacking order
-    that :func:`split_beamformer` and :func:`stack_beamformer` also use:
+    Each group gathers its serving pair's antennas in stacking order:
     user 0 lists its own station first, every other user its neighbour.
     """
     stations = _slices(config.tx_antennas)
@@ -426,40 +424,12 @@ def _check_paired_rows(transmit: Sequence, config: NetworkConfig) -> None:
             )
 
 
-def split_beamformer(transmit: Sequence, config: NetworkConfig):
-    """Split each stacked transmit beamformer into its per-station parts.
-
-    Returns:
-        (primary, secondary): lists of the rows applied at the user's own
-        station and at the helping neighbour, respectively.
-    """
-    _check_paired_rows(transmit, config)
-    primary, secondary = [], []
-    for k, w in enumerate(transmit):
-        w = np.asarray(w)
-        first, second = _stacking_order(config, k)
-        cut = config.tx_antennas[first]
-        rows = {first: w[:cut], second: w[cut:]}
-        primary.append(rows[k])
-        secondary.append(rows[config.secondary(k)])
-    return primary, secondary
-
-
-def stack_beamformer(primary: Sequence, secondary: Sequence, config: NetworkConfig):
-    """Inverse of :func:`split_beamformer`."""
-    transmit = []
-    for k in range(config.num_users):
-        rows = {k: primary[k], config.secondary(k): secondary[k]}
-        transmit.append(np.vstack([rows[b] for b in _stacking_order(config, k)]))
-    return transmit
-
-
 @dataclasses.dataclass
 class BeamformerSet:
     """Receive filters plus transmit precoders for one realization.
 
     ``transmit[k]`` acts on user ``k``'s paired antenna stack;
-    :func:`split_beamformer` gives its per-station rows.
+    :func:`effective_overall_precoder` places its rows on the stations.
     """
 
     receive: list

@@ -158,18 +158,15 @@ def reciprocal_interference_covariance(
     equiv: EquivalentChannel,
     receive: Sequence,
     config: NetworkConfig,
-    reverse_power: Optional[Sequence] = None,
 ):
     """Per-user interference covariance of the reciprocal network.
 
     On the reverse links every other user's receive filter acts as a
     transmitter into user ``k``'s paired antenna stack, weighted by its
-    per-stream power. Silent users contribute nothing. The reverse powers
-    default to the forward ones.
+    forward per-stream power. Silent users contribute nothing.
     """
-    powers = list(config.tx_power) if reverse_power is None else list(reverse_power)
     q = _covariances(equiv._reciprocal, receive,
-                     _stream_weights(powers, config.dof))
+                     _stream_weights(config.tx_power, config.dof))
     return [q[k, :w, :w] for k, w in enumerate(config.paired_widths)]
 
 
@@ -194,14 +191,13 @@ def reciprocal_state(
     receive: Sequence,
     config: NetworkConfig,
     rank_tol: float = 1e-9,
-    reverse_power: Optional[Sequence] = None,
 ) -> ReciprocalState:
     """Covariances plus null-space bases and candidate counts per user.
 
     The null spaces come from one batched ``eigh`` per distinct paired
     width.
     """
-    covariances = reciprocal_interference_covariance(equiv, receive, config, reverse_power)
+    covariances = reciprocal_interference_covariance(equiv, receive, config)
     bases = _batched(lambda qs: _null_bases(qs, rank_tol), covariances)
     nullities = [b.shape[1] for b in bases]
     ranks = [q.shape[0] - a for q, a in zip(covariances, nullities)]
@@ -299,7 +295,6 @@ def one_shot_ia(
     channel,
     rank_tol: float = 1e-9,
     criterion: str = "geometric",
-    reverse_power: Optional[Sequence] = None,
 ) -> BeamformerSet:
     """Design all receive filters and paired transmit precoders in one pass.
 
@@ -331,7 +326,7 @@ def one_shot_ia(
     else:
         equiv = equivalent_channel(channel, build_permutation(config))
     receive, cache = design_receive_beamformers(equiv, config)
-    state = reciprocal_state(equiv, receive, config, rank_tol, reverse_power)
+    state = reciprocal_state(equiv, receive, config, rank_tol)
     # Users with a subset to choose are searched together, one stacked
     # search per shape; the others take their whole basis, or nothing.
     direct = [equiv.blocks[k][k] for k in range(config.num_users)]

@@ -120,6 +120,8 @@ def test_generic_scheme_needs_single_station_support(tmp_path, capsys):
     ({"trials": 2.9}, "trials must be a whole number"),
     ({"rx_antennas": 2.5}, "rx_antennas must be a whole number"),
     ({"snr_grid_db": [10.0, 10.0]}, "snr_grid_db must not repeat a point"),
+    ({"snr_grid_db": "10"}, "snr_grid_db must be a list"),
+    ({"snr_grid_db": [4000.0]}, "snr_grid_db must hold finite values"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, breakage, fragment):
     config = _write_config(tmp_path, **breakage)

@@ -114,25 +114,14 @@ def test_random_init_is_seeded():
     assert a.leakage[0] != c.leakage[0]
 
 
-def test_explicit_reverse_powers_equal_forward_by_default():
-    cfg = NetworkConfig.symmetric(3, 2, 2, 1, tx_power=2.5)
-    blocks = generate_channel(cfg, 33).blocks
-    a = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=40)
-    b = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power,
-                               reverse_powers=list(cfg.tx_power), max_iters=40)
-    assert a.leakage == b.leakage
-
-
 @pytest.mark.parametrize("length", [1, 4])
 def test_power_lists_of_the_wrong_length_are_rejected(length):
     # a short list used to be truncated silently, weighting only user 0
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 33).blocks
-    for kwargs in ({"powers": [1.0] * length},
-                   {"powers": cfg.tx_power, "reverse_powers": [1.0] * length}):
-        with pytest.raises(ValueError, match="one power per user") as exc:
-            iterate_distributed_ia(blocks, cfg.dof, max_iters=50, **kwargs)
-        assert not isinstance(exc.value, DistributedInfeasible)
+    with pytest.raises(ValueError, match="one power per user") as exc:
+        iterate_distributed_ia(blocks, cfg.dof, [1.0] * length, max_iters=50)
+    assert not isinstance(exc.value, DistributedInfeasible)
 
 
 def test_silent_user_is_skipped():

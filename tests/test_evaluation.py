@@ -298,6 +298,10 @@ def test_spec_validation():
     for grid in ((10.0, 10.0), (0.0, 20.0, -0.0)):
         with pytest.raises(ValueError, match="snr_grid_db must not repeat a point"):
             ExperimentSpec(**good, snr_grid_db=grid)
+    # a string is not split into digits, and 10**(snr/10) must not overflow
+    for grid in ("10", b"10", (4000.0,), (10.0, 3090.0)):
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            ExperimentSpec(**good, snr_grid_db=grid)
 
 
 def test_infeasible_iterative_slot_counts_as_failure():

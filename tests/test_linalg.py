@@ -75,8 +75,7 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
     covs = interference_covariances(reciprocal(blocks), receive, WEIGHTS)
-    public = reciprocal_interference_covariance(equiv, receive, CONFIG,
-                                                reverse_power=[1.0, 2.0, 3.0])
+    public = reciprocal_interference_covariance(equiv, receive, CONFIG)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -104,12 +103,10 @@ def test_silent_transmitter_contributes_nothing(ragged):
 
 
 def test_weight_lists_of_the_wrong_length_are_rejected(ragged):
-    equiv, transmit, receive = ragged
+    equiv, transmit, _ = ragged
     for weights in ([1.0], [1.0] * 4):
         with pytest.raises(ValueError, match="one weight per user"):
             interference_covariances(equiv.blocks, transmit, weights)
-        with pytest.raises(ValueError, match="one power per user"):
-            reciprocal_interference_covariance(equiv, receive, CONFIG, reverse_power=weights)
 
 
 def _pinned_loop(a, tol=1e-12):

@@ -1,5 +1,7 @@
 """Channel model, column reindexing, and precoder stacking."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,6 @@ from pcia.network import (
     effective_overall_precoder,
     equivalent_channel,
     generate_channel,
-    split_beamformer,
-    stack_beamformer,
 )
 
 from conftest import blockdiag, cached_arrays, random_orthonormal
@@ -107,22 +107,21 @@ def test_split_layout_first_user_primary_on_top():
     )
     rng = np.random.default_rng(7)
     transmit = [random_orthonormal(rng, cfg.paired_tx_antennas(k), 1) for k in range(3)]
-    primary, secondary = split_beamformer(transmit, cfg)
+    v = effective_overall_precoder(BeamformerSet.from_joint([np.eye(2)] * 3, transmit, cfg), cfg)
+    station = {0: slice(0, 2), 1: slice(2, 5), 2: slice(5, 9)}
     # user 0: own station (2 rows) on top, helper station 2 (4 rows) below
-    assert np.array_equal(primary[0], transmit[0][:2])
-    assert np.array_equal(secondary[0], transmit[0][2:])
+    assert np.array_equal(v[station[0], 0], transmit[0][:2, 0])
+    assert np.array_equal(v[station[2], 0], transmit[0][2:, 0])
     # user 1: helper station 0 (2 rows) on top, own station (3 rows) below
-    assert np.array_equal(secondary[1], transmit[1][:2])
-    assert np.array_equal(primary[1], transmit[1][2:])
-    rebuilt = stack_beamformer(primary, secondary, cfg)
-    for w, back in zip(transmit, rebuilt):
-        assert np.array_equal(w, back)
+    assert np.array_equal(v[station[0], 1], transmit[1][:2, 0])
+    assert np.array_equal(v[station[1], 1], transmit[1][2:, 0])
+    assert not np.any(v[station[1], 0]) and not np.any(v[station[2], 1])
 
 
 def test_split_rejects_bad_row_count(k3_config):
-    bad = [np.zeros((3, 1))] * 3
+    bad = BeamformerSet([np.eye(2)] * 3, [np.zeros((3, 1))] * 3)
     with pytest.raises(ValueError, match="rows"):
-        split_beamformer(bad, k3_config)
+        effective_overall_precoder(bad, k3_config)
 
 
 def test_overall_precoder_touches_only_the_serving_pair(k3_config, rng):
@@ -196,6 +195,12 @@ def test_config_validation_errors():
         NetworkConfig.symmetric(3, 2, 2, 1, tx_power=0.0)
     with pytest.raises(ValueError, match="noise"):
         NetworkConfig.symmetric(3, 2, 2, 1, noise_power=0.0)
+    # NaN fails every comparison, so ``p <= 0`` alone would accept it
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tx_power must be positive and finite"):
+            NetworkConfig.symmetric(3, 2, 2, 1, tx_power=bad)
+        with pytest.raises(ValueError, match="noise_power must be positive and finite"):
+            NetworkConfig.symmetric(3, 2, 2, 1, noise_power=bad)
     with pytest.raises(ValueError, match="negative"):
         NetworkConfig(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, -1],
                       tx_power=[1.0, 1.0])

@@ -5,6 +5,7 @@ values of the direct block, covariance traces against an entrywise
 double sum, and subset selection against a determinant-modulus scan.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -231,9 +232,11 @@ def test_stream_demand_beyond_paired_width():
     assert exc.value.nullity == 4  # the binding paired width
 
 
-def test_reverse_power_scaling_leaves_design_unchanged(k3_config, k3_channel):
+def test_power_scaling_leaves_design_unchanged(k3_config, k3_channel):
+    # the reciprocal covariances scale, their null spaces do not
     base = one_shot_ia(k3_config, k3_channel)
-    scaled = one_shot_ia(k3_config, k3_channel, reverse_power=[2.0, 2.0, 2.0])
+    louder = dataclasses.replace(k3_config, tx_power=[2.0 * p for p in k3_config.tx_power])
+    scaled = one_shot_ia(louder, k3_channel)
     for k in range(3):
         assert np.allclose(base.transmit[k], scaled.transmit[k], atol=1e-9)
 

@@ -1,4 +1,4 @@
-"""The experiment scripts: presets pass the feasibility check, reports print."""
+"""The experiment scripts: presets pass the feasibility check, bad options exit early."""
 
 import importlib.util
 import re
@@ -43,20 +43,6 @@ def test_infeasible_preset_exits_before_sweeping(monkeypatch):
     assert "smallest paired antenna width is 4" in str(exc.value.code)
 
 
-def test_coordination_report_prints_both_tables(capsys):
-    _load("coordination_report").main(["--max-users", "4"])
-    properness, backhaul = capsys.readouterr().out.strip().split("\n\n")
-    lines = properness.splitlines()
-    assert lines[0].split() == ["K", "m", "n", "dof", "generic", "paired"]
-    assert " 4  2  2    4    False    True" in lines
-    lines = backhaul.splitlines()
-    assert lines[0].split() == ["K", "partial", "ring", "partial", "line",
-                                "full", "line", "full", "ring"]
-    assert [line.split() for line in lines[1:]] == [
-        ["2", "2", "4", "4", "2"], ["3", "3", "6", "9", "6"], ["4", "4", "8", "16", "12"],
-    ]
-
-
 @pytest.mark.parametrize("snr, fragment", [("a,b", "cannot parse --snr 'a,b'"),
                                            (",", "snr_grid_db must not be empty"),
                                            ("10,10", "snr_grid_db must not repeat a point")])
@@ -99,6 +85,20 @@ def test_bad_worker_count_exits_two_before_any_work(monkeypatch, capsys, workers
         curves.main(["k3-2x2", "--workers", workers])
     assert exc.value.code == 2
     assert "--workers must be positive" in capsys.readouterr().err
+
+
+def test_missing_out_directory_exits_two_before_any_work(monkeypatch, capsys, tmp_path):
+    curves = _load("sum_rate_curves")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked with a missing --out directory")
+
+    monkeypatch.setattr(curves, "check_spec", no_work)
+    monkeypatch.setattr(curves, "run_experiment", no_work)
+    with pytest.raises(SystemExit) as exc:
+        curves.main(["k3-2x2", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert exc.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
 
 
 def test_records_digest_is_one_hash_for_any_worker_count(capsys):
