@@ -7,15 +7,16 @@ two steps repeat until the residual interference power is negligible
 against the initial signal power. It runs on any square block grid, so
 the same code covers the plain per-station channel and the paired one.
 
-The loop works on the grid stacked once per run into a zero-padded
-``(K, K, m, n)`` array, with its reciprocal built once as an array too.
-Each half-iteration makes one call to the shared covariance kernel of
-:mod:`pcia.linalg` and one batched ``eigh`` over all users; the recorded
-leakage is the sum of each user's smallest eigenvalues. Uneven stream
-counts, silent users included, ride as zero-weight padding columns;
-ragged antenna counts as padded dimensions loaded above the trace so they
-sort last. The covariances depend only on ``V V^H``, so column phases are
-pinned once, on the returned filters.
+The loop reads what the channel view caches per draw: the zero-padded
+``(K, K, m, n)`` stacked grid, its reciprocal and, for the SVD start,
+the pinned SVD of the direct blocks; a list grid is checked and copied
+into a view first. Each half-iteration makes one call to the shared
+covariance kernel of :mod:`pcia.linalg` and one batched ``eigh`` over
+all users; the recorded leakage is the sum of each user's smallest
+eigenvalues. Uneven stream counts, silent users included, ride as
+zero-weight padding columns; ragged antenna counts as padded dimensions
+loaded above the trace so they sort last. The covariances depend only
+on ``V V^H``, so column phases are pinned once, on the returned filters.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ import numpy as np
 
 from .linalg import (
     _covariance_stack,
+    _covariances,
     _interferer_weights,
     _stack,
-    _stack_grid,
     _stream_weights,
     fix_column_phases,
-    interference_covariances,
-    reciprocal,
 )
+from .network import _BlockGrid
 
 __all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
 
@@ -54,14 +54,22 @@ class IterationTrace:
     transmit: list
 
 
+def _view(blocks) -> _BlockGrid:
+    """A channel view as it is; a list grid checked and copied into one."""
+    return blocks if isinstance(blocks, _BlockGrid) else _BlockGrid(blocks)
+
+
 def leakage(blocks, receive, transmit, powers, dof) -> float:
     """Total interference power left at the receive filter outputs.
 
     Sums ``trace(U_k^H Q_k U_k)`` over users, where ``Q_k`` collects the
     per-stream-power weighted covariances of all undesired transmitters.
+    ``blocks`` is a channel view or a list grid, as for :func:`iterate_distributed_ia`.
     """
-    covs = interference_covariances(blocks, transmit, _stream_weights(powers, dof))
-    return sum(float(np.real(np.trace(u.conj().T @ q @ u))) for u, q in zip(receive, covs))
+    grid = _view(blocks)
+    q = _covariances(grid._stacked, transmit, _stream_weights(powers, dof))
+    return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
+               for k, (u, m) in enumerate(zip(receive, grid.rx_sizes)))
 
 
 def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):
@@ -96,8 +104,10 @@ def iterate_distributed_ia(
     """Alternate receive and transmit updates until leakage dies out.
 
     Args:
-        blocks: square grid; ``blocks[k][l]`` maps transmitter ``l`` into
-            receiver ``k``.
+        blocks: a channel view, whose cached stacked grid, reciprocal and
+            direct-block SVD the run reads; or a square list grid, where
+            ``blocks[k][l]`` maps transmitter ``l`` into receiver ``k``,
+            checked and copied into a view first.
         dof: streams per user (zero marks a silent user).
         powers: total transmit power per user; per-stream weights are
             ``powers[k] / dof[k]``, on the forward and reverse links alike.
@@ -113,27 +123,24 @@ def iterate_distributed_ia(
     Raises:
         DistributedInfeasible: a user asks for more streams than its
             direct block supports.
-        ValueError: ``dof`` does not give one count per user, or ``init``
-            is unknown. These are caller errors, not infeasibility.
+        ValueError: ``dof`` does not give one count per user, ``init``
+            is unknown, or a list grid is not square or has a NaN or
+            infinite entry. These are caller errors, not infeasibility.
     """
-    num_users = len(blocks)
+    view = _view(blocks)
+    num_users = view.num_users
+    rows, cols = view.rx_sizes, view.tx_sizes
     dof = [int(d) for d in dof]
     if len(dof) != num_users:
         raise ValueError(f"need one stream count per user: got {len(dof)} for {num_users} users")
     for k in range(num_users):
-        cap = min(blocks[k][k].shape)
-        if dof[k] > cap:
+        if dof[k] > min(rows[k], cols[k]):
             raise DistributedInfeasible(
-                f"user {k} asks for {dof[k]} streams on a {blocks[k][k].shape} block"
+                f"user {k} asks for {dof[k]} streams on a {(rows[k], cols[k])} block"
             )
-    rows = [blocks[k][k].shape[0] for k in range(num_users)]
-    cols = [blocks[k][k].shape[1] for k in range(num_users)]
 
     if init == "svd":
-        start = []
-        for k in range(num_users):
-            _, _, vh = np.linalg.svd(blocks[k][k], full_matrices=False)
-            start.append(vh.conj().T[:, :dof[k]])
+        start = [v[:, :d] for (_, _, v), d in zip(view._direct_svd, dof)]
     elif init == "random":
         rng = np.random.default_rng(seed)
         start = []
@@ -146,12 +153,11 @@ def iterate_distributed_ia(
 
     per_stream = _stream_weights(powers, dof)
     threshold = leakage_tol * sum(
-        per_stream[k] * float(np.linalg.norm(blocks[k][k] @ start[k], "fro") ** 2)
+        per_stream[k] * float(np.linalg.norm(view.blocks[k][k] @ start[k], "fro") ** 2)
         for k in range(num_users) if dof[k] > 0
     )
 
-    grid = _stack_grid(blocks)
-    reverse = reciprocal(grid)
+    grid, reverse = view._stacked, view._reciprocal
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     weights = _interferer_weights(per_stream, dof)

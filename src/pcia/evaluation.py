@@ -15,7 +15,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
 from .linalg import _stack, _stack_grid, _stream_weights
 from .network import (
-    ChannelSet,
     NetworkConfig,
     _integral,
     _per_user,
@@ -168,6 +167,8 @@ class ExperimentSpec:
         for s in schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+        if len(set(schemes)) != len(schemes):
+            raise ValueError(f"schemes must not repeat a scheme, got {list(schemes)}")
         object.__setattr__(self, "schemes", schemes)
         if isinstance(self.snr_grid_db, (str, bytes)):
             raise ValueError(f"snr_grid_db must be a list of dB values, got {self.snr_grid_db!r}")
@@ -199,13 +200,12 @@ class ExperimentSpec:
         """Per-slot stream assignments realizing ``dof_total`` on average."""
         return time_share_schedule(self.num_users, self.dof_total).slot_table
 
-    def slot_config(self, dof_row, tx_power: float = 1.0) -> NetworkConfig:
+    def slot_config(self, dof_row) -> NetworkConfig:
         return NetworkConfig(
             rx_antennas=self.rx_antennas,
             tx_antennas=self.tx_antennas,
             dof=tuple(dof_row),
-            tx_power=[tx_power] * self.num_users,
-            noise_power=1.0,
+            tx_power=[1.0] * self.num_users,
         )
 
 
@@ -321,7 +321,7 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
         # for, hiding the low-SNR gap the comparison exists to measure.
         grid = equiv if scheme == "distributed_partial" else channel
         beams = iterate_distributed_ia(
-            grid.blocks, cfg.dof, powers=[1.0] * spec.num_users,
+            grid, cfg.dof, powers=[1.0] * spec.num_users,
             max_iters=max_iters, leakage_tol=spec.leakage_tol,
             init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )

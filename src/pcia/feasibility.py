@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .network import _integral
+
 __all__ = [
     "FeasibilityVerdict",
     "TimeShareSchedule",
@@ -29,14 +31,14 @@ def dof_upper_bound(rx_antennas, tx_antennas) -> int:
     Each user contributes a quarter of its even-rounded antenna total;
     the sum is floored once at the end.
     """
-    rx = list(rx_antennas)
-    tx = list(tx_antennas)
+    rx = [_integral(v, "rx_antennas") for v in rx_antennas]
+    tx = [_integral(v, "tx_antennas") for v in tx_antennas]
     if len(rx) != len(tx):
         raise ValueError("need one rx and one tx antenna count per user")
-    if any(int(v) < 1 for v in rx + tx):
+    if any(v < 1 for v in rx + tx):
         raise ValueError("antenna counts must be positive integers")
     total = sum(
-        Fraction(int(m) + int(n) - (int(m) + int(n)) % 2, 4)
+        Fraction(m + n - (m + n) % 2, 4)
         for m, n in zip(rx, tx)
     )
     return math.floor(total)
@@ -62,7 +64,11 @@ def _check_antenna_floor(num_users: int, m: int, n: int, d_hat: int) -> None:
         )
 
 
-def _verdict(num_users: int, m: int, n: int, extra_tx: int, label: str) -> FeasibilityVerdict:
+def _verdict(num_users, m, n, paired: bool) -> FeasibilityVerdict:
+    """Counts at the stream total of :func:`dof_upper_bound`, spread evenly over users."""
+    num_users, m, n = (_integral(v, name) for v, name in
+                       ((num_users, "num_users"), (m, "m"), (n, "n")))
+    extra_tx = n if paired else 0
     c = m + n
     rem = c % 2
     d_hat = dof_upper_bound([m] * num_users, [n] * num_users)
@@ -75,7 +81,7 @@ def _verdict(num_users: int, m: int, n: int, extra_tx: int, label: str) -> Feasi
     else:
         bound = 3 + Fraction(4 * (n + rem), c - rem)
     return FeasibilityVerdict(
-        system_label=label,
+        system_label=f"({m}x{n + extra_tx}, {per_user})^{num_users}",
         num_equations=num_eq,
         num_variables=num_var,
         proper=num_eq <= num_var,
@@ -90,11 +96,10 @@ def is_proper_generic(num_users: int, m: int, n: int) -> FeasibilityVerdict:
     evenly (as an exact rational) across users.
 
     Raises:
-        ValueError: when ``min(m, n)`` is below the per-user stream floor.
+        ValueError: when ``min(m, n)`` is below the per-user stream floor,
+            or a count is not a whole number.
     """
-    d_hat = dof_upper_bound([m] * num_users, [n] * num_users)
-    label = f"({m}x{n}, {Fraction(d_hat, num_users)})^{num_users}"
-    return _verdict(num_users, m, n, 0, label)
+    return _verdict(num_users, m, n, paired=False)
 
 
 def is_proper_partial(num_users: int, m: int, n: int) -> FeasibilityVerdict:
@@ -104,9 +109,7 @@ def is_proper_partial(num_users: int, m: int, n: int) -> FeasibilityVerdict:
     while the stream target stays at the unpaired upper bound, so extra
     precoder variables loosen the count.
     """
-    d_hat = dof_upper_bound([m] * num_users, [n] * num_users)
-    label = f"({m}x{2 * n}, {Fraction(d_hat, num_users)})^{num_users}"
-    return _verdict(num_users, m, n, n, label)
+    return _verdict(num_users, m, n, paired=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,6 +143,7 @@ def time_share_schedule(num_users: int, dof_total: int) -> TimeShareSchedule:
     users to the ceiling count; the subsets enumerate all combinations in
     lexicographic order so every user is boosted equally often.
     """
+    num_users, dof_total = _integral(num_users, "num_users"), _integral(dof_total, "dof_total")
     if num_users < 1 or dof_total < 0:
         raise ValueError("need at least one user and a nonnegative stream total")
     base, remainder = divmod(dof_total, num_users)

@@ -9,26 +9,28 @@ import numpy as np
 __all__ = [
     "fix_column_phases",
     "pin_joint_phases",
-    "interference_covariances",
     "reciprocal",
 ]
 
+# Entries at or below this modulus are treated as zero when pinning phases.
+_PHASE_TOL = 1e-12
 
-def _pinning_phases(a: np.ndarray, tol: float) -> np.ndarray:
-    """Phases making each column's first entry above ``tol`` real positive (1 if none).
+
+def _pinning_phases(a: np.ndarray) -> np.ndarray:
+    """Phases making each column's first entry above ``_PHASE_TOL`` real positive (1 if none).
 
     ``a`` may be one matrix or a stack of them; the phases have one entry
     per column of each matrix.
     """
     mag = np.abs(a)
-    lead = (mag > tol).argmax(axis=-2)
+    lead = (mag > _PHASE_TOL).argmax(axis=-2)
     *outer, cols = np.indices(lead.shape, sparse=True)
     at = (*outer, lead, cols)
     size = mag[at]
-    return np.divide(a[at].conj(), size, out=np.ones(size.shape, a.dtype), where=size > tol)
+    return np.divide(a[at].conj(), size, out=np.ones(size.shape, a.dtype), where=size > _PHASE_TOL)
 
 
-def fix_column_phases(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_column_phases(a: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero entry is real and positive.
 
     Basis vectors from eigen or singular value decompositions are only
@@ -37,10 +39,10 @@ def fix_column_phases(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     A stack of matrices is pinned matrix by matrix.
     """
     a = np.asarray(a)
-    return a * _pinning_phases(a, tol)[..., None, :]
+    return a * _pinning_phases(a)[..., None, :]
 
 
-def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
+def pin_joint_phases(u: np.ndarray, v: np.ndarray):
     """Pin paired singular-vector phases without disturbing their product.
 
     Column ``j`` of ``u`` and of ``v`` carry one shared free phase. Both
@@ -50,7 +52,7 @@ def pin_joint_phases(u: np.ndarray, v: np.ndarray, tol: float = 1e-12):
     of ``u`` and ``v`` are pinned pair by pair.
     """
     u = np.asarray(u)
-    phases = _pinning_phases(u, tol)[..., None, :]
+    phases = _pinning_phases(u)[..., None, :]
     return u * phases, np.asarray(v) * phases
 
 
@@ -68,16 +70,13 @@ def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
 
 
-def reciprocal(grid):
-    """The reversed-link grid: entry ``[k][l]`` is ``grid[l][k]^H``.
+def reciprocal(grid: np.ndarray) -> np.ndarray:
+    """The reversed-link grid: entry ``[k, l]`` is ``grid[l, k]^H``.
 
-    A list grid gives a list grid; a stacked ``(K, K, m, n)`` array gives
-    a C-contiguous ``(K, K, n, m)`` array, laid out as if the reversed
-    list grid had been stacked.
+    A stacked ``(K, K, m, n)`` array gives a C-contiguous ``(K, K, n, m)``
+    array, laid out as if the reversed list grid had been stacked.
     """
-    if isinstance(grid, np.ndarray):
-        return np.ascontiguousarray(grid.transpose(1, 0, 3, 2)).conj()
-    return [[row[k].conj().T for row in grid] for k in range(len(grid))]
+    return np.ascontiguousarray(grid.transpose(1, 0, 3, 2)).conj()
 
 
 def _stack(mats, rows: int, cols: int) -> np.ndarray:
@@ -160,17 +159,3 @@ def _covariances(grid: np.ndarray, beams: Sequence, weights: Sequence) -> np.nda
     return _covariance_stack(grid, _stack(beams, grid.shape[3], max(counts)),
                              _interferer_weights(weights, counts))
 
-
-def interference_covariances(grid, beams: Sequence, weights: Sequence) -> list:
-    """Stream-weighted interference covariance seen at each receiver.
-
-    Entry ``k`` is the Hermitized sum of ``w_l (G_kl B_l)(G_kl B_l)^H``
-    over the transmitters ``l != k`` that send at least one stream, with
-    ``G = grid`` and ``B = beams``. On ``reciprocal(grid)`` with the
-    receive filters as beams it is the covariance on each transmit stack
-    of the reversed network. A list adapter over the stacked kernel that
-    the iterative solver runs on directly.
-    """
-    q = _covariances(_stack_grid(grid), beams, weights)
-    sizes = [row[k].shape[0] for k, row in enumerate(grid)]
-    return [q[k, :size, :size] for k, size in enumerate(sizes)]

@@ -83,15 +83,14 @@ class NetworkConfig:
         dof: data streams per user. Zero marks a user silent in the
             current slot; such users transmit nothing and decode nothing.
         tx_power: total transmit power spent on each user's message,
-            shared by its serving pair of base stations.
-        noise_power: per-antenna noise variance at every receiver.
+            shared by its serving pair of base stations. Receive noise is
+            not part of the config: :func:`pcia.sum_rate` takes it.
     """
 
     rx_antennas: tuple
     tx_antennas: tuple
     dof: tuple
     tx_power: tuple
-    noise_power: float = 1.0
 
     def __post_init__(self):
         num_users = len(tuple(self.rx_antennas))
@@ -101,7 +100,6 @@ class NetworkConfig:
             object.__setattr__(self, name, _per_user(getattr(self, name), num_users, name))
         object.__setattr__(self, "tx_power", _per_user(
             self.tx_power, num_users, "tx_power", lambda v, _: float(v)))
-        object.__setattr__(self, "noise_power", float(self.noise_power))
         if any(m < 1 for m in self.rx_antennas):
             raise ValueError("every user needs at least one receive antenna")
         if any(n < 1 for n in self.tx_antennas):
@@ -117,19 +115,16 @@ class NetworkConfig:
         # written so that NaN fails the comparison too
         if not all(0 < p < np.inf for p in self.tx_power):
             raise ValueError(f"tx_power must be positive and finite, got {self.tx_power}")
-        if not 0 < self.noise_power < np.inf:
-            raise ValueError(f"noise_power must be positive and finite, got {self.noise_power}")
 
     @classmethod
     def symmetric(cls, num_users: int, rx_antennas: int, tx_antennas: int,
-                  dof, tx_power: float = 1.0, noise_power: float = 1.0) -> "NetworkConfig":
+                  dof, tx_power: float = 1.0) -> "NetworkConfig":
         """Build a config where every cell has the same antenna counts."""
         return cls(
             rx_antennas=[rx_antennas] * num_users,
             tx_antennas=[tx_antennas] * num_users,
             dof=[dof] * num_users if np.isscalar(dof) else list(dof),
             tx_power=[tx_power] * num_users,
-            noise_power=noise_power,
         )
 
     @property

@@ -50,7 +50,6 @@ from .linalg import (
 )
 from .network import (
     BeamformerSet,
-    ChannelSet,
     EquivalentChannel,
     NetworkConfig,
     build_permutation,

@@ -212,3 +212,34 @@ def test_stream_lists_of_the_wrong_length_are_caller_errors(dof):
     with pytest.raises(ValueError, match="one stream count per user") as exc:
         iterate_distributed_ia(blocks, dof, cfg.tx_power)
     assert not isinstance(exc.value, DistributedInfeasible)
+
+
+def test_a_list_grid_with_a_nan_entry_is_rejected():
+    # A list grid is checked as a channel view's constructor checks it,
+    # instead of running the loop into a NaN leakage history.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    blocks = [[b.copy() for b in row] for row in generate_channel(cfg, 1).blocks]
+    blocks[0][1][1, 0] = np.nan
+    filters = [np.eye(2, 1, dtype=np.complex128)] * 3
+    message = r"channel block \(0, 1\) has a NaN or infinite entry"
+    with pytest.raises(ValueError, match=message):
+        iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=5)
+    with pytest.raises(ValueError, match=message):
+        leakage(blocks, filters, filters, cfg.tx_power, cfg.dof)
+
+
+@pytest.mark.parametrize("cfg", [NetworkConfig.symmetric(5, 2, 2, 1), RAGGED],
+                         ids=["k5", "ragged"])
+def test_a_view_and_its_list_grid_give_the_same_trace(cfg):
+    view = equivalent_channel(generate_channel(cfg, 6), build_permutation(cfg))
+    runs = [iterate_distributed_ia(grid, cfg.dof, cfg.tx_power, max_iters=400,
+                                   init="random", seed=12)
+            for grid in (view, view.blocks)]
+    assert np.array_equal(runs[0].leakage, runs[1].leakage)
+    assert runs[0].iterations == runs[1].iterations
+    assert runs[0].converged == runs[1].converged
+    for a, b in zip(runs[0].receive + runs[0].transmit, runs[1].receive + runs[1].transmit,
+                    strict=True):
+        assert np.array_equal(a, b)
+    args = (runs[0].receive, runs[0].transmit, cfg.tx_power, cfg.dof)
+    assert leakage(view, *args) == leakage(view.blocks, *args)

@@ -302,6 +302,11 @@ def test_spec_validation():
     for grid in ("10", b"10", (4000.0,), (10.0, 3090.0)):
         with pytest.raises(ValueError, match="snr_grid_db"):
             ExperimentSpec(**good, snr_grid_db=grid)
+    # a scheme is run and written once
+    for schemes in (("bdzf_full", "bdzf_full"),
+                    ("oneshot_partial", "bdzf_full", "oneshot_partial")):
+        with pytest.raises(ValueError, match="schemes must not repeat a scheme"):
+            ExperimentSpec(**good, schemes=schemes)
 
 
 def test_infeasible_iterative_slot_counts_as_failure():

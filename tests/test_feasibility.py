@@ -42,6 +42,12 @@ def test_dof_upper_bound_input_validation():
         dof_upper_bound([2, 2], [2])
     with pytest.raises(ValueError):
         dof_upper_bound([2, 0], [2, 2])
+    # counts are never truncated: 2.5 antennas is an error, 2.0 is 2
+    with pytest.raises(ValueError, match="rx_antennas must be a whole number, got 2.5"):
+        dof_upper_bound([2.5, 2.5], [2, 2])
+    with pytest.raises(ValueError, match="tx_antennas must be a whole number, got 2.5"):
+        dof_upper_bound([2, 2], [2, 2.5])
+    assert dof_upper_bound([2.0, 3.0], [2, 2.0]) == dof_upper_bound([2, 3], [2, 2]) == 2
 
 
 def _count_by_enumeration(num_users, m, n, paired):
@@ -134,6 +140,14 @@ def test_antenna_floor_precondition():
         is_proper_partial(2, 1, 5)
 
 
+@pytest.mark.parametrize("check", [is_proper_generic, is_proper_partial])
+def test_properness_counts_must_be_whole(check):
+    assert check(3, 2.0, 2) == check(3.0, 2, 2.0) == check(3, 2, 2)
+    for args, name in (((3.5, 2, 2), "num_users"), ((3, 2.5, 2), "m"), ((3, 2, 2.5), "n")):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            check(*args)
+
+
 def test_schedule_five_users_seven_streams():
     sched = time_share_schedule(5, 7)
     assert sched.remainder == 2
@@ -171,6 +185,15 @@ def test_schedule_rejects_bad_inputs():
         time_share_schedule(0, 3)
     with pytest.raises(ValueError):
         time_share_schedule(3, -1)
+
+
+def test_schedule_counts_must_be_whole():
+    assert time_share_schedule(3, 4.0) == time_share_schedule(3.0, 4) == time_share_schedule(3, 4)
+    assert type(time_share_schedule(3.0, 4.0).dof_total) is int
+    with pytest.raises(ValueError, match="num_users must be a whole number"):
+        time_share_schedule(2.5, 4)
+    with pytest.raises(ValueError, match="dof_total must be a whole number"):
+        time_share_schedule(3, 4.5)
 
 
 def test_backhaul_frozen_table():

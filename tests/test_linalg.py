@@ -2,7 +2,9 @@
 
 Stations carry 2, 3 and 2 antennas and user 2 is silent, so the blocks
 are not square, the paired widths differ (4, 5, 5), and one transmitter
-sends nothing. Oracles: explicit sums over interferers and streams.
+sends nothing. The kernel runs on the zero-padded stacked grid and each
+covariance is cut to its receiver's size. Oracles: explicit sums over
+interferers and streams.
 """
 
 import numpy as np
@@ -17,8 +19,9 @@ from pcia import (
     reciprocal_interference_covariance,
 )
 from pcia.linalg import (
+    _covariances,
+    _stack_grid,
     fix_column_phases,
-    interference_covariances,
     pin_joint_phases,
     reciprocal,
 )
@@ -41,6 +44,12 @@ def ragged(request):
     return equiv, transmit, receive
 
 
+def _kernel(grid, beams, weights, sizes):
+    # The shared kernel on a stacked grid, each covariance cut to its size.
+    q = _covariances(grid, beams, weights)
+    return [q[k, :size, :size] for k, size in enumerate(sizes)]
+
+
 def _double_sum(grid, beams, weights, k):
     size = grid[k][k].shape[0]
     q = np.zeros((size, size), dtype=np.complex128)
@@ -55,15 +64,18 @@ def _double_sum(grid, beams, weights, k):
 
 def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
     blocks = ragged[0].blocks
-    rev = reciprocal(blocks)
+    rev = reciprocal(_stack_grid(blocks))
+    assert rev.shape == (3, 3, 5, 3) and rev.flags.c_contiguous
     for k in range(3):
         for l in range(3):
-            assert np.array_equal(rev[k][l], blocks[l][k].conj().T)
+            n, m = blocks[l][k].shape[::-1]
+            assert np.array_equal(rev[k, l, :n, :m], blocks[l][k].conj().T)
+            assert not rev[k, l, n:].any() and not rev[k, l, :, m:].any()
 
 
 def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
     blocks, transmit = ragged[0].blocks, ragged[1]
-    covs = interference_covariances(blocks, transmit, WEIGHTS)
+    covs = _kernel(_stack_grid(blocks), transmit, WEIGHTS, CONFIG.rx_antennas)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.rx_antennas[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -74,7 +86,7 @@ def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
 def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
-    covs = interference_covariances(reciprocal(blocks), receive, WEIGHTS)
+    covs = _kernel(reciprocal(_stack_grid(blocks)), receive, WEIGHTS, CONFIG.paired_widths)
     public = reciprocal_interference_covariance(equiv, receive, CONFIG)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
@@ -89,15 +101,16 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
 def test_silent_transmitter_contributes_nothing(ragged):
     equiv, transmit, receive = ragged
     blocks = equiv.blocks
-    rev = reciprocal(blocks)
+    grid = _stack_grid(blocks)
     loud = [1.0, 1.0, 1e6]
     scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in blocks]
-    for grid, beams in ((blocks, transmit), (rev, receive)):
-        base = interference_covariances(grid, beams, WEIGHTS)
+    for g, beams, sizes in ((grid, transmit, CONFIG.rx_antennas),
+                            (reciprocal(grid), receive, CONFIG.paired_widths)):
+        base = _kernel(g, beams, WEIGHTS, sizes)
         assert all(np.array_equal(a, b) for a, b in
-                   zip(base, interference_covariances(grid, beams, loud)))
-    base = interference_covariances(blocks, transmit, WEIGHTS)
-    moved = interference_covariances(scrambled, transmit, WEIGHTS)
+                   zip(base, _kernel(g, beams, loud, sizes)))
+    base = _kernel(grid, transmit, WEIGHTS, CONFIG.rx_antennas)
+    moved = _kernel(_stack_grid(scrambled), transmit, WEIGHTS, CONFIG.rx_antennas)
     for k in (0, 1):
         assert np.array_equal(base[k], moved[k])
 
@@ -106,7 +119,7 @@ def test_weight_lists_of_the_wrong_length_are_rejected(ragged):
     equiv, transmit, _ = ragged
     for weights in ([1.0], [1.0] * 4):
         with pytest.raises(ValueError, match="one weight per user"):
-            interference_covariances(equiv.blocks, transmit, weights)
+            _covariances(_stack_grid(equiv.blocks), transmit, weights)
 
 
 def _pinned_loop(a, tol=1e-12):

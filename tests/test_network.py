@@ -193,14 +193,10 @@ def test_config_validation_errors():
         NetworkConfig.symmetric(3, 2, 2, 3)  # 3 > min(m=2, paired=4)
     with pytest.raises(ValueError, match="positive"):
         NetworkConfig.symmetric(3, 2, 2, 1, tx_power=0.0)
-    with pytest.raises(ValueError, match="noise"):
-        NetworkConfig.symmetric(3, 2, 2, 1, noise_power=0.0)
     # NaN fails every comparison, so ``p <= 0`` alone would accept it
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tx_power must be positive and finite"):
             NetworkConfig.symmetric(3, 2, 2, 1, tx_power=bad)
-        with pytest.raises(ValueError, match="noise_power must be positive and finite"):
-            NetworkConfig.symmetric(3, 2, 2, 1, noise_power=bad)
     with pytest.raises(ValueError, match="negative"):
         NetworkConfig(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, -1],
                       tx_power=[1.0, 1.0])
