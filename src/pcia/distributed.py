@@ -34,7 +34,7 @@ from .linalg import (
     _stream_weights,
     fix_column_phases,
 )
-from .network import _BlockGrid
+from .network import _BlockGrid, _integral, _stream_counts
 
 __all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
 
@@ -65,8 +65,13 @@ def leakage(blocks, receive, transmit, powers, dof) -> float:
     Sums ``trace(U_k^H Q_k U_k)`` over users, where ``Q_k`` collects the
     per-stream-power weighted covariances of all undesired transmitters.
     ``blocks`` is a channel view or a list grid, as for :func:`iterate_distributed_ia`.
+    A ValueError rejects filter lists that do not hold one filter per user.
     """
     grid = _view(blocks)
+    for name, filters in (("receive", receive), ("transmit", transmit)):
+        if len(filters) != grid.num_users:
+            raise ValueError(f"need one {name} filter per user: "
+                             f"got {len(filters)} for {grid.num_users} users")
     q = _covariances(grid._stacked, transmit, _stream_weights(powers, dof))
     return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
                for k, (u, m) in enumerate(zip(receive, grid.rx_sizes)))
@@ -123,16 +128,18 @@ def iterate_distributed_ia(
     Raises:
         DistributedInfeasible: a user asks for more streams than its
             direct block supports.
-        ValueError: ``dof`` does not give one count per user, ``init``
-            is unknown, or a list grid is not square or has a NaN or
-            infinite entry. These are caller errors, not infeasibility.
+        ValueError: ``dof`` does not give one whole, non-negative count
+            per user, ``max_iters`` is not a positive whole number,
+            ``init`` is unknown, or a list grid is not square or has a
+            NaN or infinite entry. These are caller errors, not
+            infeasibility.
     """
     view = _view(blocks)
     num_users = view.num_users
     rows, cols = view.rx_sizes, view.tx_sizes
-    dof = [int(d) for d in dof]
-    if len(dof) != num_users:
-        raise ValueError(f"need one stream count per user: got {len(dof)} for {num_users} users")
+    dof = _stream_counts(dof, num_users)
+    if _integral(max_iters, "max_iters") < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters!r}")
     for k in range(num_users):
         if dof[k] > min(rows[k], cols[k]):
             raise DistributedInfeasible(

@@ -26,6 +26,7 @@ from .network import (
     NetworkConfig,
     _integral,
     _per_user,
+    _read_only,
     build_permutation,
     equivalent_channel,
     generate_channel,
@@ -79,7 +80,13 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
 
     Returns:
         (per_user, total): rates in bits per channel use.
+
+    Raises:
+        ValueError: ``powers`` does not give one non-negative, finite
+            power per user, or ``noise_power`` is negative, NaN or infinite.
     """
+    if not 0.0 <= noise_power < math.inf:
+        raise ValueError(f"noise_power must be non-negative and finite, got {noise_power!r}")
     # All users are scored together on the stacked grid. The filtered
     # gains F_kl = U_k^H G_kl V_l sqrt(w_l) are built once; the signal of
     # user k is F_kk F_kk^H and its interference the sum of F_kl F_kl^H
@@ -93,16 +100,37 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     amplitude = np.sqrt(_stream_weights(powers, dof))
     gains = uh[:, None] @ grid @ (v * amplitude[:, None, None])
     gram = (gains @ gains.conj().transpose(0, 1, 3, 2)).reshape(users * users, width, width)
+    # Rows [:K] of ``covs`` end as phi + signal and rows [K:] as phi, so
+    # one slogdet takes both determinants of every user.
+    covs = np.empty((2 * users, width, width), dtype=np.complex128)
+    signal, phi = covs[:users], covs[users:]
     own = gram[::users + 1]            # F_kk F_kk^H, a view
-    signal = own.copy()
+    signal[...] = own
     own[...] = 0.0
-    phi = noise_power * (uh @ u) + gram.reshape(users, users, width, width).sum(axis=1)
+    np.add(noise_power * (uh @ u),
+           np.add.reduce(gram.reshape(users, users, width, width), axis=1), out=phi)
     diagonal = phi.reshape(users, width * width)[:, ::width + 1]
-    diagonal += np.arange(width) >= np.array(dof)[:, None]
-    logdet = np.linalg.slogdet(np.concatenate((phi + signal, phi)))[1]
-    rates = (logdet[:users] - logdet[users:]) / math.log(2.0)
-    per_user = [float(r) if d > 0 else 0.0 for r, d in zip(rates, dof)]
+    diagonal += _padded_streams(width, tuple(dof))
+    np.add(phi, signal, out=signal)
+    logdet = np.linalg.slogdet(covs)[1]
+    rates = ((logdet[:users] - logdet[users:]) / math.log(2.0)).tolist()
+    per_user = [r if d > 0 else 0.0 for r, d in zip(rates, dof)]
     return per_user, float(sum(per_user))
+
+
+@functools.lru_cache(maxsize=64)
+def _padded_streams(width: int, dof: tuple) -> np.ndarray:
+    """Read-only ``(K, width)`` mask of each user's filter outputs past ``dof[k]``.
+
+    Built once per stream layout, as the padded-stream identity of
+    :func:`sum_rate`.
+    """
+    return _read_only(np.arange(width) >= np.array(dof)[:, None])
+
+
+def _frobenius(x: np.ndarray, axis: tuple) -> np.ndarray:
+    """Frobenius norms over ``axis``, by numpy's own formula for ``norm(x, axis=axis)``."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def alignment_residual(blocks, receive, transmit) -> float:
@@ -122,10 +150,8 @@ def alignment_residual(blocks, receive, transmit) -> float:
     grid = _stack_grid(blocks)
     u, v = _filter_stacks(grid, receive, transmit)
     uh = u.conj().transpose(0, 2, 1)
-    num = np.linalg.norm(uh[:, None] @ grid @ v, axis=(2, 3))
-    den = (np.linalg.norm(uh, axis=(1, 2))[:, None]
-           * np.linalg.norm(grid, axis=(2, 3))
-           * np.linalg.norm(v, axis=(1, 2)))
+    num = _frobenius(uh[:, None] @ grid @ v, (2, 3))
+    den = _frobenius(uh, (1, 2))[:, None] * _frobenius(grid, (2, 3)) * _frobenius(v, (1, 2))
     users = range(len(grid))
     den[users, users] = 0.0
     cross = den > 0
@@ -397,18 +423,21 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             outcomes = list(pool.map(_trial_worker, jobs))
     points = {}
     for scheme in spec.schemes:
-        rates = np.vstack([o[scheme]["rates"] for o in outcomes])
+        # One contiguous row per SNR point: a row reduction sums the
+        # trials in the order, and with the pairwise blocking, of a
+        # reduction over that point's column alone.
+        rates = np.ascontiguousarray(np.vstack([o[scheme]["rates"] for o in outcomes]).T)
         resid = _mean_ignoring_nan([o[scheme]["resid"] for o in outcomes])
         conv = float(np.mean([o[scheme]["conv"] for o in outcomes]))
         dof = float(np.mean([o[scheme]["dof"] for o in outcomes]))
-        for i, snr in enumerate(spec.snr_grid_db):
-            column = rates[:, i]
-            if spec.trials > 1:
-                err = float(np.std(column, ddof=1) / math.sqrt(spec.trials))
-            else:
-                err = 0.0
+        means = np.mean(rates, axis=1).tolist()
+        if spec.trials > 1:
+            errs = (np.std(rates, axis=1, ddof=1) / math.sqrt(spec.trials)).tolist()
+        else:
+            errs = [0.0] * len(means)
+        for snr, mean, err in zip(spec.snr_grid_db, means, errs):
             points[(scheme, snr)] = PointStats(
-                mean_sum_rate=float(np.mean(column)),
+                mean_sum_rate=mean,
                 std_err=err,
                 align_residual=resid,
                 conv_frac=conv,

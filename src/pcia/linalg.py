@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,8 @@ def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     """Per-stream power of each user: its total split evenly, 0 when silent."""
     if len(powers) != len(dof):
         raise ValueError(f"need one power per user: got {len(powers)} for {len(dof)} users")
+    if not all(0.0 <= p < math.inf for p in powers):
+        raise ValueError(f"powers must be non-negative and finite, got {list(powers)}")
     return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
 
 
@@ -150,7 +153,8 @@ def _covariance_stack(grid: np.ndarray, beams: np.ndarray, weights: np.ndarray) 
     users, _, rows, _ = grid.shape
     x = (grid @ beams).transpose(0, 2, 1, 3).reshape(users, rows, -1)
     q = (x * weights.reshape(users, 1, -1)) @ x.conj().transpose(0, 2, 1)
-    return 0.5 * (q + q.conj().transpose(0, 2, 1))
+    np.add(q, q.conj().transpose(0, 2, 1), out=q)
+    return np.multiply(0.5, q, out=q)
 
 
 def _covariances(grid: np.ndarray, beams: Sequence, weights: Sequence) -> np.ndarray:

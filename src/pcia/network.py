@@ -59,6 +59,17 @@ def _integral(value, name: str) -> int:
     return count
 
 
+def _stream_counts(dof, num_users: int) -> list:
+    """A solver's ``dof`` argument checked: one whole, non-negative count per user."""
+    counts = [_integral(d, "dof") for d in dof]
+    if len(counts) != num_users:
+        raise ValueError(
+            f"dof needs one stream count per user: got {len(counts)} for {num_users} users")
+    if any(d < 0 for d in counts):
+        raise ValueError(f"dof must not be negative, got {counts}")
+    return counts
+
+
 def _per_user(value, num_users: int, name: str, cast=_integral) -> tuple:
     """Broadcast a scalar to every user, or check a per-user sequence.
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import _batched, _pinned_svd
-from .network import ChannelSet
+from .network import ChannelSet, _stream_counts
 
 __all__ = ["BDInfeasible", "BDSolution", "bd_zero_forcing"]
 
@@ -73,8 +73,12 @@ def bd_zero_forcing(
     Raises:
         BDInfeasible: some user's null space is empty or smaller than its
             requested stream count.
+        ValueError: ``dof`` does not give one whole, non-negative count
+            per user.
     """
     num_users = channel.num_users
+    if dof is not None:
+        dof = _stream_counts(dof, num_users)
     n_total = sum(channel.tx_sizes)
     rows = channel._rows
     if num_users > 1:
@@ -84,7 +88,7 @@ def bd_zero_forcing(
         nulls = [np.eye(n_total, dtype=np.complex128)]
     granted = []
     for k, null in enumerate(nulls):
-        if dof is not None and int(dof[k]) == 0:
+        if dof is not None and dof[k] == 0:
             granted.append(0)
             continue
         if null.shape[1] == 0:
@@ -94,7 +98,7 @@ def bd_zero_forcing(
                 f"{others[k].shape[0]} foreign receive dimensions"
             )
         cap = min(rows[k].shape[0], null.shape[1])
-        want = cap if dof is None else int(dof[k])
+        want = cap if dof is None else dof[k]
         if want > cap:
             raise BDInfeasible(
                 f"user {k} asked for {want} streams but zero forcing supports {cap}"

@@ -142,6 +142,25 @@ def test_input_validation():
         iterate_distributed_ia(blocks, [3, 1, 1], cfg.tx_power)
     with pytest.raises(ValueError, match="init"):
         iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, init="warm")
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be positive"):
+            iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters must be a whole number"):
+        iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=2.5)
+    with pytest.raises(ValueError, match="dof must not be negative"):
+        iterate_distributed_ia(blocks, [-1, 1, 1], cfg.tx_power)
+    with pytest.raises(ValueError, match="dof must be a whole number"):
+        iterate_distributed_ia(blocks, [1.5, 1, 1], cfg.tx_power)
+
+
+@pytest.mark.parametrize("short", ["receive", "transmit"])
+def test_leakage_rejects_a_filter_list_of_the_wrong_length(short):
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    blocks = generate_channel(cfg, 1).blocks
+    filters = {"receive": [np.eye(2, 1)] * 3, "transmit": [np.eye(2, 1)] * 3}
+    filters[short] = filters[short][:2]
+    with pytest.raises(ValueError, match=f"one {short} filter per user: got 2 for 3"):
+        leakage(blocks, filters["receive"], filters["transmit"], cfg.tx_power, cfg.dof)
 
 
 RAGGED = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2),

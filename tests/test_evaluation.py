@@ -140,6 +140,22 @@ def test_sum_rate_rejects_a_power_list_of_the_wrong_length(k3_config, k3_channel
         sum_rate(equiv.blocks, beams.receive, beams.transmit, powers, k3_config.dof, 1.0)
 
 
+@pytest.mark.parametrize("noise, powers, fragment", [
+    (-1.0, [1.0] * 3, "noise_power"),
+    (math.nan, [1.0] * 3, "noise_power"),
+    (math.inf, [1.0] * 3, "noise_power"),
+    (1.0, [1.0, -1.0, 1.0], "powers"),
+    (1.0, [1.0, math.nan, 1.0], "powers"),
+    (1.0, [math.inf, 1.0, 1.0], "powers"),
+])
+def test_sum_rate_rejects_negative_or_non_finite_powers(k3_config, k3_channel, noise, powers,
+                                                        fragment):
+    beams = one_shot_ia(k3_config, k3_channel)
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    with pytest.raises(ValueError, match=fragment):
+        sum_rate(equiv.blocks, beams.receive, beams.transmit, powers, k3_config.dof, noise)
+
+
 def test_alignment_residual_oracle_and_scale_invariance(rng):
     blocks = [[rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
                for _ in range(2)] for _ in range(2)]
@@ -616,11 +632,26 @@ def test_a_trial_writes_into_no_filter_and_no_cache(monkeypatch):
     caches = cached_arrays(channel, equiv)
     before = [a.copy() for a in caches]
     monkeypatch.setattr(evaluation, "_trial_channels", lambda spec, trial: (channel, equiv))
+    # Record every padded-stream mask the second trial scores with.
+    masks = {}
+    cached_mask = evaluation._padded_streams
+
+    def recorded(width, dof):
+        masks[(width, dof)] = cached_mask(width, dof)
+        return masks[(width, dof)]
+
+    monkeypatch.setattr(evaluation, "_padded_streams", recorded)
     again = _run_single_trial(spec, 0)
     for scheme in spec.schemes:
         assert np.array_equal(again[scheme]["rates"], plain[scheme]["rates"])
     for a, b in zip(caches, before, strict=True):
         assert np.array_equal(a, b)
+    # Both trials scored with the same cached masks, which still read as built.
+    assert {len(dof) for _, dof in masks} == {spec.num_users} and len(masks) > 1
+    for (width, dof), mask in masks.items():
+        assert not mask.flags.writeable
+        assert mask is cached_mask(width, dof)
+        assert np.array_equal(mask, np.arange(width) >= np.array(dof)[:, None])
 
 
 @st.composite

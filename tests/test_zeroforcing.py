@@ -64,6 +64,17 @@ def test_explicit_grants_and_overreach():
         bd_zero_forcing(channel, dof=[3, 1])
 
 
+@pytest.mark.parametrize("dof, fragment", [
+    ([1, 1], "dof needs one stream count per user: got 2 for 3"),
+    ([1, 1, 1, 1], "dof needs one stream count per user: got 4 for 3"),
+    ([-1, 1, 1], "dof must not be negative"),
+    ([1.5, 1, 1], "dof must be a whole number"),
+])
+def test_stream_requests_are_checked(dof, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        bd_zero_forcing(_channel(3, 2, 2, 13), dof=dof)
+
+
 def test_zero_grant_skips_a_user():
     channel = _channel(3, 2, 2, 13)
     sol = bd_zero_forcing(channel, dof=[2, 0, 1])
