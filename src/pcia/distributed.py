@@ -27,14 +27,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (
+    _check_filter_lists,
     _covariance_stack,
     _covariances,
     _interferer_weights,
     _stack,
-    _stream_weights,
+    _unit_power_weights,
     fix_column_phases,
 )
-from .network import _BlockGrid, _integral, _stream_counts
+from .network import _BlockGrid, _integral, _stream_counts, _tolerance
 
 __all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
 
@@ -59,20 +60,17 @@ def _view(blocks) -> _BlockGrid:
     return blocks if isinstance(blocks, _BlockGrid) else _BlockGrid(blocks)
 
 
-def leakage(blocks, receive, transmit, powers, dof) -> float:
+def leakage(blocks, receive, transmit, dof) -> float:
     """Total interference power left at the receive filter outputs.
 
     Sums ``trace(U_k^H Q_k U_k)`` over users, where ``Q_k`` collects the
-    per-stream-power weighted covariances of all undesired transmitters.
+    covariances of all undesired transmitters at unit power per message.
     ``blocks`` is a channel view or a list grid, as for :func:`iterate_distributed_ia`.
-    A ValueError rejects filter lists that do not hold one filter per user.
+    A ValueError rejects filter lists that do not fit the grid and ``dof``.
     """
     grid = _view(blocks)
-    for name, filters in (("receive", receive), ("transmit", transmit)):
-        if len(filters) != grid.num_users:
-            raise ValueError(f"need one {name} filter per user: "
-                             f"got {len(filters)} for {grid.num_users} users")
-    q = _covariances(grid._stacked, transmit, _stream_weights(powers, dof))
+    _check_filter_lists(grid.num_users, receive, transmit, dof)
+    q = _covariances(grid._stacked, transmit, _unit_power_weights(dof))
     return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
                for k, (u, m) in enumerate(zip(receive, grid.rx_sizes)))
 
@@ -100,7 +98,6 @@ def _padding(sizes: Sequence, size: int) -> Optional[np.ndarray]:
 def iterate_distributed_ia(
     blocks,
     dof: Sequence,
-    powers: Sequence,
     max_iters: int = 1000,
     leakage_tol: float = 1e-8,
     init: str = "svd",
@@ -113,9 +110,9 @@ def iterate_distributed_ia(
             direct-block SVD the run reads; or a square list grid, where
             ``blocks[k][l]`` maps transmitter ``l`` into receiver ``k``,
             checked and copied into a view first.
-        dof: streams per user (zero marks a silent user).
-        powers: total transmit power per user; per-stream weights are
-            ``powers[k] / dof[k]``, on the forward and reverse links alike.
+        dof: streams per user (zero marks a silent user). Each message
+            runs at unit power, a weight of ``1 / dof[k]`` per stream on
+            the forward and reverse links alike.
         init: ``"svd"`` starts from the dominant right singular vectors
             of each direct block; ``"random"`` draws a seeded orthonormal
             start instead.
@@ -130,9 +127,9 @@ def iterate_distributed_ia(
             direct block supports.
         ValueError: ``dof`` does not give one whole, non-negative count
             per user, ``max_iters`` is not a positive whole number,
-            ``init`` is unknown, or a list grid is not square or has a
-            NaN or infinite entry. These are caller errors, not
-            infeasibility.
+            ``leakage_tol`` is not positive and finite, ``init`` is
+            unknown, or a list grid is not square or has a NaN or
+            infinite entry. These are caller errors, not infeasibility.
     """
     view = _view(blocks)
     num_users = view.num_users
@@ -140,6 +137,7 @@ def iterate_distributed_ia(
     dof = _stream_counts(dof, num_users)
     if _integral(max_iters, "max_iters") < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters!r}")
+    leakage_tol = _tolerance(leakage_tol, "leakage_tol")
     for k in range(num_users):
         if dof[k] > min(rows[k], cols[k]):
             raise DistributedInfeasible(
@@ -158,7 +156,7 @@ def iterate_distributed_ia(
     else:
         raise ValueError(f"unknown init mode {init!r}")
 
-    per_stream = _stream_weights(powers, dof)
+    per_stream = _unit_power_weights(dof)
     threshold = leakage_tol * sum(
         per_stream[k] * float(np.linalg.norm(view.blocks[k][k] @ start[k], "fro") ** 2)
         for k in range(num_users) if dof[k] > 0

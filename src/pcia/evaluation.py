@@ -21,12 +21,13 @@ import numpy as np
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
-from .linalg import _stack, _stack_grid, _stream_weights
+from .linalg import _check_filter_lists, _stack, _stack_grid, _stream_weights
 from .network import (
     NetworkConfig,
     _integral,
     _per_user,
     _read_only,
+    _tolerance,
     build_permutation,
     equivalent_channel,
     generate_channel,
@@ -49,14 +50,15 @@ __all__ = [
 SCHEMES = ("oneshot_partial", "distributed_partial", "distributed_generic", "bdzf_full")
 
 
-def _filter_stacks(grid: np.ndarray, receive, transmit):
+def _filter_stacks(grid: np.ndarray, receive, transmit, dof=None):
     """Receive and transmit filters as zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks.
 
     Two arrays are taken to be stacked already and come back unchanged;
-    per-user lists are padded to the widest filter on either side.
+    per-user lists are checked, then padded to the widest filter on either side.
     """
     if isinstance(receive, np.ndarray) and isinstance(transmit, np.ndarray):
         return receive, transmit
+    _check_filter_lists(len(grid), receive, transmit, dof)
     width = max(b.shape[1] for b in (*receive, *transmit))
     return _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
 
@@ -83,7 +85,8 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
 
     Raises:
         ValueError: ``powers`` does not give one non-negative, finite
-            power per user, or ``noise_power`` is negative, NaN or infinite.
+            power per user, ``noise_power`` is negative, NaN or infinite,
+            or per-user filter lists do not fit the grid and ``dof``.
     """
     if not 0.0 <= noise_power < math.inf:
         raise ValueError(f"noise_power must be non-negative and finite, got {noise_power!r}")
@@ -94,7 +97,7 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     # adds nothing to any Gram product; user k's filter outputs past
     # dof[k] get an identity, which leaves every determinant unchanged.
     grid = _stack_grid(blocks)
-    u, v = _filter_stacks(grid, receive, transmit)
+    u, v = _filter_stacks(grid, receive, transmit, dof)
     users, _, width = u.shape
     uh = u.conj().transpose(0, 2, 1)
     amplitude = np.sqrt(_stream_weights(powers, dof))
@@ -217,22 +220,14 @@ class ExperimentSpec:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         for name in ("leakage_tol", "rank_tol"):
-            tol = float(getattr(self, name))
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, tol)
+            object.__setattr__(self, name, _tolerance(getattr(self, name), name))
 
     def slot_dof(self) -> tuple:
         """Per-slot stream assignments realizing ``dof_total`` on average."""
         return time_share_schedule(self.num_users, self.dof_total).slot_table
 
     def slot_config(self, dof_row) -> NetworkConfig:
-        return NetworkConfig(
-            rx_antennas=self.rx_antennas,
-            tx_antennas=self.tx_antennas,
-            dof=tuple(dof_row),
-            tx_power=[1.0] * self.num_users,
-        )
+        return NetworkConfig(self.rx_antennas, self.tx_antennas, tuple(dof_row))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,8 +342,7 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
         # for, hiding the low-SNR gap the comparison exists to measure.
         grid = equiv if scheme == "distributed_partial" else channel
         beams = iterate_distributed_ia(
-            grid, cfg.dof, powers=[1.0] * spec.num_users,
-            max_iters=max_iters, leakage_tol=spec.leakage_tol,
+            grid, cfg.dof, max_iters=max_iters, leakage_tol=spec.leakage_tol,
             init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )
         conv = 1.0 if beams.converged else 0.0

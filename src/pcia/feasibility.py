@@ -68,6 +68,8 @@ def _verdict(num_users, m, n, paired: bool) -> FeasibilityVerdict:
     """Counts at the stream total of :func:`dof_upper_bound`, spread evenly over users."""
     num_users, m, n = (_integral(v, name) for v, name in
                        ((num_users, "num_users"), (m, "m"), (n, "n")))
+    if num_users < 1:
+        raise ValueError(f"num_users must be at least 1, got {num_users}")
     extra_tx = n if paired else 0
     c = m + n
     rem = c % 2
@@ -97,7 +99,7 @@ def is_proper_generic(num_users: int, m: int, n: int) -> FeasibilityVerdict:
 
     Raises:
         ValueError: when ``min(m, n)`` is below the per-user stream floor,
-            or a count is not a whole number.
+            ``num_users`` is below 1, or a count is not a whole number.
     """
     return _verdict(num_users, m, n, paired=False)
 
@@ -178,8 +180,9 @@ def backhaul_rate(num_users: int, topology: str, coordination: str) -> int:
     there and back on a line); full coordination floods every message to
     every station.
     """
+    num_users = _integral(num_users, "num_users")
     if num_users < 1:
-        raise ValueError("need at least one user")
+        raise ValueError(f"num_users must be at least 1, got {num_users}")
     if coordination == "none":
         return 0
     try:

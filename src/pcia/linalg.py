@@ -73,6 +73,25 @@ def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
 
 
+def _unit_power_weights(dof: Sequence) -> list:
+    """:func:`_stream_weights` at unit power per message, the power every design runs at."""
+    return _stream_weights([1.0] * len(dof), dof)
+
+
+def _check_filter_lists(users: int, receive, transmit, dof=None) -> None:
+    """A ValueError naming the argument unless the lists fit ``users`` and ``dof``, if given."""
+    if dof is not None and len(dof) != users:
+        raise ValueError(f"dof needs one entry per user: got {len(dof)} for {users} users")
+    for name, filters in (("receive", receive), ("transmit", transmit)):
+        if len(filters) != users:
+            raise ValueError(f"need one {name} filter per user: "
+                             f"got {len(filters)} for {users} users")
+        for k, f in enumerate(filters if dof is not None else ()):
+            if f.shape[1] != dof[k]:
+                raise ValueError(f"{name} filter {k} has {f.shape[1]} columns for "
+                                 f"dof[{k}] = {dof[k]}")
+
+
 def reciprocal(grid: np.ndarray) -> np.ndarray:
     """The reversed-link grid: entry ``[k, l]`` is ``grid[l, k]^H``.
 

@@ -59,6 +59,13 @@ def _integral(value, name: str) -> int:
     return count
 
 
+def _tolerance(value, name: str) -> float:
+    """``value`` as a float; a ValueError naming ``name`` unless it is positive and finite."""
+    if not 0 < float(value) < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def _stream_counts(dof, num_users: int) -> list:
     """A solver's ``dof`` argument checked: one whole, non-negative count per user."""
     counts = [_integral(d, "dof") for d in dof]
@@ -70,15 +77,11 @@ def _stream_counts(dof, num_users: int) -> list:
     return counts
 
 
-def _per_user(value, num_users: int, name: str, cast=_integral) -> tuple:
-    """Broadcast a scalar to every user, or check a per-user sequence.
-
-    ``cast(entry, name)`` converts each entry; by default it must be a
-    whole number.
-    """
+def _per_user(value, num_users: int, name: str) -> tuple:
+    """Broadcast a scalar count to every user, or check a per-user sequence of whole numbers."""
     if np.isscalar(value):
         value = [value] * num_users
-    out = tuple(cast(v, name) for v in value)
+    out = tuple(_integral(v, name) for v in value)
     if len(out) != num_users:
         raise ValueError(f"{name} must have one entry per user, got {len(out)}")
     return out
@@ -93,15 +96,14 @@ class NetworkConfig:
         tx_antennas: transmit antennas per base station.
         dof: data streams per user. Zero marks a user silent in the
             current slot; such users transmit nothing and decode nothing.
-        tx_power: total transmit power spent on each user's message,
-            shared by its serving pair of base stations. Receive noise is
-            not part of the config: :func:`pcia.sum_rate` takes it.
+
+    Designs run at unit power per message; only :func:`pcia.sum_rate`
+    takes the powers and the receive noise a design is scored at.
     """
 
     rx_antennas: tuple
     tx_antennas: tuple
     dof: tuple
-    tx_power: tuple
 
     def __post_init__(self):
         num_users = len(tuple(self.rx_antennas))
@@ -109,8 +111,6 @@ class NetworkConfig:
             raise ValueError("the coordination ring needs at least two cells")
         for name in ("rx_antennas", "tx_antennas", "dof"):
             object.__setattr__(self, name, _per_user(getattr(self, name), num_users, name))
-        object.__setattr__(self, "tx_power", _per_user(
-            self.tx_power, num_users, "tx_power", lambda v, _: float(v)))
         if any(m < 1 for m in self.rx_antennas):
             raise ValueError("every user needs at least one receive antenna")
         if any(n < 1 for n in self.tx_antennas):
@@ -123,20 +123,11 @@ class NetworkConfig:
                 raise ValueError(
                     f"user {k} asks for {self.dof[k]} streams but supports at most {cap}"
                 )
-        # written so that NaN fails the comparison too
-        if not all(0 < p < np.inf for p in self.tx_power):
-            raise ValueError(f"tx_power must be positive and finite, got {self.tx_power}")
 
     @classmethod
-    def symmetric(cls, num_users: int, rx_antennas: int, tx_antennas: int,
-                  dof, tx_power: float = 1.0) -> "NetworkConfig":
+    def symmetric(cls, num_users: int, rx_antennas: int, tx_antennas: int, dof) -> "NetworkConfig":
         """Build a config where every cell has the same antenna counts."""
-        return cls(
-            rx_antennas=[rx_antennas] * num_users,
-            tx_antennas=[tx_antennas] * num_users,
-            dof=[dof] * num_users if np.isscalar(dof) else list(dof),
-            tx_power=[tx_power] * num_users,
-        )
+        return cls([rx_antennas] * num_users, [tx_antennas] * num_users, dof)
 
     @property
     def num_users(self) -> int:
@@ -398,10 +389,6 @@ class EquivalentChannel(_BlockGrid):
     ``blocks[i][k]`` is ``m_i x (n_k' + n_k)``: user ``i``'s channel from
     the pair of stations that cooperate on user ``k``'s message.
     """
-
-    @property
-    def widths(self) -> tuple:
-        return self.tx_sizes
 
 
 def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentChannel:

@@ -45,13 +45,14 @@ import numpy as np
 from .linalg import (
     _batched,
     _covariances,
-    _stream_weights,
+    _unit_power_weights,
     fix_column_phases,
 )
 from .network import (
     BeamformerSet,
     EquivalentChannel,
     NetworkConfig,
+    _tolerance,
     build_permutation,
     equivalent_channel,
 )
@@ -162,10 +163,9 @@ def reciprocal_interference_covariance(
 
     On the reverse links every other user's receive filter acts as a
     transmitter into user ``k``'s paired antenna stack, weighted by its
-    forward per-stream power. Silent users contribute nothing.
+    per-stream power at unit power per message. Silent users add nothing.
     """
-    q = _covariances(equiv._reciprocal, receive,
-                     _stream_weights(config.tx_power, config.dof))
+    q = _covariances(equiv._reciprocal, receive, _unit_power_weights(config.dof))
     return [q[k, :w, :w] for k, w in enumerate(config.paired_widths)]
 
 
@@ -209,23 +209,18 @@ def select_transmit_beamformer(
     direct_block: np.ndarray,
     null_basis: np.ndarray,
     dof_k: int,
-    criterion: str = "geometric",
     user: Optional[int] = None,
 ) -> np.ndarray:
     """Pick the best stream subset of the admissible precoder directions.
 
     Every ``dof_k``-column subset of ``null_basis`` cancels all cross
     links equally well, so the choice is scored on the direct link
-    through ``B = receive_k^H @ direct_block @ candidate``:
-
-    * ``"geometric"`` (default): product of the eigenvalue moduli of
-      ``B``, favouring well-conditioned stream separation. It is computed
-      as ``|det B|``.
-    * ``"power"``: squared Frobenius norm of ``B``, favouring raw
-      received signal power.
+    through ``B = receive_k^H @ direct_block @ candidate``, by the
+    product of the eigenvalue moduli of ``B``, ``|det B|``: the paper's
+    geometric rule, favouring well-conditioned stream separation.
 
     Subsets are taken in lexicographic order and scored in batches of at
-    most ``_SUBSET_CHUNK``, one stacked ``det`` (or norm) per batch, so
+    most ``_SUBSET_CHUNK``, one stacked ``det`` per batch, so
     memory stays bounded however many subsets there are. Ties break
     toward the lexicographically first subset.
 
@@ -239,8 +234,6 @@ def select_transmit_beamformer(
         OneShotInfeasible: when fewer admissible directions exist than
             streams requested.
     """
-    if criterion not in ("geometric", "power"):
-        raise ValueError(f"unknown selection criterion {criterion!r}")
     nullity = null_basis.shape[-1]
     if dof_k == 0:
         return np.zeros(null_basis.shape[:-1] + (0,), dtype=np.complex128)
@@ -263,10 +256,7 @@ def select_transmit_beamformer(
         chunk = np.fromiter(itertools.islice(columns, _SUBSET_CHUNK * dof_k),
                             dtype=np.intp).reshape(-1, dof_k)
         stack = projected[:, :, chunk].transpose(0, 2, 1, 3)
-        if criterion == "geometric":
-            scores = np.abs(np.linalg.det(stack))
-        else:
-            scores = np.sum(stack.real ** 2 + stack.imag ** 2, axis=(2, 3))
+        scores = np.abs(np.linalg.det(stack))
         first, top = scores.argmax(axis=1), scores.max(axis=1)
         better = top > best_score
         best_score[better] = top[better]
@@ -293,7 +283,6 @@ def one_shot_ia(
     config: NetworkConfig,
     channel,
     rank_tol: float = 1e-9,
-    criterion: str = "geometric",
 ) -> BeamformerSet:
     """Design all receive filters and paired transmit precoders in one pass.
 
@@ -306,7 +295,9 @@ def one_shot_ia(
             among active users, or a null space comes up short.
         RankDeficientDesired: a direct link lost stream rank after
             precoding (a measure-zero event for generic channels).
+        ValueError: ``rank_tol`` is not positive and finite.
     """
+    rank_tol = _tolerance(rank_tol, "rank_tol")
     active = config.active_users
     if not active:
         raise ValueError("no active users: every stream count is zero")
@@ -320,7 +311,7 @@ def one_shot_ia(
         )
     if isinstance(channel, EquivalentChannel):
         equiv = channel
-        if equiv.widths != config.paired_widths:
+        if equiv.tx_sizes != config.paired_widths:
             raise ValueError("equivalent channel widths do not match the config")
     else:
         equiv = equivalent_channel(channel, build_permutation(config))
@@ -336,12 +327,11 @@ def one_shot_ia(
             searches.setdefault((receive[k].shape, basis.shape), []).append(k)
         else:
             transmit[k] = select_transmit_beamformer(
-                receive[k], direct[k], basis, d, criterion=criterion, user=k)
+                receive[k], direct[k], basis, d, user=k)
     for users in searches.values():
         stacks = (np.array([x[k] for k in users])
                   for x in (receive, direct, state.null_bases))
-        picks = select_transmit_beamformer(*stacks, config.dof[users[0]],
-                                           criterion=criterion, user=users[0])
+        picks = select_transmit_beamformer(*stacks, config.dof[users[0]], user=users[0])
         for k, pick in zip(users, picks):
             transmit[k] = pick
     # Reference scale is the unprojected direct link (its largest singular

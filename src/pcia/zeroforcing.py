@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import _batched, _pinned_svd
-from .network import ChannelSet, _stream_counts
+from .network import ChannelSet, _stream_counts, _tolerance
 
 __all__ = ["BDInfeasible", "BDSolution", "bd_zero_forcing"]
 
@@ -74,8 +74,9 @@ def bd_zero_forcing(
         BDInfeasible: some user's null space is empty or smaller than its
             requested stream count.
         ValueError: ``dof`` does not give one whole, non-negative count
-            per user.
+            per user, or ``rank_tol`` is not positive and finite.
     """
+    rank_tol = _tolerance(rank_tol, "rank_tol")
     num_users = channel.num_users
     if dof is not None:
         dof = _stream_counts(dof, num_users)

@@ -66,8 +66,7 @@ ALIGNMENT_CASES = (
 
 def _case_config(num_users, antennas, dof_total):
     row = time_share_schedule(num_users, dof_total).slot_table[0]
-    return NetworkConfig([antennas] * num_users, [antennas] * num_users,
-                         list(row), [1.0] * num_users)
+    return NetworkConfig([antennas] * num_users, [antennas] * num_users, list(row))
 
 
 def test_01_equivalent_channel_identity():
@@ -76,7 +75,7 @@ def test_01_equivalent_channel_identity():
         k = int(rng.integers(2, 6))
         rx = [int(rng.integers(1, 5)) for _ in range(k)]
         tx = [int(rng.integers(1, 5)) for _ in range(k)]
-        cfg = NetworkConfig(rx, tx, [0] * k, [1.0] * k)
+        cfg = NetworkConfig(rx, tx, [0] * k)
         dof = [int(rng.integers(1, min(rx[i], cfg.paired_tx_antennas(i)) + 1))
                for i in range(k)]
         cfg = cfg.with_dof(dof)
@@ -115,6 +114,7 @@ def test_02_one_shot_alignment_at_scale():
 
 
 def test_03_received_power_identities():
+    power = 1.0
     for case_idx, (k, antennas, dof_total) in enumerate(ALIGNMENT_CASES):
         cfg = _case_config(k, antennas, dof_total)
         perm = build_permutation(cfg)
@@ -125,7 +125,6 @@ def test_03_received_power_identities():
             receive, cache = design_receive_beamformers(equiv, cfg)
             for user in range(k):
                 d = cfg.dof[user]
-                power = cfg.tx_power[user]
                 # Matched precoding attains the sum of the dominant
                 # squared singular values, split evenly over streams.
                 got = received_signal_power(
@@ -136,7 +135,6 @@ def test_03_received_power_identities():
             beams = one_shot_ia(cfg, equiv)
             for user in range(k):
                 d = cfg.dof[user]
-                power = cfg.tx_power[user]
                 sing = cache.singular_trunc[user]
                 overlap = cache.right_trunc[user].conj().T @ beams.transmit[user]
                 factors = np.abs(overlap) ** 2

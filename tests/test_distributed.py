@@ -39,20 +39,20 @@ def test_leakage_matches_per_pair_sum(k3_config, k3_channel):
                for _ in range(3)]
     transmit = [np.linalg.qr(rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))[0]
                 for _ in range(3)]
-    powers, dof = [2.0, 3.0, 4.0], [1, 1, 1]
+    dof = [1, 1, 1]
     expected = 0.0
     for k in range(3):
         for l in range(3):
             if l != k:
                 eff = receive[k].conj().T @ blocks[k][l] @ transmit[l]
-                expected += powers[l] / dof[l] * float(np.linalg.norm(eff, "fro") ** 2)
-    assert leakage(blocks, receive, transmit, powers, dof) == pytest.approx(expected, rel=1e-12)
+                expected += 1.0 / dof[l] * float(np.linalg.norm(eff, "fro") ** 2)
+    assert leakage(blocks, receive, transmit, dof) == pytest.approx(expected, rel=1e-12)
 
 
 def test_leakage_never_increases_with_uniform_streams():
     cfg = NetworkConfig.symmetric(4, 2, 2, 1)
     trace = iterate_distributed_ia(
-        generate_channel(cfg, 11).blocks, cfg.dof, cfg.tx_power, max_iters=200)
+        generate_channel(cfg, 11).blocks, cfg.dof, max_iters=200)
     diffs = np.diff(trace.leakage)
     assert np.all(diffs <= 1e-12)
 
@@ -60,7 +60,7 @@ def test_leakage_never_increases_with_uniform_streams():
 def test_proper_generic_system_converges():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 0).blocks
-    trace = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=400)
+    trace = iterate_distributed_ia(blocks, cfg.dof, max_iters=400)
     assert trace.converged
     assert trace.iterations <= 250
     assert trace.iterations == len(trace.leakage)
@@ -79,7 +79,7 @@ def test_proper_generic_system_converges():
 def test_improper_generic_system_saturates():
     cfg = NetworkConfig.symmetric(4, 2, 2, 1)
     trace = iterate_distributed_ia(
-        generate_channel(cfg, 0).blocks, cfg.dof, cfg.tx_power, max_iters=300)
+        generate_channel(cfg, 0).blocks, cfg.dof, max_iters=300)
     assert not trace.converged
     assert trace.iterations == 300
     assert trace.leakage[-1] / trace.leakage[0] > 0.1
@@ -88,46 +88,35 @@ def test_improper_generic_system_saturates():
 def test_pairing_unlocks_five_streams_over_five_cells():
     cfg = NetworkConfig.symmetric(5, 2, 2, 1)
     trace = iterate_distributed_ia(
-        _paired_blocks(cfg, 5), cfg.dof, cfg.tx_power, max_iters=500)
+        _paired_blocks(cfg, 5), cfg.dof, max_iters=500)
     assert trace.converged
     assert trace.iterations <= 500
 
 
 def test_first_recorded_leakage_uses_svd_start(k3_config, k3_channel):
     blocks = _paired_blocks(k3_config, 424242)
-    trace = iterate_distributed_ia(blocks, k3_config.dof, k3_config.tx_power, max_iters=1)
-    start = leakage(blocks, trace.receive, _svd_init(blocks, k3_config.dof),
-                    k3_config.tx_power, k3_config.dof)
+    trace = iterate_distributed_ia(blocks, k3_config.dof, max_iters=1)
+    start = leakage(blocks, trace.receive, _svd_init(blocks, k3_config.dof), k3_config.dof)
     assert trace.leakage[0] == pytest.approx(start, rel=1e-12)
 
 
 def test_random_init_is_seeded():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 21).blocks
-    a = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=50,
+    a = iterate_distributed_ia(blocks, cfg.dof, max_iters=50,
                                init="random", seed=99)
-    b = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=50,
+    b = iterate_distributed_ia(blocks, cfg.dof, max_iters=50,
                                init="random", seed=99)
-    c = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=50,
+    c = iterate_distributed_ia(blocks, cfg.dof, max_iters=50,
                                init="random", seed=100)
     assert a.leakage == b.leakage
     assert a.leakage[0] != c.leakage[0]
 
 
-@pytest.mark.parametrize("length", [1, 4])
-def test_power_lists_of_the_wrong_length_are_rejected(length):
-    # a short list used to be truncated silently, weighting only user 0
-    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
-    blocks = generate_channel(cfg, 33).blocks
-    with pytest.raises(ValueError, match="one power per user") as exc:
-        iterate_distributed_ia(blocks, cfg.dof, [1.0] * length, max_iters=50)
-    assert not isinstance(exc.value, DistributedInfeasible)
-
-
 def test_silent_user_is_skipped():
     cfg = NetworkConfig.symmetric(3, 2, 2, [1, 1, 0])
     blocks = _paired_blocks(cfg, 2)
-    trace = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=300)
+    trace = iterate_distributed_ia(blocks, cfg.dof, max_iters=300)
     assert trace.converged
     assert trace.receive[2].shape == (2, 0)
     assert trace.transmit[2].shape == (4, 0)
@@ -137,20 +126,31 @@ def test_input_validation():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 1).blocks
     with pytest.raises(ValueError, match="per user"):
-        iterate_distributed_ia(blocks, [1, 1], cfg.tx_power)
+        iterate_distributed_ia(blocks, [1, 1])
     with pytest.raises(ValueError, match="streams"):
-        iterate_distributed_ia(blocks, [3, 1, 1], cfg.tx_power)
+        iterate_distributed_ia(blocks, [3, 1, 1])
     with pytest.raises(ValueError, match="init"):
-        iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, init="warm")
+        iterate_distributed_ia(blocks, cfg.dof, init="warm")
     for max_iters in (0, -1):
         with pytest.raises(ValueError, match="max_iters must be positive"):
-            iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=max_iters)
+            iterate_distributed_ia(blocks, cfg.dof, max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters must be a whole number"):
-        iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=2.5)
+        iterate_distributed_ia(blocks, cfg.dof, max_iters=2.5)
     with pytest.raises(ValueError, match="dof must not be negative"):
-        iterate_distributed_ia(blocks, [-1, 1, 1], cfg.tx_power)
+        iterate_distributed_ia(blocks, [-1, 1, 1])
     with pytest.raises(ValueError, match="dof must be a whole number"):
-        iterate_distributed_ia(blocks, [1.5, 1, 1], cfg.tx_power)
+        iterate_distributed_ia(blocks, [1.5, 1, 1])
+
+
+@pytest.mark.parametrize("leakage_tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_leakage_tolerance_must_be_positive_and_finite(leakage_tol):
+    # A NaN or negative threshold used to run every iteration and report
+    # the run unconverged.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    blocks = generate_channel(cfg, 1).blocks
+    with pytest.raises(ValueError, match="leakage_tol must be positive and finite") as exc:
+        iterate_distributed_ia(blocks, cfg.dof, max_iters=20, leakage_tol=leakage_tol)
+    assert not isinstance(exc.value, DistributedInfeasible)
 
 
 @pytest.mark.parametrize("short", ["receive", "transmit"])
@@ -160,11 +160,10 @@ def test_leakage_rejects_a_filter_list_of_the_wrong_length(short):
     filters = {"receive": [np.eye(2, 1)] * 3, "transmit": [np.eye(2, 1)] * 3}
     filters[short] = filters[short][:2]
     with pytest.raises(ValueError, match=f"one {short} filter per user: got 2 for 3"):
-        leakage(blocks, filters["receive"], filters["transmit"], cfg.tx_power, cfg.dof)
+        leakage(blocks, filters["receive"], filters["transmit"], cfg.dof)
 
 
-RAGGED = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2),
-                       dof=(1, 2, 0), tx_power=(1.0, 2.0, 3.0))
+RAGGED = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
 TIME_SHARE_ROW = NetworkConfig.symmetric(3, 2, 2, [2, 1, 1])
 
 
@@ -178,7 +177,7 @@ def _assert_pinned(a):
 @pytest.mark.parametrize("init", ["svd", "random"])
 def test_uneven_grids_give_orthonormal_pinned_filters(cfg, init):
     blocks = _paired_blocks(cfg, 7)
-    trace = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=300,
+    trace = iterate_distributed_ia(blocks, cfg.dof, max_iters=300,
                                    init=init, seed=3)
     assert trace.iterations == len(trace.leakage)
     for k, d in enumerate(cfg.dof):
@@ -200,16 +199,16 @@ def test_recorded_leakage_is_the_explicit_trace(cfg):
     # A loose tolerance stops the run on a receive update, so the returned
     # filters are exactly the ones the last recorded leakage was read from.
     blocks = _paired_blocks(cfg, 4)
-    trace = iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=2000,
+    trace = iterate_distributed_ia(blocks, cfg.dof, max_iters=2000,
                                    leakage_tol=1e-3, init="random", seed=8)
     assert trace.converged
-    explicit = leakage(blocks, trace.receive, trace.transmit, cfg.tx_power, cfg.dof)
+    explicit = leakage(blocks, trace.receive, trace.transmit, cfg.dof)
     assert trace.leakage[-1] == pytest.approx(explicit, rel=1e-9)
 
 
 def test_every_returned_column_has_a_pinned_phase():
     cfg = NetworkConfig.symmetric(5, 2, 2, 1)
-    trace = iterate_distributed_ia(_paired_blocks(cfg, 9), cfg.dof, cfg.tx_power,
+    trace = iterate_distributed_ia(_paired_blocks(cfg, 9), cfg.dof,
                                    max_iters=40, init="random", seed=1)
     for a in trace.receive + trace.transmit:
         _assert_pinned(a)
@@ -219,7 +218,7 @@ def test_stream_requests_that_do_not_fit_are_typed():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 1).blocks
     with pytest.raises(DistributedInfeasible, match="streams"):
-        iterate_distributed_ia(blocks, [3, 1, 1], cfg.tx_power)
+        iterate_distributed_ia(blocks, [3, 1, 1])
 
 
 @pytest.mark.parametrize("dof", [[1, 1], [1, 1, 1, 1]], ids=["short", "long"])
@@ -229,7 +228,7 @@ def test_stream_lists_of_the_wrong_length_are_caller_errors(dof):
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 1).blocks
     with pytest.raises(ValueError, match="one stream count per user") as exc:
-        iterate_distributed_ia(blocks, dof, cfg.tx_power)
+        iterate_distributed_ia(blocks, dof)
     assert not isinstance(exc.value, DistributedInfeasible)
 
 
@@ -242,16 +241,16 @@ def test_a_list_grid_with_a_nan_entry_is_rejected():
     filters = [np.eye(2, 1, dtype=np.complex128)] * 3
     message = r"channel block \(0, 1\) has a NaN or infinite entry"
     with pytest.raises(ValueError, match=message):
-        iterate_distributed_ia(blocks, cfg.dof, cfg.tx_power, max_iters=5)
+        iterate_distributed_ia(blocks, cfg.dof, max_iters=5)
     with pytest.raises(ValueError, match=message):
-        leakage(blocks, filters, filters, cfg.tx_power, cfg.dof)
+        leakage(blocks, filters, filters, cfg.dof)
 
 
 @pytest.mark.parametrize("cfg", [NetworkConfig.symmetric(5, 2, 2, 1), RAGGED],
                          ids=["k5", "ragged"])
 def test_a_view_and_its_list_grid_give_the_same_trace(cfg):
     view = equivalent_channel(generate_channel(cfg, 6), build_permutation(cfg))
-    runs = [iterate_distributed_ia(grid, cfg.dof, cfg.tx_power, max_iters=400,
+    runs = [iterate_distributed_ia(grid, cfg.dof, max_iters=400,
                                    init="random", seed=12)
             for grid in (view, view.blocks)]
     assert np.array_equal(runs[0].leakage, runs[1].leakage)
@@ -260,5 +259,5 @@ def test_a_view_and_its_list_grid_give_the_same_trace(cfg):
     for a, b in zip(runs[0].receive + runs[0].transmit, runs[1].receive + runs[1].transmit,
                     strict=True):
         assert np.array_equal(a, b)
-    args = (runs[0].receive, runs[0].transmit, cfg.tx_power, cfg.dof)
+    args = (runs[0].receive, runs[0].transmit, cfg.dof)
     assert leakage(view, *args) == leakage(view.blocks, *args)

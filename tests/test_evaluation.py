@@ -69,7 +69,7 @@ def test_rates_invariant_under_filter_rotation():
     cfg = NetworkConfig.symmetric(3, 3, 3, 2)
     eq = equivalent_channel(generate_channel(cfg, 8), build_permutation(cfg))
     beams = one_shot_ia(cfg, eq)
-    powers = list(cfg.tx_power)
+    powers = [1.0] * cfg.num_users
     _, base = sum_rate(eq.blocks, beams.receive, beams.transmit, powers, cfg.dof, 1.0)
     rng = np.random.default_rng(12)
     rotations = [np.linalg.qr(rng.standard_normal((2, 2))
@@ -154,6 +154,39 @@ def test_sum_rate_rejects_negative_or_non_finite_powers(k3_config, k3_channel, n
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
     with pytest.raises(ValueError, match=fragment):
         sum_rate(equiv.blocks, beams.receive, beams.transmit, powers, k3_config.dof, noise)
+
+
+@pytest.mark.parametrize("score", ["sum_rate", "alignment_residual"])
+@pytest.mark.parametrize("short", ["receive", "transmit"])
+def test_filter_lists_that_miss_a_user_are_rejected(k3_config, k3_channel, score, short):
+    # A two-filter list on a three-user grid used to fail inside numpy's
+    # broadcasting, with a message that named no argument.
+    beams = one_shot_ia(k3_config, k3_channel)
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    filters = {"receive": beams.receive, "transmit": beams.transmit}
+    filters[short] = filters[short][:2]
+    args = (equiv.blocks, filters["receive"], filters["transmit"])
+    with pytest.raises(ValueError, match=f"one {short} filter per user: got 2 for 3"):
+        if score == "sum_rate":
+            sum_rate(*args, [1.0] * 3, k3_config.dof, 1.0)
+        else:
+            alignment_residual(*args)
+
+
+def test_stream_counts_that_do_not_fit_the_filter_lists_are_rejected(k3_config, k3_channel):
+    beams = one_shot_ia(k3_config, k3_channel)
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    args = (equiv.blocks, beams.receive, beams.transmit)
+    with pytest.raises(ValueError, match="dof needs one entry per user: got 2 for 3"):
+        sum_rate(*args, [1.0] * 2, [1, 1], 1.0)
+    # One-column filters scored as two streams used to split user 0's
+    # power over a stream with no filter column, a silently wrong rate.
+    with pytest.raises(ValueError, match=r"receive filter 0 has 1 columns for dof\[0\] = 2"):
+        sum_rate(*args, [1.0] * 3, [2, 1, 1], 1.0)
+    wide = [np.hstack([w, np.zeros_like(w)]) if k == 1 else w
+            for k, w in enumerate(beams.transmit)]
+    with pytest.raises(ValueError, match=r"transmit filter 1 has 2 columns for dof\[1\] = 1"):
+        sum_rate(equiv.blocks, beams.receive, wide, [1.0] * 3, k3_config.dof, 1.0)
 
 
 def test_alignment_residual_oracle_and_scale_invariance(rng):
@@ -367,8 +400,7 @@ def test_alignment_residual_on_a_ragged_grid_matches_the_pair_loop(seed):
     # stations of 2, 3 and 2 antennas with user 2 silent: blocks are not
     # square and pad to a common shape inside the stacked evaluation
     rng = np.random.default_rng(seed)
-    cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0),
-                        tx_power=(1.0, 1.0, 1.0))
+    cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
     channel = generate_channel(cfg, seed)
     blocks = equivalent_channel(channel, build_permutation(cfg)).blocks
     receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
@@ -538,7 +570,7 @@ def _list_grid_rates(spec):
                         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
                     else:
                         beams = iterate_distributed_ia(
-                            equiv.blocks, cfg.dof, [1.0] * users, max_iters=spec.max_iters,
+                            equiv.blocks, cfg.dof, max_iters=spec.max_iters,
                             leakage_tol=spec.leakage_tol, init="random",
                             seed=np.random.SeedSequence((spec.seed, t, slot)))
                     active = sum(d > 0 for d in cfg.dof)
@@ -592,8 +624,7 @@ def test_stacked_grid_scores_like_the_list_grid(seed):
     # as the widest filter or wider, scores as the list grid does.
     rng = np.random.default_rng(seed)
     for dof in ((1, 2, 1), (1, 2, 0)):
-        cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=dof,
-                            tx_power=(1.0, 1.0, 1.0))
+        cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=dof)
         channel = generate_channel(cfg, seed)
         paired = equivalent_channel(channel, build_permutation(cfg)).blocks
         rows = [[channel.row_block(k)] * 3 for k in range(3)]

@@ -148,6 +148,14 @@ def test_properness_counts_must_be_whole(check):
             check(*args)
 
 
+@pytest.mark.parametrize("check", [is_proper_generic, is_proper_partial])
+def test_properness_needs_at_least_one_user(check):
+    # zero users used to divide by zero, and a negative count read as proper
+    for num_users in (0, -1):
+        with pytest.raises(ValueError, match="num_users must be at least 1"):
+            check(num_users, 2, 2)
+
+
 def test_schedule_five_users_seven_streams():
     sched = time_share_schedule(5, 7)
     assert sched.remainder == 2
@@ -226,3 +234,16 @@ def test_backhaul_none_and_unknown():
         backhaul_rate(4, "mesh", "partial")
     with pytest.raises(ValueError):
         backhaul_rate(0, "ring", "partial")
+
+
+def test_backhaul_counts_must_be_whole_and_positive():
+    # 2.5 users used to give a load of 6.25 on a fully coordinated line
+    with pytest.raises(ValueError, match="num_users must be a whole number, got 2.5"):
+        backhaul_rate(2.5, "line", "full")
+    with pytest.raises(ValueError, match="num_users must be a whole number, got 2.5"):
+        BackhaulReport.for_users(2.5)
+    for num_users in (0, -1):
+        with pytest.raises(ValueError, match="num_users must be at least 1"):
+            backhaul_rate(num_users, "ring", "partial")
+    assert backhaul_rate(3.0, "line", "full") == 9
+    assert BackhaulReport.for_users(3.0) == BackhaulReport.for_users(3)

@@ -1,17 +1,37 @@
-"""Every imported name is used: a stdlib-only unused-import check.
+"""Stdlib-only checks for what a deletion can leave behind.
 
-Covers the package modules (the package ``__init__`` re-exports by
-import, so it is left out) and the scripts. A name counts as used when
-it is read anywhere in the module's code, annotations included, or
-listed in ``__all__``; a mention in a docstring or comment does not.
+* Every imported name is used. Covers the package modules (the package
+  ``__init__`` re-exports by import, so it is left out) and the scripts.
+  A name counts as used when it is read anywhere in the module's code,
+  annotations included, or listed in ``__all__``; a mention in a
+  docstring or comment does not.
+* Every module-level private function, class or constant of the package
+  is read somewhere in the package outside its own definition.
+* The package ``__init__`` re-exports exactly the ``__all__`` of each
+  module it imports from, every module with an ``__all__`` but
+  ``linalg``, and every ``__all__`` name is defined in its module.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "pcia").glob("*.py") if p.name != "__init__.py")
+PACKAGE = ROOT / "src" / "pcia"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "scripts").glob("*.py"))
+
+# Internal helpers: imported by name where needed, never re-exported.
+NOT_REEXPORTED = {"linalg"}
+
+
+def _all_names(tree: ast.Module):
+    """The string entries of the module's ``__all__`` list, or None without one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return None
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -24,11 +44,87 @@ def _unused_imports(tree: ast.Module) -> list:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    used |= set(_all_names(tree) or ())
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _reads(tree: ast.AST) -> collections.Counter:
+    """How often each name is read under ``tree``: loaded, as an attribute or imported."""
+    reads = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def _definitions(tree: ast.Module):
+    """``(node, name)`` of every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield node, target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node, node.target.id
+
+
+def _unreferenced_privates(trees: dict) -> list:
+    """``(module, line, name)`` of each private definition nothing else reads.
+
+    ``trees`` maps module names to parsed modules. A read inside the
+    definition itself, a recursive call say, does not count.
+    """
+    reads = collections.Counter()
+    for tree in trees.values():
+        reads.update(_reads(tree))
+    return sorted((module, node.lineno, name)
+                  for module, tree in trees.items()
+                  for node, name in _definitions(tree)
+                  if name.startswith("_") and not name.startswith("__")
+                  and reads[name] == _reads(node)[name])
+
+
+def _reexport_gaps(init: ast.Module, modules: dict) -> list:
+    """Where ``init`` does not re-export exactly each module's ``__all__``.
+
+    ``modules`` maps module names to parsed modules. Every module with an
+    ``__all__``, but those in ``NOT_REEXPORTED``, must be imported from,
+    with exactly its ``__all__`` names, and each ``__all__`` name must be
+    defined in its module.
+    """
+    imported = collections.defaultdict(set)
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported[node.module].update(alias.name for alias in node.names)
+    gaps = []
+    for module, tree in sorted(modules.items()):
+        names = _all_names(tree)
+        if names is None:
+            if module in imported:
+                gaps.append(f"{module}: imported by __init__ but has no __all__")
+            continue
+        defined = {name for _, name in _definitions(tree)}
+        for name in sorted(set(names) - defined):
+            gaps.append(f"{module}: __all__ names undefined {name}")
+        if module in NOT_REEXPORTED:
+            if module in imported:
+                gaps.append(f"{module}: imported by __init__")
+            continue
+        for name in sorted(set(names) - imported[module]):
+            gaps.append(f"{module}: __init__ does not re-export {name}")
+        for name in sorted(imported[module] - set(names)):
+            gaps.append(f"{module}: __init__ re-exports {name}, not in __all__")
+    return gaps
+
+
+def _package_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_the_check_sees_an_unused_name():
@@ -43,3 +139,45 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in SOURCES
              for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_the_check_sees_an_unreferenced_private():
+    trees = {
+        "a": ast.parse("_SHARED = 1\n_UNUSED = 2\n_LOCAL = 3\n"
+                       "def _recursive(n):\n    return _recursive(n - 1)\n"
+                       "def public():\n    return _LOCAL\n"),
+        "b": ast.parse("from .a import _SHARED\nclass _Orphan:\n    pass\n"),
+    }
+    assert _unreferenced_privates(trees) == [
+        ("a", 2, "_UNUSED"), ("a", 4, "_recursive"), ("b", 2, "_Orphan")]
+
+
+def test_every_private_definition_is_read_elsewhere_in_the_package():
+    found = [f"src/pcia/{module}.py:{line}: {name}"
+             for module, line, name in _unreferenced_privates(_package_trees())]
+    assert not found, "unreferenced private definitions:\n" + "\n".join(found)
+
+
+def test_the_check_sees_a_stray_reexport():
+    modules = {
+        "a": ast.parse('__all__ = ["f", "g"]\ndef f():\n    pass\n'),
+        "b": ast.parse('__all__ = ["h"]\nh = 1\n'),
+        "c": ast.parse("x = 1\n"),
+        "linalg": ast.parse('__all__ = ["k"]\nk = 1\n'),
+    }
+    init = ast.parse("from .a import f, extra\nfrom .c import x\nfrom .linalg import k\n")
+    assert _reexport_gaps(init, modules) == [
+        "a: __all__ names undefined g",
+        "a: __init__ does not re-export g",
+        "a: __init__ re-exports extra, not in __all__",
+        "b: __init__ does not re-export h",
+        "c: imported by __init__ but has no __all__",
+        "linalg: imported by __init__",
+    ]
+
+
+def test_the_package_reexports_exactly_each_modules_all():
+    trees = _package_trees()
+    init = trees.pop("__init__")
+    gaps = _reexport_gaps(init, trees)
+    assert not gaps, "re-export mismatches:\n" + "\n".join(gaps)

@@ -28,9 +28,8 @@ from pcia.linalg import (
 
 from conftest import random_orthonormal
 
-CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2),
-                       dof=(1, 2, 0), tx_power=(1.0, 2.0, 3.0))
-WEIGHTS = [1.0, 1.0, 0.0]   # power / streams, zero for the silent user
+CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
+WEIGHTS = [1.0, 0.5, 0.0]   # unit power / streams, zero for the silent user
 
 
 @pytest.fixture(params=[0, 1, 2])
@@ -102,7 +101,7 @@ def test_silent_transmitter_contributes_nothing(ragged):
     equiv, transmit, receive = ragged
     blocks = equiv.blocks
     grid = _stack_grid(blocks)
-    loud = [1.0, 1.0, 1e6]
+    loud = WEIGHTS[:2] + [1e6]
     scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in blocks]
     for g, beams, sizes in ((grid, transmit, CONFIG.rx_antennas),
                             (reciprocal(grid), receive, CONFIG.paired_widths)):

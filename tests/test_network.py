@@ -1,7 +1,5 @@
 """Channel model, column reindexing, and precoder stacking."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,10 +99,7 @@ def test_equivalent_rejects_foreign_map(k3_channel):
 
 
 def test_split_layout_first_user_primary_on_top():
-    cfg = NetworkConfig(
-        rx_antennas=[2, 2, 2], tx_antennas=[2, 3, 4], dof=[1, 1, 1],
-        tx_power=[1.0] * 3,
-    )
+    cfg = NetworkConfig(rx_antennas=[2, 2, 2], tx_antennas=[2, 3, 4], dof=[1, 1, 1])
     rng = np.random.default_rng(7)
     transmit = [random_orthonormal(rng, cfg.paired_tx_antennas(k), 1) for k in range(3)]
     v = effective_overall_precoder(BeamformerSet.from_joint([np.eye(2)] * 3, transmit, cfg), cfg)
@@ -154,11 +149,11 @@ def ring_configs(draw):
     k = draw(st.integers(min_value=2, max_value=5))
     rx = [draw(st.integers(1, 4)) for _ in range(k)]
     tx = [draw(st.integers(1, 4)) for _ in range(k)]
-    cfg_nodof = NetworkConfig(rx, tx, [0] * k, [1.0] * k)
+    cfg_nodof = NetworkConfig(rx, tx, [0] * k)
     dof = [draw(st.integers(0, min(rx[i], cfg_nodof.paired_tx_antennas(i))))
            for i in range(k)]
     seed = draw(st.integers(0, 2**32 - 1))
-    return NetworkConfig(rx, tx, dof, [1.0] * k), seed
+    return NetworkConfig(rx, tx, dof), seed
 
 
 @given(ring_configs())
@@ -188,26 +183,18 @@ def test_pairwise_and_overall_precoders_agree(cfg_seed):
 
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="two cells"):
-        NetworkConfig(rx_antennas=[2], tx_antennas=[2], dof=[1], tx_power=[1.0])
+        NetworkConfig(rx_antennas=[2], tx_antennas=[2], dof=[1])
     with pytest.raises(ValueError, match="at most"):
         NetworkConfig.symmetric(3, 2, 2, 3)  # 3 > min(m=2, paired=4)
-    with pytest.raises(ValueError, match="positive"):
-        NetworkConfig.symmetric(3, 2, 2, 1, tx_power=0.0)
-    # NaN fails every comparison, so ``p <= 0`` alone would accept it
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="tx_power must be positive and finite"):
-            NetworkConfig.symmetric(3, 2, 2, 1, tx_power=bad)
     with pytest.raises(ValueError, match="negative"):
-        NetworkConfig(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, -1],
-                      tx_power=[1.0, 1.0])
+        NetworkConfig(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, -1])
     # counts are never truncated: 2.5 antennas or 1.5 streams is an error
     for name in ("rx_antennas", "tx_antennas", "dof"):
         counts = dict(rx_antennas=[2, 2], tx_antennas=[2, 2], dof=[1, 1])
         counts[name] = [counts[name][0], counts[name][1] + 0.5]
         with pytest.raises(ValueError, match=rf"{name} must be a whole number, got \d\.5"):
-            NetworkConfig(**counts, tx_power=[1.0, 1.0])
-    whole = NetworkConfig(rx_antennas=[2.0, 2], tx_antennas=2.0, dof=[1.0, 1],
-                          tx_power=[1.0, 1.0])
+            NetworkConfig(**counts)
+    whole = NetworkConfig(rx_antennas=[2.0, 2], tx_antennas=2.0, dof=[1.0, 1])
     assert whole.rx_antennas == whole.tx_antennas == (2, 2)
     assert whole.dof == (1, 1)
 
@@ -238,8 +225,7 @@ def test_channel_rejects_non_finite_entries(k3_channel, value, where):
 
 
 def test_writing_into_a_cached_array_raises():
-    cfg = NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1),
-                        tx_power=(1.0, 1.0, 1.0))
+    cfg = NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1))
     channel = generate_channel(cfg, 3)
     equiv = equivalent_channel(channel, build_permutation(cfg))
     for a in cached_arrays(channel, equiv):
@@ -259,8 +245,7 @@ def test_channel_accepts_finite_entries_whose_modulus_overflows():
     assert channel.num_users == 2
 
 
-RAGGED = NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1),
-                       tx_power=(1.0, 1.0, 1.0))
+RAGGED = NetworkConfig(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), dof=(1, 1, 1))
 
 
 def _ragged_views():
@@ -272,7 +257,7 @@ def test_each_view_is_one_read_only_matrix():
     channel, equiv = _ragged_views()
     assert channel.rx_sizes == equiv.rx_sizes == (3, 2, 2)
     assert channel.tx_sizes == (2, 2, 3)
-    assert equiv.widths == equiv.tx_sizes == RAGGED.paired_widths == (5, 4, 5)
+    assert equiv.tx_sizes == RAGGED.paired_widths == (5, 4, 5)
     for view in (channel, equiv):
         matrix = view.assemble()
         assert view.assemble() is matrix

@@ -75,6 +75,14 @@ def test_stream_requests_are_checked(dof, fragment):
         bd_zero_forcing(_channel(3, 2, 2, 13), dof=dof)
 
 
+@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_rank_tolerance_must_be_positive_and_finite(rank_tol):
+    # A NaN threshold used to keep every direction of every null space,
+    # returning precoders that do not zero-force.
+    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+        bd_zero_forcing(_channel(3, 2, 2, 13), rank_tol=rank_tol)
+
+
 def test_zero_grant_skips_a_user():
     channel = _channel(3, 2, 2, 13)
     sol = bd_zero_forcing(channel, dof=[2, 0, 1])
@@ -139,7 +147,7 @@ def _bd_by_user(channel, dof=None, rank_tol=1e-9):
 
 
 def _ragged_channel(rx, tx, seed):
-    return generate_channel(NetworkConfig(rx, tx, 0, 1.0), seed)
+    return generate_channel(NetworkConfig(rx, tx, 0), seed)
 
 
 def _single_user_channel(seed):
