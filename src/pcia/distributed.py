@@ -35,7 +35,7 @@ from .linalg import (
     _unit_power_weights,
     fix_column_phases,
 )
-from .network import _BlockGrid, _integral, _stream_counts, _tolerance
+from .network import _integral, _stream_counts, _tolerance, _view
 
 __all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
 
@@ -55,18 +55,13 @@ class IterationTrace:
     transmit: list
 
 
-def _view(blocks) -> _BlockGrid:
-    """A channel view as it is; a list grid checked and copied into one."""
-    return blocks if isinstance(blocks, _BlockGrid) else _BlockGrid(blocks)
-
-
 def leakage(blocks, receive, transmit, dof) -> float:
     """Total interference power left at the receive filter outputs.
 
     Sums ``trace(U_k^H Q_k U_k)`` over users, where ``Q_k`` collects the
     covariances of all undesired transmitters at unit power per message.
     ``blocks`` is a channel view or a list grid, as for :func:`iterate_distributed_ia`.
-    A ValueError rejects filter lists that do not fit the grid and ``dof``.
+    A ValueError rejects filter lists that do not fit the grid and ``dof`` or are not finite.
     """
     grid = _view(blocks)
     _check_filter_lists(grid.num_users, receive, transmit, dof)

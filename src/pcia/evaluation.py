@@ -21,13 +21,14 @@ import numpy as np
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
-from .linalg import _check_filter_lists, _stack, _stack_grid, _stream_weights
+from .linalg import _check_filter_lists, _stack, _stream_weights
 from .network import (
     NetworkConfig,
     _integral,
     _per_user,
     _read_only,
     _tolerance,
+    _view,
     build_permutation,
     equivalent_channel,
     generate_channel,
@@ -50,17 +51,24 @@ __all__ = [
 SCHEMES = ("oneshot_partial", "distributed_partial", "distributed_generic", "bdzf_full")
 
 
-def _filter_stacks(grid: np.ndarray, receive, transmit, dof=None):
-    """Receive and transmit filters as zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks.
+def _pad_filters(grid: np.ndarray, receive, transmit):
+    """Per-user filter lists as zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks, unchecked.
 
-    Two arrays are taken to be stacked already and come back unchanged;
-    per-user lists are checked, then padded to the widest filter on either side.
+    Both are padded to the widest filter on either side.
+    """
+    width = max(b.shape[1] for b in (*receive, *transmit))
+    return _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
+
+
+def _filter_stacks(grid: np.ndarray, receive, transmit, dof=None):
+    """A caller's filters as :func:`_pad_filters` stacks, per-user lists checked first.
+
+    Two arrays are taken to be stacked already and come back unchanged.
     """
     if isinstance(receive, np.ndarray) and isinstance(transmit, np.ndarray):
         return receive, transmit
     _check_filter_lists(len(grid), receive, transmit, dof)
-    width = max(b.shape[1] for b in (*receive, *transmit))
-    return _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
+    return _pad_filters(grid, receive, transmit)
 
 
 def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
@@ -68,9 +76,11 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
 
     Args:
         blocks: square grid; ``blocks[k][l]`` carries transmitter ``l``
-            into receiver ``k``. Either a list of lists of blocks or the
-            grid already stacked into one zero-padded ``(K, K, m, n)``
-            array, so a caller scoring one grid many times stacks it once.
+            into receiver ``k``. A list grid or a channel view is read
+            through the checked channel view the solvers use; a
+            zero-padded ``(K, K, m, n)`` stacked array is taken as it is.
+            Its transmitter axis may have length 1 when every transmitter
+            reaches receiver ``k`` through the same rows.
         receive, transmit: per-user filter and precoder lists, user ``k``'s
             with ``dof[k]`` columns; or both already stacked into
             zero-padded ``(K, m, d)`` and ``(K, n, d)`` arrays, matching a
@@ -86,7 +96,8 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     Raises:
         ValueError: ``powers`` does not give one non-negative, finite
             power per user, ``noise_power`` is negative, NaN or infinite,
-            or per-user filter lists do not fit the grid and ``dof``.
+            a list grid is malformed, or per-user filter lists do not fit
+            the grid and ``dof`` or hold a NaN or infinite entry.
     """
     if not 0.0 <= noise_power < math.inf:
         raise ValueError(f"noise_power must be non-negative and finite, got {noise_power!r}")
@@ -96,7 +107,7 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     # over l != k. Filters are zero-padded to a common stream width, which
     # adds nothing to any Gram product; user k's filter outputs past
     # dof[k] get an identity, which leaves every determinant unchanged.
-    grid = _stack_grid(blocks)
+    grid = blocks if isinstance(blocks, np.ndarray) else _view(blocks)._stacked
     u, v = _filter_stacks(grid, receive, transmit, dof)
     users, _, width = u.shape
     uh = u.conj().transpose(0, 2, 1)
@@ -141,16 +152,14 @@ def alignment_residual(blocks, receive, transmit) -> float:
 
     Maximum over ordered user pairs of the Frobenius norm of the filtered
     interference, normalized by the norms of the three factors. Zero when
-    no interfering pair exists. ``blocks`` is a list grid or its stacked
-    zero-padded ``(K, K, m, n)`` array, and the filters per-user lists or
-    zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks, as for
-    :func:`sum_rate`.
+    no interfering pair exists. ``blocks`` and the filters take the forms
+    and checks of :func:`sum_rate`.
     """
     # Every filtered cross link at once on the stacked grid. Zero padding
     # changes no norm, and a silent user's zero-width filter pads to zeros,
     # so ``den > 0`` skips silent receivers and transmitters as well as
     # the own links zeroed below.
-    grid = _stack_grid(blocks)
+    grid = blocks if isinstance(blocks, np.ndarray) else _view(blocks)._stacked
     u, v = _filter_stacks(grid, receive, transmit)
     uh = u.conj().transpose(0, 2, 1)
     num = _frobenius(uh[:, None] @ grid @ v, (2, 3))
@@ -291,9 +300,10 @@ def _slot_power_scale(dof_row):
 def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
     """Rates over the SNR grid, alignment residual, convergence and streams.
 
-    The filters are stacked once here and scored at every SNR point.
+    The filters, the package's own solver outputs, are stacked once here
+    without the caller checks and scored at every SNR point.
     """
-    receive, transmit = _filter_stacks(blocks, receive, transmit)
+    receive, transmit = _pad_filters(blocks, receive, transmit)
     rates = np.zeros(len(spec.snr_grid_db))
     for i, snr in enumerate(spec.snr_grid_db):
         p = _snr_powers(snr)
@@ -324,14 +334,12 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
     if scheme == "bdzf_full":
         sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
         # Every receiver sees its whole row block from every transmitter:
-        # one stacked row per user, repeated along the transmitter axis as
-        # a view. Full coordination pools the per-user power budgets and
-        # splits the pool equally over all delivered streams.
-        users = spec.num_users
+        # one stacked row per user, on a transmitter axis of length 1 that
+        # the scorers broadcast. Full coordination pools the per-user power
+        # budgets and splits the pool equally over all delivered streams.
         rows = _stack(channel._rows, max(spec.rx_antennas), sum(spec.tx_antennas))
-        grid = np.broadcast_to(rows[:, None], (users, users) + rows.shape[1:])
-        scale = [users * d / sol.dof_total for d in sol.dof]
-        return grid, sol.receive, sol.transmit, sol.dof, scale, 1.0
+        scale = [spec.num_users * d / sol.dof_total for d in sol.dof]
+        return rows[:, None], sol.receive, sol.transmit, sol.dof, scale, 1.0
     if scheme == "oneshot_partial":
         grid, conv = equiv, 1.0
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)

@@ -79,17 +79,22 @@ def _unit_power_weights(dof: Sequence) -> list:
 
 
 def _check_filter_lists(users: int, receive, transmit, dof=None) -> None:
-    """A ValueError naming the argument unless the lists fit ``users`` and ``dof``, if given."""
+    """A ValueError naming the argument unless the lists fit ``users`` and ``dof``, if given.
+
+    A filter with a NaN or infinite entry is rejected, naming its user.
+    """
     if dof is not None and len(dof) != users:
         raise ValueError(f"dof needs one entry per user: got {len(dof)} for {users} users")
     for name, filters in (("receive", receive), ("transmit", transmit)):
         if len(filters) != users:
             raise ValueError(f"need one {name} filter per user: "
                              f"got {len(filters)} for {users} users")
-        for k, f in enumerate(filters if dof is not None else ()):
-            if f.shape[1] != dof[k]:
+        for k, f in enumerate(filters):
+            if dof is not None and f.shape[1] != dof[k]:
                 raise ValueError(f"{name} filter {k} has {f.shape[1]} columns for "
                                  f"dof[{k}] = {dof[k]}")
+            if not np.isfinite(f).all():
+                raise ValueError(f"{name} filter {k} has a NaN or infinite entry")
 
 
 def reciprocal(grid: np.ndarray) -> np.ndarray:
@@ -109,19 +114,6 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
     for slot, a in zip(out, mats):
         slot[:a.shape[0], :a.shape[1]] = a
     return out
-
-
-def _stack_grid(grid) -> np.ndarray:
-    """A ``K x K`` block grid as one zero-padded ``(K, K, m, n)`` array.
-
-    An array is taken to be stacked already and comes back unchanged.
-    """
-    if isinstance(grid, np.ndarray):
-        return grid
-    blocks = [b for row in grid for b in row]
-    rows = max(b.shape[0] for b in blocks)
-    cols = max(b.shape[1] for b in blocks)
-    return _stack(blocks, rows, cols).reshape(len(grid), len(grid), rows, cols)
 
 
 def _batched(fn, mats) -> list:

@@ -12,13 +12,14 @@ by an index built once per antenna layout.
 
 Each channel view is one read-only matrix cut into blocks: ``blocks``,
 the row blocks and :meth:`~ChannelSet.assemble` are views of that
-matrix, and a list grid given to the constructor is checked and copied
-into it. Built from the matrix on first use, each view also caches the
-arrays that depend on the draw alone: the zero-padded stacked grid (on
-a uniform grid, the matrix reshaped rather than copied block by block),
-its reciprocal and the pinned SVD of the direct blocks. Every design and
-every score on one draw reads the same copy, whatever its time-share slot
-or SNR point. Views and caches are read-only.
+matrix, and a list grid given to the constructor, a solver or a scorer
+is checked and copied into it. Built from the matrix on first use, each
+view also caches the arrays that depend on the draw alone: the
+zero-padded stacked grid (on a uniform grid, the matrix reshaped rather
+than copied block by block), its reciprocal and the pinned SVD of the
+direct blocks. Every design and every score on one draw reads the same
+copy, whatever its time-share slot or SNR point. Views and caches are
+read-only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _batched, _pinned_svd, _stack_grid, reciprocal
+from .linalg import _batched, _pinned_svd, _stack, reciprocal
 
 __all__ = [
     "NetworkConfig",
@@ -198,15 +199,10 @@ class _BlockGrid:
             if len({row[j].shape[1] for row in blocks}) != 1:
                 raise ValueError(f"inconsistent transmit dimensions in column {j}")
         matrix = np.concatenate([np.concatenate(row, axis=1) for row in blocks])
-        # One pass with the abs and max loops every design runs anyway: a
-        # NaN or inf entry fails ``< inf``. A first ``isfinite(...).all()``
-        # here raised a sweep's peak RSS by ~0.15 MiB. A finite entry whose
-        # modulus overflows fails the test too, so the blocks confirm.
-        if not np.abs(matrix).max() < np.inf:
-            bad = [(i, j) for i, row in enumerate(blocks)
-                   for j, b in enumerate(row) if not np.isfinite(b).all()]
-            if bad:
-                raise ValueError(f"channel block {bad[0]} has a NaN or infinite entry")
+        if not np.isfinite(matrix).all():
+            bad = next((i, j) for i, row in enumerate(blocks)
+                       for j, b in enumerate(row) if not np.isfinite(b).all())
+            raise ValueError(f"channel block {bad} has a NaN or infinite entry")
         self._hold(matrix, [row[0].shape[0] for row in blocks],
                    [b.shape[1] for b in blocks[0]])
 
@@ -253,9 +249,10 @@ class _BlockGrid:
         On a uniform grid no block needs padding, and the matrix reshaped
         to ``(K, m, K, n)`` with its middle axes swapped is that array.
         """
+        k, m, n = self.num_users, max(self.rx_sizes), max(self.tx_sizes)
         if len(set(self.rx_sizes)) > 1 or len(set(self.tx_sizes)) > 1:
-            return _read_only(_stack_grid(self.blocks))
-        k, m, n = self.num_users, self.rx_sizes[0], self.tx_sizes[0]
+            padded = _stack(list(itertools.chain(*self.blocks)), m, n)
+            return _read_only(padded.reshape(k, k, m, n))
         return _read_only(np.ascontiguousarray(self._matrix.reshape(k, m, k, n).swapaxes(1, 2)))
 
     @functools.cached_property
@@ -276,6 +273,11 @@ class _BlockGrid:
             for a in triplet:
                 _read_only(a)
         return triplets
+
+
+def _view(blocks) -> _BlockGrid:
+    """A channel view as it is, or a list grid checked and copied into one: its only way in."""
+    return blocks if isinstance(blocks, _BlockGrid) else _BlockGrid(blocks)
 
 
 class ChannelSet(_BlockGrid):

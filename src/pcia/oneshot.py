@@ -180,9 +180,10 @@ def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the (numerical) null space of a Hermitian PSD matrix.
 
     Eigenvalues at or below ``rank_tol`` times the largest one count as
-    zero; a zero matrix yields a full basis.
+    zero; a zero matrix yields a full basis. A ``rank_tol`` that is not
+    positive and finite raises ValueError.
     """
-    return _null_bases(np.asarray(q)[None], rank_tol)[0]
+    return _null_bases(np.asarray(q)[None], _tolerance(rank_tol, "rank_tol"))[0]
 
 
 def reciprocal_state(
@@ -194,8 +195,9 @@ def reciprocal_state(
     """Covariances plus null-space bases and candidate counts per user.
 
     The null spaces come from one batched ``eigh`` per distinct paired
-    width.
+    width, with ``rank_tol`` checked as in :func:`null_space_basis`.
     """
+    rank_tol = _tolerance(rank_tol, "rank_tol")
     covariances = reciprocal_interference_covariance(equiv, receive, config)
     bases = _batched(lambda qs: _null_bases(qs, rank_tol), covariances)
     nullities = [b.shape[1] for b in bases]
@@ -317,17 +319,14 @@ def one_shot_ia(
         equiv = equivalent_channel(channel, build_permutation(config))
     receive, cache = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol)
-    # Users with a subset to choose are searched together, one stacked
-    # search per shape; the others take their whole basis, or nothing.
+    # One stacked selection per group of users whose filters and bases
+    # share a shape, so a stream count and a nullity. Groups run in the
+    # order of their first user: the first user short of directions raises.
     direct = [equiv.blocks[k][k] for k in range(config.num_users)]
     transmit = [None] * config.num_users
     searches = {}
-    for k, (basis, d) in enumerate(zip(state.null_bases, config.dof)):
-        if 0 < d < basis.shape[1]:
-            searches.setdefault((receive[k].shape, basis.shape), []).append(k)
-        else:
-            transmit[k] = select_transmit_beamformer(
-                receive[k], direct[k], basis, d, user=k)
+    for k, basis in enumerate(state.null_bases):
+        searches.setdefault((receive[k].shape, basis.shape), []).append(k)
     for users in searches.values():
         stacks = (np.array([x[k] for k in users])
                   for x in (receive, direct, state.null_bases))

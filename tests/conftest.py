@@ -25,6 +25,18 @@ def blockdiag(mats) -> np.ndarray:
     return out
 
 
+def zero_padded(grid) -> np.ndarray:
+    """The documented zero-padded ``(K, K, m, n)`` stacked form of a list grid,
+    built block by block without the package's helpers."""
+    rows = max(b.shape[0] for row in grid for b in row)
+    cols = max(b.shape[1] for row in grid for b in row)
+    out = np.zeros((len(grid), len(grid), rows, cols), dtype=np.complex128)
+    for k, row in enumerate(grid):
+        for l, b in enumerate(row):
+            out[k, l, :b.shape[0], :b.shape[1]] = b
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -157,10 +157,13 @@ def test_leakage_tolerance_must_be_positive_and_finite(leakage_tol):
 def test_leakage_rejects_a_filter_list_of_the_wrong_length(short):
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     blocks = generate_channel(cfg, 1).blocks
-    filters = {"receive": [np.eye(2, 1)] * 3, "transmit": [np.eye(2, 1)] * 3}
-    filters[short] = filters[short][:2]
-    with pytest.raises(ValueError, match=f"one {short} filter per user: got 2 for 3"):
-        leakage(blocks, filters["receive"], filters["transmit"], cfg.dof)
+    full = {"receive": [np.eye(2, 1)] * 3, "transmit": [np.eye(2, 1)] * 3}
+    inf = [np.eye(2, 1), np.eye(2, 1), np.full((2, 1), np.inf)]
+    for bad, message in ((full[short][:2], f"one {short} filter per user: got 2 for 3"),
+                         (inf, f"{short} filter 2 has a NaN or infinite entry")):
+        filters = dict(full, **{short: bad})
+        with pytest.raises(ValueError, match=message):
+            leakage(blocks, filters["receive"], filters["transmit"], cfg.dof)
 
 
 RAGGED = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))

@@ -34,7 +34,7 @@ from pcia import (
 from pcia import evaluation
 from pcia.evaluation import _run_single_trial
 
-from conftest import cached_arrays, random_orthonormal
+from conftest import cached_arrays, random_orthonormal, zero_padded
 
 
 def _unit(x):
@@ -160,17 +160,52 @@ def test_sum_rate_rejects_negative_or_non_finite_powers(k3_config, k3_channel, n
 @pytest.mark.parametrize("short", ["receive", "transmit"])
 def test_filter_lists_that_miss_a_user_are_rejected(k3_config, k3_channel, score, short):
     # A two-filter list on a three-user grid used to fail inside numpy's
-    # broadcasting, with a message that named no argument.
+    # broadcasting, with a message that named no argument. A NaN in one
+    # filter used to read as aligned: ``alignment_residual`` skipped the
+    # NaN pairs and reported 1.2e-16.
     beams = one_shot_ia(k3_config, k3_channel)
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    filters = {"receive": beams.receive, "transmit": beams.transmit}
-    filters[short] = filters[short][:2]
-    args = (equiv.blocks, filters["receive"], filters["transmit"])
-    with pytest.raises(ValueError, match=f"one {short} filter per user: got 2 for 3"):
+    full = {"receive": beams.receive, "transmit": beams.transmit}
+    nan = [f * np.nan if k == 1 else f for k, f in enumerate(full[short])]
+    for bad, message in ((full[short][:2], f"one {short} filter per user: got 2 for 3"),
+                         (nan, f"{short} filter 1 has a NaN or infinite entry")):
+        filters = dict(full, **{short: bad})
+        args = (equiv.blocks, filters["receive"], filters["transmit"])
+        with pytest.raises(ValueError, match=message):
+            if score == "sum_rate":
+                sum_rate(*args, [1.0] * 3, k3_config.dof, 1.0)
+            else:
+                alignment_residual(*args)
+
+
+GRID_FAULTS = {
+    "nan": r"channel block \(0, 1\) has a NaN or infinite entry",
+    "tall": "inconsistent receive dimensions in row 0",
+    "short": "channel blocks must form a square grid",
+}
+
+
+@pytest.mark.parametrize("score", ["sum_rate", "alignment_residual"])
+@pytest.mark.parametrize("fault", GRID_FAULTS)
+def test_malformed_list_grids_get_the_view_error(k3_config, k3_channel, score, fault):
+    # A list grid is checked as the solvers check it. The unchecked
+    # stacking used to score a NaN block as aligned (residual 1.2e-16),
+    # zero-pad a 3x4 block into a 2-row row, and fail a non-square grid
+    # inside numpy's reshape.
+    beams = one_shot_ia(k3_config, k3_channel)
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    grid = [list(row) for row in equiv.blocks]
+    if fault == "nan":
+        grid[0][1] = np.full((2, 4), np.nan)
+    elif fault == "tall":
+        grid[0][1] = np.ones((3, 4))
+    else:
+        grid = [row[:2] for row in grid]
+    with pytest.raises(ValueError, match=GRID_FAULTS[fault]):
         if score == "sum_rate":
-            sum_rate(*args, [1.0] * 3, k3_config.dof, 1.0)
+            sum_rate(grid, beams.receive, beams.transmit, [1.0] * 3, k3_config.dof, 1.0)
         else:
-            alignment_residual(*args)
+            alignment_residual(grid, beams.receive, beams.transmit)
 
 
 def test_stream_counts_that_do_not_fit_the_filter_lists_are_rejected(k3_config, k3_channel):
@@ -597,17 +632,6 @@ def test_ragged_sweep_matches_list_grid_scoring():
         np.testing.assert_allclose(got, expected[scheme], rtol=1e-12, atol=0)
 
 
-def _zero_padded(grid):
-    # The documented stacked form, built without the package's helpers.
-    rows = max(b.shape[0] for row in grid for b in row)
-    cols = max(b.shape[1] for row in grid for b in row)
-    out = np.zeros((len(grid), len(grid), rows, cols), dtype=np.complex128)
-    for k, row in enumerate(grid):
-        for l, b in enumerate(row):
-            out[k, l, :b.shape[0], :b.shape[1]] = b
-    return out
-
-
 def _padded_filters(filters, rows, width):
     # Zero-padded (K, rows, width) filter stack, built without the package.
     out = np.zeros((len(filters), rows, width), dtype=np.complex128)
@@ -631,7 +655,7 @@ def test_stacked_grid_scores_like_the_list_grid(seed):
         receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
         for grid, widths in ((paired, cfg.paired_widths), (rows, (7, 7, 7))):
             transmit = [random_orthonormal(rng, w, d) for w, d in zip(widths, cfg.dof)]
-            stacked = _zero_padded(grid)
+            stacked = zero_padded(grid)
             assert stacked.shape[2] == 3
             filters = [(receive, transmit)] + [
                 (_padded_filters(receive, stacked.shape[2], width),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pcia import (
+    EquivalentChannel,
     NetworkConfig,
     build_permutation,
     design_receive_beamformers,
@@ -20,7 +21,6 @@ from pcia import (
 )
 from pcia.linalg import (
     _covariances,
-    _stack_grid,
     fix_column_phases,
     pin_joint_phases,
     reciprocal,
@@ -63,7 +63,7 @@ def _double_sum(grid, beams, weights, k):
 
 def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
     blocks = ragged[0].blocks
-    rev = reciprocal(_stack_grid(blocks))
+    rev = reciprocal(ragged[0]._stacked)
     assert rev.shape == (3, 3, 5, 3) and rev.flags.c_contiguous
     for k in range(3):
         for l in range(3):
@@ -74,7 +74,7 @@ def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
 
 def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
     blocks, transmit = ragged[0].blocks, ragged[1]
-    covs = _kernel(_stack_grid(blocks), transmit, WEIGHTS, CONFIG.rx_antennas)
+    covs = _kernel(ragged[0]._stacked, transmit, WEIGHTS, CONFIG.rx_antennas)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.rx_antennas[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -85,7 +85,7 @@ def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
 def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
-    covs = _kernel(reciprocal(_stack_grid(blocks)), receive, WEIGHTS, CONFIG.paired_widths)
+    covs = _kernel(reciprocal(equiv._stacked), receive, WEIGHTS, CONFIG.paired_widths)
     public = reciprocal_interference_covariance(equiv, receive, CONFIG)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
@@ -100,7 +100,7 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
 def test_silent_transmitter_contributes_nothing(ragged):
     equiv, transmit, receive = ragged
     blocks = equiv.blocks
-    grid = _stack_grid(blocks)
+    grid = equiv._stacked
     loud = WEIGHTS[:2] + [1e6]
     scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in blocks]
     for g, beams, sizes in ((grid, transmit, CONFIG.rx_antennas),
@@ -109,7 +109,7 @@ def test_silent_transmitter_contributes_nothing(ragged):
         assert all(np.array_equal(a, b) for a, b in
                    zip(base, _kernel(g, beams, loud, sizes)))
     base = _kernel(grid, transmit, WEIGHTS, CONFIG.rx_antennas)
-    moved = _kernel(_stack_grid(scrambled), transmit, WEIGHTS, CONFIG.rx_antennas)
+    moved = _kernel(EquivalentChannel(scrambled)._stacked, transmit, WEIGHTS, CONFIG.rx_antennas)
     for k in (0, 1):
         assert np.array_equal(base[k], moved[k])
 
@@ -118,7 +118,7 @@ def test_weight_lists_of_the_wrong_length_are_rejected(ragged):
     equiv, transmit, _ = ragged
     for weights in ([1.0], [1.0] * 4):
         with pytest.raises(ValueError, match="one weight per user"):
-            _covariances(_stack_grid(equiv.blocks), transmit, weights)
+            _covariances(equiv._stacked, transmit, weights)
 
 
 def _pinned_loop(a, tol=1e-12):

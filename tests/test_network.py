@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcia.linalg import _stack_grid
 from pcia.network import (
     BeamformerSet,
     ChannelSet,
@@ -17,7 +16,7 @@ from pcia.network import (
     generate_channel,
 )
 
-from conftest import blockdiag, cached_arrays, random_orthonormal
+from conftest import blockdiag, cached_arrays, random_orthonormal, zero_padded
 
 
 def test_block_shapes_and_assembly(k3_config, k3_channel):
@@ -325,6 +324,6 @@ def test_stacked_grid_equals_the_block_copy(cfg):
     channel = generate_channel(cfg, 11)
     for view in (channel, equivalent_channel(channel, build_permutation(cfg))):
         stacked = view._stacked
-        assert np.array_equal(stacked, _stack_grid(view.blocks))
+        assert np.array_equal(stacked, zero_padded(view.blocks))
         assert stacked.flags.c_contiguous
         assert not stacked.flags.writeable

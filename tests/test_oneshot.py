@@ -225,8 +225,18 @@ def test_stream_demand_beyond_paired_width():
 def test_rank_tolerance_must_be_positive_and_finite(k3_config, k3_channel, rank_tol):
     # A caller error, not an infeasible geometry: the harness counts a
     # OneShotInfeasible as a zero-rate slot, and used to for a NaN here.
-    with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+    message = "rank_tol must be positive and finite"
+    with pytest.raises(ValueError, match=message):
         one_shot_ia(k3_config, k3_channel, rank_tol=rank_tol)
+    # The public null-space helpers used to answer with a wrong null
+    # space: nullities [0, 0, 0] instead of [2, 2, 2], or a (3, 0) basis
+    # of the zero matrix.
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    receive, _ = design_receive_beamformers(equiv, k3_config)
+    with pytest.raises(ValueError, match=message):
+        reciprocal_state(equiv, receive, k3_config, rank_tol=rank_tol)
+    with pytest.raises(ValueError, match=message):
+        null_space_basis(np.zeros((3, 3)), rank_tol=rank_tol)
 
 
 def test_rank_deficient_direct_link_is_reported():

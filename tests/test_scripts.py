@@ -9,6 +9,7 @@ import pytest
 from pcia import ExperimentSpec, check_spec
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def _load(name):
@@ -109,3 +110,15 @@ def test_records_digest_is_one_hash_for_any_worker_count(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert re.fullmatch(r"[0-9a-f]{64}\n", outputs[0])
+
+
+def test_digest_panel_follows_the_benchmark_workloads(monkeypatch):
+    # The panel's first three specs are the benchmark's workloads, so a
+    # digest shows that a change moves none of the timed outputs.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    trials = 3
+    panel = dict(_load("records_digest").panel(trials))
+    for label, workload in WORKLOADS.items():
+        assert panel[label] == ExperimentSpec(**workload.spec, trials=trials, seed=0)
