@@ -7,6 +7,10 @@ antennas, and four 3x3 cells. Run it on both sides of a change that
 should not move any output:
 
     python scripts/records_digest.py --trials 4 --workers 2
+
+With ``--per-spec`` it first prints one ``label sha256`` line per panel
+spec, so a moved digest names the specs whose output moved; the combined
+digest is still the last line.
 """
 
 import argparse
@@ -35,25 +39,38 @@ def panel(trials):
     ]
 
 
-def digest(trials, workers):
-    """Hex sha256 over every panel spec's ``check_spec`` verdict and records."""
+def digests(trials, workers):
+    """``(per_spec, combined)``: each panel spec's ``(label, hex sha256)``, and one over all.
+
+    A spec's bytes are its label, ``check_spec`` verdict and records; the
+    combined hash reads every spec's bytes in panel order.
+    """
     h = hashlib.sha256()
+    per_spec = []
     for label, spec in panel(trials):
         records = run_experiment(spec, workers=workers).to_records()
-        h.update(json.dumps([label, check_spec(spec), records]).encode())
-    return h.hexdigest()
+        data = json.dumps([label, check_spec(spec), records]).encode()
+        h.update(data)
+        per_spec.append((label, hashlib.sha256(data).hexdigest()))
+    return per_spec, h.hexdigest()
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=4, help="trials per spec")
     parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    parser.add_argument("--per-spec", action="store_true",
+                        help="print each panel spec's digest before the combined one")
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
     if args.workers < 1:
         parser.error(f"--workers must be positive, got {args.workers}")
-    print(digest(args.trials, args.workers))
+    per_spec, combined = digests(args.trials, args.workers)
+    if args.per_spec:
+        for label, hexdigest in per_spec:
+            print(label, hexdigest)
+    print(combined)
 
 
 if __name__ == "__main__":

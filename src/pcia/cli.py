@@ -6,8 +6,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .evaluation import SCHEMES, ExperimentSpec, check_spec, run_experiment
 from .feasibility import (
@@ -26,6 +30,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -120,6 +125,8 @@ def cmd_run(args) -> int:
             "slot_table": [list(r) for r in schedule.slot_table],
             "per_user_average_dof": str(schedule.per_user_average),
             "workers": args.workers,
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            **{v: os.environ.get(v, "unset") for v in _BLAS_THREAD_VARS}},
         },
     }
     out_json = out_csv.with_suffix(".json")

@@ -64,7 +64,7 @@ def leakage(blocks, receive, transmit, dof) -> float:
     A ValueError rejects filter lists that do not fit the grid and ``dof`` or are not finite.
     """
     grid = _view(blocks)
-    _check_filter_lists(grid.num_users, receive, transmit, dof)
+    _check_filter_lists(grid.num_users, receive, transmit, dof, (grid.rx_sizes, grid.tx_sizes))
     q = _covariances(grid._stacked, transmit, _unit_power_weights(dof))
     return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
                for k, (u, m) in enumerate(zip(receive, grid.rx_sizes)))
@@ -160,7 +160,7 @@ def iterate_distributed_ia(
     grid, reverse = view._stacked, view._reciprocal
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
-    weights = _interferer_weights(per_stream, dof)
+    weights = _interferer_weights(tuple(per_stream), tuple(dof))
     fwd_padded = _padding(rows, grid.shape[2])
     rev_padded = _padding(cols, grid.shape[3])
 

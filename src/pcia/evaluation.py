@@ -60,15 +60,20 @@ def _pad_filters(grid: np.ndarray, receive, transmit):
     return _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
 
 
-def _filter_stacks(grid: np.ndarray, receive, transmit, dof=None):
-    """A caller's filters as :func:`_pad_filters` stacks, per-user lists checked first.
+def _filter_stacks(blocks, receive, transmit, dof=None):
+    """A caller's grid and filters as ``(grid, receive, transmit)`` stacks.
 
-    Two arrays are taken to be stacked already and come back unchanged.
+    A stacked ``blocks`` array is taken as it is, anything else through the
+    checked channel view. Two filter arrays are taken as stacked; lists are
+    checked, against the view's block sizes if there is one, and padded.
     """
+    view = None if isinstance(blocks, np.ndarray) else _view(blocks)
+    grid = blocks if view is None else view._stacked
     if isinstance(receive, np.ndarray) and isinstance(transmit, np.ndarray):
-        return receive, transmit
-    _check_filter_lists(len(grid), receive, transmit, dof)
-    return _pad_filters(grid, receive, transmit)
+        return grid, receive, transmit
+    sizes = None if view is None else (view.rx_sizes, view.tx_sizes)
+    _check_filter_lists(len(grid), receive, transmit, dof, sizes)
+    return (grid, *_pad_filters(grid, receive, transmit))
 
 
 def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
@@ -82,7 +87,8 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
             Its transmitter axis may have length 1 when every transmitter
             reaches receiver ``k`` through the same rows.
         receive, transmit: per-user filter and precoder lists, user ``k``'s
-            with ``dof[k]`` columns; or both already stacked into
+            with ``dof[k]`` columns and, unless ``blocks`` is stacked, as
+            many rows as its blocks; or both already stacked into
             zero-padded ``(K, m, d)`` and ``(K, n, d)`` arrays, matching a
             stacked ``blocks``, so a caller scoring one design at many
             powers stacks it once.
@@ -107,8 +113,7 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     # over l != k. Filters are zero-padded to a common stream width, which
     # adds nothing to any Gram product; user k's filter outputs past
     # dof[k] get an identity, which leaves every determinant unchanged.
-    grid = blocks if isinstance(blocks, np.ndarray) else _view(blocks)._stacked
-    u, v = _filter_stacks(grid, receive, transmit, dof)
+    grid, u, v = _filter_stacks(blocks, receive, transmit, dof)
     users, _, width = u.shape
     uh = u.conj().transpose(0, 2, 1)
     amplitude = np.sqrt(_stream_weights(powers, dof))
@@ -159,8 +164,7 @@ def alignment_residual(blocks, receive, transmit) -> float:
     # changes no norm, and a silent user's zero-width filter pads to zeros,
     # so ``den > 0`` skips silent receivers and transmitters as well as
     # the own links zeroed below.
-    grid = blocks if isinstance(blocks, np.ndarray) else _view(blocks)._stacked
-    u, v = _filter_stacks(grid, receive, transmit)
+    grid, u, v = _filter_stacks(blocks, receive, transmit)
     uh = u.conj().transpose(0, 2, 1)
     num = _frobenius(uh[:, None] @ grid @ v, (2, 3))
     den = _frobenius(uh, (1, 2))[:, None] * _frobenius(grid, (2, 3)) * _frobenius(v, (1, 2))
@@ -214,7 +218,7 @@ class ExperimentSpec:
         if not snr:
             raise ValueError("snr_grid_db must not be empty")
         try:
-            finite = all(math.isfinite(v) and math.isfinite(_snr_powers(v)) for v in snr)
+            finite = all(map(math.isfinite, snr + _grid_powers(snr)))
         except OverflowError:
             finite = False
         if not finite:
@@ -279,9 +283,10 @@ class ExperimentResult:
         return records
 
 
-def _snr_powers(snr_db: float) -> float:
-    # Unit noise everywhere, so per-user power is the linear SNR.
-    return float(10.0 ** (snr_db / 10.0))
+@functools.lru_cache(maxsize=16)
+def _grid_powers(snr_grid_db: tuple) -> tuple:
+    """Per-user power of every SNR point, once per grid: unit noise, so the linear SNR."""
+    return tuple(float(10.0 ** (snr / 10.0)) for snr in snr_grid_db)
 
 
 def _slot_power_scale(dof_row):
@@ -305,10 +310,8 @@ def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
     """
     receive, transmit = _pad_filters(blocks, receive, transmit)
     rates = np.zeros(len(spec.snr_grid_db))
-    for i, snr in enumerate(spec.snr_grid_db):
-        p = _snr_powers(snr)
-        powers = [p * s for s in power_scale]
-        _, rates[i] = sum_rate(blocks, receive, transmit, powers, dof, 1.0)
+    for i, p in enumerate(_grid_powers(spec.snr_grid_db)):
+        _, rates[i] = sum_rate(blocks, receive, transmit, [p * s for s in power_scale], dof, 1.0)
     resid = alignment_residual(blocks, receive, transmit)
     return rates, resid, conv, float(sum(dof))
 

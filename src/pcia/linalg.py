@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -57,11 +58,11 @@ def pin_joint_phases(u: np.ndarray, v: np.ndarray):
     return u * phases, np.asarray(v) * phases
 
 
-def _pinned_svd(stack: np.ndarray) -> list:
-    """Thin SVD triplets ``(u, s, v)`` of each matrix, phases pinned jointly."""
+def _pinned_svd(stack: np.ndarray) -> tuple:
+    """Thin SVD ``(u, s, v)`` of a stack of matrices, phases pinned jointly."""
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
     u, v = pin_joint_phases(u, vh.conj().transpose(0, 2, 1))
-    return list(zip(u, s, v))
+    return u, s, v
 
 
 def _stream_weights(powers: Sequence, dof: Sequence) -> list:
@@ -78,14 +79,18 @@ def _unit_power_weights(dof: Sequence) -> list:
     return _stream_weights([1.0] * len(dof), dof)
 
 
-def _check_filter_lists(users: int, receive, transmit, dof=None) -> None:
+def _check_filter_lists(users: int, receive, transmit, dof=None, sizes=None) -> None:
     """A ValueError naming the argument unless the lists fit ``users`` and ``dof``, if given.
 
-    A filter with a NaN or infinite entry is rejected, naming its user.
+    A filter with a NaN or infinite entry is rejected, naming its user, and
+    so is one with columns whose row count differs from its block in
+    ``sizes``, the grid's ``(rx_sizes, tx_sizes)``, if given. A silent
+    user's zero-width filter carries nothing, so its rows are not read.
     """
     if dof is not None and len(dof) != users:
         raise ValueError(f"dof needs one entry per user: got {len(dof)} for {users} users")
-    for name, filters in (("receive", receive), ("transmit", transmit)):
+    for name, filters, rows in zip(("receive", "transmit"), (receive, transmit),
+                                   sizes or (None, None)):
         if len(filters) != users:
             raise ValueError(f"need one {name} filter per user: "
                              f"got {len(filters)} for {users} users")
@@ -93,6 +98,9 @@ def _check_filter_lists(users: int, receive, transmit, dof=None) -> None:
             if dof is not None and f.shape[1] != dof[k]:
                 raise ValueError(f"{name} filter {k} has {f.shape[1]} columns for "
                                  f"dof[{k}] = {dof[k]}")
+            if rows is not None and f.shape[1] and f.shape[0] != rows[k]:
+                raise ValueError(f"{name} filter {k} has {f.shape[0]} rows for a block "
+                                 f"of {rows[k]}")
             if not np.isfinite(f).all():
                 raise ValueError(f"{name} filter {k} has a NaN or infinite entry")
 
@@ -116,29 +124,22 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _batched(fn, mats) -> list:
-    """``fn`` once per shape group of ``mats``; entry ``i`` is its result for ``mats[i]``.
-
-    ``fn`` maps an ``(S, m, n)`` stack to ``S`` per-matrix results. Batched
-    LAPACK calls need one shape per stack; grouping instead of padding
-    keeps every decomposition exactly the one of its own matrix.
-    """
+@functools.lru_cache(maxsize=256)
+def _groups(keys: tuple) -> tuple:
+    """``(key, indices)`` per distinct entry of ``keys``, by first appearance, once per layout."""
     groups = {}
-    for i, a in enumerate(mats):
-        groups.setdefault(a.shape, []).append(i)
-    out = [None] * len(mats)
-    for group in groups.values():
-        for i, result in zip(group, fn(np.array([mats[i] for i in group]))):
-            out[i] = result
-    return out
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return tuple((key, tuple(group)) for key, group in groups.items())
 
 
-def _interferer_weights(weights: Sequence, counts: Sequence) -> np.ndarray:
-    """``(K, K, d)`` weight of column ``j`` of transmitter ``l`` at receiver ``k``.
+@functools.lru_cache(maxsize=64)
+def _interferer_weights(weights: tuple, counts: tuple) -> np.ndarray:
+    """Read-only ``(K, K, d)`` weight of column ``j`` of transmitter ``l`` at receiver ``k``.
 
     That is ``weights[l]`` for the ``counts[l]`` real columns of every
     other transmitter, and zero for the receiver's own transmitter and for
-    padding columns up to the widest beam ``d``.
+    padding columns up to the widest beam ``d``. Built once per layout.
     """
     if len(weights) != len(counts):
         raise ValueError(
@@ -148,6 +149,7 @@ def _interferer_weights(weights: Sequence, counts: Sequence) -> np.ndarray:
     for l, (w, count) in enumerate(zip(weights, counts)):
         out[:, l, :count] = w
     out[range(users), range(users)] = 0.0
+    out.flags.writeable = False
     return out
 
 
@@ -170,7 +172,7 @@ def _covariance_stack(grid: np.ndarray, beams: np.ndarray, weights: np.ndarray) 
 
 def _covariances(grid: np.ndarray, beams: Sequence, weights: Sequence) -> np.ndarray:
     """:func:`_covariance_stack` of a stacked grid, beams and weights given per user."""
-    counts = [b.shape[1] for b in beams]
+    counts = tuple(b.shape[1] for b in beams)
     return _covariance_stack(grid, _stack(beams, grid.shape[3], max(counts)),
-                             _interferer_weights(weights, counts))
+                             _interferer_weights(tuple(weights), counts))
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _batched, _pinned_svd, _stack, reciprocal
+from .linalg import _groups, _pinned_svd, _stack, reciprocal
 
 __all__ = [
     "NetworkConfig",
@@ -268,11 +268,12 @@ class _BlockGrid:
         phases pinned jointly on the stack.
         """
         direct = [row[k] for k, row in enumerate(self.blocks)]
-        triplets = tuple(_batched(_pinned_svd, direct))
-        for triplet in triplets:
-            for a in triplet:
-                _read_only(a)
-        return triplets
+        triplets = [None] * len(direct)
+        for _, users in _groups(tuple(b.shape for b in direct)):
+            stacks = [_read_only(a) for a in _pinned_svd(np.array([direct[k] for k in users]))]
+            for k, *triplet in zip(users, *stacks):
+                triplets[k] = tuple(triplet)
+        return tuple(triplets)
 
 
 def _view(blocks) -> _BlockGrid:

@@ -13,24 +13,19 @@ cross links exist in closed form and are found in one pass:
    from the covariance kernel of :mod:`pcia.linalg` shared with the
    iterative baseline,
 3. its null space as the admissible precoder directions,
-4. a subset choice within that null space scored on the direct link,
-   with the candidate subsets scored by batched ``|det|`` calls over
-   fixed-size chunks of their lexicographic order. Users whose null
-   bases and stream counts share a shape are searched together, one
-   stacked call per chunk for the whole group.
+4. a subset choice within that null space scored on the direct link, by
+   batched ``|det|`` calls over fixed-size chunks of the subsets'
+   lexicographic order.
 
-Every step and the final rank check are batched over users, and
-what does not depend on the slot's stream counts is computed once per
-draw: the channel caches its stacked grid, the contiguous reciprocal of
-that grid and the pinned SVD of its direct blocks, which every
-time-share slot's design on that channel reads. Each LAPACK step
-(``svd``, ``eigh``, singular values) runs once per distinct matrix
-shape, with column phases pinned on the stack. Ragged antenna counts are
-grouped by shape, never padded, so each decomposition is exactly the one
-of its own matrix and the ``rank_tol`` null-space threshold sees only
-real eigenvalues.
-
-No iteration and no channel extension is involved.
+What does not depend on the slot's stream counts is computed once per
+draw: the channel caches its stacked grid, its reciprocal and the pinned
+SVD of its direct blocks. A slot's covariances are one zero-padded
+stack. Its null spaces and rank check make one LAPACK call per group of
+users sharing every matrix shape, phases pinned on the stack, and its
+subset search one ``det`` per chunk and group; a group with exactly as
+many directions as streams keeps its bases. Grouping ragged shapes,
+never padding them, keeps each decomposition exactly the one of its own
+matrix. No iteration and no channel extension is involved.
 """
 
 from __future__ import annotations
@@ -43,8 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (
-    _batched,
     _covariances,
+    _groups,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -140,12 +135,10 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
         ValueError: if any user asks for more streams than its direct
             block supports.
     """
-    direct = [equiv.blocks[k][k] for k in range(config.num_users)]
-    for k, (block, d) in enumerate(zip(direct, config.dof)):
-        if d > min(block.shape):
+    for k, shape in enumerate(zip(equiv.rx_sizes, equiv.tx_sizes)):
+        if config.dof[k] > min(shape):
             raise ValueError(
-                f"user {k} asks for {d} streams on a {block.shape} direct block"
-            )
+                f"user {k} asks for {config.dof[k]} streams on a {shape} direct block")
     left, singular, right = map(list, zip(*equiv._direct_svd))
     receive = [u[:, :d] for u, d in zip(left, config.dof)]
     cache = SvdCache(left, singular, right, list(receive),
@@ -172,8 +165,9 @@ def reciprocal_interference_covariance(
 def _null_bases(qs: np.ndarray, rank_tol: float) -> list:
     """Null-space bases of a ``(S, n, n)`` Hermitian PSD stack, one batched ``eigh``."""
     vals, vecs = np.linalg.eigh(qs)
-    keep = vals <= rank_tol * np.maximum(vals[:, -1:], 0.0)
-    return [v[:, mask] for v, mask in zip(fix_column_phases(vecs), keep)]
+    # Ascending eigenvalues: the ones at or below the threshold are a prefix.
+    kept = np.count_nonzero(vals <= rank_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
+    return [v[:, :a] for v, a in zip(fix_column_phases(vecs), kept.tolist())]
 
 
 def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
@@ -195,13 +189,19 @@ def reciprocal_state(
     """Covariances plus null-space bases and candidate counts per user.
 
     The null spaces come from one batched ``eigh`` per distinct paired
-    width, with ``rank_tol`` checked as in :func:`null_space_basis`.
+    width over one zero-padded covariance stack, with ``rank_tol``
+    checked as in :func:`null_space_basis`.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
-    covariances = reciprocal_interference_covariance(equiv, receive, config)
-    bases = _batched(lambda qs: _null_bases(qs, rank_tol), covariances)
+    q = _covariances(equiv._reciprocal, receive, _unit_power_weights(config.dof))
+    widths = config.paired_widths
+    bases = [None] * len(widths)
+    for w, users in _groups(widths):
+        for k, basis in zip(users, _null_bases(q[list(users), :w, :w], rank_tol)):
+            bases[k] = basis
+    covariances = [q[k, :w, :w] for k, w in enumerate(widths)]
     nullities = [b.shape[1] for b in bases]
-    ranks = [q.shape[0] - a for q, a in zip(covariances, nullities)]
+    ranks = [w - a for w, a in zip(widths, nullities)]
     counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
     return ReciprocalState(covariances, ranks, nullities, bases, counts)
 
@@ -319,30 +319,33 @@ def one_shot_ia(
         equiv = equivalent_channel(channel, build_permutation(config))
     receive, cache = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol)
-    # One stacked selection per group of users whose filters and bases
-    # share a shape, so a stream count and a nullity. Groups run in the
-    # order of their first user: the first user short of directions raises.
-    direct = [equiv.blocks[k][k] for k in range(config.num_users)]
-    transmit = [None] * config.num_users
-    searches = {}
-    for k, basis in enumerate(state.null_bases):
-        searches.setdefault((receive[k].shape, basis.shape), []).append(k)
-    for users in searches.values():
-        stacks = (np.array([x[k] for k in users])
-                  for x in (receive, direct, state.null_bases))
-        picks = select_transmit_beamformer(*stacks, config.dof[users[0]], user=users[0])
-        for k, pick in zip(users, picks):
-            transmit[k] = pick
+    # One stacked search per group sharing filter and basis shapes, so a
+    # block shape, a stream count and a nullity, in first-user order: the
+    # first user short of directions raises.
+    grid, bases = equiv._stacked, state.null_bases
+    transmit = list(bases)
+    for ((m, d), (w, a)), users in _groups(tuple(
+            (r.shape, b.shape) for r, b in zip(receive, bases))):
+        if a != d:
+            picks = select_transmit_beamformer(
+                np.array([receive[k] for k in users]), grid[users, users, :m, :w],
+                np.array([bases[k] for k in users]), d, user=users[0])
+            for k, pick in zip(users, picks):
+                transmit[k] = pick
     # Reference scale is the unprojected direct link (its largest singular
     # value, from the receive-side SVD): filters with unit columns can
     # only shrink it, and comparing within ``eff`` alone would make a
-    # uniformly collapsed link (d_k = 1 above all) look healthy.
-    effs = [receive[k].conj().T @ equiv.blocks[k][k] @ transmit[k] for k in active]
-    smallest = _batched(lambda stack: np.linalg.svd(stack, compute_uv=False)[:, -1], effs)
-    for k, sval in zip(active, smallest):
-        if sval <= rank_tol * cache.singular[k][0]:
+    # uniformly collapsed link (d_k = 1 above all) look healthy. Users
+    # are checked in order after every group's ``svd``.
+    smallest = {}
+    for ((m, _), (w, _)), members in _groups(tuple(
+            (receive[k].shape, transmit[k].shape) for k in active)):
+        users = [active[i] for i in members]
+        eff = (np.array([receive[k] for k in users]).conj().transpose(0, 2, 1)
+               @ grid[users, users, :m, :w] @ np.array([transmit[k] for k in users]))
+        smallest.update(zip(users, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
+    for k in active:
+        if smallest[k] <= rank_tol * cache.singular[k][0]:
             raise RankDeficientDesired(
-                f"direct link of user {k} is rank deficient after precoding",
-                user=k,
-            )
+                f"direct link of user {k} is rank deficient after precoding", user=k)
     return BeamformerSet(receive, transmit)

@@ -12,13 +12,14 @@ SVD steps, so it costs the same few calls for every user count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import _batched, _pinned_svd
-from .network import ChannelSet, _stream_counts, _tolerance
+from .linalg import _groups, _pinned_svd
+from .network import ChannelSet, _read_only, _slices, _stream_counts, _tolerance
 
 __all__ = ["BDInfeasible", "BDSolution", "bd_zero_forcing"]
 
@@ -40,15 +41,15 @@ class BDSolution:
         return sum(self.dof)
 
 
-def _null_spaces(stacks: np.ndarray, rank_tol: float) -> list:
-    """Null-space bases of an ``(S, r, n)`` stack, one full ``svd``.
+@functools.lru_cache(maxsize=16)
+def _other_rows(rx_sizes: tuple) -> tuple:
+    """``(users, index)`` per group of users with equal row counts, built once per layout.
 
-    Singular values at or below ``rank_tol`` times the largest count as
-    zero; the basis is the matching trailing right singular vectors.
+    Row ``g`` of the read-only ``index`` lists the rows of every user but ``users[g]``.
     """
-    _, svals, vh = np.linalg.svd(stacks)
-    v = vh.conj().transpose(0, 2, 1)
-    return [vk[:, int(np.sum(sk > rank_tol * sk[0])):] for vk, sk in zip(v, svals)]
+    rows, cuts = np.arange(sum(rx_sizes)), _slices(rx_sizes)
+    return tuple((users, _read_only(np.array([np.delete(rows, cuts[k]) for k in users])))
+                 for _, users in _groups(rx_sizes))
 
 
 def bd_zero_forcing(
@@ -63,12 +64,11 @@ def bd_zero_forcing(
     every user gets the most streams its null space and antennas support.
     A single-user channel degenerates to plain eigenbeamforming.
 
-    The design is batched over users: one full ``svd`` of the stacked
-    other-user rows and one thin ``svd`` of the effective channels per
-    distinct matrix shape, with singular-vector phases pinned on the
-    stack. The rows come from the channel's cached row blocks. Each
-    decomposition is exactly the one of its own matrix, so the result
-    equals a per-user loop bit for bit.
+    The design is batched over users: each group with equal row counts
+    gathers its other-user rows from the channel matrix at once for one
+    full ``svd``, and each group sharing every shape makes one stacked
+    ``H_k N_k``, phase-pinned thin ``svd`` and ``N_k V_k``. Each call does
+    what a per-user loop does, so the result equals that loop bit for bit.
 
     Raises:
         BDInfeasible: some user's null space is empty or smaller than its
@@ -82,11 +82,14 @@ def bd_zero_forcing(
         dof = _stream_counts(dof, num_users)
     n_total = sum(channel.tx_sizes)
     rows = channel._rows
-    if num_users > 1:
-        others = [np.vstack(rows[:k] + rows[k + 1:]) for k in range(num_users)]
-        nulls = _batched(lambda stacks: _null_spaces(stacks, rank_tol), others)
-    else:
-        nulls = [np.eye(n_total, dtype=np.complex128)]
+    nulls = [np.eye(n_total, dtype=np.complex128)] * num_users
+    # Singular values at or below ``rank_tol`` times the largest count as
+    # zero; the null basis is the matching trailing right singular vectors.
+    for users, index in _other_rows(channel.rx_sizes) if num_users > 1 else ():
+        _, svals, vh = np.linalg.svd(channel._matrix[index])
+        ranks = np.count_nonzero(svals > rank_tol * svals[:, :1], axis=1).tolist()
+        for k, v, rank in zip(users, vh.conj().transpose(0, 2, 1), ranks):
+            nulls[k] = v[:, rank:]
     granted = []
     for k, null in enumerate(nulls):
         if dof is not None and dof[k] == 0:
@@ -96,24 +99,22 @@ def bd_zero_forcing(
             raise BDInfeasible(
                 f"zero forcing leaves user {k} no interference-free directions: "
                 f"{n_total} pooled antennas cannot avoid "
-                f"{others[k].shape[0]} foreign receive dimensions"
-            )
+                f"{sum(channel.rx_sizes) - rows[k].shape[0]} foreign receive dimensions")
         cap = min(rows[k].shape[0], null.shape[1])
         want = cap if dof is None else dof[k]
         if want > cap:
             raise BDInfeasible(
-                f"user {k} asked for {want} streams but zero forcing supports {cap}"
-            )
+                f"user {k} asked for {want} streams but zero forcing supports {cap}")
         granted.append(want)
+    transmit = [np.zeros((n_total, 0), dtype=np.complex128) for _ in granted]
+    receive = [np.zeros((m, 0), dtype=np.complex128) for m in channel.rx_sizes]
     active = [k for k, want in enumerate(granted) if want > 0]
-    triplets = dict(zip(active, _batched(_pinned_svd, [rows[k] @ nulls[k] for k in active])))
-    transmit, receive = [], []
-    for k, want in enumerate(granted):
-        if want == 0:
-            transmit.append(np.zeros((n_total, 0), dtype=np.complex128))
-            receive.append(np.zeros((rows[k].shape[0], 0), dtype=np.complex128))
-            continue
-        u, _, v = triplets[k]
-        transmit.append(nulls[k] @ v[:, :want])
-        receive.append(u[:, :want])
+    for (_, _, want), members in _groups(tuple(
+            (rows[k].shape, nulls[k].shape, granted[k]) for k in active)):
+        users = [active[i] for i in members]
+        # Each null basis keeps its column-major layout in the stack.
+        null = np.array([nulls[k].T for k in users]).transpose(0, 2, 1)
+        u, _, v = _pinned_svd(np.array([rows[k] for k in users]) @ null)
+        for k, tx, rx in zip(users, null @ v[:, :, :want], u[:, :, :want]):
+            transmit[k], receive[k] = tx, rx
     return BDSolution(transmit=transmit, receive=receive, dof=tuple(granted))

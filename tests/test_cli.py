@@ -2,7 +2,9 @@
 
 import csv
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from pcia import cli
@@ -65,6 +67,29 @@ def test_rerun_and_worker_count_are_byte_identical(tmp_path):
     _, pooled = _run(tmp_path, config, "c.csv", "--workers", "2")
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes() == pooled.read_bytes()
+
+
+def test_json_mirror_records_its_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    config = _write_config(tmp_path)
+    mirrors = []
+    for name, workers in (("a.csv", "1"), ("b.csv", "2")):
+        code, out = _run(tmp_path, config, name, "--workers", workers)
+        assert code == 0
+        mirrors.append(json.loads(out.with_suffix(".json").read_text()))
+    assert mirrors[0]["diagnostics"]["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": "unset",
+    }
+    # the two mirrors differ only in the worker count
+    assert mirrors[1]["diagnostics"].pop("workers") == 2
+    assert mirrors[0]["diagnostics"].pop("workers") == 1
+    assert mirrors[0] == mirrors[1]
 
 
 def test_flag_overrides_reach_the_spec(tmp_path):

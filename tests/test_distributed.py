@@ -159,8 +159,12 @@ def test_leakage_rejects_a_filter_list_of_the_wrong_length(short):
     blocks = generate_channel(cfg, 1).blocks
     full = {"receive": [np.eye(2, 1)] * 3, "transmit": [np.eye(2, 1)] * 3}
     inf = [np.eye(2, 1), np.eye(2, 1), np.full((2, 1), np.inf)]
+    # A filter with fewer rows than its block used to fail inside numpy's
+    # matmul with a message that named no argument.
+    cut = [np.eye(2, 1), np.eye(1, 1), np.eye(2, 1)]
     for bad, message in ((full[short][:2], f"one {short} filter per user: got 2 for 3"),
-                         (inf, f"{short} filter 2 has a NaN or infinite entry")):
+                         (inf, f"{short} filter 2 has a NaN or infinite entry"),
+                         (cut, f"{short} filter 1 has 1 rows for a block of 2")):
         filters = dict(full, **{short: bad})
         with pytest.raises(ValueError, match=message):
             leakage(blocks, filters["receive"], filters["transmit"], cfg.dof)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pcia import (
     ChannelSet,
+    EquivalentChannel,
     ExperimentSpec,
     NetworkConfig,
     OneShotInfeasible,
@@ -422,6 +423,61 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
             assert np.array_equal(cache.right[k], vh.conj().T * phases)
             assert np.array_equal(receive[k], (u * phases)[:, :d])
             assert not receive[k].flags.writeable
+
+
+ORACLE_GEOMETRIES = [dict(rx_antennas=2, tx_antennas=2, num_users=5),
+                     dict(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), num_users=3)]
+
+
+@pytest.mark.parametrize("geometry", ORACLE_GEOMETRIES, ids=["k5-2x2", "ragged-322"])
+def test_null_spaces_match_the_boolean_mask_rule(geometry):
+    # Every slot of the time-share table, at the default and a loose
+    # tolerance: the stacked null-space step equals a per-user ``eigh``
+    # whose kept columns are picked by the mask ``vals <= rank_tol * max``,
+    # phases pinned column by column, bit for bit.
+    spec = ExperimentSpec(**geometry, dof_total=4, schemes=("oneshot_partial",))
+    configs = [spec.slot_config(row) for row in spec.slot_dof()]
+    for seed in range(3):
+        equiv = _equiv(configs[0], seed)
+        for cfg, rank_tol in itertools.product(configs, (1e-9, 0.3)):
+            receive, _ = design_receive_beamformers(equiv, cfg)
+            state = reciprocal_state(equiv, receive, cfg, rank_tol)
+            for k, q in enumerate(state.covariances):
+                vals, vecs = np.linalg.eigh(q)
+                basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
+                basis = basis * _pinned_by_column(basis)
+                assert state.nullities[k] == basis.shape[1]
+                assert state.ranks[k] == q.shape[0] - basis.shape[1]
+                assert np.array_equal(state.null_bases[k], basis)
+
+
+@pytest.mark.parametrize("rx, tx, dof, dead, groups", [
+    ((2,) * 5, (2,) * 5, (1, 1, 1, 1, 0), (3, 1), 1),
+    ((3, 2, 2), (2, 2, 3), (1, 1, 1), (2, 1), 3),
+    # users 0 and 2 share a shape, user 1 has a 3-row filter: the group of
+    # user 0 is checked first, yet user 1 is the first deficient user
+    ((2, 3, 2), (2, 2, 2), (1, 1, 1), (2, 1), 2),
+], ids=["k5-2x2", "ragged-322", "two-groups"])
+def test_rank_check_names_the_first_deficient_user(monkeypatch, rx, tx, dof, dead, groups):
+    # Zeroed direct blocks collapse those users' links after precoding.
+    cfg = NetworkConfig(rx, tx, dof)
+    blocks = [[b.copy() for b in row] for row in _equiv(cfg, 5).blocks]
+    for k in dead:
+        blocks[k][k][...] = 0.0
+    equiv = EquivalentChannel(blocks)
+    equiv._direct_svd  # the draw's cached SVD, built before counting
+    svds, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    with pytest.raises(RankDeficientDesired, match=f"user {min(dead)} ") as exc:
+        one_shot_ia(cfg, equiv)
+    assert exc.value.user == min(dead)
+    # one singular-value call per shape group of active users
+    assert len(svds) == groups
 
 
 def _record_selects(monkeypatch):

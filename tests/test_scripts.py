@@ -112,6 +112,19 @@ def test_records_digest_is_one_hash_for_any_worker_count(capsys):
     assert re.fullmatch(r"[0-9a-f]{64}\n", outputs[0])
 
 
+def test_per_spec_digest_labels_each_spec_and_ends_with_the_combined_hash(capsys):
+    digest = _load("records_digest")
+    digest.main(["--trials", "1"])
+    combined = capsys.readouterr().out
+    digest.main(["--trials", "1", "--per-spec"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] + "\n" == combined
+    labels = [label for label, _ in digest.panel(1)]
+    assert len(lines[:-1]) == len(labels) == 5
+    for line, label in zip(lines[:-1], labels):
+        assert re.fullmatch(rf"{label} [0-9a-f]{{64}}", line)
+
+
 def test_digest_panel_follows_the_benchmark_workloads(monkeypatch):
     # The panel's first three specs are the benchmark's workloads, so a
     # digest shows that a change moves none of the timed outputs.

@@ -12,6 +12,7 @@ from pcia import (
     generate_channel,
 )
 from pcia.linalg import pin_joint_phases
+from pcia.zeroforcing import _other_rows
 
 
 def _channel(num_users, m, n, seed):
@@ -175,6 +176,29 @@ def test_batched_design_matches_the_per_user_loop(case):
         for side in ("transmit", "receive"):
             for a, b in zip(getattr(got, side), getattr(want, side), strict=True):
                 assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["k5-2x2", "rx322-tx223"])
+def test_other_row_gather_matches_a_vstack_loop(case):
+    # Each user's gathered other-user rows are the other row blocks
+    # stacked by ``np.vstack``, and the design built on them equals the
+    # per-user vstack + svd loop bit for bit.
+    draw, _ = BATCHED_CASES[case]
+    for seed in range(3):
+        channel = draw(seed)
+        gathered = {}
+        for users, index in _other_rows(channel.rx_sizes):
+            assert not index.flags.writeable
+            gathered.update(zip(users, channel._matrix[index]))
+        assert sorted(gathered) == list(range(channel.num_users))
+        for k, rows in gathered.items():
+            others = [channel.row_block(l) for l in range(channel.num_users) if l != k]
+            assert np.array_equal(rows, np.vstack(others))
+        got, want = bd_zero_forcing(channel), _bd_by_user(channel)
+        assert got.dof == want.dof
+        for side in ("transmit", "receive"):
+            for a, b in zip(getattr(got, side), getattr(want, side), strict=True):
                 assert np.array_equal(a, b)
 
 
