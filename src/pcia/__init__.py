@@ -30,7 +30,6 @@ from .oneshot import (
     null_space_basis,
     one_shot_ia,
     received_signal_power,
-    reciprocal_interference_covariance,
     reciprocal_state,
     select_transmit_beamformer,
 )

@@ -10,13 +10,15 @@ the same code covers the plain per-station channel and the paired one.
 The loop reads what the channel view caches per draw: the zero-padded
 ``(K, K, m, n)`` stacked grid, its reciprocal and, for the SVD start,
 the pinned SVD of the direct blocks; a list grid is checked and copied
-into a view first. Each half-iteration makes one call to the shared
-covariance kernel of :mod:`pcia.linalg` and one batched ``eigh`` over
-all users; the recorded leakage is the sum of each user's smallest
-eigenvalues. Uneven stream counts, silent users included, ride as
-zero-weight padding columns; ragged antenna counts as padded dimensions
-loaded above the trace so they sort last. The covariances depend only
-on ``V V^H``, so column phases are pinned once, on the returned filters.
+into a view first. Both grids are copied transmitter-major once per run,
+so each half-iteration is one call to the covariance kernel of
+:mod:`pcia.linalg` (one product per transmitter, cached half weights)
+and one batched ``eigh`` over all users; the recorded leakage is the
+sum of each user's smallest eigenvalues. Uneven stream counts, silent
+users included, ride as zero-weight padding columns; ragged antenna
+counts as padded dimensions loaded above the trace so they sort last.
+The covariances depend only on ``V V^H``, so column phases are pinned
+once, on the returned filters.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (
+    _by_transmitter,
     _check_filter_lists,
     _covariance_stack,
     _covariances,
@@ -157,7 +160,8 @@ def iterate_distributed_ia(
         for k in range(num_users) if dof[k] > 0
     )
 
-    grid, reverse = view._stacked, view._reciprocal
+    grid = view._stacked
+    forward, reverse = _by_transmitter(grid), _by_transmitter(view._reciprocal)
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     weights = _interferer_weights(tuple(per_stream), tuple(dof))
@@ -171,9 +175,9 @@ def iterate_distributed_ia(
     converged = False
     for _ in range(max_iters):
         vals, vecs = _smallest_first(
-            _covariance_stack(grid, transmit, weights), fwd_padded)
+            _covariance_stack(forward, transmit, weights), fwd_padded)
         receive = vecs[:, :, :width]
-        total = float(np.sum(vals[:, :width] * streams))
+        total = float(np.add.reduce(vals[:, :width] * streams, axis=None))
         history.append(total)
         if total <= threshold:
             converged = True

@@ -135,11 +135,13 @@ def _groups(keys: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _interferer_weights(weights: tuple, counts: tuple) -> np.ndarray:
-    """Read-only ``(K, K, d)`` weight of column ``j`` of transmitter ``l`` at receiver ``k``.
+    """Read-only ``(K, 1, K·d)`` half weights of transmitter ``l``'s columns at receiver ``k``.
 
-    That is ``weights[l]`` for the ``counts[l]`` real columns of every
-    other transmitter, and zero for the receiver's own transmitter and for
-    padding columns up to the widest beam ``d``. Built once per layout.
+    Entry ``[k, 0, l·d + j]`` is ``weights[l] / 2`` for the ``counts[l]``
+    real columns of every other transmitter, and zero for the receiver's
+    own transmitter and for padding columns up to the widest beam ``d``.
+    Halving is exact, so the kernel's ``A + A^H`` over half weights is
+    the Hermitized covariance at full weights. Built once per layout.
     """
     if len(weights) != len(counts):
         raise ValueError(
@@ -147,32 +149,42 @@ def _interferer_weights(weights: tuple, counts: tuple) -> np.ndarray:
     users = len(counts)
     out = np.zeros((users, users, max(counts)))
     for l, (w, count) in enumerate(zip(weights, counts)):
-        out[:, l, :count] = w
+        out[:, l, :count] = 0.5 * w
     out[range(users), range(users)] = 0.0
+    out = out.reshape(users, 1, -1)
     out.flags.writeable = False
     return out
 
 
-def _covariance_stack(grid: np.ndarray, beams: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Interference covariances of a stacked grid as one ``(K, m, m)`` array.
+def _by_transmitter(grid: np.ndarray) -> np.ndarray:
+    """Transmitter-major ``(K, K·m, n)`` copy of a grid: entry ``l`` stacks ``grid[:, l]``."""
+    users, _, rows, cols = grid.shape
+    return grid.transpose(1, 0, 2, 3).reshape(users, users * rows, cols)
 
-    ``grid`` is ``(K, K, m, n)``, ``beams`` is ``(K, n, d)`` and
-    ``weights`` is ``(K, K, d)`` from :func:`_interferer_weights`. Entry
-    ``k`` is the Hermitized ``X_k diag(w_k) X_k^H``, where ``X_k`` holds
-    every transmitter's effective columns ``G_kl B_l`` side by side and
-    ``w_k = weights[k]`` is zero on user ``k``'s own and padding columns.
-    Zero padding of blocks and beams is exact.
+
+def _covariance_stack(stack: np.ndarray, beams: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Interference covariances of a transmitter-major grid as one ``(K, m, m)`` array.
+
+    ``stack`` is ``(K, K·m, n)`` from :func:`_by_transmitter`, ``beams``
+    is ``(K, n, d)`` and ``weights`` is ``(K, 1, K·d)`` from
+    :func:`_interferer_weights`. One product per transmitter gives every
+    effective block ``G_kl B_l``; entry ``k`` is then the Hermitized
+    ``X_k diag(w_k) X_k^H``, where ``X_k`` holds every transmitter's
+    effective columns side by side and ``w_k`` is zero on user ``k``'s
+    own and padding columns. Zero padding of blocks and beams is exact.
     """
-    users, _, rows, _ = grid.shape
-    x = (grid @ beams).transpose(0, 2, 1, 3).reshape(users, rows, -1)
-    q = (x * weights.reshape(users, 1, -1)) @ x.conj().transpose(0, 2, 1)
-    np.add(q, q.conj().transpose(0, 2, 1), out=q)
-    return np.multiply(0.5, q, out=q)
+    users, tall, _ = stack.shape
+    rows = tall // users
+    # One-row blocks stay vector products: a K-row product would round
+    # them differently in the last bit, and move leakage histories.
+    x = stack @ beams if rows > 1 else stack[:, :, None] @ beams[:, None]
+    x = x.reshape(users, users, rows, -1).transpose(1, 2, 0, 3).reshape(users, rows, -1)
+    q = (x * weights) @ x.conj().transpose(0, 2, 1)
+    return np.add(q, q.conj().transpose(0, 2, 1), out=q)
 
 
 def _covariances(grid: np.ndarray, beams: Sequence, weights: Sequence) -> np.ndarray:
-    """:func:`_covariance_stack` of a stacked grid, beams and weights given per user."""
+    """:func:`_covariance_stack` of a ``(K, K, m, n)`` grid, beams and weights given per user."""
     counts = tuple(b.shape[1] for b in beams)
-    return _covariance_stack(grid, _stack(beams, grid.shape[3], max(counts)),
+    return _covariance_stack(_by_transmitter(grid), _stack(beams, grid.shape[3], max(counts)),
                              _interferer_weights(tuple(weights), counts))
-

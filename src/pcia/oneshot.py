@@ -58,7 +58,6 @@ __all__ = [
     "SvdCache",
     "ReciprocalState",
     "design_receive_beamformers",
-    "reciprocal_interference_covariance",
     "reciprocal_state",
     "null_space_basis",
     "select_transmit_beamformer",
@@ -145,21 +144,6 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
                      [s[:d] for s, d in zip(singular, config.dof)],
                      [v[:, :d] for v, d in zip(right, config.dof)])
     return receive, cache
-
-
-def reciprocal_interference_covariance(
-    equiv: EquivalentChannel,
-    receive: Sequence,
-    config: NetworkConfig,
-):
-    """Per-user interference covariance of the reciprocal network.
-
-    On the reverse links every other user's receive filter acts as a
-    transmitter into user ``k``'s paired antenna stack, weighted by its
-    per-stream power at unit power per message. Silent users add nothing.
-    """
-    q = _covariances(equiv._reciprocal, receive, _unit_power_weights(config.dof))
-    return [q[k, :w, :w] for k, w in enumerate(config.paired_widths)]
 
 
 def _null_bases(qs: np.ndarray, rank_tol: float) -> list:

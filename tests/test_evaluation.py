@@ -249,7 +249,10 @@ def test_alignment_residual_oracle_and_scale_invariance(rng):
     scaled = [[7.0 * b for b in row] for row in blocks]
     assert alignment_residual(scaled, receive, transmit) == pytest.approx(got, rel=1e-12)
     empty = [np.zeros((2, 0), complex), np.zeros((3, 0), complex)]
-    assert alignment_residual(blocks, receive, [transmit[0], empty[0][:3]]) >= 0.0
+    assert alignment_residual(blocks, receive, [transmit[0], empty[1]]) == pytest.approx(
+        np.linalg.norm(receive[1].conj().T @ blocks[1][0] @ transmit[0])
+        / (np.linalg.norm(receive[1]) * np.linalg.norm(blocks[1][0], "fro")
+           * np.linalg.norm(transmit[0])), rel=1e-12)
     assert alignment_residual(blocks, [receive[0], empty[0]], transmit) == pytest.approx(
         np.linalg.norm(receive[0].conj().T @ blocks[0][1] @ transmit[1])
         / (np.linalg.norm(receive[0]) * np.linalg.norm(blocks[0][1], "fro")

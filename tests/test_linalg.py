@@ -17,10 +17,13 @@ from pcia import (
     design_receive_beamformers,
     equivalent_channel,
     generate_channel,
-    reciprocal_interference_covariance,
+    reciprocal_state,
 )
 from pcia.linalg import (
+    _by_transmitter,
+    _covariance_stack,
     _covariances,
+    _interferer_weights,
     fix_column_phases,
     pin_joint_phases,
     reciprocal,
@@ -86,7 +89,7 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
     covs = _kernel(reciprocal(equiv._stacked), receive, WEIGHTS, CONFIG.paired_widths)
-    public = reciprocal_interference_covariance(equiv, receive, CONFIG)
+    public = reciprocal_state(equiv, receive, CONFIG).covariances
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -112,6 +115,73 @@ def test_silent_transmitter_contributes_nothing(ragged):
     moved = _kernel(EquivalentChannel(scrambled)._stacked, transmit, WEIGHTS, CONFIG.rx_antennas)
     for k in (0, 1):
         assert np.array_equal(base[k], moved[k])
+
+
+def _receiver_major(grid, beams, weights):
+    # The kernel's receiver-major formula at full weights: K^2 block
+    # products, then A = (x * w) @ x^H and 0.5 * (A + A^H).
+    users, _, rows, _ = grid.shape
+    x = (grid @ beams).transpose(0, 2, 1, 3).reshape(users, rows, -1)
+    a = (x * weights.reshape(users, 1, -1)) @ x.conj().transpose(0, 2, 1)
+    return 0.5 * (a + a.conj().transpose(0, 2, 1))
+
+
+def _full_weights(weights, counts):
+    # (K, K, d): weights[l] on transmitter l's real columns, zero on the
+    # receiver's own transmitter and on padding columns.
+    users = len(counts)
+    out = np.zeros((users, users, max(counts)))
+    for k in range(users):
+        for l in range(users):
+            if l != k:
+                out[k, l, :counts[l]] = weights[l]
+    return out
+
+
+def _padded(beams, rows, cols):
+    out = np.zeros((len(beams), rows, cols), dtype=np.complex128)
+    for slot, b in zip(out, beams):
+        slot[:b.shape[0], :b.shape[1]] = b
+    return out
+
+
+@pytest.mark.parametrize("config", [
+    CONFIG,                                # a silent user, a 2-stream user, padded rows
+    NetworkConfig.symmetric(5, 2, 2, 1),   # the iterative benchmark's grid
+    NetworkConfig.symmetric(3, 1, 1, 1),   # one-row forward blocks
+], ids=["ragged", "k5-2x2", "one-row"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_equals_the_receiver_major_formula_bit_for_bit(config, seed):
+    rng = np.random.default_rng(seed)
+    equiv = equivalent_channel(generate_channel(config, seed), build_permutation(config))
+    transmit = [random_orthonormal(rng, w, d)
+                for w, d in zip(config.paired_widths, config.dof)]
+    receive, _ = design_receive_beamformers(equiv, config)
+    weights = [1.0 / d if d else 0.0 for d in config.dof]
+    counts = tuple(config.dof)
+    full = _full_weights(weights, counts)
+    for grid, beams in ((equiv._stacked, transmit), (reciprocal(equiv._stacked), receive)):
+        oracle = _receiver_major(grid, _padded(beams, grid.shape[3], max(counts)), full)
+        assert np.array_equal(_covariances(grid, beams, weights), oracle)
+        stack = _by_transmitter(grid)
+        assert stack.shape == (len(counts), len(counts) * grid.shape[2], grid.shape[3])
+        got = _covariance_stack(stack, _padded(beams, grid.shape[3], max(counts)),
+                                _interferer_weights(tuple(weights), counts))
+        assert np.array_equal(got, oracle)
+        # entry l of the transmitter-major stack is transmitter l's column of blocks
+        for l in range(len(counts)):
+            assert np.array_equal(stack[l], np.concatenate(list(grid[:, l])))
+
+
+def test_interferer_weights_are_cached_read_only_half_weights():
+    counts = tuple(CONFIG.dof)
+    half = _interferer_weights(tuple(WEIGHTS), counts)
+    assert half.shape == (3, 1, 3 * max(counts))
+    assert not half.flags.writeable
+    with pytest.raises(ValueError):
+        half[0, 0, 0] = 1.0
+    assert np.array_equal(half, 0.5 * _full_weights(WEIGHTS, counts).reshape(3, 1, -1))
+    assert _interferer_weights(tuple(WEIGHTS), counts) is half
 
 
 def test_weight_lists_of_the_wrong_length_are_rejected(ragged):

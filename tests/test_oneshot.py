@@ -26,7 +26,6 @@ from pcia import (
     null_space_basis,
     one_shot_ia,
     received_signal_power,
-    reciprocal_interference_covariance,
     reciprocal_state,
     select_transmit_beamformer,
 )
@@ -77,7 +76,7 @@ def test_received_power_matches_singular_values():
 def test_covariance_trace_matches_double_sum(k3_config, k3_channel):
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
     receive, _ = design_receive_beamformers(equiv, k3_config)
-    covs = reciprocal_interference_covariance(equiv, receive, k3_config)
+    covs = reciprocal_state(equiv, receive, k3_config).covariances
     for k in range(3):
         total = 0.0
         for l in range(3):
@@ -356,7 +355,7 @@ def _design_by_user(cfg, equiv, rank_tol=1e-9):
         singular.append(s)
         right.append(vh.conj().T * phases)
     receive = [u[:, :d] for u, d in zip(left, cfg.dof)]
-    covariances = reciprocal_interference_covariance(equiv, receive, cfg)
+    covariances = reciprocal_state(equiv, receive, cfg).covariances
     bases = []
     for q in covariances:
         vals, vecs = np.linalg.eigh(q)
