@@ -13,27 +13,34 @@ the pinned SVD of the direct blocks; a list grid is checked and copied
 into a view first. Both grids are copied transmitter-major once per run,
 so each half-iteration is one call to the covariance kernel of
 :mod:`pcia.linalg` (one product per transmitter, cached half weights)
-and one batched ``eigh`` over all users; the recorded leakage is the
-sum of each user's smallest eigenvalues. Uneven stream counts, silent
-users included, ride as zero-weight padding columns; ragged antenna
-counts as padded dimensions loaded above the trace so they sort last.
-The covariances depend only on ``V V^H``, so column phases are pinned
-once, on the returned filters.
+and one batched ``eigh`` over all users, through that module's LAPACK
+entry point; the recorded leakage is the sum of each user's smallest
+eigenvalues. The whole loop runs inside one LAPACK error state, entered
+once per run, so non-convergence or a NaN anywhere in it raises
+``LinAlgError``, and so does a leakage that is not finite. Uneven stream
+counts, silent users included, ride as zero-weight padding columns;
+ragged antenna counts as padded dimensions loaded above the trace so
+they sort last. The covariances depend only on ``V V^H``, so column
+phases are pinned once, on the returned filters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .linalg import (
     _by_transmitter,
     _check_filter_lists,
     _covariance_stack,
     _covariances,
+    _eigh,
     _interferer_weights,
+    _lapack_errors,
     _stack,
     _unit_power_weights,
     fix_column_phases,
@@ -76,6 +83,8 @@ def leakage(blocks, receive, transmit, dof) -> float:
 def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):
     """Batched ``eigh``; padded dimensions get a load above the trace.
 
+    Runs inside the caller's :func:`pcia.linalg._lapack_errors`.
+
     A padded dimension is a zero row and column of ``q``, so loading its
     diagonal entry past ``trace(q)`` (an upper bound on every eigenvalue
     of a PSD matrix) sorts its direction after all the real ones.
@@ -83,7 +92,7 @@ def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):
     if padded is not None:
         load = 2.0 * np.trace(q, axis1=1, axis2=2).real + 1.0
         q = q + load[:, None, None] * padded
-    return np.linalg.eigh(q)
+    return _eigh(q)
 
 
 def _padding(sizes: Sequence, size: int) -> Optional[np.ndarray]:
@@ -123,6 +132,9 @@ def iterate_distributed_ia(
     Raises:
         DistributedInfeasible: a user asks for more streams than its
             direct block supports.
+        numpy.linalg.LinAlgError: a recorded leakage is not finite, a NaN
+            arose in the loop, or an ``eigh`` did not converge; finite
+            channel entries whose products overflow, say.
         ValueError: ``dof`` does not give one whole, non-negative count
             per user, ``max_iters`` is not a positive whole number,
             ``leakage_tol`` is not positive and finite, ``init`` is
@@ -173,18 +185,21 @@ def iterate_distributed_ia(
     receive = np.zeros((num_users, grid.shape[2], 0), dtype=np.complex128)
     history = []
     converged = False
-    for _ in range(max_iters):
-        vals, vecs = _smallest_first(
-            _covariance_stack(forward, transmit, weights), fwd_padded)
-        receive = vecs[:, :, :width]
-        total = float(np.add.reduce(vals[:, :width] * streams, axis=None))
-        history.append(total)
-        if total <= threshold:
-            converged = True
-            break
-        _, vecs = _smallest_first(
-            _covariance_stack(reverse, receive, weights), rev_padded)
-        transmit = vecs[:, :, :width]
+    with _lapack_errors():
+        for _ in range(max_iters):
+            vals, vecs = _smallest_first(
+                _covariance_stack(forward, transmit, weights), fwd_padded)
+            receive = vecs[:, :, :width]
+            total = float(np.add.reduce(vals[:, :width] * streams, axis=None))
+            history.append(total)
+            if not math.isfinite(total):
+                raise LinAlgError(f"leakage {total} at iteration {len(history)} is not finite")
+            if total <= threshold:
+                converged = True
+                break
+            _, vecs = _smallest_first(
+                _covariance_stack(reverse, receive, weights), rev_padded)
+            transmit = vecs[:, :, :width]
     return IterationTrace(
         leakage=history,
         iterations=len(history),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
-from .linalg import _check_filter_lists, _stack, _stream_weights
+from .linalg import _check_filter_lists, _slogdet, _stack, _stream_weights
 from .network import (
     NetworkConfig,
     _integral,
@@ -131,7 +131,7 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     diagonal = phi.reshape(users, width * width)[:, ::width + 1]
     diagonal += _padded_streams(width, tuple(dof))
     np.add(phi, signal, out=signal)
-    logdet = np.linalg.slogdet(covs)[1]
+    logdet = _slogdet(covs)[1]
     rates = ((logdet[:users] - logdet[users:]) / math.log(2.0)).tolist()
     per_user = [r if d > 0 else 0.0 for r, d in zip(rates, dof)]
     return per_user, float(sum(per_user))

@@ -1,4 +1,17 @@
-"""Small linear-algebra helpers shared by the alignment solvers."""
+"""Small linear-algebra helpers shared by the alignment solvers.
+
+Besides phase pinning, the reciprocal grid and the shared interference-
+covariance kernel, this module is the package's one way to LAPACK for
+``eigh``, ``slogdet`` and ``det``: :func:`_eigh`, :func:`_slogdet` and
+:func:`_det` call the gufuncs that ``np.linalg`` calls, with the same
+signatures, but skip the public functions' per-call Python wrapper, which
+dominates on the 2x2 to 8x8 matrices the solvers decompose. Each result
+is bit for bit the public function's. ``np.linalg.eigh`` raises
+``LinAlgError`` on non-convergence through an error state that it enters
+on every call; here a caller enters :func:`_lapack_errors` once around
+its ``_eigh`` calls, so the leakage loop enters it once per run. ``svd``
+stays on the public function.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +20,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "fix_column_phases",
@@ -56,6 +70,41 @@ def pin_joint_phases(u: np.ndarray, v: np.ndarray):
     u = np.asarray(u)
     phases = _pinning_phases(u)[..., None, :]
     return u * phases, np.asarray(v) * phases
+
+
+def _lapack_failed(err: str, flag: int):
+    raise LinAlgError(f"a NaN or infinite value arose ({err}), or eigenvalues did not converge")
+
+
+def _lapack_errors() -> np.errstate:
+    """``np.linalg.eigh``'s error state: an invalid value raises LinAlgError.
+
+    LAPACK's non-convergence shows as an invalid-value event, as does any
+    NaN that arises under the state, so the message names both causes.
+    Overflow, division and underflow are ignored, as in ``np.linalg.eigh``.
+    """
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)`` of a float64 or complex128 stack, without its wrapper.
+
+    Call it inside :func:`_lapack_errors`, which ``np.linalg.eigh`` enters
+    for itself; outside it, non-convergence gives NaN instead of raising.
+    Other dtypes are computed, and returned, at double precision.
+    """
+    return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def _slogdet(a: np.ndarray) -> tuple:
+    """``np.linalg.slogdet(a)`` as a ``(sign, logabsdet)`` tuple, without its wrapper."""
+    return _umath_linalg.slogdet(a, signature="D->Dd" if a.dtype.kind == "c" else "d->dd")
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.det(a)``, without its wrapper."""
+    return _umath_linalg.det(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def _pinned_svd(stack: np.ndarray) -> tuple:

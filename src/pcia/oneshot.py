@@ -39,7 +39,10 @@ import numpy as np
 
 from .linalg import (
     _covariances,
+    _det,
+    _eigh,
     _groups,
+    _lapack_errors,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -148,7 +151,8 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
 
 def _null_bases(qs: np.ndarray, rank_tol: float) -> list:
     """Null-space bases of a ``(S, n, n)`` Hermitian PSD stack, one batched ``eigh``."""
-    vals, vecs = np.linalg.eigh(qs)
+    with _lapack_errors():
+        vals, vecs = _eigh(qs)
     # Ascending eigenvalues: the ones at or below the threshold are a prefix.
     kept = np.count_nonzero(vals <= rank_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
     return [v[:, :a] for v, a in zip(fix_column_phases(vecs), kept.tolist())]
@@ -242,7 +246,7 @@ def select_transmit_beamformer(
         chunk = np.fromiter(itertools.islice(columns, _SUBSET_CHUNK * dof_k),
                             dtype=np.intp).reshape(-1, dof_k)
         stack = projected[:, :, chunk].transpose(0, 2, 1, 3)
-        scores = np.abs(np.linalg.det(stack))
+        scores = np.abs(_det(stack))
         first, top = scores.argmax(axis=1), scores.max(axis=1)
         better = top > best_score
         best_score[better] = top[better]

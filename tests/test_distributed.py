@@ -5,10 +5,14 @@ Frobenius sum, and the convergence claims are pinned to measured
 iteration budgets on fixed seeds.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from pcia import (
+    ChannelSet,
     DistributedInfeasible,
     NetworkConfig,
     build_permutation,
@@ -17,7 +21,15 @@ from pcia import (
     iterate_distributed_ia,
     leakage,
 )
-from pcia.linalg import fix_column_phases
+from pcia import distributed
+from pcia.linalg import (
+    _by_transmitter,
+    _covariance_stack,
+    _interferer_weights,
+    _stack,
+    _unit_power_weights,
+    fix_column_phases,
+)
 
 
 def _paired_blocks(cfg, seed):
@@ -268,3 +280,96 @@ def test_a_view_and_its_list_grid_give_the_same_trace(cfg):
         assert np.array_equal(a, b)
     args = (runs[0].receive, runs[0].transmit, cfg.dof)
     assert leakage(view, *args) == leakage(view.blocks, *args)
+
+
+def _reference_loop(view, dof, max_iters, init, seed, leakage_tol=1e-8):
+    # The leakage loop as it ran on numpy's public eigh, one error state
+    # per call: the same start, threshold, kernel and stopping rule.
+    rows, cols = view.rx_sizes, view.tx_sizes
+    if init == "svd":
+        start = [v[:, :d] for (_, _, v), d in zip(view._direct_svd, dof)]
+    else:
+        rng = np.random.default_rng(seed)
+        start = []
+        for k in range(len(dof)):
+            raw = rng.standard_normal((cols[k], dof[k])) + 1j * rng.standard_normal(
+                (cols[k], dof[k]))
+            start.append(np.linalg.qr(raw)[0] if dof[k] else np.zeros((cols[k], 0)))
+    per_stream = _unit_power_weights(dof)
+    threshold = leakage_tol * sum(
+        per_stream[k] * float(np.linalg.norm(view.blocks[k][k] @ start[k], "fro") ** 2)
+        for k in range(len(dof)) if dof[k] > 0)
+    grid = view._stacked
+    forward, reverse = _by_transmitter(grid), _by_transmitter(view._reciprocal)
+    width = max(dof)
+    streams = np.arange(width) < np.array(dof)[:, None]
+    weights = _interferer_weights(tuple(per_stream), tuple(dof))
+
+    def smallest_first(q, padded):
+        if padded is not None:
+            load = 2.0 * np.trace(q, axis1=1, axis2=2).real + 1.0
+            q = q + load[:, None, None] * padded
+        return np.linalg.eigh(q)
+
+    fwd_padded = distributed._padding(rows, grid.shape[2])
+    rev_padded = distributed._padding(cols, grid.shape[3])
+    transmit = _stack(start, grid.shape[3], width)
+    history, converged = [], False
+    for _ in range(max_iters):
+        vals, vecs = smallest_first(_covariance_stack(forward, transmit, weights), fwd_padded)
+        receive = vecs[:, :, :width]
+        total = float(np.add.reduce(vals[:, :width] * streams, axis=None))
+        history.append(total)
+        if total <= threshold:
+            converged = True
+            break
+        _, vecs = smallest_first(_covariance_stack(reverse, receive, weights), rev_padded)
+        transmit = vecs[:, :, :width]
+    return (history, converged,
+            [fix_column_phases(receive[k, :rows[k], :dof[k]]) for k in range(len(dof))],
+            [fix_column_phases(transmit[k, :cols[k], :dof[k]]) for k in range(len(dof))])
+
+
+@pytest.mark.parametrize("cfg", [NetworkConfig.symmetric(5, 2, 2, 1), RAGGED, TIME_SHARE_ROW],
+                         ids=["k5-paired", "ragged-silent", "two-stream"])
+@pytest.mark.parametrize("init", ["svd", "random"])
+def test_the_loop_matches_the_public_eigh_loop_bit_for_bit(cfg, init):
+    view = equivalent_channel(generate_channel(cfg, 11), build_permutation(cfg))
+    trace = iterate_distributed_ia(view, cfg.dof, max_iters=300, init=init, seed=5)
+    history, converged, receive, transmit = _reference_loop(view, cfg.dof, 300, init, 5)
+    assert np.array_equal(trace.leakage, history)
+    assert trace.iterations == len(history)
+    assert trace.converged == converged
+    for a, b in zip(trace.receive + trace.transmit, receive + transmit, strict=True):
+        assert np.array_equal(a, b)
+
+
+def _overflowing_channel():
+    # Finite entries whose products overflow: a ChannelSet accepts them.
+    channel = generate_channel(NetworkConfig.symmetric(2, 2, 2, 1), 0)
+    return ChannelSet([[b * 1e155 for b in row] for row in channel.blocks])
+
+
+def test_a_leakage_that_is_not_finite_raises_instead_of_returning_nan():
+    # The loop used to return five NaN leakages and NaN filters, with only
+    # RuntimeWarnings, which a caller outside this suite does not see.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(LinAlgError, match="NaN or infinite value arose"):
+            iterate_distributed_ia(_overflowing_channel(), [1, 1], max_iters=5,
+                                   init="random", seed=0)
+
+
+def test_an_infinite_leakage_without_a_nan_is_caught_by_the_finite_check(monkeypatch):
+    # Infinite eigenvalues raise no invalid-value event, so the error state
+    # stays quiet and the per-iteration check names the leakage.
+    smallest_first = distributed._smallest_first
+
+    def infinite(q, padded):
+        vals, vecs = smallest_first(q, padded)
+        return vals + np.inf, vecs
+
+    monkeypatch.setattr(distributed, "_smallest_first", infinite)
+    cfg = NetworkConfig.symmetric(2, 2, 2, 1)
+    with pytest.raises(LinAlgError, match="leakage inf at iteration 1 is not finite"):
+        iterate_distributed_ia(generate_channel(cfg, 0), cfg.dof, max_iters=5)

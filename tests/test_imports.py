@@ -10,6 +10,9 @@
 * The package ``__init__`` re-exports exactly the ``__all__`` of each
   module it imports from, every module with an ``__all__`` but
   ``linalg``, and every ``__all__`` name is defined in its module.
+* ``eigh``, ``slogdet`` and ``det`` reach LAPACK only through
+  ``linalg``'s helpers: no other package module names them on
+  ``numpy.linalg``. ``svd`` and the rest stay on the public functions.
 """
 
 import ast
@@ -23,6 +26,8 @@ SOURCES += sorted((ROOT / "scripts").glob("*.py"))
 
 # Internal helpers: imported by name where needed, never re-exported.
 NOT_REEXPORTED = {"linalg"}
+# Reached through ``linalg._eigh``, ``_slogdet`` and ``_det`` only.
+WRAPPED_LAPACK = {"eigh", "slogdet", "det"}
 
 
 def _all_names(tree: ast.Module):
@@ -123,6 +128,22 @@ def _reexport_gaps(init: ast.Module, modules: dict) -> list:
     return gaps
 
 
+def _direct_lapack_calls(tree: ast.Module) -> list:
+    """``(line, name)`` of each ``WRAPPED_LAPACK`` name read from ``numpy.linalg``.
+
+    Catches ``np.linalg.eigh`` and ``numpy.linalg.eigh`` as attributes, and
+    ``from numpy.linalg import eigh``.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in WRAPPED_LAPACK
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend((node.lineno, a.name) for a in node.names if a.name in WRAPPED_LAPACK)
+    return sorted(found)
+
+
 def _package_trees() -> dict:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -181,3 +202,17 @@ def test_the_package_reexports_exactly_each_modules_all():
     init = trees.pop("__init__")
     gaps = _reexport_gaps(init, trees)
     assert not gaps, "re-export mismatches:\n" + "\n".join(gaps)
+
+
+def test_the_check_sees_a_direct_lapack_call():
+    tree = ast.parse("import numpy as np\nimport numpy\nfrom numpy.linalg import det, LinAlgError\n"
+                     "np.linalg.eigh(a)\nnumpy.linalg.slogdet(a)[1]\nnp.linalg.svd(a)\n"
+                     "f = np.linalg.det\nnp.linalg.qr(a)\n")
+    assert _direct_lapack_calls(tree) == [(3, "det"), (4, "eigh"), (5, "slogdet"), (7, "det")]
+
+
+def test_only_linalg_reaches_eigh_slogdet_and_det():
+    found = [f"src/pcia/{module}.py:{line}: numpy.linalg.{name}"
+             for module, tree in _package_trees().items() if module != "linalg"
+             for line, name in _direct_lapack_calls(tree)]
+    assert not found, "use linalg._eigh, _slogdet or _det instead:\n" + "\n".join(found)

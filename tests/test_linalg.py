@@ -9,6 +9,7 @@ interferers and streams.
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from pcia import (
     EquivalentChannel,
@@ -19,11 +20,16 @@ from pcia import (
     generate_channel,
     reciprocal_state,
 )
+from pcia.distributed import _padding
 from pcia.linalg import (
     _by_transmitter,
     _covariance_stack,
     _covariances,
+    _det,
+    _eigh,
     _interferer_weights,
+    _lapack_errors,
+    _slogdet,
     fix_column_phases,
     pin_joint_phases,
     reciprocal,
@@ -226,3 +232,55 @@ def test_phase_pinning_matches_the_column_loop(seed):
     real = rng.standard_normal((5, 4))
     assert fix_column_phases(real).dtype == real.dtype
     assert np.array_equal(fix_column_phases(real), real * np.sign(real[0]))
+
+
+def _hermitian_stacks(width):
+    # A random complex Hermitian PSD stack of ``width`` x ``width`` matrices,
+    # and the trace-loaded padded form the leakage loop builds when rows
+    # past 1 are zero padding.
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((5, width, width)) + 1j * rng.standard_normal((5, width, width))
+    q = x @ x.conj().transpose(0, 2, 1)
+    padded = _padding([max(1, width - k % 3) for k in range(5)], width)
+    if padded is None:
+        return [q]
+    real = np.diagonal(padded, axis1=1, axis2=2) == 0.0
+    cut = q * (real[:, :, None] & real[:, None, :])
+    load = 2.0 * np.trace(cut, axis1=1, axis2=2).real + 1.0
+    return [q, cut + load[:, None, None] * padded]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_lapack_helpers_match_numpy_bit_for_bit(width):
+    rng = np.random.default_rng(100 + width)
+    general = rng.standard_normal((6, width, width)) + 1j * rng.standard_normal((6, width, width))
+    for q in _hermitian_stacks(width) + [q.real.copy() for q in _hermitian_stacks(width)]:
+        with _lapack_errors():
+            vals, vecs = _eigh(q)
+        want = np.linalg.eigh(q)
+        assert np.array_equal(vals, want.eigenvalues) and vals.dtype == want.eigenvalues.dtype
+        assert np.array_equal(vecs, want.eigenvectors) and vecs.dtype == want.eigenvectors.dtype
+    for a in (general, general.real.copy(), _hermitian_stacks(width)[-1]):
+        sign, logdet = _slogdet(a)
+        want = np.linalg.slogdet(a)
+        assert np.array_equal(sign, want.sign) and np.array_equal(logdet, want.logabsdet)
+        assert sign.dtype == want.sign.dtype
+        assert np.array_equal(_det(a), np.linalg.det(a))
+        assert _det(a).dtype == np.linalg.det(a).dtype
+    singular = general.copy()
+    singular[:, :, 0] = 0.0
+    assert np.array_equal(_slogdet(singular)[1], np.linalg.slogdet(singular).logabsdet)
+    assert np.array_equal(_det(singular), np.linalg.det(singular))
+
+
+def test_the_error_state_raises_on_an_invalid_value_as_numpys_eigh_does():
+    before = np.geterr()
+    with _lapack_errors():
+        # the state np.linalg.eigh enters around its gufunc call
+        assert np.geterr() == {"divide": "ignore", "over": "ignore",
+                               "under": "ignore", "invalid": "call"}
+        with pytest.raises(LinAlgError, match="NaN or infinite value arose"):
+            np.subtract(np.array([np.inf]), np.inf)
+        # overflow is ignored, as in np.linalg.eigh
+        assert np.multiply(np.array([1e300]), 1e300)[0] == np.inf
+    assert np.geterr() == before
