@@ -7,7 +7,6 @@ from .network import (
     NetworkConfig,
     PermutationMap,
     build_permutation,
-    effective_overall_precoder,
     equivalent_channel,
     generate_channel,
 )
@@ -25,11 +24,8 @@ from .oneshot import (
     OneShotInfeasible,
     RankDeficientDesired,
     ReciprocalState,
-    SvdCache,
     design_receive_beamformers,
-    null_space_basis,
     one_shot_ia,
-    received_signal_power,
     reciprocal_state,
     select_transmit_beamformer,
 )
@@ -37,7 +33,6 @@ from .distributed import (
     DistributedInfeasible,
     IterationTrace,
     iterate_distributed_ia,
-    leakage,
 )
 from .zeroforcing import BDInfeasible, BDSolution, bd_zero_forcing
 from .evaluation import (

@@ -35,9 +35,7 @@ from numpy.linalg import LinAlgError
 
 from .linalg import (
     _by_transmitter,
-    _check_filter_lists,
     _covariance_stack,
-    _covariances,
     _eigh,
     _interferer_weights,
     _lapack_errors,
@@ -47,7 +45,7 @@ from .linalg import (
 )
 from .network import _integral, _stream_counts, _tolerance, _view
 
-__all__ = ["DistributedInfeasible", "IterationTrace", "leakage", "iterate_distributed_ia"]
+__all__ = ["DistributedInfeasible", "IterationTrace", "iterate_distributed_ia"]
 
 
 class DistributedInfeasible(ValueError):
@@ -63,21 +61,6 @@ class IterationTrace:
     converged: bool
     receive: list
     transmit: list
-
-
-def leakage(blocks, receive, transmit, dof) -> float:
-    """Total interference power left at the receive filter outputs.
-
-    Sums ``trace(U_k^H Q_k U_k)`` over users, where ``Q_k`` collects the
-    covariances of all undesired transmitters at unit power per message.
-    ``blocks`` is a channel view or a list grid, as for :func:`iterate_distributed_ia`.
-    A ValueError rejects filter lists that do not fit the grid and ``dof`` or are not finite.
-    """
-    grid = _view(blocks)
-    _check_filter_lists(grid.num_users, receive, transmit, dof, (grid.rx_sizes, grid.tx_sizes))
-    q = _covariances(grid._stacked, transmit, _unit_power_weights(dof))
-    return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
-               for k, (u, m) in enumerate(zip(receive, grid.rx_sizes)))
 
 
 def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):

@@ -18,6 +18,7 @@ import math
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import time_share_schedule
@@ -104,6 +105,8 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
             power per user, ``noise_power`` is negative, NaN or infinite,
             a list grid is malformed, or per-user filter lists do not fit
             the grid and ``dof`` or hold a NaN or infinite entry.
+        numpy.linalg.LinAlgError: the sum rate is NaN; finite channel
+            entries whose products overflow, say.
     """
     if not 0.0 <= noise_power < math.inf:
         raise ValueError(f"noise_power must be non-negative and finite, got {noise_power!r}")
@@ -134,7 +137,10 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     logdet = _slogdet(covs)[1]
     rates = ((logdet[:users] - logdet[users:]) / math.log(2.0)).tolist()
     per_user = [r if d > 0 else 0.0 for r, d in zip(rates, dof)]
-    return per_user, float(sum(per_user))
+    total = float(sum(per_user))
+    if math.isnan(total):
+        raise LinAlgError(f"sum rate {total} is not a number")
+    return per_user, total
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,7 +164,8 @@ def alignment_residual(blocks, receive, transmit) -> float:
     Maximum over ordered user pairs of the Frobenius norm of the filtered
     interference, normalized by the norms of the three factors. Zero when
     no interfering pair exists. ``blocks`` and the filters take the forms
-    and checks of :func:`sum_rate`.
+    and checks of :func:`sum_rate`, and a NaN residual raises
+    ``numpy.linalg.LinAlgError`` as a NaN sum rate does.
     """
     # Every filtered cross link at once on the stacked grid. Zero padding
     # changes no norm, and a silent user's zero-width filter pads to zeros,
@@ -171,7 +178,10 @@ def alignment_residual(blocks, receive, transmit) -> float:
     users = range(len(grid))
     den[users, users] = 0.0
     cross = den > 0
-    return float(np.max(num[cross] / den[cross], initial=0.0))
+    worst = float(np.max(num[cross] / den[cross], initial=0.0))
+    if math.isnan(worst):
+        raise LinAlgError(f"alignment residual {worst} is not a number")
+    return worst
 
 
 @dataclasses.dataclass(frozen=True)

@@ -133,10 +133,6 @@ class TimeShareSchedule:
     def per_user_average(self) -> Fraction:
         return Fraction(self.dof_total, self.num_users)
 
-    def user_slot_total(self, k: int) -> int:
-        """Streams user ``k`` accumulates over one full schedule period."""
-        return sum(row[k] for row in self.slot_table)
-
 
 def time_share_schedule(num_users: int, dof_total: int) -> TimeShareSchedule:
     """Slot plan that averages ``dof_total / num_users`` streams per user.

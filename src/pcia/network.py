@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "generate_channel",
     "build_permutation",
     "equivalent_channel",
-    "effective_overall_precoder",
 ]
 
 
@@ -128,6 +126,7 @@ class NetworkConfig:
     @classmethod
     def symmetric(cls, num_users: int, rx_antennas: int, tx_antennas: int, dof) -> "NetworkConfig":
         """Build a config where every cell has the same antenna counts."""
+        num_users = _integral(num_users, "num_users")
         return cls([rx_antennas] * num_users, [tx_antennas] * num_users, dof)
 
     @property
@@ -159,9 +158,6 @@ class NetworkConfig:
     @property
     def active_users(self) -> tuple:
         return tuple(k for k in range(self.num_users) if self.dof[k] > 0)
-
-    def with_dof(self, dof: Sequence) -> "NetworkConfig":
-        return dataclasses.replace(self, dof=dof)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -336,12 +332,13 @@ class PermutationMap:
     ``column_order[c]`` gives the physical column feeding equivalent
     column ``c``; it is a read-only copy. Every physical column appears
     exactly twice because each base station serves its own user and one
-    neighbour.
+    neighbour. ``station_widths`` are the antenna counts of the stations
+    whose columns the map reads.
     """
 
     column_order: np.ndarray
     group_widths: tuple
-    n_hat: int
+    station_widths: tuple
 
     def __post_init__(self):
         order = _read_only(np.array(self.column_order, dtype=np.intp))
@@ -350,12 +347,6 @@ class PermutationMap:
             raise ValueError("column_order must be one-dimensional")
         if len(order) != sum(self.group_widths):
             raise ValueError("column_order length must match the group widths")
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense 0/1 selection matrix so that H @ P gathers the columns."""
-        p = np.zeros((self.n_hat, len(self.column_order)))
-        p[self.column_order, np.arange(len(self.column_order))] = 1.0
-        return p
 
 
 def _stacking_order(config: NetworkConfig, k: int) -> tuple:
@@ -382,7 +373,7 @@ def build_permutation(config: NetworkConfig) -> PermutationMap:
         column_order=np.concatenate([antennas[stations[b]] for k in range(config.num_users)
                                      for b in _stacking_order(config, k)]),
         group_widths=config.paired_widths,
-        n_hat=config.total_tx_antennas,
+        station_widths=config.tx_antennas,
     )
 
 
@@ -398,59 +389,23 @@ def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentC
     """Gather physical columns into the paired-transmitter block grid.
 
     Raises:
-        ValueError: if the channel's column count does not match the map.
+        ValueError: if the channel's per-station antenna counts are not
+            the map's: a map of another layout would pair the wrong columns.
     """
-    full = channel.assemble()
-    if full.shape[1] != perm.n_hat:
-        raise ValueError(
-            f"channel has {full.shape[1]} transmit antennas, map expects {perm.n_hat}"
-        )
-    return EquivalentChannel._cut(full[:, perm.column_order], channel.rx_sizes,
+    if channel.tx_sizes != perm.station_widths:
+        raise ValueError(f"channel has {channel.tx_sizes} transmit antennas per station, "
+                         f"map expects {perm.station_widths}")
+    return EquivalentChannel._cut(channel.assemble()[:, perm.column_order], channel.rx_sizes,
                                   perm.group_widths)
-
-
-def _check_paired_rows(transmit: Sequence, config: NetworkConfig) -> None:
-    """Each user's beamformer must span its paired antenna stack."""
-    for k, w in enumerate(transmit):
-        rows = np.shape(w)[0]
-        if rows != config.paired_tx_antennas(k):
-            raise ValueError(
-                f"user {k} beamformer has {rows} rows, "
-                f"expected {config.paired_tx_antennas(k)}"
-            )
 
 
 @dataclasses.dataclass
 class BeamformerSet:
     """Receive filters plus transmit precoders for one realization.
 
-    ``transmit[k]`` acts on user ``k``'s paired antenna stack;
-    :func:`effective_overall_precoder` places its rows on the stations.
+    ``transmit[k]`` acts on user ``k``'s paired antenna stack, its rows in
+    the order :func:`build_permutation` gathers them.
     """
 
     receive: list
     transmit: list
-
-    @classmethod
-    def from_joint(cls, receive: Sequence, transmit: Sequence,
-                   config: NetworkConfig) -> "BeamformerSet":
-        _check_paired_rows(transmit, config)
-        return cls(list(receive), list(transmit))
-
-
-def effective_overall_precoder(beams: BeamformerSet, config: NetworkConfig) -> np.ndarray:
-    """Overall per-station precoder equivalent to the stacked per-pair one.
-
-    The returned matrix ``V`` maps all streams to all physical transmit
-    antennas; multiplying the physical channel by ``V`` reproduces the
-    equivalent channel applied to the stacked precoders. Each stream
-    column touches exactly the two stations of its serving pair: the rows
-    :func:`build_permutation` gathers into that user's stack.
-    """
-    _check_paired_rows(beams.transmit, config)
-    order = build_permutation(config).column_order
-    v = np.zeros((config.total_tx_antennas, config.dof_total), dtype=np.complex128)
-    for w, group, cols in zip(beams.transmit, _slices(config.paired_widths),
-                              _slices(config.dof), strict=True):
-        v[order[group], cols] = w
-    return v

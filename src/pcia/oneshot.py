@@ -58,13 +58,10 @@ from .network import (
 __all__ = [
     "OneShotInfeasible",
     "RankDeficientDesired",
-    "SvdCache",
     "ReciprocalState",
     "design_receive_beamformers",
     "reciprocal_state",
-    "null_space_basis",
     "select_transmit_beamformer",
-    "received_signal_power",
     "one_shot_ia",
 ]
 
@@ -94,28 +91,9 @@ class RankDeficientDesired(RuntimeError):
 
 
 @dataclasses.dataclass
-class SvdCache:
-    """Per-user singular triplets of the direct paired blocks.
-
-    ``left[k] @ diag(singular[k]) @ right[k].conj().T`` reproduces the
-    direct block of user ``k``; the ``*_trunc`` entries keep only the
-    ``dof[k]`` dominant triplets.
-    """
-
-    left: list
-    singular: list
-    right: list
-    left_trunc: list
-    singular_trunc: list
-    right_trunc: list
-
-
-@dataclasses.dataclass
 class ReciprocalState:
-    """Reciprocal covariances and their null-space data, one entry per user."""
+    """Null-space data of the reciprocal covariances, one entry per user."""
 
-    covariances: list    # paired-width square, Hermitian PSD
-    ranks: list          # measured numerical ranks
     nullities: list      # admissible precoder dimensions a_k
     null_bases: list     # orthonormal bases of the admissible subspaces
     choice_counts: list  # number of candidate column subsets per user
@@ -129,9 +107,7 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
     every time-share slot then reads; the filters are read-only views.
 
     Returns:
-        (receive, cache): per-user ``m_k x d_k`` filters with orthonormal
-        columns, plus the full :class:`SvdCache` for reuse by the
-        transmit-side selection.
+        Per-user ``m_k x d_k`` filters with orthonormal columns.
 
     Raises:
         ValueError: if any user asks for more streams than its direct
@@ -141,31 +117,20 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
         if config.dof[k] > min(shape):
             raise ValueError(
                 f"user {k} asks for {config.dof[k]} streams on a {shape} direct block")
-    left, singular, right = map(list, zip(*equiv._direct_svd))
-    receive = [u[:, :d] for u, d in zip(left, config.dof)]
-    cache = SvdCache(left, singular, right, list(receive),
-                     [s[:d] for s, d in zip(singular, config.dof)],
-                     [v[:, :d] for v, d in zip(right, config.dof)])
-    return receive, cache
+    return [u[:, :d] for (u, _, _), d in zip(equiv._direct_svd, config.dof)]
 
 
 def _null_bases(qs: np.ndarray, rank_tol: float) -> list:
-    """Null-space bases of a ``(S, n, n)`` Hermitian PSD stack, one batched ``eigh``."""
+    """Null-space bases of a ``(S, n, n)`` Hermitian PSD stack, one batched ``eigh``.
+
+    Eigenvalues at or below ``rank_tol`` times the largest one count as
+    zero; a zero matrix yields a full basis.
+    """
     with _lapack_errors():
         vals, vecs = _eigh(qs)
     # Ascending eigenvalues: the ones at or below the threshold are a prefix.
     kept = np.count_nonzero(vals <= rank_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
     return [v[:, :a] for v, a in zip(fix_column_phases(vecs), kept.tolist())]
-
-
-def null_space_basis(q: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the (numerical) null space of a Hermitian PSD matrix.
-
-    Eigenvalues at or below ``rank_tol`` times the largest one count as
-    zero; a zero matrix yields a full basis. A ``rank_tol`` that is not
-    positive and finite raises ValueError.
-    """
-    return _null_bases(np.asarray(q)[None], _tolerance(rank_tol, "rank_tol"))[0]
 
 
 def reciprocal_state(
@@ -174,11 +139,11 @@ def reciprocal_state(
     config: NetworkConfig,
     rank_tol: float = 1e-9,
 ) -> ReciprocalState:
-    """Covariances plus null-space bases and candidate counts per user.
+    """Null-space bases of the reciprocal covariances, and candidate counts per user.
 
     The null spaces come from one batched ``eigh`` per distinct paired
-    width over one zero-padded covariance stack, with ``rank_tol``
-    checked as in :func:`null_space_basis`.
+    width over one zero-padded covariance stack. A ``rank_tol`` that is
+    not positive and finite raises ValueError.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
     q = _covariances(equiv._reciprocal, receive, _unit_power_weights(config.dof))
@@ -187,11 +152,9 @@ def reciprocal_state(
     for w, users in _groups(widths):
         for k, basis in zip(users, _null_bases(q[list(users), :w, :w], rank_tol)):
             bases[k] = basis
-    covariances = [q[k, :w, :w] for k, w in enumerate(widths)]
     nullities = [b.shape[1] for b in bases]
-    ranks = [w - a for w, a in zip(widths, nullities)]
     counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
-    return ReciprocalState(covariances, ranks, nullities, bases, counts)
+    return ReciprocalState(nullities, bases, counts)
 
 
 def select_transmit_beamformer(
@@ -255,20 +218,6 @@ def select_transmit_beamformer(
     return picks if stacked else picks[0]
 
 
-def received_signal_power(
-    receive_k: np.ndarray,
-    direct_block: np.ndarray,
-    transmit_k: np.ndarray,
-    power_k: float,
-    dof_k: int,
-) -> float:
-    """Desired-signal power at the filter output under equal stream split."""
-    if dof_k == 0:
-        return 0.0
-    eff = receive_k.conj().T @ direct_block @ transmit_k
-    return power_k / dof_k * float(np.real(np.trace(eff @ eff.conj().T)))
-
-
 def one_shot_ia(
     config: NetworkConfig,
     channel,
@@ -285,7 +234,8 @@ def one_shot_ia(
             among active users, or a null space comes up short.
         RankDeficientDesired: a direct link lost stream rank after
             precoding (a measure-zero event for generic channels).
-        ValueError: ``rank_tol`` is not positive and finite.
+        ValueError: ``rank_tol`` is not positive and finite, or the
+            channel's antenna layout is not the config's.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
     active = config.active_users
@@ -299,13 +249,13 @@ def one_shot_ia(
             f"smallest paired antenna width is {bound} among active users",
             nullity=bound, dof=d_hat,
         )
-    if isinstance(channel, EquivalentChannel):
-        equiv = channel
-        if equiv.tx_sizes != config.paired_widths:
-            raise ValueError("equivalent channel widths do not match the config")
-    else:
+    equiv = channel
+    if not isinstance(channel, EquivalentChannel):
         equiv = equivalent_channel(channel, build_permutation(config))
-    receive, cache = design_receive_beamformers(equiv, config)
+    if (equiv.rx_sizes, equiv.tx_sizes) != (config.rx_antennas, config.paired_widths):
+        raise ValueError(f"channel block widths {equiv.rx_sizes} x {equiv.tx_sizes} do not "
+                         f"match the config's {config.rx_antennas} x {config.paired_widths}")
+    receive = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol)
     # One stacked search per group sharing filter and basis shapes, so a
     # block shape, a stream count and a nullity, in first-user order: the
@@ -321,8 +271,8 @@ def one_shot_ia(
             for k, pick in zip(users, picks):
                 transmit[k] = pick
     # Reference scale is the unprojected direct link (its largest singular
-    # value, from the receive-side SVD): filters with unit columns can
-    # only shrink it, and comparing within ``eff`` alone would make a
+    # value, from the cached direct-block SVD): filters with unit columns
+    # can only shrink it, and comparing within ``eff`` alone would make a
     # uniformly collapsed link (d_k = 1 above all) look healthy. Users
     # are checked in order after every group's ``svd``.
     smallest = {}
@@ -333,7 +283,7 @@ def one_shot_ia(
                @ grid[users, users, :m, :w] @ np.array([transmit[k] for k in users]))
         smallest.update(zip(users, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
     for k in active:
-        if smallest[k] <= rank_tol * cache.singular[k][0]:
+        if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding", user=k)
     return BeamformerSet(receive, transmit)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pcia.network import NetworkConfig, generate_channel
+from pcia.linalg import _covariances, _unit_power_weights
+from pcia.network import NetworkConfig, build_permutation, generate_channel
 
 
 def random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -35,6 +36,45 @@ def zero_padded(grid) -> np.ndarray:
         for l, b in enumerate(row):
             out[k, l, :b.shape[0], :b.shape[1]] = b
     return out
+
+
+def overall_precoder(transmit, config) -> np.ndarray:
+    """The network-wide per-station precoder equivalent to the stacked per-pair ones.
+
+    Each stream column carries its user's precoder on the physical rows
+    that :func:`pcia.build_permutation` gathers into that user's stack,
+    and zeros on every other station.
+    """
+    order = build_permutation(config).column_order
+    v = np.zeros((config.total_tx_antennas, config.dof_total), dtype=np.complex128)
+    row = col = 0
+    for w, width, d in zip(transmit, config.paired_widths, config.dof, strict=True):
+        v[order[row:row + width], col:col + d] = w
+        row += width
+        col += d
+    return v
+
+
+def selection_matrix(perm) -> np.ndarray:
+    """Dense 0/1 matrix ``P`` of a column map, so that ``H @ P`` gathers the columns."""
+    p = np.zeros((sum(perm.station_widths), len(perm.column_order)))
+    p[perm.column_order, np.arange(len(perm.column_order))] = 1.0
+    return p
+
+
+def received_signal_power(receive_k, direct_block, transmit_k, power_k, dof_k) -> float:
+    """Desired-signal power at the filter output, ``power_k`` split evenly over ``dof_k`` streams."""
+    if dof_k == 0:
+        return 0.0
+    eff = receive_k.conj().T @ direct_block @ transmit_k
+    return power_k / dof_k * float(np.real(np.trace(eff @ eff.conj().T)))
+
+
+def reciprocal_covariances(equiv, receive, dof) -> list:
+    """The reciprocal interference covariance of each user, as :func:`pcia.reciprocal_state`
+    builds it: the package kernel on the cached reciprocal grid at unit power per message."""
+    q = _covariances(equiv._reciprocal, receive, _unit_power_weights(dof))
+    return [q[k, :w, :w] for k, w in enumerate(equiv.tx_sizes)]
 
 
 @pytest.fixture

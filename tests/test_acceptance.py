@@ -18,20 +18,17 @@ import numpy as np
 import pytest
 
 from pcia import (
-    BeamformerSet,
     NetworkConfig,
     OneShotInfeasible,
     backhaul_rate,
     build_permutation,
     design_receive_beamformers,
     dof_upper_bound,
-    effective_overall_precoder,
     equivalent_channel,
     generate_channel,
     is_proper_generic,
     is_proper_partial,
     one_shot_ia,
-    received_signal_power,
     reciprocal_state,
     time_share_schedule,
 )
@@ -43,7 +40,7 @@ from pcia.evaluation import (
     run_experiment,
 )
 
-from conftest import blockdiag, random_orthonormal
+from conftest import blockdiag, overall_precoder, random_orthonormal, received_signal_power
 
 
 def _scorecard(number, label):
@@ -78,15 +75,13 @@ def test_01_equivalent_channel_identity():
         cfg = NetworkConfig(rx, tx, [0] * k)
         dof = [int(rng.integers(1, min(rx[i], cfg.paired_tx_antennas(i)) + 1))
                for i in range(k)]
-        cfg = cfg.with_dof(dof)
+        cfg = NetworkConfig(rx, tx, dof)
         channel = generate_channel(cfg, int(rng.integers(2 ** 32)))
         equiv = equivalent_channel(channel, build_permutation(cfg))
         transmit = [random_orthonormal(rng, cfg.paired_tx_antennas(i), dof[i])
                     for i in range(k)]
-        beams = BeamformerSet.from_joint(
-            [np.eye(rx[i]) for i in range(k)], transmit, cfg)
         lhs = equiv.assemble() @ blockdiag(transmit)
-        rhs = channel.assemble() @ effective_overall_precoder(beams, cfg)
+        rhs = channel.assemble() @ overall_precoder(transmit, cfg)
         rel = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
         assert rel <= 1e-12
     _scorecard(1, "equivalent channel identity")
@@ -122,21 +117,24 @@ def test_03_received_power_identities():
             channel = generate_channel(
                 cfg, np.random.SeedSequence((3033, case_idx, trial)))
             equiv = equivalent_channel(channel, perm)
-            receive, cache = design_receive_beamformers(equiv, cfg)
+            receive = design_receive_beamformers(equiv, cfg)
+            # The dominant triplets of each direct block, from the draw's SVD.
+            singular = [s[:d] for (_, s, _), d in zip(equiv._direct_svd, cfg.dof)]
+            right = [v[:, :d] for (_, _, v), d in zip(equiv._direct_svd, cfg.dof)]
             for user in range(k):
                 d = cfg.dof[user]
                 # Matched precoding attains the sum of the dominant
                 # squared singular values, split evenly over streams.
                 got = received_signal_power(
                     receive[user], equiv.blocks[user][user],
-                    cache.right_trunc[user], power, d)
-                want = power / d * float(np.sum(cache.singular_trunc[user] ** 2))
+                    right[user], power, d)
+                want = power / d * float(np.sum(singular[user] ** 2))
                 assert got == pytest.approx(want, rel=1e-10)
             beams = one_shot_ia(cfg, equiv)
             for user in range(k):
                 d = cfg.dof[user]
-                sing = cache.singular_trunc[user]
-                overlap = cache.right_trunc[user].conj().T @ beams.transmit[user]
+                sing = singular[user]
+                overlap = right[user].conj().T @ beams.transmit[user]
                 factors = np.abs(overlap) ** 2
                 assert np.all(factors <= 1.0 + 1e-12)
                 double_sum = power / d * float(np.sum(sing[:, None] ** 2 * factors))
@@ -154,7 +152,7 @@ def test_04_reciprocal_nullity_law():
         cfg = _case_config(k, antennas, dof_total)
         channel = generate_channel(cfg, np.random.SeedSequence((4044, trial)))
         equiv = equivalent_channel(channel, build_permutation(cfg))
-        receive, _ = design_receive_beamformers(equiv, cfg)
+        receive = design_receive_beamformers(equiv, cfg)
         state = reciprocal_state(equiv, receive, cfg)
         for user in range(k):
             paired = cfg.paired_tx_antennas(user)

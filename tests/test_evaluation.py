@@ -6,11 +6,13 @@ trials by hand.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
 
 from pcia import (
     ExperimentResult,
@@ -213,6 +215,24 @@ def test_malformed_list_grids_get_the_view_error(k3_config, k3_channel, score, f
             sum_rate(grid, beams.receive, beams.transmit, [1.0] * 3, k3_config.dof, 1.0)
         else:
             alignment_residual(grid, beams.receive, beams.transmit)
+
+
+@pytest.mark.parametrize("score", ["sum_rate", "alignment_residual"])
+def test_a_nan_score_raises_instead_of_being_returned(score):
+    # Finite entries whose products overflow pass the view's checks. The
+    # scorers used to return NaN rates and a NaN residual with only
+    # RuntimeWarnings, which a caller outside this suite does not see.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    blocks = [[b * 1e155 for b in row] for row in generate_channel(cfg, 0).blocks]
+    filters = [np.eye(2, 1)] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if score == "sum_rate":
+            with pytest.raises(LinAlgError, match="sum rate nan is not a number"):
+                sum_rate(blocks, filters, filters, [1.0] * 3, cfg.dof, 1.0)
+        else:
+            with pytest.raises(LinAlgError, match="alignment residual nan is not a number"):
+                alignment_residual(blocks, filters, filters)
 
 
 def test_stream_counts_that_do_not_fit_the_filter_lists_are_rejected(k3_config, k3_channel):

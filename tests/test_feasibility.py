@@ -167,7 +167,7 @@ def test_schedule_five_users_seven_streams():
         assert sorted(row) == [1, 1, 1, 2, 2]
         assert sum(row) == 7
     for k in range(5):
-        assert sched.user_slot_total(k) == 14
+        assert sum(row[k] for row in sched.slot_table) == 14
     # Boosted pairs enumerate lexicographically.
     assert sched.slot_table[0] == (2, 2, 1, 1, 1)
     assert sched.slot_table[-1] == (1, 1, 1, 2, 2)
@@ -178,7 +178,7 @@ def test_schedule_four_users_six_streams():
     assert sched.num_slots == 6
     assert sched.boosted_slots_per_user == 3
     assert all(sum(row) == 6 for row in sched.slot_table)
-    assert {sched.user_slot_total(k) for k in range(4)} == {9}
+    assert {sum(row[k] for row in sched.slot_table) for k in range(4)} == {9}
 
 
 def test_schedule_divisible_total_needs_one_slot():

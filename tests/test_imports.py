@@ -10,6 +10,10 @@
 * The package ``__init__`` re-exports exactly the ``__all__`` of each
   module it imports from, every module with an ``__all__`` but
   ``linalg``, and every ``__all__`` name is defined in its module.
+* Every name the package ``__init__`` re-exports is read outside its own
+  definition: in a package module other than ``__init__``, in a script,
+  or in a benchmark module other than its tests. A name that only the
+  tests read is not part of the public surface.
 * ``eigh``, ``slogdet`` and ``det`` reach LAPACK only through
   ``linalg``'s helpers: no other package module names them on
   ``numpy.linalg``. ``svd`` and the rest stay on the public functions.
@@ -23,6 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pcia"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "scripts").glob("*.py"))
+# Callers outside the package that a re-exported name may serve.
+READERS = sorted((ROOT / "scripts").glob("*.py"))
+READERS += sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
 
 # Internal helpers: imported by name where needed, never re-exported.
 NOT_REEXPORTED = {"linalg"}
@@ -128,6 +135,25 @@ def _reexport_gaps(init: ast.Module, modules: dict) -> list:
     return gaps
 
 
+def _unread_exports(init: ast.Module, modules: dict, readers: list) -> list:
+    """``module: name`` of each name ``init`` re-exports that nothing reads.
+
+    ``modules`` maps the package's other modules to their parsed trees and
+    ``readers`` lists parsed files outside the package. A read inside the
+    name's own definition, or the re-export itself, does not count.
+    """
+    reads = collections.Counter()
+    for tree in (*modules.values(), *readers):
+        reads.update(_reads(tree))
+    unread = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            own = {name: _reads(d)[name] for d, name in _definitions(modules[node.module])}
+            unread += [f"{node.module}: {a.name}" for a in node.names
+                       if reads[a.name] == own.get(a.name, 0)]
+    return sorted(unread)
+
+
 def _direct_lapack_calls(tree: ast.Module) -> list:
     """``(line, name)`` of each ``WRAPPED_LAPACK`` name read from ``numpy.linalg``.
 
@@ -202,6 +228,29 @@ def test_the_package_reexports_exactly_each_modules_all():
     init = trees.pop("__init__")
     gaps = _reexport_gaps(init, trees)
     assert not gaps, "re-export mismatches:\n" + "\n".join(gaps)
+
+
+def test_the_check_sees_an_export_only_tests_read():
+    modules = {
+        "a": ast.parse("def used():\n    pass\ndef recursive():\n    return recursive()\n"
+                       "def tested():\n    pass\nclass Internal:\n    pass\n"
+                       "def caller():\n    return Internal()\n"),
+        "b": ast.parse("SCRIPTED = 1\nBENCHED = 2\n"),
+    }
+    init = ast.parse("from .a import used, recursive, tested, Internal, caller\n"
+                     "from .b import SCRIPTED, BENCHED\n")
+    readers = [ast.parse("from pcia import SCRIPTED\nimport pcia\npcia.used()\n"),
+               ast.parse("import pcia.b\nprint(pcia.b.BENCHED)\n")]
+    assert _unread_exports(init, modules, readers) == [
+        "a: caller", "a: recursive", "a: tested"]
+
+
+def test_every_reexport_is_read_outside_the_tests():
+    trees = _package_trees()
+    init = trees.pop("__init__")
+    readers = [ast.parse(p.read_text(), str(p)) for p in READERS]
+    unread = _unread_exports(init, trees, readers)
+    assert not unread, "re-exported names only the tests read:\n" + "\n".join(unread)
 
 
 def test_the_check_sees_a_direct_lapack_call():

@@ -18,7 +18,6 @@ from pcia import (
     design_receive_beamformers,
     equivalent_channel,
     generate_channel,
-    reciprocal_state,
 )
 from pcia.distributed import _padding
 from pcia.linalg import (
@@ -35,7 +34,7 @@ from pcia.linalg import (
     reciprocal,
 )
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, reciprocal_covariances
 
 CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
 WEIGHTS = [1.0, 0.5, 0.0]   # unit power / streams, zero for the silent user
@@ -48,7 +47,7 @@ def ragged(request):
                                build_permutation(CONFIG))
     transmit = [random_orthonormal(rng, w, d)
                 for w, d in zip(CONFIG.paired_widths, CONFIG.dof)]
-    receive, _ = design_receive_beamformers(equiv, CONFIG)
+    receive = design_receive_beamformers(equiv, CONFIG)
     return equiv, transmit, receive
 
 
@@ -95,11 +94,12 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
     covs = _kernel(reciprocal(equiv._stacked), receive, WEIGHTS, CONFIG.paired_widths)
-    public = reciprocal_state(equiv, receive, CONFIG).covariances
+    # What the one-shot design reads: the cached reciprocal grid, unit-power weights.
+    cached = reciprocal_covariances(equiv, receive, CONFIG.dof)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
         assert np.array_equal(q, q.conj().T)
-        assert np.array_equal(q, public[k])
+        assert np.array_equal(q, cached[k])
         oracle = sum(WEIGHTS[l] * blocks[l][k].conj().T @ receive[l]
                      @ receive[l].conj().T @ blocks[l][k]
                      for l in range(3) if l != k)
@@ -162,7 +162,7 @@ def test_kernel_equals_the_receiver_major_formula_bit_for_bit(config, seed):
     equiv = equivalent_channel(generate_channel(config, seed), build_permutation(config))
     transmit = [random_orthonormal(rng, w, d)
                 for w, d in zip(config.paired_widths, config.dof)]
-    receive, _ = design_receive_beamformers(equiv, config)
+    receive = design_receive_beamformers(equiv, config)
     weights = [1.0 / d if d else 0.0 for d in config.dof]
     counts = tuple(config.dof)
     full = _full_weights(weights, counts)

@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcia.network import (
-    BeamformerSet,
     ChannelSet,
     EquivalentChannel,
     NetworkConfig,
     build_permutation,
-    effective_overall_precoder,
     equivalent_channel,
     generate_channel,
 )
 
-from conftest import blockdiag, cached_arrays, random_orthonormal, zero_padded
+from conftest import (
+    blockdiag,
+    cached_arrays,
+    overall_precoder,
+    random_orthonormal,
+    selection_matrix,
+    zero_padded,
+)
 
 
 def test_block_shapes_and_assembly(k3_config, k3_channel):
@@ -68,7 +73,7 @@ def test_selection_matrix_single_antenna_cells():
     # physical column is selected exactly twice, so P P^T doubles the
     # identity while P^T P marks the duplicated pairs.
     cfg = NetworkConfig.symmetric(4, 1, 1, 0)
-    p = build_permutation(cfg).as_matrix()
+    p = selection_matrix(build_permutation(cfg))
     assert p.shape == (4, 8)
     assert np.array_equal(p @ p.T, 2.0 * np.eye(4))
     assert np.array_equal(np.sort(p.sum(axis=1)), np.full(4, 2.0))
@@ -87,7 +92,7 @@ def test_equivalent_blocks_concatenate_pair_columns(k3_config, k3_channel):
 def test_equivalent_matches_dense_gather(k3_config, k3_channel):
     perm = build_permutation(k3_config)
     g = equivalent_channel(k3_channel, perm)
-    dense = k3_channel.assemble() @ perm.as_matrix()
+    dense = k3_channel.assemble() @ selection_matrix(perm)
     assert np.max(np.abs(g.assemble() - dense)) <= 1e-12
 
 
@@ -95,13 +100,19 @@ def test_equivalent_rejects_foreign_map(k3_channel):
     other = build_permutation(NetworkConfig.symmetric(3, 2, 3, 1))
     with pytest.raises(ValueError, match="transmit antennas"):
         equivalent_channel(k3_channel, other)
+    # The same antenna total on other stations: the gather used to pass,
+    # pairing columns of the wrong stations.
+    channel = generate_channel(NetworkConfig([2, 2, 2], [3, 1, 2], [1, 1, 1]), 0)
+    with pytest.raises(ValueError, match=r"\(3, 1, 2\) transmit antennas per station, "
+                                         r"map expects \(2, 2, 2\)"):
+        equivalent_channel(channel, build_permutation(NetworkConfig.symmetric(3, 2, 2, 1)))
 
 
 def test_split_layout_first_user_primary_on_top():
     cfg = NetworkConfig(rx_antennas=[2, 2, 2], tx_antennas=[2, 3, 4], dof=[1, 1, 1])
     rng = np.random.default_rng(7)
     transmit = [random_orthonormal(rng, cfg.paired_tx_antennas(k), 1) for k in range(3)]
-    v = effective_overall_precoder(BeamformerSet.from_joint([np.eye(2)] * 3, transmit, cfg), cfg)
+    v = overall_precoder(transmit, cfg)
     station = {0: slice(0, 2), 1: slice(2, 5), 2: slice(5, 9)}
     # user 0: own station (2 rows) on top, helper station 2 (4 rows) below
     assert np.array_equal(v[station[0], 0], transmit[0][:2, 0])
@@ -112,16 +123,9 @@ def test_split_layout_first_user_primary_on_top():
     assert not np.any(v[station[1], 0]) and not np.any(v[station[2], 1])
 
 
-def test_split_rejects_bad_row_count(k3_config):
-    bad = BeamformerSet([np.eye(2)] * 3, [np.zeros((3, 1))] * 3)
-    with pytest.raises(ValueError, match="rows"):
-        effective_overall_precoder(bad, k3_config)
-
-
 def test_overall_precoder_touches_only_the_serving_pair(k3_config, rng):
     transmit = [random_orthonormal(rng, 4, 1) for _ in range(3)]
-    beams = BeamformerSet.from_joint([np.eye(2)] * 3, transmit, k3_config)
-    v = effective_overall_precoder(beams, k3_config)
+    v = overall_precoder(transmit, k3_config)
     assert v.shape == (6, 3)
     # station row blocks: 0 -> rows 0:2, 1 -> rows 2:4, 2 -> rows 4:6
     pair_rows = {0: {0, 2}, 1: {1, 0}, 2: {2, 1}}
@@ -138,8 +142,7 @@ def test_overall_precoder_touches_only_the_serving_pair(k3_config, rng):
 def test_overall_precoder_two_cells_is_dense(rng):
     cfg = NetworkConfig.symmetric(2, 2, 2, 1)
     transmit = [random_orthonormal(rng, 4, 1) for _ in range(2)]
-    beams = BeamformerSet.from_joint([np.eye(2)] * 2, transmit, cfg)
-    v = effective_overall_precoder(beams, cfg)
+    v = overall_precoder(transmit, cfg)
     assert np.all(np.abs(v) > 0)
 
 
@@ -169,14 +172,12 @@ def test_pairwise_and_overall_precoders_agree(cfg_seed):
         random_orthonormal(rng, cfg.paired_tx_antennas(k), cfg.dof[k])
         for k in range(cfg.num_users)
     ]
-    beams = BeamformerSet.from_joint(
-        [np.eye(cfg.rx_antennas[k]) for k in range(cfg.num_users)], transmit, cfg)
-    v = effective_overall_precoder(beams, cfg)
+    v = overall_precoder(transmit, cfg)
     lhs = g.assemble() @ blockdiag(transmit)
     rhs = h.assemble() @ v
     assert lhs.shape == rhs.shape
     assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
-    p = perm.as_matrix()
+    p = selection_matrix(perm)
     assert np.array_equal(p @ p.T, 2.0 * np.eye(cfg.total_tx_antennas))
 
 
@@ -196,6 +197,9 @@ def test_config_validation_errors():
     whole = NetworkConfig(rx_antennas=[2.0, 2], tx_antennas=2.0, dof=[1.0, 1])
     assert whole.rx_antennas == whole.tx_antennas == (2, 2)
     assert whole.dof == (1, 1)
+    assert NetworkConfig.symmetric(3.0, 2, 2, 1).num_users == 3
+    with pytest.raises(ValueError, match=r"num_users must be a whole number, got 2\.5"):
+        NetworkConfig.symmetric(2.5, 2, 2, 1)
 
 
 def test_ring_neighbour_indexing():

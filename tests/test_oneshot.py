@@ -3,6 +3,8 @@
 Oracles used here: received signal power against the squared singular
 values of the direct block, covariance traces against an entrywise
 double sum, and subset selection against a determinant-modulus scan.
+The powers and covariances come from test-local helpers; the package
+keeps neither.
 """
 
 import itertools
@@ -23,15 +25,13 @@ from pcia import (
     design_receive_beamformers,
     equivalent_channel,
     generate_channel,
-    null_space_basis,
     one_shot_ia,
-    received_signal_power,
     reciprocal_state,
     select_transmit_beamformer,
 )
 from pcia import oneshot
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, received_signal_power, reciprocal_covariances
 
 
 def _equiv(config, seed):
@@ -40,18 +40,19 @@ def _equiv(config, seed):
 
 def test_receive_filters_reconstruct_direct_blocks(k3_config, k3_channel):
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    receive, cache = design_receive_beamformers(equiv, k3_config)
+    receive = design_receive_beamformers(equiv, k3_config)
     for k in range(3):
         block = equiv.blocks[k][k]
-        rebuilt = cache.left[k] @ np.diag(cache.singular[k]) @ cache.right[k].conj().T
+        left, singular, right = equiv._direct_svd[k]
+        rebuilt = left @ np.diag(singular) @ right.conj().T
         assert np.allclose(rebuilt, block, atol=1e-12)
         # filters are the truncated left factors, orthonormal columns
-        assert np.array_equal(receive[k], cache.left_trunc[k])
+        assert np.array_equal(receive[k], left[:, :k3_config.dof[k]])
         gram = receive[k].conj().T @ receive[k]
         assert np.allclose(gram, np.eye(k3_config.dof[k]), atol=1e-12)
         # the joint phase sits on the left factor: first nonzero entry
         # of every left column is real and positive
-        for col in cache.left[k].T:
+        for col in left.T:
             lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
 
@@ -62,21 +63,22 @@ def test_received_power_matches_singular_values():
     # power must be (P/d) * sum of their squares.
     cfg = NetworkConfig.symmetric(3, 3, 3, 2)
     equiv = _equiv(cfg, 90125)
-    receive, cache = design_receive_beamformers(equiv, cfg)
+    receive = design_receive_beamformers(equiv, cfg)
+    right = [v[:, :d] for (_, _, v), d in zip(equiv._direct_svd, cfg.dof)]
     for k in range(3):
         svals = np.linalg.svd(equiv.blocks[k][k], compute_uv=False)
         expected = 5.0 / cfg.dof[k] * float(np.sum(svals[: cfg.dof[k]] ** 2))
         got = received_signal_power(
-            receive[k], equiv.blocks[k][k], cache.right_trunc[k], 5.0, cfg.dof[k])
+            receive[k], equiv.blocks[k][k], right[k], 5.0, cfg.dof[k])
         assert got == pytest.approx(expected, rel=1e-10)
     assert received_signal_power(receive[0], equiv.blocks[0][0],
-                                 cache.right_trunc[0], 5.0, 0) == 0.0
+                                 right[0], 5.0, 0) == 0.0
 
 
 def test_covariance_trace_matches_double_sum(k3_config, k3_channel):
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    receive, _ = design_receive_beamformers(equiv, k3_config)
-    covs = reciprocal_state(equiv, receive, k3_config).covariances
+    receive = design_receive_beamformers(equiv, k3_config)
+    covs = reciprocal_covariances(equiv, receive, k3_config.dof)
     for k in range(3):
         total = 0.0
         for l in range(3):
@@ -91,18 +93,24 @@ def test_covariance_trace_matches_double_sum(k3_config, k3_channel):
         assert np.min(np.linalg.eigvalsh(covs[k])) > -1e-12
 
 
+def _ranks(state, cfg):
+    # Covariance rank: the paired width less the measured nullity.
+    return [w - a for w, a in zip(cfg.paired_widths, state.nullities)]
+
+
 def test_covariance_rank_follows_foreign_stream_count():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
-    state = reciprocal_state(_equiv(cfg, 7), design_receive_beamformers(_equiv(cfg, 7), cfg)[0], cfg)
-    assert state.ranks == [2, 2, 2]
+    equiv = _equiv(cfg, 7)
+    state = reciprocal_state(equiv, design_receive_beamformers(equiv, cfg), cfg)
+    assert _ranks(state, cfg) == [2, 2, 2]
     assert state.nullities == [2, 2, 2]
     assert state.choice_counts == [2, 2, 2]
 
     cfg4 = NetworkConfig.symmetric(4, 2, 2, 1)
     equiv4 = _equiv(cfg4, 8)
-    receive4, _ = design_receive_beamformers(equiv4, cfg4)
+    receive4 = design_receive_beamformers(equiv4, cfg4)
     state4 = reciprocal_state(equiv4, receive4, cfg4)
-    assert state4.ranks == [3, 3, 3, 3]
+    assert _ranks(state4, cfg4) == [3, 3, 3, 3]
     assert state4.choice_counts == [1, 1, 1, 1]  # rigid: exactly one candidate
 
 
@@ -110,21 +118,21 @@ def test_covariance_rank_with_unequal_station_sizes():
     cfg = NetworkConfig(rx_antennas=[2, 2, 2], tx_antennas=[2, 3, 2],
                         dof=[1, 1, 1])
     equiv = _equiv(cfg, 9)
-    receive, _ = design_receive_beamformers(equiv, cfg)
+    receive = design_receive_beamformers(equiv, cfg)
     state = reciprocal_state(equiv, receive, cfg)
     # paired widths are (4, 5, 5) and every user faces two foreign streams
-    assert state.ranks == [2, 2, 2]
+    assert _ranks(state, cfg) == [2, 2, 2]
     assert state.nullities == [2, 3, 3]
 
 
 def test_null_space_tolerance_boundary():
     q = np.diag([1.0, 1e-8, 1e-10]).astype(np.complex128)
-    tight = null_space_basis(q, rank_tol=1e-9)
+    tight = oneshot._null_bases(q[None], rank_tol=1e-9)[0]
     assert tight.shape == (3, 1)
     assert np.allclose(tight[:, 0], [0, 0, 1])
-    loose = null_space_basis(q, rank_tol=1e-7)
+    loose = oneshot._null_bases(q[None], rank_tol=1e-7)[0]
     assert loose.shape == (3, 2)
-    everything = null_space_basis(np.zeros((3, 3)), rank_tol=1e-9)
+    everything = oneshot._null_bases(np.zeros((1, 3, 3)), rank_tol=1e-9)[0]
     assert everything.shape == (3, 3)
 
 
@@ -193,6 +201,17 @@ def test_one_shot_accepts_prebuilt_equivalent(k3_config, k3_channel):
     other = NetworkConfig.symmetric(3, 2, 3, 1)
     with pytest.raises(ValueError, match="widths"):
         one_shot_ia(other, equiv)
+    # Blocks with three receive rows under a two-antenna config used to
+    # give (3, 1) filters: only the transmit widths were compared.
+    tall = _equiv(NetworkConfig.symmetric(3, 3, 2, 1), 3)
+    with pytest.raises(ValueError, match=r"widths \(3, 3, 3\) x \(4, 4, 4\) do not match "
+                                         r"the config's \(2, 2, 2\) x \(4, 4, 4\)"):
+        one_shot_ia(k3_config, tall)
+    # A physical channel of another station layout with the same antenna
+    # total used to be paired on the wrong columns and designed on.
+    foreign = generate_channel(NetworkConfig([2, 2, 2], [3, 1, 2], [1, 1, 1]), 0)
+    with pytest.raises(ValueError, match="transmit antennas per station"):
+        one_shot_ia(k3_config, foreign)
 
 
 def test_silent_user_occupies_no_dimensions():
@@ -228,15 +247,12 @@ def test_rank_tolerance_must_be_positive_and_finite(k3_config, k3_channel, rank_
     message = "rank_tol must be positive and finite"
     with pytest.raises(ValueError, match=message):
         one_shot_ia(k3_config, k3_channel, rank_tol=rank_tol)
-    # The public null-space helpers used to answer with a wrong null
-    # space: nullities [0, 0, 0] instead of [2, 2, 2], or a (3, 0) basis
-    # of the zero matrix.
+    # The public null-space helper used to answer with a wrong null
+    # space: nullities [0, 0, 0] instead of [2, 2, 2].
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    receive, _ = design_receive_beamformers(equiv, k3_config)
+    receive = design_receive_beamformers(equiv, k3_config)
     with pytest.raises(ValueError, match=message):
         reciprocal_state(equiv, receive, k3_config, rank_tol=rank_tol)
-    with pytest.raises(ValueError, match=message):
-        null_space_basis(np.zeros((3, 3)), rank_tol=rank_tol)
 
 
 def test_rank_deficient_direct_link_is_reported():
@@ -355,7 +371,7 @@ def _design_by_user(cfg, equiv, rank_tol=1e-9):
         singular.append(s)
         right.append(vh.conj().T * phases)
     receive = [u[:, :d] for u, d in zip(left, cfg.dof)]
-    covariances = reciprocal_state(equiv, receive, cfg).covariances
+    covariances = reciprocal_covariances(equiv, receive, cfg.dof)
     bases = []
     for q in covariances:
         vals, vecs = np.linalg.eigh(q)
@@ -383,18 +399,17 @@ def test_batched_design_matches_the_per_user_loop(cfg):
     for seed in range(4):
         equiv = _equiv(cfg, seed)
         left, singular, right, bases, transmit = _design_by_user(cfg, equiv)
-        receive, cache = design_receive_beamformers(equiv, cfg)
+        receive = design_receive_beamformers(equiv, cfg)
         for k, d in enumerate(cfg.dof):
-            assert np.array_equal(cache.left[k], left[k])
-            assert np.array_equal(cache.singular[k], singular[k])
-            assert np.array_equal(cache.right[k], right[k])
+            cached = equiv._direct_svd[k]
+            assert np.array_equal(cached[0], left[k])
+            assert np.array_equal(cached[1], singular[k])
+            assert np.array_equal(cached[2], right[k])
             assert np.array_equal(receive[k], left[k][:, :d])
-            assert np.array_equal(cache.right_trunc[k], right[k][:, :d])
         state = reciprocal_state(equiv, receive, cfg)
         assert state.nullities == [b.shape[1] for b in bases]
         for got, want in zip(state.null_bases, bases):
             assert np.array_equal(got, want)
-        assert np.array_equal(null_space_basis(state.covariances[0]), bases[0])
         beams = one_shot_ia(cfg, equiv)
         for got, want in zip(beams.transmit, transmit):
             assert np.array_equal(got, want)
@@ -413,13 +428,14 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
     assert len(configs) > 1
     equiv = _equiv(configs[0], 17)
     for cfg in configs:
-        receive, cache = design_receive_beamformers(equiv, cfg)
+        receive = design_receive_beamformers(equiv, cfg)
         for k, d in enumerate(cfg.dof):
             u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
             phases = _pinned_by_column(u)
-            assert np.array_equal(cache.left[k], u * phases)
-            assert np.array_equal(cache.singular[k], s)
-            assert np.array_equal(cache.right[k], vh.conj().T * phases)
+            cached = equiv._direct_svd[k]
+            assert np.array_equal(cached[0], u * phases)
+            assert np.array_equal(cached[1], s)
+            assert np.array_equal(cached[2], vh.conj().T * phases)
             assert np.array_equal(receive[k], (u * phases)[:, :d])
             assert not receive[k].flags.writeable
 
@@ -439,14 +455,14 @@ def test_null_spaces_match_the_boolean_mask_rule(geometry):
     for seed in range(3):
         equiv = _equiv(configs[0], seed)
         for cfg, rank_tol in itertools.product(configs, (1e-9, 0.3)):
-            receive, _ = design_receive_beamformers(equiv, cfg)
+            receive = design_receive_beamformers(equiv, cfg)
             state = reciprocal_state(equiv, receive, cfg, rank_tol)
-            for k, q in enumerate(state.covariances):
+            for k, q in enumerate(reciprocal_covariances(equiv, receive, cfg.dof)):
                 vals, vecs = np.linalg.eigh(q)
                 basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
                 basis = basis * _pinned_by_column(basis)
                 assert state.nullities[k] == basis.shape[1]
-                assert state.ranks[k] == q.shape[0] - basis.shape[1]
+                assert _ranks(state, cfg)[k] == q.shape[0] - basis.shape[1]
                 assert np.array_equal(state.null_bases[k], basis)
 
 
@@ -510,7 +526,7 @@ def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups,
     calls = _record_selects(monkeypatch)
     for seed in range(3):
         equiv = _equiv(cfg, seed)
-        receive, _ = design_receive_beamformers(equiv, cfg)
+        receive = design_receive_beamformers(equiv, cfg)
         state = reciprocal_state(equiv, receive, cfg)
         # the selector imported above, not the recorded module attribute
         want = [select_transmit_beamformer(receive[k], equiv.blocks[k][k],
