@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
-from .feasibility import time_share_schedule
+from .feasibility import _slot_count, time_share_schedule
 from .linalg import _check_filter_lists, _slogdet, _stack, _stream_weights
 from .network import (
     NetworkConfig,
@@ -175,10 +175,9 @@ def alignment_residual(blocks, receive, transmit) -> float:
     uh = u.conj().transpose(0, 2, 1)
     num = _frobenius(uh[:, None] @ grid @ v, (2, 3))
     den = _frobenius(uh, (1, 2))[:, None] * _frobenius(grid, (2, 3)) * _frobenius(v, (1, 2))
-    users = range(len(grid))
-    den[users, users] = 0.0
-    cross = den > 0
-    worst = float(np.max(num[cross] / den[cross], initial=0.0))
+    den.reshape(-1)[::len(den) + 1] = 0.0
+    ratios = np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+    worst = float(np.maximum.reduce(ratios, axis=None))
     if math.isnan(worst):
         raise LinAlgError(f"alignment residual {worst} is not a number")
     return worst
@@ -213,6 +212,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, counts)
         if self.dof_total < 1:
             raise ValueError("dof_total must be positive")
+        _slot_count(k, self.dof_total)
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("at least one scheme is required")
@@ -299,8 +299,9 @@ def _grid_powers(snr_grid_db: tuple) -> tuple:
     return tuple(float(10.0 ** (snr / 10.0)) for snr in snr_grid_db)
 
 
-def _slot_power_scale(dof_row):
-    """Per-message power factors keeping the slot's network power at K*P.
+@functools.lru_cache(maxsize=64)
+def _slot_power_scale(dof_row: tuple) -> tuple:
+    """Per-message power factors keeping the slot's network power at K*P, once per row.
 
     Users silenced by the time-sharing schedule spend nothing, so their
     budget is pooled into the slot's active messages; otherwise comparing
@@ -309,7 +310,7 @@ def _slot_power_scale(dof_row):
     """
     active = sum(1 for d in dof_row if d > 0)
     k = len(dof_row)
-    return [k / active if d > 0 else 0.0 for d in dof_row]
+    return tuple(k / active if d > 0 else 0.0 for d in dof_row)
 
 
 def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
@@ -371,9 +372,17 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
             _slot_power_scale(cfg.dof), conv)
 
 
+def _mean(values):
+    """``np.mean(values, axis=0)`` of a non-empty list, bit for bit, without its wrapper.
+
+    Floats give a float64 scalar and equal-length 1-D arrays their mean row.
+    """
+    return np.add.reduce(np.array(values), axis=0) / len(values)
+
+
 def _mean_ignoring_nan(values) -> float:
     vals = [v for v in values if not math.isnan(v)]
-    return float(np.mean(vals)) if vals else float("nan")
+    return float(_mean(vals)) if vals else float("nan")
 
 
 @functools.lru_cache(maxsize=16)
@@ -408,10 +417,10 @@ def _run_single_trial(spec: ExperimentSpec, trial: int) -> dict:
                 slots.append(_scored_slot(spec, *design))
         rates, resid, conv, dof = zip(*slots)
         out[scheme] = {
-            "rates": np.mean(np.vstack(rates), axis=0),
+            "rates": _mean(rates),
             "resid": _mean_ignoring_nan(resid),
-            "conv": float(np.mean(conv)),
-            "dof": float(np.mean(dof)),
+            "conv": float(_mean(conv)),
+            "dof": float(_mean(dof)),
         }
     return out
 
@@ -443,9 +452,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         # reduction over that point's column alone.
         rates = np.ascontiguousarray(np.vstack([o[scheme]["rates"] for o in outcomes]).T)
         resid = _mean_ignoring_nan([o[scheme]["resid"] for o in outcomes])
-        conv = float(np.mean([o[scheme]["conv"] for o in outcomes]))
-        dof = float(np.mean([o[scheme]["dof"] for o in outcomes]))
-        means = np.mean(rates, axis=1).tolist()
+        conv = float(_mean([o[scheme]["conv"] for o in outcomes]))
+        dof = float(_mean([o[scheme]["dof"] for o in outcomes]))
+        means = (np.add.reduce(rates, axis=1) / spec.trials).tolist()
         if spec.trials > 1:
             errs = (np.std(rates, axis=1, ddof=1) / math.sqrt(spec.trials)).tolist()
         else:

@@ -134,21 +134,46 @@ class TimeShareSchedule:
         return Fraction(self.dof_total, self.num_users)
 
 
+# Most slots a time-share table may hold: a sweep designs every slot on
+# every draw, so a larger table is a mistake, not a workload.
+_MAX_SLOTS = 10_000
+
+
+def _slot_count(num_users: int, dof_total: int) -> int:
+    """Rows of the time-share table of ``dof_total`` streams over ``num_users`` users.
+
+    The count is ``comb(num_users, dof_total mod num_users)``, or 1 when the
+    total divides evenly. Raises a ValueError naming the count when it is
+    over ``_MAX_SLOTS``, before anything is enumerated; a count of 2**64
+    or more is not computed in full.
+    """
+    remainder = dof_total % num_users
+    fewest = min(remainder, num_users - remainder)
+    # comb(K, r) >= 2**min(r, K - r), so a large exponent is over the limit.
+    count = math.comb(num_users, fewest) if fewest < 64 else None
+    if count is None or count > _MAX_SLOTS:
+        slots = f"at least 2**{fewest}" if count is None else count
+        raise ValueError(f"time sharing {dof_total} streams over {num_users} users needs "
+                         f"{slots} slots; a schedule holds at most {_MAX_SLOTS}")
+    return count
+
+
 def time_share_schedule(num_users: int, dof_total: int) -> TimeShareSchedule:
     """Slot plan that averages ``dof_total / num_users`` streams per user.
 
     When the total does not divide evenly, each slot boosts one subset of
     users to the ceiling count; the subsets enumerate all combinations in
-    lexicographic order so every user is boosted equally often.
+    lexicographic order so every user is boosted equally often. A table of
+    more than ``_MAX_SLOTS`` slots raises a ValueError naming its size.
     """
     num_users, dof_total = _integral(num_users, "num_users"), _integral(dof_total, "dof_total")
     if num_users < 1 or dof_total < 0:
         raise ValueError("need at least one user and a nonnegative stream total")
+    num_slots = _slot_count(num_users, dof_total)
     base, remainder = divmod(dof_total, num_users)
     if remainder == 0:
         table = (tuple([base] * num_users),)
         return TimeShareSchedule(num_users, dof_total, 0, 1, 0, table)
-    num_slots = math.comb(num_users, remainder)
     boosted = math.comb(num_users - 1, remainder - 1)
     table = []
     for subset in itertools.combinations(range(num_users), remainder):

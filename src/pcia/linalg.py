@@ -39,11 +39,28 @@ def _pinning_phases(a: np.ndarray) -> np.ndarray:
     per column of each matrix.
     """
     mag = np.abs(a)
-    lead = (mag > _PHASE_TOL).argmax(axis=-2)
-    *outer, cols = np.indices(lead.shape, sparse=True)
-    at = (*outer, lead, cols)
-    size = mag[at]
-    return np.divide(a[at].conj(), size, out=np.ones(size.shape, a.dtype), where=size > _PHASE_TOL)
+    at = (mag > _PHASE_TOL).argmax(axis=-2) * a.shape[-1] + _column_heads(a.shape)
+    size = mag.take(at)
+    return np.divide(a.take(at).conj(), size, out=np.ones(size.shape, a.dtype),
+                     where=size > _PHASE_TOL)
+
+
+@functools.lru_cache(maxsize=64)
+def _column_heads(shape: tuple) -> np.ndarray:
+    """Read-only flat C-order positions of row 0 of every column of every matrix of ``shape``.
+
+    Adding ``row * shape[-1]`` moves a position to that row of its column,
+    so one ``take`` gathers an entry per column. Built once per shape.
+    """
+    *outer, rows, cols = shape
+    heads = np.arange(math.prod(outer))[:, None] * (rows * cols) + np.arange(cols)
+    return _read_only(heads.reshape(*outer, cols))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only so a shared copy cannot be changed through it."""
+    a.flags.writeable = False
+    return a
 
 
 def fix_column_phases(a: np.ndarray) -> np.ndarray:
@@ -165,11 +182,9 @@ def reciprocal(grid: np.ndarray) -> np.ndarray:
 
 def _stack(mats, rows: int, cols: int) -> np.ndarray:
     """Zero-padded ``(len(mats), rows, cols)`` stack of ragged matrices."""
-    if all(a.shape == (rows, cols) for a in mats):
-        return np.array(mats, dtype=np.complex128)
     out = np.zeros((len(mats), rows, cols), dtype=np.complex128)
-    for slot, a in zip(out, mats):
-        slot[:a.shape[0], :a.shape[1]] = a
+    for k, a in enumerate(mats):
+        out[k, :a.shape[0], :a.shape[1]] = a
     return out
 
 
@@ -200,9 +215,7 @@ def _interferer_weights(weights: tuple, counts: tuple) -> np.ndarray:
     for l, (w, count) in enumerate(zip(weights, counts)):
         out[:, l, :count] = 0.5 * w
     out[range(users), range(users)] = 0.0
-    out = out.reshape(users, 1, -1)
-    out.flags.writeable = False
-    return out
+    return _read_only(out.reshape(users, 1, -1))
 
 
 def _by_transmitter(grid: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import _groups, _pinned_svd, _stack, reciprocal
+from .linalg import _groups, _pinned_svd, _read_only, _stack, reciprocal
 
 __all__ = [
     "NetworkConfig",
@@ -160,12 +160,6 @@ class NetworkConfig:
         return tuple(k for k in range(self.num_users) if self.dof[k] > 0)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, marked read-only so a shared copy cannot be changed through it."""
-    a.flags.writeable = False
-    return a
-
-
 def _slices(sizes) -> list:
     """Consecutive slices of the given lengths, starting at 0."""
     edges = list(itertools.accumulate(sizes, initial=0))
@@ -260,13 +254,13 @@ class _BlockGrid:
     def _direct_svd(self) -> tuple:
         """Thin SVD triplets ``(u, s, v)`` of each direct block ``blocks[k][k]``.
 
-        One batched ``svd`` per distinct block shape, singular-vector
-        phases pinned jointly on the stack.
+        One batched ``svd`` per distinct block shape, on the blocks gathered
+        from :attr:`_stacked`, singular-vector phases pinned jointly on the
+        stack.
         """
-        direct = [row[k] for k, row in enumerate(self.blocks)]
-        triplets = [None] * len(direct)
-        for _, users in _groups(tuple(b.shape for b in direct)):
-            stacks = [_read_only(a) for a in _pinned_svd(np.array([direct[k] for k in users]))]
+        triplets = [None] * self.num_users
+        for (m, n), users in _groups(tuple(zip(self.rx_sizes, self.tx_sizes))):
+            stacks = [_read_only(a) for a in _pinned_svd(self._stacked[users, users, :m, :n])]
             for k, *triplet in zip(users, *stacks):
                 triplets[k] = tuple(triplet)
         return tuple(triplets)

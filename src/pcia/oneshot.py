@@ -19,21 +19,25 @@ cross links exist in closed form and are found in one pass:
 
 What does not depend on the slot's stream counts is computed once per
 draw: the channel caches its stacked grid, its reciprocal and the pinned
-SVD of its direct blocks. A slot's covariances are one zero-padded
-stack. Its null spaces and rank check make one LAPACK call per group of
-users sharing every matrix shape, phases pinned on the stack, and its
-subset search one ``det`` per chunk and group; a group with exactly as
-many directions as streams keeps its bases. Grouping ragged shapes,
-never padding them, keeps each decomposition exactly the one of its own
-matrix. No iteration and no channel extension is involved.
+SVD of its direct blocks. What depends on the config alone (the active
+users, the stream bound, the unit-power weights and each user group's
+index array) is built once per config. A slot's covariances are one
+zero-padded stack. Its null spaces and rank check make one LAPACK call
+per group of users sharing every matrix shape, phases pinned on the
+stack, and its subset search one ``det`` per chunk and group; a group
+with exactly as many directions as streams keeps its bases. Grouping
+ragged shapes, never padding them, keeps each decomposition exactly the
+one of its own matrix. No iteration and no channel extension is
+involved.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .linalg import (
     _eigh,
     _groups,
     _lapack_errors,
+    _read_only,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -99,6 +104,49 @@ class ReciprocalState:
     choice_counts: list  # number of candidate column subsets per user
 
 
+class _SlotPlan(NamedTuple):
+    """What a slot's design reads of its config alone, see :func:`_slot_plan`."""
+
+    active: tuple       # users with streams, in order
+    bound: int          # smallest paired width among active users, 0 without any
+    weights: tuple      # unit power per message, split over each user's streams
+    widths: tuple       # (w, users, index) per distinct paired width
+    shapes: tuple       # (m, d, w) per user: rows and columns of its filters
+    rank_checks: tuple  # ((m, d, w), users, index) per shape group of active users
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_plan(config: NetworkConfig) -> _SlotPlan:
+    """The config-derived values of a one-shot slot, built once per config.
+
+    Each group's ``index`` is the read-only array of its users, which picks
+    their covariances or gathers their direct blocks.
+    """
+    active = config.active_users
+    shapes = tuple(zip(config.rx_antennas, config.dof, config.paired_widths))
+    widths = [(w, users, _read_only(np.array(users)))
+              for w, users in _groups(config.paired_widths)]
+    checks = []
+    for key, members in _groups(tuple(shapes[k] for k in active)):
+        users = tuple(active[i] for i in members)
+        checks.append((key, users, _read_only(np.array(users))))
+    return _SlotPlan(
+        active=active,
+        bound=min((config.paired_widths[k] for k in active), default=0),
+        weights=tuple(_unit_power_weights(config.dof)),
+        widths=tuple(widths),
+        shapes=shapes,
+        rank_checks=tuple(checks),
+    )
+
+
+def _check_layout(equiv: EquivalentChannel, config: NetworkConfig) -> None:
+    """A ValueError unless the channel's block sizes are the config's paired layout."""
+    if (equiv.rx_sizes, equiv.tx_sizes) != (config.rx_antennas, config.paired_widths):
+        raise ValueError(f"channel block widths {equiv.rx_sizes} x {equiv.tx_sizes} do not "
+                         f"match the config's {config.rx_antennas} x {config.paired_widths}")
+
+
 def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
     """Receive filters from the dominant left singular vectors.
 
@@ -110,13 +158,11 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
         Per-user ``m_k x d_k`` filters with orthonormal columns.
 
     Raises:
-        ValueError: if any user asks for more streams than its direct
-            block supports.
+        ValueError: if the channel's block sizes are not the config's
+            paired layout. On that layout the config's own cap keeps
+            every stream count within its direct block.
     """
-    for k, shape in enumerate(zip(equiv.rx_sizes, equiv.tx_sizes)):
-        if config.dof[k] > min(shape):
-            raise ValueError(
-                f"user {k} asks for {config.dof[k]} streams on a {shape} direct block")
+    _check_layout(equiv, config)
     return [u[:, :d] for (u, _, _), d in zip(equiv._direct_svd, config.dof)]
 
 
@@ -129,7 +175,7 @@ def _null_bases(qs: np.ndarray, rank_tol: float) -> list:
     with _lapack_errors():
         vals, vecs = _eigh(qs)
     # Ascending eigenvalues: the ones at or below the threshold are a prefix.
-    kept = np.count_nonzero(vals <= rank_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
+    kept = np.add.reduce(vals <= rank_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
     return [v[:, :a] for v, a in zip(fix_column_phases(vecs), kept.tolist())]
 
 
@@ -143,14 +189,16 @@ def reciprocal_state(
 
     The null spaces come from one batched ``eigh`` per distinct paired
     width over one zero-padded covariance stack. A ``rank_tol`` that is
-    not positive and finite raises ValueError.
+    not positive and finite, or a channel whose block sizes are not the
+    config's paired layout, raises ValueError.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
-    q = _covariances(equiv._reciprocal, receive, _unit_power_weights(config.dof))
-    widths = config.paired_widths
-    bases = [None] * len(widths)
-    for w, users in _groups(widths):
-        for k, basis in zip(users, _null_bases(q[list(users), :w, :w], rank_tol)):
+    _check_layout(equiv, config)
+    plan = _slot_plan(config)
+    q = _covariances(equiv._reciprocal, receive, plan.weights)
+    bases = [None] * config.num_users
+    for w, users, index in plan.widths:
+        for k, basis in zip(users, _null_bases(q[index, :w, :w], rank_tol)):
             bases[k] = basis
     nullities = [b.shape[1] for b in bases]
     counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
@@ -238,23 +286,20 @@ def one_shot_ia(
             channel's antenna layout is not the config's.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
-    active = config.active_users
-    if not active:
+    plan = _slot_plan(config)
+    if not plan.active:
         raise ValueError("no active users: every stream count is zero")
     d_hat = config.dof_total
-    bound = min(config.paired_tx_antennas(k) for k in active)
-    if d_hat > bound:
+    if d_hat > plan.bound:
         raise OneShotInfeasible(
             f"one-shot alignment cannot deliver {d_hat} total streams: the "
-            f"smallest paired antenna width is {bound} among active users",
-            nullity=bound, dof=d_hat,
+            f"smallest paired antenna width is {plan.bound} among active users",
+            nullity=plan.bound, dof=d_hat,
         )
     equiv = channel
     if not isinstance(channel, EquivalentChannel):
         equiv = equivalent_channel(channel, build_permutation(config))
-    if (equiv.rx_sizes, equiv.tx_sizes) != (config.rx_antennas, config.paired_widths):
-        raise ValueError(f"channel block widths {equiv.rx_sizes} x {equiv.tx_sizes} do not "
-                         f"match the config's {config.rx_antennas} x {config.paired_widths}")
+    _check_layout(equiv, config)
     receive = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol)
     # One stacked search per group sharing filter and basis shapes, so a
@@ -262,8 +307,8 @@ def one_shot_ia(
     # first user short of directions raises.
     grid, bases = equiv._stacked, state.null_bases
     transmit = list(bases)
-    for ((m, d), (w, a)), users in _groups(tuple(
-            (r.shape, b.shape) for r, b in zip(receive, bases))):
+    for (m, d, w, a), users in _groups(tuple(
+            (*shape, a) for shape, a in zip(plan.shapes, state.nullities))):
         if a != d:
             picks = select_transmit_beamformer(
                 np.array([receive[k] for k in users]), grid[users, users, :m, :w],
@@ -273,16 +318,15 @@ def one_shot_ia(
     # Reference scale is the unprojected direct link (its largest singular
     # value, from the cached direct-block SVD): filters with unit columns
     # can only shrink it, and comparing within ``eff`` alone would make a
-    # uniformly collapsed link (d_k = 1 above all) look healthy. Users
-    # are checked in order after every group's ``svd``.
+    # uniformly collapsed link (d_k = 1 above all) look healthy. One
+    # stacked product and ``svd`` per group of active users sharing every
+    # shape; users are checked in order after every group's ``svd``.
     smallest = {}
-    for ((m, _), (w, _)), members in _groups(tuple(
-            (receive[k].shape, transmit[k].shape) for k in active)):
-        users = [active[i] for i in members]
+    for (m, _, w), users, index in plan.rank_checks:
         eff = (np.array([receive[k] for k in users]).conj().transpose(0, 2, 1)
-               @ grid[users, users, :m, :w] @ np.array([transmit[k] for k in users]))
+               @ grid[index, index, :m, :w] @ np.array([transmit[k] for k in users]))
         smallest.update(zip(users, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
-    for k in active:
+    for k in plan.active:
         if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding", user=k)

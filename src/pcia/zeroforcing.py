@@ -82,12 +82,12 @@ def bd_zero_forcing(
         dof = _stream_counts(dof, num_users)
     n_total = sum(channel.tx_sizes)
     rows = channel._rows
-    nulls = [np.eye(n_total, dtype=np.complex128)] * num_users
+    nulls = [np.eye(n_total, dtype=np.complex128)] if num_users == 1 else [None] * num_users
     # Singular values at or below ``rank_tol`` times the largest count as
     # zero; the null basis is the matching trailing right singular vectors.
     for users, index in _other_rows(channel.rx_sizes) if num_users > 1 else ():
         _, svals, vh = np.linalg.svd(channel._matrix[index])
-        ranks = np.count_nonzero(svals > rank_tol * svals[:, :1], axis=1).tolist()
+        ranks = np.add.reduce(svals > rank_tol * svals[:, :1], axis=1).tolist()
         for k, v, rank in zip(users, vh.conj().transpose(0, 2, 1), ranks):
             nulls[k] = v[:, rank:]
     granted = []
@@ -106,8 +106,10 @@ def bd_zero_forcing(
             raise BDInfeasible(
                 f"user {k} asked for {want} streams but zero forcing supports {cap}")
         granted.append(want)
-    transmit = [np.zeros((n_total, 0), dtype=np.complex128) for _ in granted]
-    receive = [np.zeros((m, 0), dtype=np.complex128) for m in channel.rx_sizes]
+    transmit = [np.zeros((n_total, 0), dtype=np.complex128) if want == 0 else None
+                for want in granted]
+    receive = [np.zeros((m, 0), dtype=np.complex128) if want == 0 else None
+               for m, want in zip(channel.rx_sizes, granted)]
     active = [k for k, want in enumerate(granted) if want > 0]
     for (_, _, want), members in _groups(tuple(
             (rows[k].shape, nulls[k].shape, granted[k]) for k in active)):

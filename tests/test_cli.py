@@ -262,6 +262,24 @@ def test_schedule_command(capsys):
     assert main(["schedule", "0", "3"]) == 2
 
 
+def test_a_schedule_past_the_slot_limit_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    # 16 users at 8 streams time-share over comb(16, 8) = 12870 slots, past
+    # the 10000 a schedule holds: a bad config, refused before any slot is
+    # enumerated. 40 users at 20 streams (1.4e11 slots) used to hang here.
+    assert main(["schedule", "16", "8"]) == 2
+    assert "needs 12870 slots; a schedule holds at most 10000" in capsys.readouterr().err
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a schedule past the slot limit")
+
+    monkeypatch.setattr(cli, "check_spec", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    code, out = _run(tmp_path, _write_config(tmp_path, num_users=16, dof_total=8))
+    assert code == 2
+    assert not out.exists()
+    assert "needs 12870 slots" in capsys.readouterr().err
+
+
 def test_backhaul_table(capsys):
     assert main(["backhaul", "--k-min", "2", "--k-max", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

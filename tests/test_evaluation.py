@@ -5,8 +5,10 @@ against, and the per-trial seeding is locked by recomputing single
 trials by hand.
 """
 
+import collections
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,11 @@ from pcia import evaluation
 from pcia.evaluation import _run_single_trial
 
 from conftest import cached_arrays, random_orthonormal, zero_padded
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TIMESHARE = dict(num_users=5, rx_antennas=2, tx_antennas=2, dof_total=4,
+                 schemes=("oneshot_partial", "bdzf_full"),
+                 snr_grid_db=(0.0, 10.0, 20.0, 30.0, 40.0))
 
 
 def _unit(x):
@@ -762,3 +769,83 @@ def test_every_sweep_rate_is_finite_and_non_negative(spec):
         assert math.isfinite(rec["mean_sum_rate"]), rec
         assert rec["mean_sum_rate"] >= 0.0, rec
         assert math.isfinite(rec["std_err"]), rec
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_a_time_share_trial_equals_its_rebuild_from_the_public_functions(trial):
+    # Five 2x2 cells at 4 streams: five one-shot slots and one zero-forcing
+    # design per draw. Every design re-run with the public solvers, scored
+    # on per-user filter lists at the pooled powers and averaged over the
+    # slots as np.mean does, gives the harness's rates and residuals bit
+    # for bit.
+    spec = ExperimentSpec(**TIMESHARE, trials=1, seed=7)
+    got = _run_single_trial(spec, trial)
+    users = spec.num_users
+    configs = [spec.slot_config(row) for row in spec.slot_dof()]
+    assert len(configs) == 5
+    channel = generate_channel(configs[0], np.random.SeedSequence((spec.seed, trial)))
+    equiv = equivalent_channel(channel, build_permutation(configs[0]))
+    powers = [10.0 ** (snr / 10.0) for snr in spec.snr_grid_db]
+    slots = []
+    for cfg in configs:
+        beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
+        active = sum(d > 0 for d in cfg.dof)
+        scale = [users / active if d > 0 else 0.0 for d in cfg.dof]
+        slots.append((equiv._stacked, beams.receive, beams.transmit, cfg.dof, scale))
+    sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
+    rows = np.array([channel.row_block(k) for k in range(users)])[:, None]
+    bd = [(rows, sol.receive, sol.transmit, sol.dof,
+           [users * d / sol.dof_total for d in sol.dof])]
+    for scheme, designs in (("oneshot_partial", slots), ("bdzf_full", bd)):
+        rates = [np.array([sum_rate(grid, u, v, [p * s for s in scale], dof, 1.0)[1]
+                           for p in powers])
+                 for grid, u, v, dof, scale in designs]
+        resids = [alignment_residual(grid, u, v) for grid, u, v, _, _ in designs]
+        assert np.array_equal(got[scheme]["rates"], np.mean(np.vstack(rates), axis=0))
+        assert got[scheme]["resid"] == float(np.mean(resids))
+        assert got[scheme]["conv"] == 1.0
+    assert got["oneshot_partial"]["dof"] == 4.0
+    assert got["bdzf_full"]["dof"] == float(sol.dof_total) == 10.0
+
+
+def test_a_time_share_trial_makes_every_call_the_benchmark_traces(monkeypatch):
+    # The benchmark's spans wrap these module attributes by name: a trial
+    # must reach each of them, as many times as it designs and scores, or
+    # a span reads zero.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import WORKLOADS
+
+    assert WORKLOADS["oneshot-k5-timeshare"].spec == TIMESHARE
+    spec = ExperimentSpec(**TIMESHARE, trials=1, seed=3)
+    plain = _run_single_trial(spec, 0)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracing.TRACED, tracer.wrap):
+        traced = tracer.run(_run_single_trial, spec, 0)
+    slots, points = len(spec.slot_dof()), len(spec.snr_grid_db)
+    designs = slots + 1
+    spans = collections.Counter(name for name, *_ in tracer.spans)
+    assert spans == {
+        "network.draw": 1, "network.gather": 1,
+        "oneshot.design": slots, "oneshot.receive": slots, "oneshot.nullspace": slots,
+        "zeroforcing.bd": 1,
+        "evaluation.sum_rate": designs * points, "evaluation.residual": designs,
+        "evaluation.harness": 1,
+    }
+    assert tracer.counts["evaluation.sum_rate_calls"] == designs * points == 30
+    assert tracer.trials == 1
+    # Every one-shot sub-step runs inside its own slot's design span.
+    for name, _, _, parent, _ in tracer.spans:
+        if name in ("oneshot.receive", "oneshot.nullspace"):
+            assert tracer.spans[parent][0] == "oneshot.design"
+    # The patches are gone again, and tracing changed no output.
+    assert evaluation.sum_rate is sum_rate and evaluation.one_shot_ia is one_shot_ia
+    for scheme in spec.schemes:
+        assert np.array_equal(plain[scheme]["rates"], traced[scheme]["rates"])
+
+
+def test_slot_power_scales_are_cached_per_stream_row():
+    scale = evaluation._slot_power_scale((1, 1, 1, 1, 0))
+    assert scale == (1.25, 1.25, 1.25, 1.25, 0.0)
+    assert evaluation._slot_power_scale((1, 1, 1, 1, 0)) is scale
+    assert evaluation._slot_power_scale((2, 1, 1)) == (1.0, 1.0, 1.0)

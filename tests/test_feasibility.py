@@ -13,12 +13,14 @@ import pytest
 
 from pcia import (
     BackhaulReport,
+    ExperimentSpec,
     backhaul_rate,
     dof_upper_bound,
     is_proper_generic,
     is_proper_partial,
     time_share_schedule,
 )
+from pcia import feasibility
 
 
 def test_dof_upper_bound_frozen_values():
@@ -202,6 +204,26 @@ def test_schedule_counts_must_be_whole():
         time_share_schedule(2.5, 4)
     with pytest.raises(ValueError, match="dof_total must be a whole number"):
         time_share_schedule(3, 4.5)
+
+
+def test_a_schedule_past_the_slot_limit_is_refused_before_it_is_built():
+    # 15 users at 7 streams is the largest K/2 table under the limit; 16 at
+    # 8 used to be enumerated in full, and 40 at 20 (1.4e11 slots) hung.
+    assert time_share_schedule(15, 7).num_slots == math.comb(15, 7) == 6435
+    assert time_share_schedule(16, 16).num_slots == 1
+    with pytest.raises(ValueError, match=r"time sharing 8 streams over 16 users needs "
+                                         r"12870 slots; a schedule holds at most 10000"):
+        time_share_schedule(16, 8)
+    # The count is checked before any slot is enumerated; one of 2**64 or
+    # more is bounded, not computed digit by digit.
+    with pytest.raises(ValueError, match="needs 137846528820 slots"):
+        feasibility._slot_count(40, 20)
+    with pytest.raises(ValueError, match=r"needs at least 2\*\*500000 slots"):
+        feasibility._slot_count(10**6, 5 * 10**5)
+    # The spec checks its table as it is built, so neither the sweep nor
+    # check_spec starts enumerating one.
+    with pytest.raises(ValueError, match="12870 slots"):
+        ExperimentSpec(16, 2, 2, 8, ("bdzf_full",), trials=1)
 
 
 def test_backhaul_frozen_table():

@@ -22,6 +22,7 @@ from pcia import (
 from pcia.distributed import _padding
 from pcia.linalg import (
     _by_transmitter,
+    _column_heads,
     _covariance_stack,
     _covariances,
     _det,
@@ -188,6 +189,19 @@ def test_interferer_weights_are_cached_read_only_half_weights():
         half[0, 0, 0] = 1.0
     assert np.array_equal(half, 0.5 * _full_weights(WEIGHTS, counts).reshape(3, 1, -1))
     assert _interferer_weights(tuple(WEIGHTS), counts) is half
+
+
+def test_column_heads_are_cached_read_only_flat_positions():
+    heads = _column_heads((5, 4, 3))
+    assert _column_heads((5, 4, 3)) is heads
+    assert not heads.flags.writeable
+    with pytest.raises(ValueError):
+        heads[0, 0] = 1
+    # Row ``r`` of column ``c`` of matrix ``s`` sits at ``heads[s, c] + r * 3``.
+    a = np.arange(60).reshape(5, 4, 3)
+    for r in range(4):
+        assert np.array_equal(a.take(heads + r * 3), a[:, r, :])
+    assert np.array_equal(_column_heads((4, 3)), [0, 1, 2])
 
 
 def test_weight_lists_of_the_wrong_length_are_rejected(ragged):

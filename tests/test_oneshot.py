@@ -214,6 +214,49 @@ def test_one_shot_accepts_prebuilt_equivalent(k3_config, k3_channel):
         one_shot_ia(k3_config, foreign)
 
 
+def test_receive_design_checks_the_channel_layout(k3_config):
+    # Blocks with three receive rows under a two-antenna config used to
+    # give (3, 1) filters.
+    tall = _equiv(NetworkConfig.symmetric(3, 3, 2, 1), 3)
+    with pytest.raises(ValueError, match=r"widths \(3, 3, 3\) x \(4, 4, 4\) do not match "
+                                         r"the config's \(2, 2, 2\) x \(4, 4, 4\)"):
+        design_receive_beamformers(tall, k3_config)
+
+
+def test_reciprocal_state_checks_the_channel_layout(k3_config, k3_channel):
+    # Width-4 paired blocks under a config whose pairs are 6 wide used to
+    # give nullities [2, 2, 2].
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    receive = design_receive_beamformers(equiv, k3_config)
+    with pytest.raises(ValueError, match=r"widths \(2, 2, 2\) x \(4, 4, 4\) do not match "
+                                         r"the config's \(2, 2, 2\) x \(6, 6, 6\)"):
+        reciprocal_state(equiv, receive, NetworkConfig.symmetric(3, 2, 3, 1))
+
+
+def test_slot_plans_are_cached_per_config_and_read_only():
+    # Paired widths (4, 5, 5): user 0 is a width group of its own, and the
+    # active users 0 and 1 have filters of 2 and 3 rows, two rank checks.
+    cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 1, 0))
+    plan = oneshot._slot_plan(cfg)
+    assert oneshot._slot_plan(cfg) is plan
+    assert oneshot._slot_plan(NetworkConfig((2, 3, 2), (2, 3, 2), (1, 1, 0))) is plan
+    assert plan.active == (0, 1) and plan.bound == 4
+    assert plan.weights == (1.0, 1.0, 0.0)
+    assert plan.shapes == ((2, 1, 4), (3, 1, 5), (2, 0, 5))
+    assert [(w, users) for w, users, _ in plan.widths] == [(4, (0,)), (5, (1, 2))]
+    assert [(key, users) for key, users, _ in plan.rank_checks] == [
+        ((2, 1, 4), (0,)), ((3, 1, 5), (1,))]
+    indices = [index for *_, index in plan.widths + plan.rank_checks]
+    assert [index.tolist() for index in indices] == [[0], [1, 2], [0], [1]]
+    for index in indices:
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 2
+    uniform = oneshot._slot_plan(NetworkConfig.symmetric(3, 2, 2, [1, 0, 1]))
+    assert [(w, users) for w, users, _ in uniform.widths] == [(4, (0, 1, 2))]
+    assert uniform.active == (0, 2) and uniform.rank_checks[0][1] == (0, 2)
+
+
 def test_silent_user_occupies_no_dimensions():
     cfg = NetworkConfig.symmetric(3, 2, 2, [2, 1, 0])
     channel = generate_channel(cfg, 1234)
