@@ -2,15 +2,14 @@
 
 Besides phase pinning, the reciprocal grid and the shared interference-
 covariance kernel, this module is the package's one way to LAPACK for
-``eigh``, ``slogdet`` and ``det``: :func:`_eigh`, :func:`_slogdet` and
-:func:`_det` call the gufuncs that ``np.linalg`` calls, with the same
-signatures, but skip the public functions' per-call Python wrapper, which
-dominates on the 2x2 to 8x8 matrices the solvers decompose. Each result
-is bit for bit the public function's. ``np.linalg.eigh`` raises
-``LinAlgError`` on non-convergence through an error state that it enters
-on every call; here a caller enters :func:`_lapack_errors` once around
-its ``_eigh`` calls, so the leakage loop enters it once per run. ``svd``
-stays on the public function.
+``eigh`` and ``slogdet``: :func:`_eigh` and :func:`_slogdet` call the
+gufuncs that ``np.linalg`` calls, with the same signatures, but skip the
+public functions' per-call Python wrapper, which dominates on the 2x2 to
+8x8 matrices the solvers decompose. Each result is bit for bit the public
+function's. ``np.linalg.eigh`` raises ``LinAlgError`` on non-convergence
+through an error state that it enters on every call; here a caller enters
+:func:`_lapack_errors` once around its ``_eigh`` calls, so the leakage
+loop enters it once per run. ``svd`` stays on the public function.
 """
 
 from __future__ import annotations
@@ -117,11 +116,6 @@ def _eigh(a: np.ndarray) -> tuple:
 def _slogdet(a: np.ndarray) -> tuple:
     """``np.linalg.slogdet(a)`` as a ``(sign, logabsdet)`` tuple, without its wrapper."""
     return _umath_linalg.slogdet(a, signature="D->Dd" if a.dtype.kind == "c" else "d->dd")
-
-
-def _det(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.det(a)``, without its wrapper."""
-    return _umath_linalg.det(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def _pinned_svd(stack: np.ndarray) -> tuple:

@@ -13,9 +13,12 @@ cross links exist in closed form and are found in one pass:
    from the covariance kernel of :mod:`pcia.linalg` shared with the
    iterative baseline,
 3. its null space as the admissible precoder directions,
-4. a subset choice within that null space scored on the direct link, by
-   batched ``|det|`` calls over fixed-size chunks of the subsets'
-   lexicographic order.
+4. a subset choice within that null space scored on the direct link by
+   ``|det|``: every subset's determinant is a minor, built level by level
+   from the minors one column smaller (Laplace expansion) over index
+   tables cached per nullity and stream count, ties going to the
+   lexicographically first subset. A search whose widest level exceeds
+   ``_MAX_SUBSETS`` subsets is refused before any table is built.
 
 What does not depend on the slot's stream counts is computed once per
 draw: the channel caches its stacked grid, its reciprocal and the pinned
@@ -24,11 +27,11 @@ users, the stream bound, the unit-power weights and each user group's
 index array) is built once per config. A slot's covariances are one
 zero-padded stack. Its null spaces and rank check make one LAPACK call
 per group of users sharing every matrix shape, phases pinned on the
-stack, and its subset search one ``det`` per chunk and group; a group
-with exactly as many directions as streams keeps its bases. Grouping
-ragged shapes, never padding them, keeps each decomposition exactly the
-one of its own matrix. No iteration and no channel extension is
-involved.
+stack, and its subset search one gather and product per minor level and
+group; a group with exactly as many directions as streams keeps its
+bases. Grouping ragged shapes, never padding them, keeps each
+decomposition exactly the one of its own matrix. No iteration and no
+channel extension is involved.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import numpy as np
 
 from .linalg import (
     _covariances,
-    _det,
     _eigh,
     _groups,
     _lapack_errors,
@@ -71,9 +73,9 @@ __all__ = [
 ]
 
 
-# Candidate subsets scored per stacked determinant call: bounds the
-# memory of the search when ``comb(nullity, d)`` is large.
-_SUBSET_CHUNK = 4096
+# Most subsets in one level of the minor search, ``comb(a, min(d, a // 2))``
+# at its widest: a larger search is refused before any table is built.
+_MAX_SUBSETS = 2**16
 
 
 class OneShotInfeasible(RuntimeError):
@@ -112,6 +114,7 @@ class _SlotPlan(NamedTuple):
     weights: tuple      # unit power per message, split over each user's streams
     widths: tuple       # (w, users, index) per distinct paired width
     shapes: tuple       # (m, d, w) per user: rows and columns of its filters
+    receive: tuple      # (m, d) per user: the shape of its receive filter
     rank_checks: tuple  # ((m, d, w), users, index) per shape group of active users
 
 
@@ -136,6 +139,7 @@ def _slot_plan(config: NetworkConfig) -> _SlotPlan:
         weights=tuple(_unit_power_weights(config.dof)),
         widths=tuple(widths),
         shapes=shapes,
+        receive=tuple((m, d) for m, d, _ in shapes),
         rank_checks=tuple(checks),
     )
 
@@ -189,12 +193,21 @@ def reciprocal_state(
 
     The null spaces come from one batched ``eigh`` per distinct paired
     width over one zero-padded covariance stack. A ``rank_tol`` that is
-    not positive and finite, or a channel whose block sizes are not the
-    config's paired layout, raises ValueError.
+    not positive and finite, a channel whose block sizes are not the
+    config's paired layout, or receive filters that are not one
+    ``m_k x d_k`` matrix per user raise ValueError.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
     _check_layout(equiv, config)
     plan = _slot_plan(config)
+    shapes = tuple(u.shape for u in receive)
+    if shapes != plan.receive:
+        if len(shapes) != len(plan.receive):
+            raise ValueError(f"need one receive filter per user: "
+                             f"got {len(shapes)} for {config.num_users} users")
+        k = next(k for k, (got, want) in enumerate(zip(shapes, plan.receive)) if got != want)
+        raise ValueError(f"receive filter of user {k} is {shapes[k]}, not the "
+                         f"{plan.receive[k]} of its antennas and streams")
     q = _covariances(equiv._reciprocal, receive, plan.weights)
     bases = [None] * config.num_users
     for w, users, index in plan.widths:
@@ -203,6 +216,33 @@ def reciprocal_state(
     nullities = [b.shape[1] for b in bases]
     counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
     return ReciprocalState(nullities, bases, counts)
+
+
+@functools.lru_cache(maxsize=64)
+def _minor_tables(a: int, d: int) -> tuple:
+    """Read-only index tables of the minor search over ``d``-subsets of ``a`` columns.
+
+    Returns ``(levels, subsets)``. Each level ``j``, from 2 to ``d``, is
+    ``(cols, drops, signs)``: row ``r`` of ``cols`` is the ``r``-th
+    ``j``-subset ``S`` in lexicographic order, ``drops[r, i]`` is the
+    position of ``S`` without its ``i``-th column among the ``(j - 1)``-
+    subsets, and ``signs[i]`` is ``(-1) ** (j - 1 + i)``. The minors of
+    rows ``0 .. j - 1`` of ``P`` on every ``S`` then expand along row
+    ``j - 1`` as ``(P[j - 1, cols] * minors[drops]) @ signs``.
+    ``subsets`` is the ``(comb(a, d), d)`` array of the last level's
+    subsets. Built once per ``(a, d)``.
+    """
+    subsets = [(i,) for i in range(a)]
+    levels = []
+    for j in range(2, d + 1):
+        position = {s: r for r, s in enumerate(subsets)}
+        subsets = list(itertools.combinations(range(a), j))
+        drops = [[position[s[:i] + s[i + 1:]] for i in range(j)] for s in subsets]
+        signs = [(-1.0) ** (j - 1 + i) for i in range(j)]
+        levels.append((_read_only(np.array(subsets, dtype=np.intp)),
+                       _read_only(np.array(drops, dtype=np.intp)),
+                       _read_only(np.array(signs, dtype=np.complex128))))
+    return tuple(levels), _read_only(np.array(subsets, dtype=np.intp))
 
 
 def select_transmit_beamformer(
@@ -220,48 +260,54 @@ def select_transmit_beamformer(
     product of the eigenvalue moduli of ``B``, ``|det B|``: the paper's
     geometric rule, favouring well-conditioned stream separation.
 
-    Subsets are taken in lexicographic order and scored in batches of at
-    most ``_SUBSET_CHUNK``, one stacked ``det`` per batch, so
-    memory stays bounded however many subsets there are. Ties break
-    toward the lexicographically first subset.
+    With ``P = receive_k^H @ direct_block @ null_basis``, every subset's
+    ``det B`` is its ``dof_k x dof_k`` minor of ``P``, built level by
+    level: the minors of the ``j``-subsets on the first ``j`` rows
+    expand along row ``j - 1`` into those of the ``(j - 1)``-subsets,
+    one gather and product per level over index tables cached per
+    nullity and stream count. Ties break toward the lexicographically
+    first subset.
 
     Stacks with a leading user axis, ``(G, m, d)`` filters, ``(G, m, n)``
     direct blocks and ``(G, n, a)`` bases sharing one ``dof_k``, give the
     ``(G, n, d)`` stack of every user's own pick from one search: each
-    batch is scored for all ``G`` users in one call. ``user`` then names
-    the stack's first user.
+    level is built for all ``G`` users at once. ``user`` then names the
+    stack's first user.
 
     Raises:
         OneShotInfeasible: when fewer admissible directions exist than
-            streams requested.
+            streams requested, or when the widest level of the search,
+            ``comb(nullity, min(dof_k, nullity // 2))`` subsets, exceeds
+            ``_MAX_SUBSETS``; either before any table is built.
     """
     nullity = null_basis.shape[-1]
     if dof_k == 0:
         return np.zeros(null_basis.shape[:-1] + (0,), dtype=np.complex128)
+    who = user if user is not None else "?"
     if nullity < dof_k:
         raise OneShotInfeasible(
-            f"user {user if user is not None else '?'} has only {nullity} "
-            f"interference-free directions for {dof_k} streams",
+            f"user {who} has only {nullity} interference-free directions for {dof_k} streams",
             user=user, nullity=nullity, dof=dof_k,
         )
     if nullity == dof_k:
         return null_basis
+    widest = math.comb(nullity, min(dof_k, nullity // 2))
+    if widest > _MAX_SUBSETS:
+        raise OneShotInfeasible(
+            f"user {who} would score {widest} subsets in one level of the search over "
+            f"{nullity} directions for {dof_k} streams; the search holds at most "
+            f"{_MAX_SUBSETS}",
+            user=user, nullity=nullity, dof=dof_k,
+        )
     stacked = null_basis.ndim == 3
     if not stacked:
         receive_k, direct_block, null_basis = receive_k[None], direct_block[None], null_basis[None]
     projected = receive_k.conj().transpose(0, 2, 1) @ direct_block @ null_basis
-    columns = itertools.chain.from_iterable(itertools.combinations(range(nullity), dof_k))
-    best_cols = np.zeros((len(projected), dof_k), dtype=np.intp)
-    best_score = np.full(len(projected), -np.inf)
-    for _ in range(0, math.comb(nullity, dof_k), _SUBSET_CHUNK):
-        chunk = np.fromiter(itertools.islice(columns, _SUBSET_CHUNK * dof_k),
-                            dtype=np.intp).reshape(-1, dof_k)
-        stack = projected[:, :, chunk].transpose(0, 2, 1, 3)
-        scores = np.abs(_det(stack))
-        first, top = scores.argmax(axis=1), scores.max(axis=1)
-        better = top > best_score
-        best_score[better] = top[better]
-        best_cols[better] = chunk[first[better]]
+    levels, subsets = _minor_tables(nullity, dof_k)
+    minors = projected[:, 0]
+    for row, (cols, drops, signs) in enumerate(levels, 1):
+        minors = (projected[:, row].take(cols, axis=1) * minors.take(drops, axis=1)) @ signs
+    best_cols = subsets[np.abs(minors).argmax(axis=1)]
     picks = np.take_along_axis(null_basis, best_cols[:, None, :], axis=2)
     return picks if stacked else picks[0]
 

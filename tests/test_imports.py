@@ -14,9 +14,11 @@
   definition: in a package module other than ``__init__``, in a script,
   or in a benchmark module other than its tests. A name that only the
   tests read is not part of the public surface.
-* ``eigh``, ``slogdet`` and ``det`` reach LAPACK only through
-  ``linalg``'s helpers: no other package module names them on
-  ``numpy.linalg``. ``svd`` and the rest stay on the public functions.
+* No package module but ``linalg`` names ``eigh``, ``slogdet`` or
+  ``det`` on ``numpy.linalg``: ``eigh`` and ``slogdet`` reach LAPACK
+  through ``linalg._eigh`` and ``_slogdet``, and nothing takes a
+  determinant, the subset search included. ``svd`` and the rest stay on
+  the public functions.
 """
 
 import ast
@@ -33,7 +35,7 @@ READERS += sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.sta
 
 # Internal helpers: imported by name where needed, never re-exported.
 NOT_REEXPORTED = {"linalg"}
-# Reached through ``linalg._eigh``, ``_slogdet`` and ``_det`` only.
+# Reached through ``linalg._eigh`` and ``_slogdet`` only; ``det`` not at all.
 WRAPPED_LAPACK = {"eigh", "slogdet", "det"}
 
 
@@ -264,4 +266,5 @@ def test_only_linalg_reaches_eigh_slogdet_and_det():
     found = [f"src/pcia/{module}.py:{line}: numpy.linalg.{name}"
              for module, tree in _package_trees().items() if module != "linalg"
              for line, name in _direct_lapack_calls(tree)]
-    assert not found, "use linalg._eigh, _slogdet or _det instead:\n" + "\n".join(found)
+    assert not found, ("use linalg._eigh or _slogdet instead; the package takes no det:\n"
+                       + "\n".join(found))

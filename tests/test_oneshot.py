@@ -233,6 +233,24 @@ def test_reciprocal_state_checks_the_channel_layout(k3_config, k3_channel):
         reciprocal_state(equiv, receive, NetworkConfig.symmetric(3, 2, 3, 1))
 
 
+def test_reciprocal_state_checks_the_receive_filter_widths():
+    # Full-width filters used to give nullities [0, 0, 0], zero-width
+    # ones [4, 4, 4], instead of [2, 2, 2].
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    equiv = _equiv(cfg, 1)
+    full = [u for u, _, _ in equiv._direct_svd]
+    assert reciprocal_state(equiv, [u[:, :1] for u in full], cfg).nullities == [2, 2, 2]
+    for receive, shape in ((full, r"\(2, 2\)"), ([u[:, :0] for u in full], r"\(2, 0\)")):
+        with pytest.raises(ValueError, match=rf"receive filter of user 0 is {shape}, "
+                                             r"not the \(2, 1\)"):
+            reciprocal_state(equiv, receive, cfg)
+    one_wide = [u[:, :1] for u in full]
+    with pytest.raises(ValueError, match=r"receive filter of user 2 is \(2, 2\)"):
+        reciprocal_state(equiv, one_wide[:2] + full[2:], cfg)
+    with pytest.raises(ValueError, match="need one receive filter per user: got 2 for 3"):
+        reciprocal_state(equiv, one_wide[:2], cfg)
+
+
 def test_slot_plans_are_cached_per_config_and_read_only():
     # Paired widths (4, 5, 5): user 0 is a width group of its own, and the
     # active users 0 and 1 have filters of 2 and 3 rows, two rank checks.
@@ -243,6 +261,7 @@ def test_slot_plans_are_cached_per_config_and_read_only():
     assert plan.active == (0, 1) and plan.bound == 4
     assert plan.weights == (1.0, 1.0, 0.0)
     assert plan.shapes == ((2, 1, 4), (3, 1, 5), (2, 0, 5))
+    assert plan.receive == ((2, 1), (3, 1), (2, 0))
     assert [(w, users) for w, users, _ in plan.widths] == [(4, (0,)), (5, (1, 2))]
     assert [(key, users) for key, users, _ in plan.rank_checks] == [
         ((2, 1, 4), (0,)), ((3, 1, 5), (1,))]
@@ -355,26 +374,40 @@ def _loop_pick(receive, direct, basis, d):
     return basis[:, best_cols]
 
 
-# The ids name the selection rule under test, the geometric |det| pick.
-@pytest.mark.parametrize("chunk", [None, 5], ids=lambda chunk: f"geometric-{chunk}")
-def test_batched_selector_matches_per_subset_loop(monkeypatch, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
+# (nullity, streams) of the oracle's searches: every stream count up to 4
+# and the one-short count a - 1, for 3 to 8 directions, and the widest
+# level of the paper's range, 8 of 16 directions.
+SEARCHES = [(a, d) for a in range(3, 9) for d in sorted({*range(1, min(4, a - 1) + 1), a - 1})]
+SEARCHES.append((16, 8))
+
+
+def _search_draw(rng, nullity, d):
+    width = nullity + 1
+    receive = random_orthonormal(rng, d + 1, d)
+    direct = rng.standard_normal((d + 1, width)) + 1j * rng.standard_normal((d + 1, width))
+    return receive, direct, random_orthonormal(rng, width, nullity)
+
+
+# The ids name the selection rule under test, the geometric |det| pick,
+# and how many draws one call stacks at most (None: one unstacked call
+# per draw).
+@pytest.mark.parametrize("stack", [None, 5], ids=lambda stack: f"geometric-{stack}")
+def test_batched_selector_matches_per_subset_loop(stack):
     rng = np.random.default_rng(4096)
-    for nullity in range(3, 9):
-        for d in range(1, min(4, nullity - 1) + 1):
-            for _ in range(3):
-                width = nullity + 1
-                receive = random_orthonormal(rng, d + 1, d)
-                direct = (rng.standard_normal((d + 1, width))
-                          + 1j * rng.standard_normal((d + 1, width)))
-                basis = random_orthonormal(rng, width, nullity)
-                picked = select_transmit_beamformer(receive, direct, basis, d)
-                expected = _loop_pick(receive, direct, basis, d)
-                assert np.array_equal(picked, expected), (nullity, d)
+    for nullity, d in SEARCHES:
+        # one draw of the widest search: its loop scores 12,870 subsets
+        draws = [_search_draw(rng, nullity, d) for _ in range(1 if nullity == 16 else 5)]
+        if stack is None:
+            picks = [select_transmit_beamformer(*draw, d) for draw in draws]
+        else:
+            picks = [pick for i in range(0, len(draws), stack)
+                     for pick in select_transmit_beamformer(
+                         *map(np.array, zip(*draws[i:i + stack])), d)]
+        for pick, draw in zip(picks, draws):
+            assert np.array_equal(pick, _loop_pick(*draw, d)), (nullity, d)
 
 
-def test_selector_ties_straddling_chunks_keep_first_subset(monkeypatch):
+def test_selector_ties_straddling_chunks_keep_first_subset():
     # The direct link drops the third coordinate, so basis columns 1 and
     # 3 project to the same vector while staying distinguishable: the
     # subsets (0, 1) and (0, 3) tie exactly, and no subset scores higher.
@@ -383,12 +416,51 @@ def test_selector_ties_straddling_chunks_keep_first_subset(monkeypatch):
     basis = np.array([[1, 0, 0.5, 0, 0.3],
                       [0, 1, 0.2, 1, 0.3],
                       [0, 0, 0.0, 1, 1.0]], dtype=np.complex128)
-    first = basis[:, [0, 1]]
-    for chunk in range(1, 12):
-        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
-        picked = select_transmit_beamformer(receive, direct, basis, 2)
-        assert np.array_equal(picked, first), chunk
-        assert np.array_equal(picked, _loop_pick(receive, direct, basis, 2))
+    picked = select_transmit_beamformer(receive, direct, basis, 2)
+    assert np.array_equal(picked, basis[:, [0, 1]])
+    assert np.array_equal(picked, _loop_pick(receive, direct, basis, 2))
+
+
+def test_a_search_past_the_subset_limit_is_refused_before_any_table(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("built the tables of a refused search")
+
+    monkeypatch.setattr(oneshot, "_minor_tables", no_tables)
+    rng = np.random.default_rng(5)
+    # 19 streams of 20 directions: the widest level is comb(20, 10) =
+    # 184,756 subsets, though the last holds only 20.
+    receive, direct, basis = _search_draw(rng, 20, 19)
+    with pytest.raises(OneShotInfeasible, match=r"user 4 would score 184756 subsets") as exc:
+        select_transmit_beamformer(receive[None], direct[None], basis[None], 19, user=4)
+    assert (exc.value.user, exc.value.nullity, exc.value.dof) == (4, 20, 19)
+    with pytest.raises(OneShotInfeasible, match=r"user \? would score") as exc:
+        select_transmit_beamformer(receive, direct, basis, 19)
+    assert (exc.value.user, exc.value.nullity, exc.value.dof) == (None, 20, 19)
+    # Through the design: 44 directions for 4 streams, comb(44, 4) = 135,751.
+    cfg = NetworkConfig.symmetric(2, 24, 24, 4)
+    with pytest.raises(OneShotInfeasible, match="135751 subsets") as exc:
+        one_shot_ia(cfg, generate_channel(cfg, 0))
+    assert (exc.value.user, exc.value.nullity, exc.value.dof) == (0, 44, 4)
+
+
+def test_minor_tables_are_cached_read_only():
+    levels, subsets = oneshot._minor_tables(5, 3)
+    assert oneshot._minor_tables(5, 3)[1] is subsets
+    assert oneshot._minor_tables(5, 3)[0] is levels
+    assert subsets.tolist() == [list(s) for s in itertools.combinations(range(5), 3)]
+    assert len(levels) == 2
+    for j, (cols, drops, signs) in enumerate(levels, 2):
+        below = list(itertools.combinations(range(5), j - 1))
+        assert cols.tolist() == [list(s) for s in itertools.combinations(range(5), j)]
+        for s, row in zip(cols.tolist(), drops.tolist()):
+            assert [below[r] for r in row] == [tuple(s[:i] + s[i + 1:]) for i in range(j)]
+        assert signs.tolist() == [(-1.0) ** (j - 1 + i) for i in range(j)]
+    for table in (subsets, *itertools.chain.from_iterable(levels)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    single, last = oneshot._minor_tables(4, 1)
+    assert single == () and last.tolist() == [[0], [1], [2], [3]]
 
 
 def _pinned_by_column(a, tol=1e-12):
@@ -559,22 +631,34 @@ SEARCH_CONFIGS = [
 ]
 
 
-# The chunk ids name the selection rule under test, the geometric |det| pick.
-@pytest.mark.parametrize("chunk", [None, 1, 7], ids=lambda chunk: f"geometric-{chunk}")
+# The ids name the selection rule under test, the geometric |det| pick,
+# and the subset limit of the search (None: the package's own). Each
+# 8x8 search scores 120 subsets, over either limit given; each ragged
+# one scores 4, over a limit of 1 only.
+@pytest.mark.parametrize("limit", [None, 1, 7], ids=lambda limit: f"geometric-{limit}")
 @pytest.mark.parametrize("cfg, groups", zip(SEARCH_CONFIGS, [[3], [2, 2]]),
                          ids=["k3-8x8", "ragged-4433"])
-def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
+def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups, limit):
+    if limit is not None:
+        monkeypatch.setattr(oneshot, "_MAX_SUBSETS", limit)
     calls = _record_selects(monkeypatch)
     for seed in range(3):
         equiv = _equiv(cfg, seed)
         receive = design_receive_beamformers(equiv, cfg)
         state = reciprocal_state(equiv, receive, cfg)
         # the selector imported above, not the recorded module attribute
-        want = [select_transmit_beamformer(receive[k], equiv.blocks[k][k],
-                                           state.null_bases[k], cfg.dof[k], user=k)
-                for k in range(cfg.num_users)]
+        try:
+            want = [select_transmit_beamformer(receive[k], equiv.blocks[k][k],
+                                               state.null_bases[k], cfg.dof[k], user=k)
+                    for k in range(cfg.num_users)]
+        except OneShotInfeasible as refused:
+            # the stacked search refuses the same first user
+            with pytest.raises(OneShotInfeasible) as exc:
+                one_shot_ia(cfg, equiv)
+            assert (exc.value.user, exc.value.nullity, exc.value.dof) == (
+                refused.user, refused.nullity, refused.dof)
+            assert limit is not None
+            continue
         calls.clear()
         beams = one_shot_ia(cfg, equiv)
         # every user searched, one call per shape group
@@ -584,7 +668,7 @@ def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups,
             assert np.array_equal(got, expected)
 
 
-def test_stacked_ties_straddling_chunks_keep_each_users_first_subset(monkeypatch):
+def test_stacked_ties_straddling_chunks_keep_each_users_first_subset():
     # The tie of test_selector_ties_straddling_chunks_keep_first_subset,
     # stacked with its column-reversed copy, whose tied best subsets sit
     # elsewhere in the lexicographic order, and a random user: the
@@ -601,12 +685,10 @@ def test_stacked_ties_straddling_chunks_keep_each_users_first_subset(monkeypatch
     receives = np.array([receive, receive, random_orthonormal(rng, 2, 2)])
     directs = np.array([direct, direct,
                         rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))])
-    for chunk in range(1, 12):
-        monkeypatch.setattr(oneshot, "_SUBSET_CHUNK", chunk)
-        picks = select_transmit_beamformer(receives, directs, bases, 2)
-        assert picks.shape == (3, 3, 2)
-        assert np.array_equal(picks[0], basis[:, [0, 1]])
-        for pick, r, h, b in zip(picks, receives, directs, bases):
-            assert np.array_equal(pick, select_transmit_beamformer(r, h, b, 2))
-            assert np.array_equal(pick, _loop_pick(r, h, b, 2))
+    picks = select_transmit_beamformer(receives, directs, bases, 2)
+    assert picks.shape == (3, 3, 2)
+    assert np.array_equal(picks[0], basis[:, [0, 1]])
+    for pick, r, h, b in zip(picks, receives, directs, bases):
+        assert np.array_equal(pick, select_transmit_beamformer(r, h, b, 2))
+        assert np.array_equal(pick, _loop_pick(r, h, b, 2))
 

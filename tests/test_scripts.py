@@ -1,6 +1,9 @@
 """The experiment scripts: presets pass the feasibility check, bad options exit early."""
 
+import hashlib
 import importlib.util
+import json
+import math
 import re
 from pathlib import Path
 
@@ -135,3 +138,49 @@ def test_digest_panel_follows_the_benchmark_workloads(monkeypatch):
     panel = dict(_load("records_digest").panel(trials))
     for label, workload in WORKLOADS.items():
         assert panel[label] == ExperimentSpec(**workload.spec, trials=trials, seed=0)
+
+
+def test_a_dump_compared_with_its_own_tree_shows_no_difference(capsys, tmp_path):
+    digest = _load("records_digest")
+    dump = tmp_path / "records.jsonl"
+    digest.main(["--trials", "1", "--dump", str(dump)])
+    combined = capsys.readouterr().out
+    # the dump holds the hashed bytes, one spec per line
+    assert hashlib.sha256(dump.read_bytes().replace(b"\n", b"")).hexdigest() + "\n" == combined
+    digest.main(["--trials", "1", "--against", str(dump)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "no value moved"
+    # five specs of five measured fields each
+    assert len(lines[:-1]) == 25
+    for line in lines[:-1]:
+        assert re.fullmatch(r"\S+ \w+: worst relative 0, absolute 0, 0 of \d+ past 1e-12", line)
+
+
+def test_the_comparison_names_the_spec_and_field_that_moved(monkeypatch, capsys, tmp_path):
+    digest = _load("records_digest")
+    # the last panel spec alone, k4-3x3: four schemes at two SNR points
+    panel = digest.panel
+    monkeypatch.setattr(digest, "panel", lambda trials: panel(trials)[-1:])
+    dump = tmp_path / "records.jsonl"
+    digest.main(["--trials", "1", "--dump", str(dump)])
+    capsys.readouterr()
+    [(label, verdict, records)] = [json.loads(dump.read_text())]
+    records[1]["mean_sum_rate"] *= 1 + 1e-9
+    records[2]["align_residual"] = float("nan")
+    dump.write_text(json.dumps([label, verdict, records]))
+    with pytest.raises(SystemExit) as exc:
+        digest.main(["--trials", "1", "--against", str(dump)])
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^k4-3x3 mean_sum_rate: worst relative 1e-09, absolute \S+, 1 of 8 past",
+                     out, re.M)
+    assert "k4-3x3 align_residual: worst relative inf, absolute inf, 1 of 8 past" in out
+    assert "k4-3x3 std_err: worst relative 0, absolute 0, 0 of 8 past" in out
+    assert out.endswith("moved past 1e-12\n")
+    # NaN matches NaN; labels, verdicts and points must match exactly
+    assert digest.difference(float("nan"), float("nan")) == (0.0, 0.0)
+    assert digest.difference(3, 4) == digest.difference(None, 0.0) == (math.inf, math.inf)
+    records[3]["snr_db"] = 21.0
+    assert digest.compare([[label, verdict, records]], [[label, verdict, records[:3]]])[1]
+    assert digest.compare([[label, "no", []]], [[label, None, []]]) == (
+        ["k4-3x3: check_spec verdict 'no' is now None"], True)
