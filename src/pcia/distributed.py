@@ -7,21 +7,21 @@ two steps repeat until the residual interference power is negligible
 against the initial signal power. It runs on any square block grid, so
 the same code covers the plain per-station channel and the paired one.
 
-The loop reads what the channel view caches per draw: the zero-padded
-``(K, K, m, n)`` stacked grid, its reciprocal and, for the SVD start,
-the pinned SVD of the direct blocks; a list grid is checked and copied
-into a view first. Both grids are copied transmitter-major once per run,
-so each half-iteration is one call to the covariance kernel of
-:mod:`pcia.linalg` (one product per transmitter, cached half weights)
-and one batched ``eigh`` over all users, through that module's LAPACK
-entry point; the recorded leakage is the sum of each user's smallest
-eigenvalues. The whole loop runs inside one LAPACK error state, entered
-once per run, so non-convergence or a NaN anywhere in it raises
-``LinAlgError``, and so does a leakage that is not finite. Uneven stream
-counts, silent users included, ride as zero-weight padding columns;
-ragged antenna counts as padded dimensions loaded above the trace so
-they sort last. The covariances depend only on ``V V^H``, so column
-phases are pinned once, on the returned filters.
+The loop reads what the channel view caches per draw: the forward and
+reverse link grids, zero-padded and already in the transmitter-major
+layout of the covariance kernel of :mod:`pcia.linalg`, and, for the SVD
+start, the pinned SVD of the direct blocks; a list grid is checked and
+copied into a view first. No grid is copied per run, and each
+half-iteration is one kernel call (one product per transmitter, cached
+half weights) and one batched ``eigh`` over all users, through that
+module's LAPACK entry point; the recorded leakage is the sum of each
+user's smallest eigenvalues. The whole loop runs inside one LAPACK error
+state, entered once per run, so non-convergence or a NaN anywhere in it
+raises ``LinAlgError``, and so does a leakage that is not finite. Uneven
+stream counts, silent users included, ride as zero-weight padding
+columns; ragged antenna counts as padded dimensions loaded above the
+trace so they sort last. The covariances depend only on ``V V^H``, so
+column phases are pinned once, on the returned filters.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .linalg import (
-    _by_transmitter,
     _covariance_stack,
     _eigh,
     _interferer_weights,
@@ -96,8 +95,8 @@ def iterate_distributed_ia(
     """Alternate receive and transmit updates until leakage dies out.
 
     Args:
-        blocks: a channel view, whose cached stacked grid, reciprocal and
-            direct-block SVD the run reads; or a square list grid, where
+        blocks: a channel view, whose cached link grids and direct-block
+            SVD the run reads; or a square list grid, where
             ``blocks[k][l]`` maps transmitter ``l`` into receiver ``k``,
             checked and copied into a view first.
         dof: streams per user (zero marks a silent user). Each message
@@ -155,17 +154,17 @@ def iterate_distributed_ia(
         for k in range(num_users) if dof[k] > 0
     )
 
-    grid = view._stacked
-    forward, reverse = _by_transmitter(grid), _by_transmitter(view._reciprocal)
+    forward, reverse = view._forward, view._reverse
+    _, _, rx_size, tx_size = view._stacked.shape
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     weights = _interferer_weights(tuple(per_stream), tuple(dof))
-    fwd_padded = _padding(rows, grid.shape[2])
-    rev_padded = _padding(cols, grid.shape[3])
+    fwd_padded = _padding(rows, rx_size)
+    rev_padded = _padding(cols, tx_size)
 
-    transmit = _stack(start, grid.shape[3], width)
+    transmit = _stack(start, tx_size, width)
 
-    receive = np.zeros((num_users, grid.shape[2], 0), dtype=np.complex128)
+    receive = np.zeros((num_users, rx_size, 0), dtype=np.complex128)
     history = []
     converged = False
     with _lapack_errors():

@@ -28,6 +28,7 @@ from .network import (
     _integral,
     _per_user,
     _read_only,
+    _real,
     _tolerance,
     _view,
     build_permutation,
@@ -224,7 +225,7 @@ class ExperimentSpec:
         object.__setattr__(self, "schemes", schemes)
         if isinstance(self.snr_grid_db, (str, bytes)):
             raise ValueError(f"snr_grid_db must be a list of dB values, got {self.snr_grid_db!r}")
-        snr = tuple(float(v) for v in self.snr_grid_db)
+        snr = tuple(_real(v, "snr_grid_db entry") for v in self.snr_grid_db)
         if not snr:
             raise ValueError("snr_grid_db must not be empty")
         try:

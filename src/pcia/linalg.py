@@ -1,13 +1,14 @@
 """Small linear-algebra helpers shared by the alignment solvers.
 
-Besides phase pinning, the reciprocal grid and the shared interference-
-covariance kernel, this module is the package's one way to LAPACK for
-``eigh`` and ``slogdet``: :func:`_eigh` and :func:`_slogdet` call the
-gufuncs that ``np.linalg`` calls, with the same signatures, but skip the
-public functions' per-call Python wrapper, which dominates on the 2x2 to
-8x8 matrices the solvers decompose. Each result is bit for bit the public
-function's. ``np.linalg.eigh`` raises ``LinAlgError`` on non-convergence
-through an error state that it enters on every call; here a caller enters
+Besides phase pinning and the shared interference-covariance kernel,
+which reads a channel view's cached link grids as they are, this module
+is the package's one way to LAPACK for ``eigh`` and ``slogdet``:
+:func:`_eigh` and :func:`_slogdet` call the gufuncs that ``np.linalg``
+calls, with the same signatures, but skip the public functions' per-call
+Python wrapper, which dominates on the 2x2 to 8x8 matrices the solvers
+decompose. Each result is bit for bit the public function's.
+``np.linalg.eigh`` raises ``LinAlgError`` on non-convergence through an
+error state that it enters on every call; here a caller enters
 :func:`_lapack_errors` once around its ``_eigh`` calls, so the leakage
 loop enters it once per run. ``svd`` stays on the public function.
 """
@@ -21,11 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-__all__ = [
-    "fix_column_phases",
-    "pin_joint_phases",
-    "reciprocal",
-]
+__all__ = ["fix_column_phases"]
 
 # Entries at or below this modulus are treated as zero when pinning phases.
 _PHASE_TOL = 1e-12
@@ -74,20 +71,6 @@ def fix_column_phases(a: np.ndarray) -> np.ndarray:
     return a * _pinning_phases(a)[..., None, :]
 
 
-def pin_joint_phases(u: np.ndarray, v: np.ndarray):
-    """Pin paired singular-vector phases without disturbing their product.
-
-    Column ``j`` of ``u`` and of ``v`` carry one shared free phase. Both
-    get rotated by the phase that makes ``u``'s first nonzero entry real
-    and positive; the common rotation cancels in
-    ``u @ diag(s) @ v.conj().T``, which is left exactly as it was. Stacks
-    of ``u`` and ``v`` are pinned pair by pair.
-    """
-    u = np.asarray(u)
-    phases = _pinning_phases(u)[..., None, :]
-    return u * phases, np.asarray(v) * phases
-
-
 def _lapack_failed(err: str, flag: int):
     raise LinAlgError(f"a NaN or infinite value arose ({err}), or eigenvalues did not converge")
 
@@ -119,10 +102,16 @@ def _slogdet(a: np.ndarray) -> tuple:
 
 
 def _pinned_svd(stack: np.ndarray) -> tuple:
-    """Thin SVD ``(u, s, v)`` of a stack of matrices, phases pinned jointly."""
+    """Thin SVD ``(u, s, v)`` of a stack of matrices, phases pinned jointly.
+
+    Column ``j`` of ``u`` and of ``v`` carry one shared free phase. Both
+    get rotated by the phase that makes ``u``'s first nonzero entry real
+    and positive; the common rotation cancels in
+    ``u @ diag(s) @ v.conj().T``, which is left exactly as it was.
+    """
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    u, v = pin_joint_phases(u, vh.conj().transpose(0, 2, 1))
-    return u, s, v
+    phases = _pinning_phases(u)[..., None, :]
+    return u * phases, s, vh.conj().transpose(0, 2, 1) * phases
 
 
 def _stream_weights(powers: Sequence, dof: Sequence) -> list:
@@ -165,15 +154,6 @@ def _check_filter_lists(users: int, receive, transmit, dof=None, sizes=None) -> 
                 raise ValueError(f"{name} filter {k} has a NaN or infinite entry")
 
 
-def reciprocal(grid: np.ndarray) -> np.ndarray:
-    """The reversed-link grid: entry ``[k, l]`` is ``grid[l, k]^H``.
-
-    A stacked ``(K, K, m, n)`` array gives a C-contiguous ``(K, K, n, m)``
-    array, laid out as if the reversed list grid had been stacked.
-    """
-    return np.ascontiguousarray(grid.transpose(1, 0, 3, 2)).conj()
-
-
 def _stack(mats, rows: int, cols: int) -> np.ndarray:
     """Zero-padded ``(len(mats), rows, cols)`` stack of ragged matrices."""
     out = np.zeros((len(mats), rows, cols), dtype=np.complex128)
@@ -212,17 +192,13 @@ def _interferer_weights(weights: tuple, counts: tuple) -> np.ndarray:
     return _read_only(out.reshape(users, 1, -1))
 
 
-def _by_transmitter(grid: np.ndarray) -> np.ndarray:
-    """Transmitter-major ``(K, K·m, n)`` copy of a grid: entry ``l`` stacks ``grid[:, l]``."""
-    users, _, rows, cols = grid.shape
-    return grid.transpose(1, 0, 2, 3).reshape(users, users * rows, cols)
-
-
 def _covariance_stack(stack: np.ndarray, beams: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Interference covariances of a transmitter-major grid as one ``(K, m, m)`` array.
 
-    ``stack`` is ``(K, K·m, n)`` from :func:`_by_transmitter`, ``beams``
-    is ``(K, n, d)`` and ``weights`` is ``(K, 1, K·d)`` from
+    ``stack`` is transmitter-major, ``(K, K·m, n)``: entry ``l`` stacks
+    transmitter ``l``'s zero-padded blocks of every receiver, as a channel
+    view caches its forward and reverse link grids. ``beams`` is
+    ``(K, n, d)`` and ``weights`` is ``(K, 1, K·d)`` from
     :func:`_interferer_weights`. One product per transmitter gives every
     effective block ``G_kl B_l``; entry ``k`` is then the Hermitized
     ``X_k diag(w_k) X_k^H``, where ``X_k`` holds every transmitter's
@@ -237,10 +213,3 @@ def _covariance_stack(stack: np.ndarray, beams: np.ndarray, weights: np.ndarray)
     x = x.reshape(users, users, rows, -1).transpose(1, 2, 0, 3).reshape(users, rows, -1)
     q = (x * weights) @ x.conj().transpose(0, 2, 1)
     return np.add(q, q.conj().transpose(0, 2, 1), out=q)
-
-
-def _covariances(grid: np.ndarray, beams: Sequence, weights: Sequence) -> np.ndarray:
-    """:func:`_covariance_stack` of a ``(K, K, m, n)`` grid, beams and weights given per user."""
-    counts = tuple(b.shape[1] for b in beams)
-    return _covariance_stack(_by_transmitter(grid), _stack(beams, grid.shape[3], max(counts)),
-                             _interferer_weights(tuple(weights), counts))

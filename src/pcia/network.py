@@ -16,10 +16,11 @@ matrix, and a list grid given to the constructor, a solver or a scorer
 is checked and copied into it. Built from the matrix on first use, each
 view also caches the arrays that depend on the draw alone: the
 zero-padded stacked grid (on a uniform grid, the matrix reshaped rather
-than copied block by block), its reciprocal and the pinned SVD of the
-direct blocks. Every design and every score on one draw reads the same
-copy, whatever its time-share slot or SNR point. Views and caches are
-read-only.
+than copied block by block), the forward and reverse link grids in the
+transmitter-major layout the covariance kernel of :mod:`pcia.linalg`
+reads, and the pinned SVD of the direct blocks. Every design and every
+score on one draw reads the same copy, whatever its time-share slot or
+SNR point, so no solver copies a grid. Views and caches are read-only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import _groups, _pinned_svd, _read_only, _stack, reciprocal
+from .linalg import _groups, _pinned_svd, _read_only, _stack
 
 __all__ = [
     "NetworkConfig",
@@ -44,13 +45,19 @@ __all__ = [
 ]
 
 
+# Read as numbers by ``int`` or ``float`` (``True`` as 1, ``"1e-9"`` as
+# 1e-9), but refused wherever a count, a tolerance or a dB value is due.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def _integral(value, name: str) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is a whole number.
 
-    An integral float such as ``3.0`` passes; ``3.9`` is not truncated.
+    An integral float such as ``3.0`` passes; ``3.9`` is not truncated,
+    and a bool or a string is refused.
     """
     try:
-        count = int(value)
+        count = None if isinstance(value, _NOT_NUMBERS) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value:
@@ -58,11 +65,19 @@ def _integral(value, name: str) -> int:
     return count
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is a bool or a string."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _tolerance(value, name: str) -> float:
     """``value`` as a float; a ValueError naming ``name`` unless it is positive and finite."""
-    if not 0 < float(value) < np.inf:
+    tol = _real(value, name)
+    if not 0 < tol < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    return tol
 
 
 def _stream_counts(dof, num_users: int) -> list:
@@ -117,7 +132,7 @@ class NetworkConfig:
         if any(d < 0 for d in self.dof):
             raise ValueError("stream counts cannot be negative")
         for k in range(num_users):
-            cap = min(self.rx_antennas[k], self.paired_tx_antennas(k))
+            cap = min(self.rx_antennas[k], self.paired_widths[k])
             if self.dof[k] > cap:
                 raise ValueError(
                     f"user {k} asks for {self.dof[k]} streams but supports at most {cap}"
@@ -144,10 +159,6 @@ class NetworkConfig:
     def secondary(self, k: int) -> int:
         """Index of the neighbour base station also serving user ``k``."""
         return (k - 1) % self.num_users
-
-    def paired_tx_antennas(self, k: int) -> int:
-        """Combined antenna count of user ``k``'s serving pair."""
-        return self.paired_widths[k]
 
     @functools.cached_property
     def paired_widths(self) -> tuple:
@@ -246,9 +257,26 @@ class _BlockGrid:
         return _read_only(np.ascontiguousarray(self._matrix.reshape(k, m, k, n).swapaxes(1, 2)))
 
     @functools.cached_property
-    def _reciprocal(self) -> np.ndarray:
-        """The reversed-link grid of :attr:`_stacked`, see :func:`pcia.linalg.reciprocal`."""
-        return _read_only(reciprocal(self._stacked))
+    def _forward(self) -> np.ndarray:
+        """The links transmitter-major as one ``(K, K·m, n)`` array.
+
+        Entry ``l`` stacks the zero-padded ``blocks[k][l]`` over every
+        receiver ``k``: the layout the covariance kernel reads.
+        """
+        users, _, m, n = self._stacked.shape
+        return _read_only(self._stacked.swapaxes(0, 1).reshape(users, users * m, n))
+
+    @functools.cached_property
+    def _reverse(self) -> np.ndarray:
+        """The reversed links, receivers transmitting, as one ``(K, K·n, m)`` array.
+
+        Entry ``l`` stacks the zero-padded ``blocks[l][k]^H`` over every
+        ``k``: the reciprocal channel, in which user ``l`` sends back to
+        each transmitter ``k``, in the kernel's transmitter-major layout.
+        """
+        users, _, m, n = self._stacked.shape
+        flipped = np.ascontiguousarray(self._stacked.swapaxes(2, 3)).conj()
+        return _read_only(flipped.reshape(users, users * n, m))
 
     @functools.cached_property
     def _direct_svd(self) -> tuple:

@@ -21,17 +21,19 @@ cross links exist in closed form and are found in one pass:
    ``_MAX_SUBSETS`` subsets is refused before any table is built.
 
 What does not depend on the slot's stream counts is computed once per
-draw: the channel caches its stacked grid, its reciprocal and the pinned
-SVD of its direct blocks. What depends on the config alone (the active
-users, the stream bound, the unit-power weights and each user group's
-index array) is built once per config. A slot's covariances are one
-zero-padded stack. Its null spaces and rank check make one LAPACK call
-per group of users sharing every matrix shape, phases pinned on the
-stack, and its subset search one gather and product per minor level and
-group; a group with exactly as many directions as streams keeps its
-bases. Grouping ragged shapes, never padding them, keeps each
-decomposition exactly the one of its own matrix. No iteration and no
-channel extension is involved.
+draw: the channel caches its stacked grid, its reverse link grid in the
+covariance kernel's layout and the pinned SVD of its direct blocks. What
+depends on the config alone (the active users, the stream bound, the
+kernel's half weights at unit power and each width group's index array)
+is built once per config. A slot's covariances are one stack of its
+receive filters and one kernel call, and its null spaces one LAPACK call
+per paired width, phases pinned on the stack. One pass over the groups
+of users sharing every filter shape and nullity then runs each group's
+subset search, one gather and product per minor level, and its
+rank-check ``svd`` on the same stacked filters; a group with exactly as
+many directions as streams keeps its bases. Grouping ragged shapes,
+never padding them, keeps each decomposition exactly the one of its own
+matrix. No iteration and no channel extension is involved.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .linalg import (
-    _covariances,
+    _covariance_stack,
     _eigh,
     _groups,
+    _interferer_weights,
     _lapack_errors,
     _read_only,
+    _stack,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -109,38 +113,32 @@ class ReciprocalState:
 class _SlotPlan(NamedTuple):
     """What a slot's design reads of its config alone, see :func:`_slot_plan`."""
 
-    active: tuple       # users with streams, in order
-    bound: int          # smallest paired width among active users, 0 without any
-    weights: tuple      # unit power per message, split over each user's streams
-    widths: tuple       # (w, users, index) per distinct paired width
-    shapes: tuple       # (m, d, w) per user: rows and columns of its filters
-    receive: tuple      # (m, d) per user: the shape of its receive filter
-    rank_checks: tuple  # ((m, d, w), users, index) per shape group of active users
+    active: tuple        # users with streams, in order
+    bound: int           # smallest paired width among active users, 0 without any
+    weights: np.ndarray  # the kernel's half weights at unit power per message
+    widths: tuple        # (w, users, index) per distinct paired width
+    shapes: tuple        # (m, d, w) per user: rows and columns of its filters
+    receive: tuple       # (m, d) per user: the shape of its receive filter
 
 
 @functools.lru_cache(maxsize=64)
 def _slot_plan(config: NetworkConfig) -> _SlotPlan:
     """The config-derived values of a one-shot slot, built once per config.
 
-    Each group's ``index`` is the read-only array of its users, which picks
-    their covariances or gathers their direct blocks.
+    Each width group's ``index`` is the read-only array of its users,
+    which picks their covariances. The weights are the read-only
+    ``(K, 1, K·d)`` array of :func:`pcia.linalg._interferer_weights`.
     """
     active = config.active_users
     shapes = tuple(zip(config.rx_antennas, config.dof, config.paired_widths))
-    widths = [(w, users, _read_only(np.array(users)))
-              for w, users in _groups(config.paired_widths)]
-    checks = []
-    for key, members in _groups(tuple(shapes[k] for k in active)):
-        users = tuple(active[i] for i in members)
-        checks.append((key, users, _read_only(np.array(users))))
     return _SlotPlan(
         active=active,
         bound=min((config.paired_widths[k] for k in active), default=0),
-        weights=tuple(_unit_power_weights(config.dof)),
-        widths=tuple(widths),
+        weights=_interferer_weights(tuple(_unit_power_weights(config.dof)), config.dof),
+        widths=tuple((w, users, _read_only(np.array(users)))
+                     for w, users in _groups(config.paired_widths)),
         shapes=shapes,
         receive=tuple((m, d) for m, d, _ in shapes),
-        rank_checks=tuple(checks),
     )
 
 
@@ -191,8 +189,9 @@ def reciprocal_state(
 ) -> ReciprocalState:
     """Null-space bases of the reciprocal covariances, and candidate counts per user.
 
-    The null spaces come from one batched ``eigh`` per distinct paired
-    width over one zero-padded covariance stack. A ``rank_tol`` that is
+    The covariances are one kernel call on the channel's cached reverse
+    link grid, and the null spaces one batched ``eigh`` per distinct
+    paired width over that zero-padded stack. A ``rank_tol`` that is
     not positive and finite, a channel whose block sizes are not the
     config's paired layout, or receive filters that are not one
     ``m_k x d_k`` matrix per user raise ValueError.
@@ -208,7 +207,8 @@ def reciprocal_state(
         k = next(k for k, (got, want) in enumerate(zip(shapes, plan.receive)) if got != want)
         raise ValueError(f"receive filter of user {k} is {shapes[k]}, not the "
                          f"{plan.receive[k]} of its antennas and streams")
-    q = _covariances(equiv._reciprocal, receive, plan.weights)
+    beams = _stack(receive, max(config.rx_antennas), max(config.dof))
+    q = _covariance_stack(equiv._reverse, beams, plan.weights)
     bases = [None] * config.num_users
     for w, users, index in plan.widths:
         for k, basis in zip(users, _null_bases(q[index, :w, :w], rank_tol)):
@@ -345,33 +345,34 @@ def one_shot_ia(
     equiv = channel
     if not isinstance(channel, EquivalentChannel):
         equiv = equivalent_channel(channel, build_permutation(config))
-    _check_layout(equiv, config)
     receive = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol)
-    # One stacked search per group sharing filter and basis shapes, so a
-    # block shape, a stream count and a nullity, in first-user order: the
-    # first user short of directions raises.
+    # One pass over the groups sharing filter and basis shapes, so a block
+    # shape, a stream count and a nullity, in first-user order: each
+    # group's stacked filters feed its subset search, where its bases are
+    # not already its picks, so the first user short of directions raises,
+    # and then its rank check. That check's reference scale is the
+    # unprojected direct link (its largest singular value, from the cached
+    # direct-block SVD): filters with unit columns can only shrink it, and
+    # comparing within ``eff`` alone would make a uniformly collapsed link
+    # (d_k = 1 above all) look healthy. Users are checked in order after
+    # every group has run.
     grid, bases = equiv._stacked, state.null_bases
     transmit = list(bases)
+    smallest = {}
     for (m, d, w, a), users in _groups(tuple(
             (*shape, a) for shape, a in zip(plan.shapes, state.nullities))):
+        if a == d == 0:  # silent users without a free direction: nothing to pick or check
+            continue
+        filters, direct = np.array([receive[k] for k in users]), grid[users, users, :m, :w]
+        picks = np.array([bases[k] for k in users])
         if a != d:
-            picks = select_transmit_beamformer(
-                np.array([receive[k] for k in users]), grid[users, users, :m, :w],
-                np.array([bases[k] for k in users]), d, user=users[0])
+            picks = select_transmit_beamformer(filters, direct, picks, d, user=users[0])
             for k, pick in zip(users, picks):
                 transmit[k] = pick
-    # Reference scale is the unprojected direct link (its largest singular
-    # value, from the cached direct-block SVD): filters with unit columns
-    # can only shrink it, and comparing within ``eff`` alone would make a
-    # uniformly collapsed link (d_k = 1 above all) look healthy. One
-    # stacked product and ``svd`` per group of active users sharing every
-    # shape; users are checked in order after every group's ``svd``.
-    smallest = {}
-    for (m, _, w), users, index in plan.rank_checks:
-        eff = (np.array([receive[k] for k in users]).conj().transpose(0, 2, 1)
-               @ grid[index, index, :m, :w] @ np.array([transmit[k] for k in users]))
-        smallest.update(zip(users, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
+        if d:
+            eff = filters.conj().transpose(0, 2, 1) @ direct @ picks
+            smallest.update(zip(users, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
     for k in plan.active:
         if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
             raise RankDeficientDesired(

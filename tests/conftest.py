@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcia.linalg import _covariances, _unit_power_weights
+from pcia.linalg import _covariance_stack, _interferer_weights, _stack, _unit_power_weights
 from pcia.network import NetworkConfig, build_permutation, generate_channel
 
 
@@ -70,10 +70,18 @@ def received_signal_power(receive_k, direct_block, transmit_k, power_k, dof_k) -
     return power_k / dof_k * float(np.real(np.trace(eff @ eff.conj().T)))
 
 
+def covariances(stack, beams, weights) -> np.ndarray:
+    """The package kernel on a view's transmitter-major ``_forward`` or ``_reverse``
+    grid, with per-user beams and per-user weights, as one ``(K, m, m)`` array."""
+    counts = tuple(b.shape[1] for b in beams)
+    return _covariance_stack(stack, _stack(beams, stack.shape[2], max(counts)),
+                             _interferer_weights(tuple(weights), counts))
+
+
 def reciprocal_covariances(equiv, receive, dof) -> list:
     """The reciprocal interference covariance of each user, as :func:`pcia.reciprocal_state`
-    builds it: the package kernel on the cached reciprocal grid at unit power per message."""
-    q = _covariances(equiv._reciprocal, receive, _unit_power_weights(dof))
+    builds it: the package kernel on the cached reverse grid at unit power per message."""
+    q = covariances(equiv._reverse, receive, _unit_power_weights(dof))
     return [q[k, :w, :w] for k, w in enumerate(equiv.tx_sizes)]
 
 
@@ -96,6 +104,6 @@ def cached_arrays(channel, equiv) -> list:
     """Every per-draw cached array of a channel and its paired view, built by reading it."""
     arrays = list(channel._rows)
     for grid in (channel, equiv):
-        arrays += [grid._stacked, grid._reciprocal]
+        arrays += [grid._stacked, grid._forward, grid._reverse]
         arrays += [a for triplet in grid._direct_svd for a in triplet]
     return arrays

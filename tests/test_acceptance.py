@@ -73,12 +73,12 @@ def test_01_equivalent_channel_identity():
         rx = [int(rng.integers(1, 5)) for _ in range(k)]
         tx = [int(rng.integers(1, 5)) for _ in range(k)]
         cfg = NetworkConfig(rx, tx, [0] * k)
-        dof = [int(rng.integers(1, min(rx[i], cfg.paired_tx_antennas(i)) + 1))
+        dof = [int(rng.integers(1, min(rx[i], cfg.paired_widths[i]) + 1))
                for i in range(k)]
         cfg = NetworkConfig(rx, tx, dof)
         channel = generate_channel(cfg, int(rng.integers(2 ** 32)))
         equiv = equivalent_channel(channel, build_permutation(cfg))
-        transmit = [random_orthonormal(rng, cfg.paired_tx_antennas(i), dof[i])
+        transmit = [random_orthonormal(rng, cfg.paired_widths[i], dof[i])
                     for i in range(k)]
         lhs = equiv.assemble() @ blockdiag(transmit)
         rhs = channel.assemble() @ overall_precoder(transmit, cfg)
@@ -155,7 +155,7 @@ def test_04_reciprocal_nullity_law():
         receive = design_receive_beamformers(equiv, cfg)
         state = reciprocal_state(equiv, receive, cfg)
         for user in range(k):
-            paired = cfg.paired_tx_antennas(user)
+            paired = cfg.paired_widths[user]
             expected = paired - (dof_total - cfg.dof[user])
             assert state.nullities[user] == expected
             checked += 1

@@ -157,6 +157,16 @@ def test_bad_config_values_exit_two(tmp_path, capsys, breakage, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_bools_and_strings_are_not_numbers_in_a_config(tmp_path, capsys):
+    # JSON true used to run one trial, and "1e-9" to pass as a tolerance.
+    code, out = _run(tmp_path, _write_config(tmp_path, trials=True, rank_tol="1e-9"))
+    assert code == 2 and not out.exists()
+    assert "trials must be a whole number, got True" in capsys.readouterr().err
+    code, out = _run(tmp_path, _write_config(tmp_path, rank_tol="1e-9"))
+    assert code == 2 and not out.exists()
+    assert "rank_tol must be a number, got '1e-9'" in capsys.readouterr().err
+
+
 def test_unreadable_and_malformed_configs_exit_two(tmp_path, capsys):
     code, _ = _run(tmp_path, tmp_path / "missing.json")
     assert code == 2

@@ -23,14 +23,14 @@ from pcia import (
 )
 from pcia import distributed
 from pcia.linalg import (
-    _by_transmitter,
     _covariance_stack,
-    _covariances,
     _interferer_weights,
     _stack,
     _unit_power_weights,
     fix_column_phases,
 )
+
+from conftest import covariances
 
 
 def _paired_blocks(cfg, seed):
@@ -50,7 +50,7 @@ def _leakage(blocks, receive, transmit, dof) -> float:
     # trace(U_k^H Q_k U_k), Q_k the forward covariance of all undesired
     # transmitters at unit power per message.
     grid = ChannelSet(blocks)
-    q = _covariances(grid._stacked, transmit, _unit_power_weights(dof))
+    q = covariances(grid._forward, transmit, _unit_power_weights(dof))
     return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
                for k, (u, m) in enumerate(zip(receive, grid.rx_sizes)))
 
@@ -289,7 +289,7 @@ def _reference_loop(view, dof, max_iters, init, seed, leakage_tol=1e-8):
         per_stream[k] * float(np.linalg.norm(view.blocks[k][k] @ start[k], "fro") ** 2)
         for k in range(len(dof)) if dof[k] > 0)
     grid = view._stacked
-    forward, reverse = _by_transmitter(grid), _by_transmitter(view._reciprocal)
+    forward, reverse = view._forward, view._reverse
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     weights = _interferer_weights(tuple(per_stream), tuple(dof))

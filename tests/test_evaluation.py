@@ -7,6 +7,7 @@ trials by hand.
 
 import collections
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -428,6 +429,29 @@ def test_spec_validation():
                     ("oneshot_partial", "bdzf_full", "oneshot_partial")):
         with pytest.raises(ValueError, match="schemes must not repeat a scheme"):
             ExperimentSpec(**good, schemes=schemes)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("trials", True, "trials must be a whole number, got True"),
+    ("num_users", np.True_, "num_users must be a whole number, got np.True_"),
+    ("seed", "3", "seed must be a whole number, got '3'"),
+    ("tx_antennas", (2, True, 2), "tx_antennas must be a whole number, got True"),
+    ("rank_tol", "1e-9", "rank_tol must be a number, got '1e-9'"),
+    ("leakage_tol", True, "leakage_tol must be a number, got True"),
+    ("snr_grid_db", (0.0, True), "snr_grid_db entry must be a number, got True"),
+    ("snr_grid_db", ("10", 20.0), "snr_grid_db entry must be a number, got '10'"),
+], ids=["trials-true", "num_users-numpy-true", "seed-str", "tx_antennas-true",
+        "rank_tol-str", "leakage_tol-true", "snr-true", "snr-str"])
+def test_spec_refuses_bools_and_strings_as_numbers(name, value, message):
+    # int() and float() read True as 1 and "1e-9" as a number; numpy
+    # numbers still pass.
+    good = dict(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(**{**good, name: value})
+    spec = ExperimentSpec(num_users=np.int64(3), rx_antennas=np.int32(2), tx_antennas=2,
+                          dof_total=3, trials=np.int64(2), rank_tol=np.float32(1e-9),
+                          snr_grid_db=(np.float64(10.0), np.int64(20)))
+    assert (spec.num_users, spec.trials, spec.snr_grid_db) == (3, 2, (10.0, 20.0))
 
 
 def test_infeasible_iterative_slot_counts_as_failure():

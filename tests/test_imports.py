@@ -14,6 +14,9 @@
   definition: in a package module other than ``__init__``, in a script,
   or in a benchmark module other than its tests. A name that only the
   tests read is not part of the public surface.
+* Every ``__all__`` name of ``linalg``, which nothing re-exports, is read
+  by another package module other than ``__init__``: a shared helper that
+  only its own module or the tests read is not shared.
 * No package module but ``linalg`` names ``eigh``, ``slogdet`` or
   ``det`` on ``numpy.linalg``: ``eigh`` and ``slogdet`` reach LAPACK
   through ``linalg._eigh`` and ``_slogdet``, and nothing takes a
@@ -156,6 +159,19 @@ def _unread_exports(init: ast.Module, modules: dict, readers: list) -> list:
     return sorted(unread)
 
 
+def _unshared_helpers(module: str, modules: dict) -> list:
+    """Each ``__all__`` name of ``module`` that no other module of ``modules`` reads.
+
+    ``modules`` maps the package's modules, ``__init__`` left out, to
+    their parsed trees.
+    """
+    reads = collections.Counter()
+    for name, tree in modules.items():
+        if name != module:
+            reads.update(_reads(tree))
+    return sorted(name for name in _all_names(modules[module]) or () if not reads[name])
+
+
 def _direct_lapack_calls(tree: ast.Module) -> list:
     """``(line, name)`` of each ``WRAPPED_LAPACK`` name read from ``numpy.linalg``.
 
@@ -253,6 +269,23 @@ def test_every_reexport_is_read_outside_the_tests():
     readers = [ast.parse(p.read_text(), str(p)) for p in READERS]
     unread = _unread_exports(init, trees, readers)
     assert not unread, "re-exported names only the tests read:\n" + "\n".join(unread)
+
+
+def test_the_check_sees_a_helper_only_its_own_module_reads():
+    modules = {
+        "linalg": ast.parse('__all__ = ["shared", "own", "unread"]\n'
+                            "def shared():\n    pass\ndef own():\n    pass\n"
+                            "def unread():\n    pass\ndef caller():\n    return own()\n"),
+        "solver": ast.parse("from .linalg import shared\nshared()\n"),
+    }
+    assert _unshared_helpers("linalg", modules) == ["own", "unread"]
+
+
+def test_every_linalg_helper_is_read_by_another_module():
+    trees = _package_trees()
+    trees.pop("__init__")
+    unshared = _unshared_helpers("linalg", trees)
+    assert not unshared, "linalg names no other module reads:\n" + "\n".join(unshared)
 
 
 def test_the_check_sees_a_direct_lapack_call():

@@ -2,9 +2,9 @@
 
 Stations carry 2, 3 and 2 antennas and user 2 is silent, so the blocks
 are not square, the paired widths differ (4, 5, 5), and one transmitter
-sends nothing. The kernel runs on the zero-padded stacked grid and each
-covariance is cut to its receiver's size. Oracles: explicit sums over
-interferers and streams.
+sends nothing. The kernel runs on a view's cached zero-padded link
+grids and each covariance is cut to its receiver's size. Oracles:
+explicit sums over interferers and streams.
 """
 
 import numpy as np
@@ -21,20 +21,17 @@ from pcia import (
 )
 from pcia.distributed import _padding
 from pcia.linalg import (
-    _by_transmitter,
     _column_heads,
     _covariance_stack,
-    _covariances,
     _eigh,
     _interferer_weights,
     _lapack_errors,
+    _pinned_svd,
     _slogdet,
     fix_column_phases,
-    pin_joint_phases,
-    reciprocal,
 )
 
-from conftest import random_orthonormal, reciprocal_covariances
+from conftest import covariances, random_orthonormal, reciprocal_covariances
 
 CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
 WEIGHTS = [1.0, 0.5, 0.0]   # unit power / streams, zero for the silent user
@@ -51,9 +48,9 @@ def ragged(request):
     return equiv, transmit, receive
 
 
-def _kernel(grid, beams, weights, sizes):
-    # The shared kernel on a stacked grid, each covariance cut to its size.
-    q = _covariances(grid, beams, weights)
+def _kernel(stack, beams, weights, sizes):
+    # The shared kernel on a transmitter-major grid, each covariance cut to its size.
+    q = covariances(stack, beams, weights)
     return [q[k, :size, :size] for k, size in enumerate(sizes)]
 
 
@@ -70,19 +67,21 @@ def _double_sum(grid, beams, weights, k):
 
 
 def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
+    # Entry l of the reverse grid stacks blocks[l][k]^H over k, each in a
+    # zero-padded 5 x 3 slot.
     blocks = ragged[0].blocks
-    rev = reciprocal(ragged[0]._stacked)
-    assert rev.shape == (3, 3, 5, 3) and rev.flags.c_contiguous
+    assert ragged[0]._reverse.shape == (3, 15, 3) and ragged[0]._reverse.flags.c_contiguous
+    rev = ragged[0]._reverse.reshape(3, 3, 5, 3)
     for k in range(3):
         for l in range(3):
             n, m = blocks[l][k].shape[::-1]
-            assert np.array_equal(rev[k, l, :n, :m], blocks[l][k].conj().T)
-            assert not rev[k, l, n:].any() and not rev[k, l, :, m:].any()
+            assert np.array_equal(rev[l, k, :n, :m], blocks[l][k].conj().T)
+            assert not rev[l, k, n:].any() and not rev[l, k, :, m:].any()
 
 
 def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
     blocks, transmit = ragged[0].blocks, ragged[1]
-    covs = _kernel(ragged[0]._stacked, transmit, WEIGHTS, CONFIG.rx_antennas)
+    covs = _kernel(ragged[0]._forward, transmit, WEIGHTS, CONFIG.rx_antennas)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.rx_antennas[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -93,8 +92,8 @@ def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
 def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
-    covs = _kernel(reciprocal(equiv._stacked), receive, WEIGHTS, CONFIG.paired_widths)
-    # What the one-shot design reads: the cached reciprocal grid, unit-power weights.
+    covs = _kernel(equiv._reverse, receive, WEIGHTS, CONFIG.paired_widths)
+    # What the one-shot design reads: the cached reverse grid, unit-power weights.
     cached = reciprocal_covariances(equiv, receive, CONFIG.dof)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
@@ -109,16 +108,15 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
 def test_silent_transmitter_contributes_nothing(ragged):
     equiv, transmit, receive = ragged
     blocks = equiv.blocks
-    grid = equiv._stacked
     loud = WEIGHTS[:2] + [1e6]
     scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in blocks]
-    for g, beams, sizes in ((grid, transmit, CONFIG.rx_antennas),
-                            (reciprocal(grid), receive, CONFIG.paired_widths)):
+    for g, beams, sizes in ((equiv._forward, transmit, CONFIG.rx_antennas),
+                            (equiv._reverse, receive, CONFIG.paired_widths)):
         base = _kernel(g, beams, WEIGHTS, sizes)
         assert all(np.array_equal(a, b) for a, b in
                    zip(base, _kernel(g, beams, loud, sizes)))
-    base = _kernel(grid, transmit, WEIGHTS, CONFIG.rx_antennas)
-    moved = _kernel(EquivalentChannel(scrambled)._stacked, transmit, WEIGHTS, CONFIG.rx_antennas)
+    base = _kernel(equiv._forward, transmit, WEIGHTS, CONFIG.rx_antennas)
+    moved = _kernel(EquivalentChannel(scrambled)._forward, transmit, WEIGHTS, CONFIG.rx_antennas)
     for k in (0, 1):
         assert np.array_equal(base[k], moved[k])
 
@@ -166,10 +164,14 @@ def test_kernel_equals_the_receiver_major_formula_bit_for_bit(config, seed):
     weights = [1.0 / d if d else 0.0 for d in config.dof]
     counts = tuple(config.dof)
     full = _full_weights(weights, counts)
-    for grid, beams in ((equiv._stacked, transmit), (reciprocal(equiv._stacked), receive)):
+    # The receiver-major (K, K, m, n) grids, entry [k, l] the link from l
+    # into k: the stacked grid, and the reciprocal one built here,
+    # C-contiguous as the stacked grid is.
+    reciprocal = np.ascontiguousarray(equiv._stacked.transpose(1, 0, 3, 2)).conj()
+    for grid, stack, beams in ((equiv._stacked, equiv._forward, transmit),
+                               (reciprocal, equiv._reverse, receive)):
         oracle = _receiver_major(grid, _padded(beams, grid.shape[3], max(counts)), full)
-        assert np.array_equal(_covariances(grid, beams, weights), oracle)
-        stack = _by_transmitter(grid)
+        assert np.array_equal(covariances(stack, beams, weights), oracle)
         assert stack.shape == (len(counts), len(counts) * grid.shape[2], grid.shape[3])
         got = _covariance_stack(stack, _padded(beams, grid.shape[3], max(counts)),
                                 _interferer_weights(tuple(weights), counts))
@@ -207,7 +209,7 @@ def test_weight_lists_of_the_wrong_length_are_rejected(ragged):
     equiv, transmit, _ = ragged
     for weights in ([1.0], [1.0] * 4):
         with pytest.raises(ValueError, match="one weight per user"):
-            _covariances(equiv._stacked, transmit, weights)
+            covariances(equiv._forward, transmit, weights)
 
 
 def _pinned_loop(a, tol=1e-12):
@@ -236,11 +238,17 @@ def test_phase_pinning_matches_the_column_loop(seed):
     for j in (3, 4):
         assert np.array_equal(got[:, j], a[:, j])
 
-    v = rng.standard_normal((7, 10)) + 1j * rng.standard_normal((7, 10))
-    pu, pv = pin_joint_phases(a, v)
-    np.testing.assert_allclose(pu, expected, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(pv, v * phases, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(pu @ pv.conj().T, a @ v.conj().T, rtol=0, atol=1e-13)
+    # The SVD pins u's columns by the same rule and turns v's by the same
+    # phases, so the product is unchanged; a diagonal matrix's u has its
+    # leading nonzero entries below row 0.
+    for m in (a[:, :7], np.diag([1.0, 3.0, 2.0]) * np.exp(1j * np.arange(3))):
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        pu, ps, pv = (x[0] for x in _pinned_svd(m[None]))
+        want, phases = _pinned_loop(u)
+        np.testing.assert_allclose(pu, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pv, vh.conj().T * phases, rtol=0, atol=1e-15)
+        assert np.array_equal(ps, s)
+        np.testing.assert_allclose((pu * ps) @ pv.conj().T, m, rtol=0, atol=1e-13)
     # a real basis keeps its dtype; its phases are signs
     real = rng.standard_normal((5, 4))
     assert fix_column_phases(real).dtype == real.dtype

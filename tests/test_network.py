@@ -111,7 +111,7 @@ def test_equivalent_rejects_foreign_map(k3_channel):
 def test_split_layout_first_user_primary_on_top():
     cfg = NetworkConfig(rx_antennas=[2, 2, 2], tx_antennas=[2, 3, 4], dof=[1, 1, 1])
     rng = np.random.default_rng(7)
-    transmit = [random_orthonormal(rng, cfg.paired_tx_antennas(k), 1) for k in range(3)]
+    transmit = [random_orthonormal(rng, cfg.paired_widths[k], 1) for k in range(3)]
     v = overall_precoder(transmit, cfg)
     station = {0: slice(0, 2), 1: slice(2, 5), 2: slice(5, 9)}
     # user 0: own station (2 rows) on top, helper station 2 (4 rows) below
@@ -152,7 +152,7 @@ def ring_configs(draw):
     rx = [draw(st.integers(1, 4)) for _ in range(k)]
     tx = [draw(st.integers(1, 4)) for _ in range(k)]
     cfg_nodof = NetworkConfig(rx, tx, [0] * k)
-    dof = [draw(st.integers(0, min(rx[i], cfg_nodof.paired_tx_antennas(i))))
+    dof = [draw(st.integers(0, min(rx[i], cfg_nodof.paired_widths[i])))
            for i in range(k)]
     seed = draw(st.integers(0, 2**32 - 1))
     return NetworkConfig(rx, tx, dof), seed
@@ -169,7 +169,7 @@ def test_pairwise_and_overall_precoders_agree(cfg_seed):
     perm = build_permutation(cfg)
     g = equivalent_channel(h, perm)
     transmit = [
-        random_orthonormal(rng, cfg.paired_tx_antennas(k), cfg.dof[k])
+        random_orthonormal(rng, cfg.paired_widths[k], cfg.dof[k])
         for k in range(cfg.num_users)
     ]
     v = overall_precoder(transmit, cfg)
@@ -238,6 +238,7 @@ def test_writing_into_a_cached_array_raises():
         channel.row_block(0)[0, 0] = 1.0
     # each cache is built once and shared
     assert equiv._direct_svd is equiv._direct_svd
+    assert equiv._forward is equiv._forward and equiv._reverse is equiv._reverse
     assert channel.row_block(1) is channel._rows[1]
 
 
@@ -270,6 +271,29 @@ def test_each_view_is_one_read_only_matrix():
             assert np.shares_memory(part, matrix)
             with pytest.raises(ValueError, match="read-only"):
                 part[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig.symmetric(4, 2, 3, 1),
+    NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0)),
+], ids=["uniform", "stations-232"])
+def test_link_grids_stack_each_transmitters_blocks(cfg):
+    # _forward[l] stacks blocks[k][l] over k, and _reverse[l] stacks
+    # blocks[l][k]^H over k, each block zero-padded to the widest one.
+    channel = generate_channel(cfg, 4)
+    for view in (channel, equivalent_channel(channel, build_permutation(cfg))):
+        k, m, n = view.num_users, max(view.rx_sizes), max(view.tx_sizes)
+        forward = np.zeros((k, k * m, n), dtype=np.complex128)
+        reverse = np.zeros((k, k * n, m), dtype=np.complex128)
+        for l in range(k):
+            for i in range(k):
+                b = view.blocks[i][l]
+                forward[l, i * m:i * m + b.shape[0], :b.shape[1]] = b
+                b = view.blocks[l][i].conj().T
+                reverse[l, i * n:i * n + b.shape[0], :b.shape[1]] = b
+        assert np.array_equal(view._forward, forward)
+        assert np.array_equal(view._reverse, reverse)
+        assert view._forward.flags.c_contiguous and view._reverse.flags.c_contiguous
 
 
 def test_channel_copies_the_callers_arrays():

@@ -30,6 +30,7 @@ from pcia import (
     select_transmit_beamformer,
 )
 from pcia import oneshot
+from pcia.linalg import _interferer_weights
 
 from conftest import random_orthonormal, received_signal_power, reciprocal_covariances
 
@@ -214,6 +215,23 @@ def test_one_shot_accepts_prebuilt_equivalent(k3_config, k3_channel):
         one_shot_ia(k3_config, foreign)
 
 
+def test_one_shot_checks_the_layout_once_in_each_public_step(monkeypatch):
+    # design_receive_beamformers and reciprocal_state each check the
+    # channel's layout; one_shot_ia adds no check of its own.
+    checks, check = [], oneshot._check_layout
+
+    def counted(equiv, config):
+        checks.append(config)
+        check(equiv, config)
+
+    monkeypatch.setattr(oneshot, "_check_layout", counted)
+    cfg = NetworkConfig.symmetric(5, 2, 2, [1, 1, 1, 1, 0])
+    channel = generate_channel(cfg, 0)
+    one_shot_ia(cfg, channel)
+    one_shot_ia(cfg, equivalent_channel(channel, build_permutation(cfg)))
+    assert checks == [cfg] * 4
+
+
 def test_receive_design_checks_the_channel_layout(k3_config):
     # Blocks with three receive rows under a two-antenna config used to
     # give (3, 1) filters.
@@ -253,27 +271,28 @@ def test_reciprocal_state_checks_the_receive_filter_widths():
 
 def test_slot_plans_are_cached_per_config_and_read_only():
     # Paired widths (4, 5, 5): user 0 is a width group of its own, and the
-    # active users 0 and 1 have filters of 2 and 3 rows, two rank checks.
+    # active users 0 and 1 have filters of 2 and 3 rows.
     cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 1, 0))
     plan = oneshot._slot_plan(cfg)
     assert oneshot._slot_plan(cfg) is plan
     assert oneshot._slot_plan(NetworkConfig((2, 3, 2), (2, 3, 2), (1, 1, 0))) is plan
     assert plan.active == (0, 1) and plan.bound == 4
-    assert plan.weights == (1.0, 1.0, 0.0)
+    # the kernel's half weights at unit power per message, the cached array
+    assert plan.weights is _interferer_weights((1.0, 1.0, 0.0), (1, 1, 0))
+    assert plan.weights.reshape(3, 3).tolist() == [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0],
+                                                   [0.5, 0.5, 0.0]]
     assert plan.shapes == ((2, 1, 4), (3, 1, 5), (2, 0, 5))
     assert plan.receive == ((2, 1), (3, 1), (2, 0))
     assert [(w, users) for w, users, _ in plan.widths] == [(4, (0,)), (5, (1, 2))]
-    assert [(key, users) for key, users, _ in plan.rank_checks] == [
-        ((2, 1, 4), (0,)), ((3, 1, 5), (1,))]
-    indices = [index for *_, index in plan.widths + plan.rank_checks]
-    assert [index.tolist() for index in indices] == [[0], [1, 2], [0], [1]]
-    for index in indices:
-        assert not index.flags.writeable
+    indices = [index for *_, index in plan.widths]
+    assert [index.tolist() for index in indices] == [[0], [1, 2]]
+    for array in indices + [plan.weights]:
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            index[0] = 2
+            array[0] = 2
     uniform = oneshot._slot_plan(NetworkConfig.symmetric(3, 2, 2, [1, 0, 1]))
     assert [(w, users) for w, users, _ in uniform.widths] == [(4, (0, 1, 2))]
-    assert uniform.active == (0, 2) and uniform.rank_checks[0][1] == (0, 2)
+    assert uniform.active == (0, 2)
 
 
 def test_silent_user_occupies_no_dimensions():
@@ -666,6 +685,36 @@ def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups,
         assert all(basis.ndim == 3 for basis in calls)
         for got, expected in zip(beams.transmit, want):
             assert np.array_equal(got, expected)
+
+
+def test_each_group_searches_and_checks_its_rank_before_a_failure_is_raised(monkeypatch):
+    # Users 0 and 1 share 4-row filters and users 2 and 3 3-row ones, each
+    # with more directions than streams. User 0's direct link is dead, yet
+    # each group runs its search and then its rank check before user 0 is
+    # reported.
+    cfg = SEARCH_CONFIGS[1]
+    blocks = [[b.copy() for b in row] for row in _equiv(cfg, 0).blocks]
+    blocks[0][0][...] = 0.0
+    equiv = EquivalentChannel(blocks)
+    equiv._direct_svd  # the draw's cached SVD, built before recording
+    events, svd, select = [], np.linalg.svd, oneshot.select_transmit_beamformer
+
+    def counted_svd(a, *args, **kwargs):
+        events.append(("svd", a.shape))
+        return svd(a, *args, **kwargs)
+
+    def recorded(receive_k, *args, **kwargs):
+        events.append(("select", receive_k))
+        return select(receive_k, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(oneshot, "select_transmit_beamformer", recorded)
+    with pytest.raises(RankDeficientDesired, match="user 0 ") as exc:
+        one_shot_ia(cfg, equiv)
+    assert exc.value.user == 0
+    assert [name for name, _ in events] == ["select", "svd", "select", "svd"]
+    assert [a.shape for name, a in events if name == "select"] == [(2, 4, 1), (2, 3, 1)]
+    assert [shape for name, shape in events if name == "svd"] == [(2, 1, 1), (2, 1, 1)]
 
 
 def test_stacked_ties_straddling_chunks_keep_each_users_first_subset():

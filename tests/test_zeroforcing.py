@@ -11,7 +11,7 @@ from pcia import (
     bd_zero_forcing,
     generate_channel,
 )
-from pcia.linalg import pin_joint_phases
+from pcia.linalg import _pinning_phases
 from pcia.zeroforcing import _other_rows
 
 
@@ -140,7 +140,9 @@ def _bd_by_user(channel, dof=None, rank_tol=1e-9):
         if want > cap:
             raise BDInfeasible(f"user {k} asked for {want} streams but zero forcing supports {cap}")
         u, _, vh_eff = np.linalg.svd(effective, full_matrices=False)
-        u_t, v_t = pin_joint_phases(u[:, :want], vh_eff.conj().T[:, :want])
+        # u's pinning phases turn both factors, leaving their product as it was.
+        phases = _pinning_phases(u[:, :want])[None, :]
+        u_t, v_t = u[:, :want] * phases, vh_eff.conj().T[:, :want] * phases
         transmit.append(null @ v_t)
         receive.append(u_t)
         granted.append(want)
