@@ -29,12 +29,8 @@ from .oneshot import (
     reciprocal_state,
     select_transmit_beamformer,
 )
-from .distributed import (
-    DistributedInfeasible,
-    IterationTrace,
-    iterate_distributed_ia,
-)
-from .zeroforcing import BDInfeasible, BDSolution, bd_zero_forcing
+from .distributed import DistributedInfeasible, iterate_distributed_ia
+from .zeroforcing import BDInfeasible, bd_zero_forcing
 from .evaluation import (
     SCHEMES,
     ExperimentResult,

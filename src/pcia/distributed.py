@@ -21,12 +21,11 @@ raises ``LinAlgError``, and so does a leakage that is not finite. Uneven
 stream counts, silent users included, ride as zero-weight padding
 columns; ragged antenna counts as padded dimensions loaded above the
 trace so they sort last. The covariances depend only on ``V V^H``, so
-column phases are pinned once, on the returned filters.
+column phases are pinned once, on the loop's own stacks, padding zeroed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Optional, Sequence
 
@@ -42,24 +41,13 @@ from .linalg import (
     _unit_power_weights,
     fix_column_phases,
 )
-from .network import _integral, _stream_counts, _tolerance, _view
+from .network import BeamformerSet, _integral, _stream_counts, _tolerance, _view
 
-__all__ = ["DistributedInfeasible", "IterationTrace", "iterate_distributed_ia"]
+__all__ = ["DistributedInfeasible", "iterate_distributed_ia"]
 
 
 class DistributedInfeasible(ValueError):
     """The stream request does not fit the block grid."""
-
-
-@dataclasses.dataclass
-class IterationTrace:
-    """Outcome of one alternating-minimization run."""
-
-    leakage: list        # interference power after each receive update
-    iterations: int
-    converged: bool
-    receive: list
-    transmit: list
 
 
 def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):
@@ -91,7 +79,7 @@ def iterate_distributed_ia(
     leakage_tol: float = 1e-8,
     init: str = "svd",
     seed=None,
-) -> IterationTrace:
+) -> BeamformerSet:
     """Alternate receive and transmit updates until leakage dies out.
 
     Args:
@@ -107,7 +95,8 @@ def iterate_distributed_ia(
             start instead.
 
     Returns:
-        IterationTrace. Convergence means the recorded leakage fell to
+        BeamformerSet with the run's leakage history, iteration count and
+        convergence flag. Convergence means the recorded leakage fell to
         ``leakage_tol`` times the initial desired-signal power; running
         out of iterations is reported, never raised.
 
@@ -163,8 +152,6 @@ def iterate_distributed_ia(
     rev_padded = _padding(cols, tx_size)
 
     transmit = _stack(start, tx_size, width)
-
-    receive = np.zeros((num_users, rx_size, 0), dtype=np.complex128)
     history = []
     converged = False
     with _lapack_errors():
@@ -182,10 +169,9 @@ def iterate_distributed_ia(
             _, vecs = _smallest_first(
                 _covariance_stack(reverse, receive, weights), rev_padded)
             transmit = vecs[:, :, :width]
-    return IterationTrace(
-        leakage=history,
-        iterations=len(history),
-        converged=converged,
-        receive=[fix_column_phases(receive[k, :rows[k], :dof[k]]) for k in range(num_users)],
-        transmit=[fix_column_phases(transmit[k, :cols[k], :dof[k]]) for k in range(num_users)],
-    )
+    for stack, sizes in ((receive, rows), (transmit, cols)):
+        padding = np.arange(stack.shape[1]) >= np.array(sizes)[:, None]
+        stack[padding[:, :, None] | ~streams[:, None, :]] = 0.0
+    return BeamformerSet(fix_column_phases(receive), fix_column_phases(transmit), rows, cols,
+                         tuple(dof), iterations=len(history), converged=converged,
+                         leakage=tuple(history))

@@ -22,7 +22,7 @@ from numpy.linalg import LinAlgError
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import _slot_count, time_share_schedule
-from .linalg import _check_filter_lists, _slogdet, _stack, _stream_weights
+from .linalg import _NOT_NUMBERS, _check_filter_lists, _slogdet, _stack, _stream_weights
 from .network import (
     NetworkConfig,
     _integral,
@@ -53,21 +53,13 @@ __all__ = [
 SCHEMES = ("oneshot_partial", "distributed_partial", "distributed_generic", "bdzf_full")
 
 
-def _pad_filters(grid: np.ndarray, receive, transmit):
-    """Per-user filter lists as zero-padded ``(K, m, d)`` and ``(K, n, d)`` stacks, unchecked.
-
-    Both are padded to the widest filter on either side.
-    """
-    width = max(b.shape[1] for b in (*receive, *transmit))
-    return _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
-
-
 def _filter_stacks(blocks, receive, transmit, dof=None):
     """A caller's grid and filters as ``(grid, receive, transmit)`` stacks.
 
     A stacked ``blocks`` array is taken as it is, anything else through the
     checked channel view. Two filter arrays are taken as stacked; lists are
-    checked, against the view's block sizes if there is one, and padded.
+    checked, against the view's block sizes if there is one, and
+    zero-padded to the widest filter on either side.
     """
     view = None if isinstance(blocks, np.ndarray) else _view(blocks)
     grid = blocks if view is None else view._stacked
@@ -75,7 +67,8 @@ def _filter_stacks(blocks, receive, transmit, dof=None):
         return grid, receive, transmit
     sizes = None if view is None else (view.rx_sizes, view.tx_sizes)
     _check_filter_lists(len(grid), receive, transmit, dof, sizes)
-    return (grid, *_pad_filters(grid, receive, transmit))
+    width = max(b.shape[1] for b in (*receive, *transmit))
+    return grid, _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
 
 
 def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
@@ -92,8 +85,8 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
             with ``dof[k]`` columns and, unless ``blocks`` is stacked, as
             many rows as its blocks; or both already stacked into
             zero-padded ``(K, m, d)`` and ``(K, n, d)`` arrays, matching a
-            stacked ``blocks``, so a caller scoring one design at many
-            powers stacks it once.
+            stacked ``blocks``, as a :class:`~pcia.BeamformerSet` holds
+            them, and taken unchecked.
         powers: total power per user, split equally over its streams.
         dof: stream counts; users at zero contribute and receive nothing.
         noise_power: receive noise variance per antenna.
@@ -104,12 +97,13 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     Raises:
         ValueError: ``powers`` does not give one non-negative, finite
             power per user, ``noise_power`` is negative, NaN or infinite,
+            a power or the noise power is a bool or a string,
             a list grid is malformed, or per-user filter lists do not fit
             the grid and ``dof`` or hold a NaN or infinite entry.
         numpy.linalg.LinAlgError: the sum rate is NaN; finite channel
             entries whose products overflow, say.
     """
-    if not 0.0 <= noise_power < math.inf:
+    if isinstance(noise_power, _NOT_NUMBERS) or not 0.0 <= noise_power < math.inf:
         raise ValueError(f"noise_power must be non-negative and finite, got {noise_power!r}")
     # All users are scored together on the stacked grid. The filtered
     # gains F_kl = U_k^H G_kl V_l sqrt(w_l) are built once; the signal of
@@ -314,18 +308,17 @@ def _slot_power_scale(dof_row: tuple) -> tuple:
     return tuple(k / active if d > 0 else 0.0 for d in dof_row)
 
 
-def _scored_slot(spec, blocks, receive, transmit, dof, power_scale, conv):
+def _scored_slot(spec, grid, beams, power_scale):
     """Rates over the SNR grid, alignment residual, convergence and streams.
 
-    The filters, the package's own solver outputs, are stacked once here
-    without the caller checks and scored at every SNR point.
+    The design's own filter stacks are scored at every SNR point as they are.
     """
-    receive, transmit = _pad_filters(blocks, receive, transmit)
+    u, v = beams.receive_stack, beams.transmit_stack
     rates = np.zeros(len(spec.snr_grid_db))
     for i, p in enumerate(_grid_powers(spec.snr_grid_db)):
-        _, rates[i] = sum_rate(blocks, receive, transmit, [p * s for s in power_scale], dof, 1.0)
-    resid = alignment_residual(blocks, receive, transmit)
-    return rates, resid, conv, float(sum(dof))
+        _, rates[i] = sum_rate(grid, u, v, [p * s for s in power_scale], beams.dof, 1.0)
+    resid = alignment_residual(grid, u, v)
+    return rates, resid, float(beams.converged), float(beams.dof_total)
 
 
 # The solvers' typed infeasibility errors: a sweep counts such a slot as
@@ -341,22 +334,20 @@ def _scheme_slots(scheme, configs):
 def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
     """One scheme's design for one slot of one draw, ready to score.
 
-    Returns ``(grid, receive, transmit, dof, power_scale, conv)``: the
-    stacked grid the filters act on, the filters, the delivered streams,
-    the per-message power factors and the convergence flag. A solver's
+    Returns ``(grid, beams, power_scale)``: the stacked grid the design
+    acts on, the design and the per-message power factors. A solver's
     typed infeasibility error propagates.
     """
     if scheme == "bdzf_full":
-        sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
+        beams = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
         # Every receiver sees its whole row block from every transmitter:
         # one stacked row per user, on a transmitter axis of length 1 that
         # the scorers broadcast. Full coordination pools the per-user power
         # budgets and splits the pool equally over all delivered streams.
         rows = _stack(channel._rows, max(spec.rx_antennas), sum(spec.tx_antennas))
-        scale = [spec.num_users * d / sol.dof_total for d in sol.dof]
-        return rows[:, None], sol.receive, sol.transmit, sol.dof, scale, 1.0
+        return rows[:, None], beams, [spec.num_users * d / beams.dof_total for d in beams.dof]
     if scheme == "oneshot_partial":
-        grid, conv = equiv, 1.0
+        grid = equiv
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
     else:
         # The iterative baseline is defined by leakage minimization alone,
@@ -368,9 +359,7 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
             grid, cfg.dof, max_iters=max_iters, leakage_tol=spec.leakage_tol,
             init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )
-        conv = 1.0 if beams.converged else 0.0
-    return (grid._stacked, beams.receive, beams.transmit, cfg.dof,
-            _slot_power_scale(cfg.dof), conv)
+    return grid._stacked, beams, _slot_power_scale(cfg.dof)
 
 
 def _mean(values):

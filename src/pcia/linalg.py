@@ -27,6 +27,10 @@ __all__ = ["fix_column_phases"]
 # Entries at or below this modulus are treated as zero when pinning phases.
 _PHASE_TOL = 1e-12
 
+# Read as numbers by ``int`` or ``float`` (``True`` as 1, ``"1e-9"`` as
+# 1e-9), but refused wherever a count, tolerance, power or dB value is due.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
 
 def _pinning_phases(a: np.ndarray) -> np.ndarray:
     """Phases making each column's first entry above ``_PHASE_TOL`` real positive (1 if none).
@@ -118,8 +122,8 @@ def _stream_weights(powers: Sequence, dof: Sequence) -> list:
     """Per-stream power of each user: its total split evenly, 0 when silent."""
     if len(powers) != len(dof):
         raise ValueError(f"need one power per user: got {len(powers)} for {len(dof)} users")
-    if not all(0.0 <= p < math.inf for p in powers):
-        raise ValueError(f"powers must be non-negative and finite, got {list(powers)}")
+    if any(isinstance(p, _NOT_NUMBERS) or not 0.0 <= p < math.inf for p in powers):
+        raise ValueError(f"powers must be non-negative and finite numbers, got {list(powers)}")
     return [p / d if d > 0 else 0.0 for p, d in zip(powers, dof)]
 
 
@@ -168,7 +172,8 @@ def _groups(keys: tuple) -> tuple:
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    return tuple((key, tuple(group)) for key, group in groups.items())
+    return tuple((key, _read_only(np.array(group, dtype=np.intp)))
+                 for key, group in groups.items())
 
 
 @functools.lru_cache(maxsize=64)

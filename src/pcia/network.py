@@ -4,9 +4,10 @@ Base stations sit on a ring. User ``k`` receives its message jointly from
 its own base station and from the previous one on the ring, so on the
 transmit side the downlink behaves like an interference channel whose
 ``k``-th input stacks the antenna groups of that serving pair. This module
-holds the static configuration, the random channel draw, and the
-reindexing between the physical per-station channel and the equivalent
-paired-transmitter channel, which is a column gather of the physical one.
+holds the static configuration, the random channel draw, the reindexing
+between the physical per-station channel and the equivalent
+paired-transmitter channel, which is a column gather of the physical one,
+and the design record every solver returns.
 A draw is one ``standard_normal`` call, gathered into the channel matrix
 by an index built once per antenna layout.
 
@@ -31,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import _groups, _pinned_svd, _read_only, _stack
+from .linalg import _NOT_NUMBERS, _groups, _pinned_svd, _read_only, _stack
 
 __all__ = [
     "NetworkConfig",
@@ -43,11 +44,6 @@ __all__ = [
     "build_permutation",
     "equivalent_channel",
 ]
-
-
-# Read as numbers by ``int`` or ``float`` (``True`` as 1, ``"1e-9"`` as
-# 1e-9), but refused wherever a count, a tolerance or a dB value is due.
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
 def _integral(value, name: str) -> int:
@@ -421,13 +417,44 @@ def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentC
                                   perm.group_widths)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class BeamformerSet:
-    """Receive filters plus transmit precoders for one realization.
+    """One design on one realization: receive filters and transmit precoders.
 
-    ``transmit[k]`` acts on user ``k``'s paired antenna stack, its rows in
-    the order :func:`build_permutation` gathers them.
+    Every solver returns this record. Each side is held once, read-only and
+    zero-padded: ``receive_stack`` is ``(K, m, d)`` and ``transmit_stack``
+    ``(K, n, d)``, user ``k``'s filter in its ``rx_sizes[k]`` or
+    ``tx_sizes[k]`` by ``dof[k]`` corner. ``receive`` and ``transmit`` are
+    those corners as views. ``transmit[k]`` acts on the antennas user
+    ``k``'s design precodes over: its serving pair's, in the order of
+    :func:`build_permutation`, or every station's under zero forcing. An
+    iterative run reports its leakage after each receive update; a
+    closed-form design gives 0 iterations, ``True`` and an empty history.
     """
 
-    receive: list
-    transmit: list
+    receive_stack: np.ndarray
+    transmit_stack: np.ndarray
+    rx_sizes: tuple
+    tx_sizes: tuple
+    dof: tuple
+    iterations: int = 0
+    converged: bool = True
+    leakage: tuple = ()
+
+    def __post_init__(self):
+        _read_only(self.receive_stack)
+        _read_only(self.transmit_stack)
+
+    @functools.cached_property
+    def receive(self) -> list:
+        """Per-user receive filters, read-only views of ``receive_stack``."""
+        return [u[:m, :d] for u, m, d in zip(self.receive_stack, self.rx_sizes, self.dof)]
+
+    @functools.cached_property
+    def transmit(self) -> list:
+        """Per-user precoders, read-only views of ``transmit_stack``."""
+        return [v[:n, :d] for v, n, d in zip(self.transmit_stack, self.tx_sizes, self.dof)]
+
+    @property
+    def dof_total(self) -> int:
+        return sum(self.dof)

@@ -30,10 +30,11 @@ receive filters and one kernel call, and its null spaces one LAPACK call
 per paired width, phases pinned on the stack. One pass over the groups
 of users sharing every filter shape and nullity then runs each group's
 subset search, one gather and product per minor level, and its
-rank-check ``svd`` on the same stacked filters; a group with exactly as
-many directions as streams keeps its bases. Grouping ragged shapes,
-never padding them, keeps each decomposition exactly the one of its own
-matrix. No iteration and no channel extension is involved.
+rank-check ``svd`` on the same stacked filters and picks, which it then
+scatters into the design's zero-padded stacks; a group with exactly as
+many directions as streams keeps its bases. Grouping ragged shapes, never
+padding them, keeps each decomposition exactly the one of its own matrix.
+No iteration and no channel extension is involved.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class _SlotPlan(NamedTuple):
     active: tuple        # users with streams, in order
     bound: int           # smallest paired width among active users, 0 without any
     weights: np.ndarray  # the kernel's half weights at unit power per message
-    widths: tuple        # (w, users, index) per distinct paired width
+    widths: tuple        # (w, users) per distinct paired width, users an index array
     shapes: tuple        # (m, d, w) per user: rows and columns of its filters
     receive: tuple       # (m, d) per user: the shape of its receive filter
 
@@ -125,9 +126,10 @@ class _SlotPlan(NamedTuple):
 def _slot_plan(config: NetworkConfig) -> _SlotPlan:
     """The config-derived values of a one-shot slot, built once per config.
 
-    Each width group's ``index`` is the read-only array of its users,
-    which picks their covariances. The weights are the read-only
-    ``(K, 1, K·d)`` array of :func:`pcia.linalg._interferer_weights`.
+    Each width group's users come as the read-only index array of
+    :func:`pcia.linalg._groups`, which picks their covariances. The
+    weights are the read-only ``(K, 1, K·d)`` array of
+    :func:`pcia.linalg._interferer_weights`.
     """
     active = config.active_users
     shapes = tuple(zip(config.rx_antennas, config.dof, config.paired_widths))
@@ -135,8 +137,7 @@ def _slot_plan(config: NetworkConfig) -> _SlotPlan:
         active=active,
         bound=min((config.paired_widths[k] for k in active), default=0),
         weights=_interferer_weights(tuple(_unit_power_weights(config.dof)), config.dof),
-        widths=tuple((w, users, _read_only(np.array(users)))
-                     for w, users in _groups(config.paired_widths)),
+        widths=_groups(config.paired_widths),
         shapes=shapes,
         receive=tuple((m, d) for m, d, _ in shapes),
     )
@@ -210,8 +211,8 @@ def reciprocal_state(
     beams = _stack(receive, max(config.rx_antennas), max(config.dof))
     q = _covariance_stack(equiv._reverse, beams, plan.weights)
     bases = [None] * config.num_users
-    for w, users, index in plan.widths:
-        for k, basis in zip(users, _null_bases(q[index, :w, :w], rank_tol)):
+    for w, users in plan.widths:
+        for k, basis in zip(users, _null_bases(q[users, :w, :w], rank_tol)):
             bases[k] = basis
     nullities = [b.shape[1] for b in bases]
     counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
@@ -351,30 +352,34 @@ def one_shot_ia(
     # shape, a stream count and a nullity, in first-user order: each
     # group's stacked filters feed its subset search, where its bases are
     # not already its picks, so the first user short of directions raises,
-    # and then its rank check. That check's reference scale is the
-    # unprojected direct link (its largest singular value, from the cached
-    # direct-block SVD): filters with unit columns can only shrink it, and
-    # comparing within ``eff`` alone would make a uniformly collapsed link
-    # (d_k = 1 above all) look healthy. Users are checked in order after
-    # every group has run.
+    # then fill the design's stacks and feed its rank check. That check's
+    # reference scale is the unprojected direct link (its largest singular
+    # value, from the cached direct-block SVD): filters with unit columns
+    # can only shrink it, and comparing within ``eff`` alone would make a
+    # uniformly collapsed link (d_k = 1 above all) look healthy. Users are
+    # checked in order after every group has run.
     grid, bases = equiv._stacked, state.null_bases
-    transmit = list(bases)
+    num_users, _, rows, cols = grid.shape
+    receive_stack = np.zeros((num_users, rows, max(config.dof)), dtype=np.complex128)
+    transmit_stack = np.zeros((num_users, cols, max(config.dof)), dtype=np.complex128)
     smallest = {}
     for (m, d, w, a), users in _groups(tuple(
             (*shape, a) for shape, a in zip(plan.shapes, state.nullities))):
         if a == d == 0:  # silent users without a free direction: nothing to pick or check
             continue
-        filters, direct = np.array([receive[k] for k in users]), grid[users, users, :m, :w]
-        picks = np.array([bases[k] for k in users])
+        members = users.tolist()
+        filters, direct = np.array([receive[k] for k in members]), grid[users, users, :m, :w]
+        picks = np.array([bases[k] for k in members])
         if a != d:
-            picks = select_transmit_beamformer(filters, direct, picks, d, user=users[0])
-            for k, pick in zip(users, picks):
-                transmit[k] = pick
+            picks = select_transmit_beamformer(filters, direct, picks, d, user=members[0])
         if d:
+            receive_stack[users, :m, :d] = filters
+            transmit_stack[users, :w, :d] = picks
             eff = filters.conj().transpose(0, 2, 1) @ direct @ picks
-            smallest.update(zip(users, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
+            smallest.update(zip(members, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
     for k in plan.active:
         if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding", user=k)
-    return BeamformerSet(receive, transmit)
+    return BeamformerSet(receive_stack, transmit_stack, config.rx_antennas,
+                         config.paired_widths, config.dof)

@@ -13,32 +13,18 @@ SVD steps, so it costs the same few calls for every user count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import _groups, _pinned_svd
-from .network import ChannelSet, _read_only, _slices, _stream_counts, _tolerance
+from .network import BeamformerSet, ChannelSet, _read_only, _slices, _stream_counts, _tolerance
 
-__all__ = ["BDInfeasible", "BDSolution", "bd_zero_forcing"]
+__all__ = ["BDInfeasible", "bd_zero_forcing"]
 
 
 class BDInfeasible(RuntimeError):
     """Not enough pooled antennas to zero-force the requested streams."""
-
-
-@dataclass
-class BDSolution:
-    """Per-user precoders over the pooled antennas plus receive filters."""
-
-    transmit: list   # each total-tx-antennas x d_k, orthonormal columns
-    receive: list    # each m_k x d_k, orthonormal columns
-    dof: tuple
-
-    @property
-    def dof_total(self) -> int:
-        return sum(self.dof)
 
 
 @functools.lru_cache(maxsize=16)
@@ -56,7 +42,7 @@ def bd_zero_forcing(
     channel: ChannelSet,
     dof: Optional[Sequence] = None,
     rank_tol: float = 1e-9,
-) -> BDSolution:
+) -> BeamformerSet:
     """Zero-forcing precoders in the null space of the other users' rows.
 
     Within each null space the precoder takes the dominant singular
@@ -69,6 +55,7 @@ def bd_zero_forcing(
     full ``svd``, and each group sharing every shape makes one stacked
     ``H_k N_k``, phase-pinned thin ``svd`` and ``N_k V_k``. Each call does
     what a per-user loop does, so the result equals that loop bit for bit.
+    Every precoder spans all ``sum(n)`` pooled antennas.
 
     Raises:
         BDInfeasible: some user's null space is empty or smaller than its
@@ -106,17 +93,17 @@ def bd_zero_forcing(
             raise BDInfeasible(
                 f"user {k} asked for {want} streams but zero forcing supports {cap}")
         granted.append(want)
-    transmit = [np.zeros((n_total, 0), dtype=np.complex128) if want == 0 else None
-                for want in granted]
-    receive = [np.zeros((m, 0), dtype=np.complex128) if want == 0 else None
-               for m, want in zip(channel.rx_sizes, granted)]
-    active = [k for k, want in enumerate(granted) if want > 0]
-    for (_, _, want), members in _groups(tuple(
-            (rows[k].shape, nulls[k].shape, granted[k]) for k in active)):
-        users = [active[i] for i in members]
+    width = max(granted)
+    receive = np.zeros((num_users, max(channel.rx_sizes), width), dtype=np.complex128)
+    transmit = np.zeros((num_users, n_total, width), dtype=np.complex128)
+    for ((m, _), _, want), users in _groups(tuple(
+            (row.shape, null.shape, want) for row, null, want in zip(rows, nulls, granted))):
+        if want == 0:
+            continue
         # Each null basis keeps its column-major layout in the stack.
-        null = np.array([nulls[k].T for k in users]).transpose(0, 2, 1)
-        u, _, v = _pinned_svd(np.array([rows[k] for k in users]) @ null)
-        for k, tx, rx in zip(users, null @ v[:, :, :want], u[:, :, :want]):
-            transmit[k], receive[k] = tx, rx
-    return BDSolution(transmit=transmit, receive=receive, dof=tuple(granted))
+        null = np.array([nulls[k].T for k in users.tolist()]).transpose(0, 2, 1)
+        u, _, v = _pinned_svd(np.array([rows[k] for k in users.tolist()]) @ null)
+        transmit[users, :, :want] = null @ v[:, :, :want]
+        receive[users, :m, :want] = u[:, :, :want]
+    return BeamformerSet(receive, transmit, channel.rx_sizes, (n_total,) * num_users,
+                         tuple(granted))

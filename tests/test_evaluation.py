@@ -157,6 +157,10 @@ def test_sum_rate_rejects_a_power_list_of_the_wrong_length(k3_config, k3_channel
     (1.0, [1.0, -1.0, 1.0], "powers"),
     (1.0, [1.0, math.nan, 1.0], "powers"),
     (1.0, [math.inf, 1.0, 1.0], "powers"),
+    (True, [1.0] * 3, "noise_power"),
+    ("1.0", [1.0] * 3, "noise_power"),
+    (1.0, [True] * 3, "powers"),
+    (1.0, [1.0, "1.0", 1.0], "powers"),
 ])
 def test_sum_rate_rejects_negative_or_non_finite_powers(k3_config, k3_channel, noise, powers,
                                                         fragment):
@@ -733,6 +737,61 @@ def test_stacked_grid_scores_like_the_list_grid(seed):
             for u, v in filters:
                 assert alignment_residual(stacked, u, v) == pytest.approx(
                     listed_residual, rel=1e-12)
+
+
+DESIGN_LAYOUTS = {
+    "uniform": NetworkConfig.symmetric(3, 2, 2, 1),
+    "timeshare-silent": NetworkConfig.symmetric(5, 2, 2, [1, 1, 1, 1, 0]),
+    "stations-232": NetworkConfig((2, 3, 2), (2, 3, 2), (1, 2, 1)),
+}
+
+
+def _designs(cfg, seed):
+    # Each solver's design with the stacked grid the harness scores it on
+    # and the list grid its per-user views act on.
+    channel = generate_channel(cfg, seed)
+    equiv = equivalent_channel(channel, build_permutation(cfg))
+    users = cfg.num_users
+    rows = np.array([np.pad(channel.row_block(k), ((0, max(cfg.rx_antennas) - m), (0, 0)))
+                     for k, m in enumerate(cfg.rx_antennas)])[:, None]
+    iterative = iterate_distributed_ia(equiv, cfg.dof, max_iters=20, init="random", seed=seed)
+    return {
+        "oneshot": (one_shot_ia(cfg, equiv), equiv._stacked, equiv.blocks),
+        "iterative": (iterative, equiv._stacked, equiv.blocks),
+        "bd": (bd_zero_forcing(channel, dof=cfg.dof), rows,
+               [[channel.row_block(k)] * users for k in range(users)]),
+    }
+
+
+@pytest.mark.parametrize("layout", DESIGN_LAYOUTS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_designs_stacks_score_as_its_per_user_views(layout, seed):
+    # Every solver holds each side of its design once, as a read-only,
+    # zero-padded stack; the per-user filters are read-only corner views,
+    # and the scorers give the same bits on the stacks as on the views.
+    cfg = DESIGN_LAYOUTS[layout]
+    for solver, (beams, stacked, listed) in _designs(cfg, seed).items():
+        assert beams.dof == cfg.dof, solver
+        with pytest.raises(AttributeError):
+            beams.dof = ()
+        sides = ((beams.receive_stack, beams.receive, beams.rx_sizes),
+                 (beams.transmit_stack, beams.transmit, beams.tx_sizes))
+        for stack, views, sizes in sides:
+            assert stack.shape[0] == cfg.num_users and stack.shape[2] == max(cfg.dof)
+            assert not stack.flags.writeable
+            outside = stack.copy()
+            for k, (view, rows, d) in enumerate(zip(views, sizes, cfg.dof, strict=True)):
+                assert view.shape == (rows, d)
+                assert not view.flags.writeable and view.base is stack
+                outside[k, :rows, :d] = 0.0
+            assert not outside.any(), f"{solver}: nonzero padding"
+        for p in (1.0, 100.0):
+            powers = [p, 2.0 * p, 0.5 * p, p, p][:cfg.num_users]
+            assert (sum_rate(stacked, beams.receive_stack, beams.transmit_stack, powers,
+                             beams.dof, 1.0)
+                    == sum_rate(listed, beams.receive, beams.transmit, powers, beams.dof, 1.0))
+        assert (alignment_residual(stacked, beams.receive_stack, beams.transmit_stack)
+                == alignment_residual(listed, beams.receive, beams.transmit))
 
 
 def test_a_trial_writes_into_no_filter_and_no_cache(monkeypatch):

@@ -17,6 +17,9 @@
 * Every ``__all__`` name of ``linalg``, which nothing re-exports, is read
   by another package module other than ``__init__``: a shared helper that
   only its own module or the tests read is not shared.
+* Exactly one package class, ``network.BeamformerSet``, defines both
+  ``receive`` and ``transmit``: every solver returns that one design
+  record, so a parallel result type cannot grow back unnoticed.
 * No package module but ``linalg`` names ``eigh``, ``slogdet`` or
   ``det`` on ``numpy.linalg``: ``eigh`` and ``slogdet`` reach LAPACK
   through ``linalg._eigh`` and ``_slogdet``, and nothing takes a
@@ -188,6 +191,26 @@ def _direct_lapack_calls(tree: ast.Module) -> list:
     return sorted(found)
 
 
+# The one design record every solver returns, as ``(module, class)``.
+DESIGN_RECORD = ("network", "BeamformerSet")
+
+
+def _filter_classes(trees: dict) -> list:
+    """``(module, class)`` of each class whose body defines both ``receive`` and ``transmit``.
+
+    A field, an assignment, a method or a property counts; ``trees`` maps
+    module names to parsed modules.
+    """
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                names = {name for _, name in _definitions(node)}
+                if {"receive", "transmit"} <= names:
+                    found.append((module, node.name))
+    return found
+
+
 def _package_trees() -> dict:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -286,6 +309,23 @@ def test_every_linalg_helper_is_read_by_another_module():
     trees.pop("__init__")
     unshared = _unshared_helpers("linalg", trees)
     assert not unshared, "linalg names no other module reads:\n" + "\n".join(unshared)
+
+
+def test_the_check_sees_a_second_filter_record():
+    trees = {
+        "a": ast.parse("class Design:\n    receive: list\n    transmit: list\n"
+                       "class Half:\n    receive = None\n"),
+        "b": ast.parse("class Trace:\n    @property\n    def receive(self):\n        pass\n"
+                       "    def transmit(self):\n        pass\n"),
+    }
+    assert _filter_classes(trees) == [("a", "Design"), ("b", "Trace")]
+
+
+def test_only_the_design_record_holds_receive_and_transmit_filters():
+    found = _filter_classes(_package_trees())
+    assert found == [DESIGN_RECORD], (
+        "every solver returns network.BeamformerSet; found filter records:\n"
+        + "\n".join(f"src/pcia/{module}.py: {name}" for module, name in found))
 
 
 def test_the_check_sees_a_direct_lapack_call():

@@ -283,15 +283,15 @@ def test_slot_plans_are_cached_per_config_and_read_only():
                                                    [0.5, 0.5, 0.0]]
     assert plan.shapes == ((2, 1, 4), (3, 1, 5), (2, 0, 5))
     assert plan.receive == ((2, 1), (3, 1), (2, 0))
-    assert [(w, users) for w, users, _ in plan.widths] == [(4, (0,)), (5, (1, 2))]
-    indices = [index for *_, index in plan.widths]
-    assert [index.tolist() for index in indices] == [[0], [1, 2]]
+    assert [(w, users.tolist()) for w, users in plan.widths] == [(4, [0]), (5, [1, 2])]
+    indices = [users for _, users in plan.widths]
+    assert all(index.dtype == np.intp for index in indices)
     for array in indices + [plan.weights]:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2
     uniform = oneshot._slot_plan(NetworkConfig.symmetric(3, 2, 2, [1, 0, 1]))
-    assert [(w, users) for w, users, _ in uniform.widths] == [(4, (0, 1, 2))]
+    assert [(w, users.tolist()) for w, users in uniform.widths] == [(4, [0, 1, 2])]
     assert uniform.active == (0, 2)
 
 

@@ -12,6 +12,10 @@ count must then report the same rates and residuals, rotated, within
 ``RTOL`` relative (``ATOL`` absolute for residuals at alignment, which sit
 at rounding level): only the order of floating-point sums changes.
 
+The harness's per-trial rates for one-shot and zero forcing follow too,
+on specs whose one-shot null spaces are exactly as wide as their stream
+counts and whose time-share slot set is closed under the rotation.
+
 The one-shot design on wider null spaces is not invariant: its subset
 search scores columns of an arbitrary basis of each null space, so it
 is left out here.
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 
 from pcia import (
+    ExperimentSpec,
     NetworkConfig,
     alignment_residual,
     bd_zero_forcing,
@@ -32,6 +37,8 @@ from pcia import (
     reciprocal_state,
     sum_rate,
 )
+from pcia import evaluation
+from pcia.evaluation import _run_single_trial
 from pcia.linalg import _stack
 from pcia.network import ChannelSet
 
@@ -179,3 +186,27 @@ def test_one_shot_follows_a_ring_rotation_where_each_null_space_is_its_streams(c
     (rates, resid), (moved_rates, moved_resid) = results
     np.testing.assert_allclose(moved_rates, _rotated(rates), rtol=RTOL, atol=0)
     assert resid < ATOL and moved_resid < ATOL
+
+
+HARNESS_SPECS = {
+    "k4-2x2-d4": ExperimentSpec(4, 2, 2, 4, ("oneshot_partial", "bdzf_full"),
+                                (0.0, 20.0, 40.0), trials=3, seed=5),
+    # Five slots, each silencing one user: the rotation maps the slot set onto itself.
+    "k5-timeshare": ExperimentSpec(5, 2, 2, 4, ("oneshot_partial", "bdzf_full"),
+                                   (0.0, 10.0, 20.0, 30.0, 40.0), trials=3, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", HARNESS_SPECS)
+def test_harness_rates_follow_a_ring_rotation(name, monkeypatch):
+    spec = HARNESS_SPECS[name]
+    plain = [_run_single_trial(spec, t) for t in range(spec.trials)]
+    draw = evaluation.generate_channel
+    monkeypatch.setattr(evaluation, "generate_channel",
+                        lambda config, seed: _rotated_channel(draw(config, seed)))
+    for trial, want in enumerate(plain):
+        got = _run_single_trial(spec, trial)
+        for scheme in spec.schemes:
+            np.testing.assert_allclose(got[scheme]["rates"], want[scheme]["rates"],
+                                       rtol=RTOL, atol=0)
+            assert got[scheme]["dof"] == want[scheme]["dof"]

@@ -1,11 +1,12 @@
 """Fully coordinated block-diagonalization benchmark."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pcia import (
     BDInfeasible,
-    BDSolution,
     ChannelSet,
     NetworkConfig,
     bd_zero_forcing,
@@ -111,7 +112,8 @@ def test_single_user_reduces_to_eigenbeamforming():
 def _bd_by_user(channel, dof=None, rank_tol=1e-9):
     # The per-user loop the batched design replaces: one full svd of the
     # other users' rows and one thin svd of the effective channel per
-    # user, phases pinned on the truncated factors.
+    # user, phases pinned on the truncated factors. Returns the per-user
+    # precoder and filter lists and the granted stream counts.
     num_users = channel.num_users
     n_total = sum(channel.tx_sizes)
     transmit, receive, granted = [], [], []
@@ -146,7 +148,7 @@ def _bd_by_user(channel, dof=None, rank_tol=1e-9):
         transmit.append(null @ v_t)
         receive.append(u_t)
         granted.append(want)
-    return BDSolution(transmit=transmit, receive=receive, dof=tuple(granted))
+    return SimpleNamespace(transmit=transmit, receive=receive, dof=tuple(granted))
 
 
 def _ragged_channel(rx, tx, seed):
