@@ -116,8 +116,7 @@ def iterate_distributed_ia(
     num_users = view.num_users
     rows, cols = view.rx_sizes, view.tx_sizes
     dof = _stream_counts(dof, num_users)
-    if _integral(max_iters, "max_iters") < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters!r}")
+    max_iters = _integral(max_iters, "max_iters", 1)
     leakage_tol = _tolerance(leakage_tol, "leakage_tol")
     for k in range(num_users):
         if dof[k] > min(rows[k], cols[k]):

@@ -195,19 +195,12 @@ class ExperimentSpec:
     rank_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("num_users", "dof_total", "trials", "seed", "max_iters"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-        k = self.num_users
-        if k < 2:
-            raise ValueError("experiments need at least two users")
+        for name, least in (("num_users", 2), ("dof_total", 1), ("trials", 1), ("seed", 0),
+                            ("max_iters", 1)):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, least))
         for name in ("rx_antennas", "tx_antennas"):
-            counts = _per_user(getattr(self, name), k, name)
-            if any(v < 1 for v in counts):
-                raise ValueError(f"{name} must give a positive count per user")
-            object.__setattr__(self, name, counts)
-        if self.dof_total < 1:
-            raise ValueError("dof_total must be positive")
-        _slot_count(k, self.dof_total)
+            object.__setattr__(self, name, _per_user(getattr(self, name), self.num_users, name, 1))
+        _slot_count(self.num_users, self.dof_total)
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("at least one scheme is required")
@@ -231,12 +224,6 @@ class ExperimentSpec:
         if len(set(snr)) != len(snr):
             raise ValueError(f"snr_grid_db must not repeat a point, got {list(snr)}")
         object.__setattr__(self, "snr_grid_db", snr)
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must not be negative, got {self.seed}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         for name in ("leakage_tol", "rank_tol"):
             object.__setattr__(self, name, _tolerance(getattr(self, name), name))
 
@@ -415,10 +402,6 @@ def _run_single_trial(spec: ExperimentSpec, trial: int) -> dict:
     return out
 
 
-def _trial_worker(args):
-    return _run_single_trial(*args)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Sweep all schemes over the SNR grid for ``spec.trials`` channel draws.
 
@@ -427,14 +410,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     ``workers`` count. Scheme failures on individual realizations count
     as zero rate and zero convergence instead of aborting the sweep.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    jobs = [(spec, t) for t in range(spec.trials)]
+    workers = _integral(workers, "workers", 1)
     if workers == 1:
-        outcomes = [_run_single_trial(spec, t) for _, t in jobs]
+        outcomes = [_run_single_trial(spec, t) for t in range(spec.trials)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_worker, jobs))
+            outcomes = list(pool.map(_run_single_trial, [spec] * spec.trials, range(spec.trials)))
     points = {}
     for scheme in spec.schemes:
         # One contiguous row per SNR point: a row reduction sums the

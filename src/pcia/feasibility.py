@@ -31,12 +31,10 @@ def dof_upper_bound(rx_antennas, tx_antennas) -> int:
     Each user contributes a quarter of its even-rounded antenna total;
     the sum is floored once at the end.
     """
-    rx = [_integral(v, "rx_antennas") for v in rx_antennas]
-    tx = [_integral(v, "tx_antennas") for v in tx_antennas]
+    rx = [_integral(v, "rx_antennas", 1) for v in rx_antennas]
+    tx = [_integral(v, "tx_antennas", 1) for v in tx_antennas]
     if len(rx) != len(tx):
         raise ValueError("need one rx and one tx antenna count per user")
-    if any(v < 1 for v in rx + tx):
-        raise ValueError("antenna counts must be positive integers")
     total = sum(
         Fraction(m + n - (m + n) % 2, 4)
         for m, n in zip(rx, tx)
@@ -66,10 +64,8 @@ def _check_antenna_floor(num_users: int, m: int, n: int, d_hat: int) -> None:
 
 def _verdict(num_users, m, n, paired: bool) -> FeasibilityVerdict:
     """Counts at the stream total of :func:`dof_upper_bound`, spread evenly over users."""
-    num_users, m, n = (_integral(v, name) for v, name in
+    num_users, m, n = (_integral(v, name, 1) for v, name in
                        ((num_users, "num_users"), (m, "m"), (n, "n")))
-    if num_users < 1:
-        raise ValueError(f"num_users must be at least 1, got {num_users}")
     extra_tx = n if paired else 0
     c = m + n
     rem = c % 2
@@ -99,7 +95,7 @@ def is_proper_generic(num_users: int, m: int, n: int) -> FeasibilityVerdict:
 
     Raises:
         ValueError: when ``min(m, n)`` is below the per-user stream floor,
-            ``num_users`` is below 1, or a count is not a whole number.
+            or a count is below 1 or not a whole number.
     """
     return _verdict(num_users, m, n, paired=False)
 
@@ -166,9 +162,8 @@ def time_share_schedule(num_users: int, dof_total: int) -> TimeShareSchedule:
     lexicographic order so every user is boosted equally often. A table of
     more than ``_MAX_SLOTS`` slots raises a ValueError naming its size.
     """
-    num_users, dof_total = _integral(num_users, "num_users"), _integral(dof_total, "dof_total")
-    if num_users < 1 or dof_total < 0:
-        raise ValueError("need at least one user and a nonnegative stream total")
+    num_users = _integral(num_users, "num_users", 1)
+    dof_total = _integral(dof_total, "dof_total", 0)
     num_slots = _slot_count(num_users, dof_total)
     base, remainder = divmod(dof_total, num_users)
     if remainder == 0:
@@ -201,9 +196,7 @@ def backhaul_rate(num_users: int, topology: str, coordination: str) -> int:
     there and back on a line); full coordination floods every message to
     every station.
     """
-    num_users = _integral(num_users, "num_users")
-    if num_users < 1:
-        raise ValueError(f"num_users must be at least 1, got {num_users}")
+    num_users = _integral(num_users, "num_users", 1)
     if coordination == "none":
         return 0
     try:

@@ -46,11 +46,12 @@ __all__ = [
 ]
 
 
-def _integral(value, name: str) -> int:
+def _integral(value, name: str, least: int) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is a whole number.
 
     An integral float such as ``3.0`` passes; ``3.9`` is not truncated,
-    and a bool or a string is refused.
+    and a bool or a string is refused. A count below ``least`` is
+    refused too: every count's floor is checked here.
     """
     try:
         count = None if isinstance(value, _NOT_NUMBERS) else int(value)
@@ -58,6 +59,9 @@ def _integral(value, name: str) -> int:
         count = None
     if count is None or count != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if count < least:
+        floor = "not be negative" if least == 0 else f"be at least {least}"
+        raise ValueError(f"{name} must {floor}, got {count}")
     return count
 
 
@@ -78,20 +82,21 @@ def _tolerance(value, name: str) -> float:
 
 def _stream_counts(dof, num_users: int) -> list:
     """A solver's ``dof`` argument checked: one whole, non-negative count per user."""
-    counts = [_integral(d, "dof") for d in dof]
+    counts = [_integral(d, "dof", 0) for d in dof]
     if len(counts) != num_users:
         raise ValueError(
             f"dof needs one stream count per user: got {len(counts)} for {num_users} users")
-    if any(d < 0 for d in counts):
-        raise ValueError(f"dof must not be negative, got {counts}")
     return counts
 
 
-def _per_user(value, num_users: int, name: str) -> tuple:
-    """Broadcast a scalar count to every user, or check a per-user sequence of whole numbers."""
+def _per_user(value, num_users: int, name: str, least: int) -> tuple:
+    """Broadcast a scalar count to every user, or check a per-user sequence of whole numbers.
+
+    Each count must be at least ``least``, as :func:`_integral` checks it.
+    """
     if np.isscalar(value):
         value = [value] * num_users
-    out = tuple(_integral(v, name) for v in value)
+    out = tuple(_integral(v, name, least) for v in value)
     if len(out) != num_users:
         raise ValueError(f"{name} must have one entry per user, got {len(out)}")
     return out
@@ -119,14 +124,8 @@ class NetworkConfig:
         num_users = len(tuple(self.rx_antennas))
         if num_users < 2:
             raise ValueError("the coordination ring needs at least two cells")
-        for name in ("rx_antennas", "tx_antennas", "dof"):
-            object.__setattr__(self, name, _per_user(getattr(self, name), num_users, name))
-        if any(m < 1 for m in self.rx_antennas):
-            raise ValueError("every user needs at least one receive antenna")
-        if any(n < 1 for n in self.tx_antennas):
-            raise ValueError("every base station needs at least one transmit antenna")
-        if any(d < 0 for d in self.dof):
-            raise ValueError("stream counts cannot be negative")
+        for name, least in (("rx_antennas", 1), ("tx_antennas", 1), ("dof", 0)):
+            object.__setattr__(self, name, _per_user(getattr(self, name), num_users, name, least))
         for k in range(num_users):
             cap = min(self.rx_antennas[k], self.paired_widths[k])
             if self.dof[k] > cap:
@@ -137,7 +136,7 @@ class NetworkConfig:
     @classmethod
     def symmetric(cls, num_users: int, rx_antennas: int, tx_antennas: int, dof) -> "NetworkConfig":
         """Build a config where every cell has the same antenna counts."""
-        num_users = _integral(num_users, "num_users")
+        num_users = _integral(num_users, "num_users", 2)
         return cls([rx_antennas] * num_users, [tx_antennas] * num_users, dof)
 
     @property
@@ -368,22 +367,21 @@ class PermutationMap:
 
 
 def _stacking_order(config: NetworkConfig, k: int) -> tuple:
-    """Stations of user ``k``'s pair in the order its stack lists them.
+    """Stations of user ``k``'s pair in the order its stack lists them: ascending.
 
-    User 0 lists its own station first and the ring neighbour second;
-    every other user lists the neighbour first.
+    User 0's pair is stations 0 and ``K - 1``; every other user's is
+    ``k - 1`` and ``k``.
     """
-    if k == 0:
-        return k, config.secondary(k)
-    return config.secondary(k), k
+    return tuple(sorted((k, config.secondary(k))))
 
 
 @functools.lru_cache(maxsize=16)
 def build_permutation(config: NetworkConfig) -> PermutationMap:
     """Column map of the equivalent paired-transmitter channel, one per config.
 
-    Each group gathers its serving pair's antennas in stacking order:
-    user 0 lists its own station first, every other user its neighbour.
+    Each group gathers its serving pair's antennas in ascending station
+    order: stations 0 and ``K - 1`` for user 0, ``k - 1`` and ``k`` for
+    every other user ``k``.
     """
     stations = _slices(config.tx_antennas)
     antennas = np.arange(config.total_tx_antennas)

@@ -27,12 +27,13 @@ depends on the config alone (the active users, the stream bound, the
 kernel's half weights at unit power and each width group's index array)
 is built once per config. A slot's covariances are one stack of its
 receive filters and one kernel call, and its null spaces one LAPACK call
-per paired width, phases pinned on the stack. One pass over the groups
-of users sharing every filter shape and nullity then runs each group's
-subset search, one gather and product per minor level, and its
-rank-check ``svd`` on the same stacked filters and picks, which it then
-scatters into the design's zero-padded stacks; a group with exactly as
-many directions as streams keeps its bases. Grouping ragged shapes, never
+per paired width, phases pinned on the stack. That receive stack is the
+design's own. One pass over the groups of users sharing every filter
+shape and nullity then runs each group's subset search, one gather and
+product per minor level, and its rank-check ``svd`` on its filters
+gathered from that stack and its picks, which it then scatters into the
+design's zero-padded transmit stack; a group with exactly as many
+directions as streams keeps its bases. Grouping ragged shapes, never
 padding them, keeps each decomposition exactly the one of its own matrix.
 No iteration and no channel extension is involved.
 """
@@ -109,6 +110,7 @@ class ReciprocalState:
     nullities: list      # admissible precoder dimensions a_k
     null_bases: list     # orthonormal bases of the admissible subspaces
     choice_counts: list  # number of candidate column subsets per user
+    receive_stack: np.ndarray  # the read-only, zero-padded (K, m, d) filters they came from
 
 
 class _SlotPlan(NamedTuple):
@@ -208,7 +210,7 @@ def reciprocal_state(
         k = next(k for k, (got, want) in enumerate(zip(shapes, plan.receive)) if got != want)
         raise ValueError(f"receive filter of user {k} is {shapes[k]}, not the "
                          f"{plan.receive[k]} of its antennas and streams")
-    beams = _stack(receive, max(config.rx_antennas), max(config.dof))
+    beams = _read_only(_stack(receive, max(config.rx_antennas), max(config.dof)))
     q = _covariance_stack(equiv._reverse, beams, plan.weights)
     bases = [None] * config.num_users
     for w, users in plan.widths:
@@ -216,7 +218,7 @@ def reciprocal_state(
             bases[k] = basis
     nullities = [b.shape[1] for b in bases]
     counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
-    return ReciprocalState(nullities, bases, counts)
+    return ReciprocalState(nullities, bases, counts, beams)
 
 
 @functools.lru_cache(maxsize=64)
@@ -350,36 +352,35 @@ def one_shot_ia(
     state = reciprocal_state(equiv, receive, config, rank_tol)
     # One pass over the groups sharing filter and basis shapes, so a block
     # shape, a stream count and a nullity, in first-user order: each
-    # group's stacked filters feed its subset search, where its bases are
-    # not already its picks, so the first user short of directions raises,
-    # then fill the design's stacks and feed its rank check. That check's
-    # reference scale is the unprojected direct link (its largest singular
-    # value, from the cached direct-block SVD): filters with unit columns
-    # can only shrink it, and comparing within ``eff`` alone would make a
-    # uniformly collapsed link (d_k = 1 above all) look healthy. Users are
-    # checked in order after every group has run.
+    # group's filters, gathered from the stack the covariances were built
+    # from, feed its subset search, where its bases are not already its
+    # picks, so the first user short of directions raises, then fill the
+    # design's transmit stack and feed its rank check. A silent group has
+    # nothing to pick or check. That check's reference scale is the
+    # unprojected direct link (its largest singular value, from the cached
+    # direct-block SVD): filters with unit columns can only shrink it, and
+    # comparing within ``eff`` alone would make a uniformly collapsed link
+    # (d_k = 1 above all) look healthy. Users are checked in order after
+    # every group has run.
     grid, bases = equiv._stacked, state.null_bases
-    num_users, _, rows, cols = grid.shape
-    receive_stack = np.zeros((num_users, rows, max(config.dof)), dtype=np.complex128)
+    num_users, _, _, cols = grid.shape
     transmit_stack = np.zeros((num_users, cols, max(config.dof)), dtype=np.complex128)
     smallest = {}
     for (m, d, w, a), users in _groups(tuple(
             (*shape, a) for shape, a in zip(plan.shapes, state.nullities))):
-        if a == d == 0:  # silent users without a free direction: nothing to pick or check
+        if d == 0:
             continue
         members = users.tolist()
-        filters, direct = np.array([receive[k] for k in members]), grid[users, users, :m, :w]
+        filters, direct = state.receive_stack[users, :m, :d], grid[users, users, :m, :w]
         picks = np.array([bases[k] for k in members])
         if a != d:
             picks = select_transmit_beamformer(filters, direct, picks, d, user=members[0])
-        if d:
-            receive_stack[users, :m, :d] = filters
-            transmit_stack[users, :w, :d] = picks
-            eff = filters.conj().transpose(0, 2, 1) @ direct @ picks
-            smallest.update(zip(members, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
+        transmit_stack[users, :w, :d] = picks
+        eff = filters.conj().transpose(0, 2, 1) @ direct @ picks
+        smallest.update(zip(members, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
     for k in plan.active:
         if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding", user=k)
-    return BeamformerSet(receive_stack, transmit_stack, config.rx_antennas,
+    return BeamformerSet(state.receive_stack, transmit_stack, config.rx_antennas,
                          config.paired_widths, config.dof)

@@ -155,7 +155,7 @@ def test_input_validation():
     with pytest.raises(ValueError, match="init"):
         iterate_distributed_ia(blocks, cfg.dof, init="warm")
     for max_iters in (0, -1):
-        with pytest.raises(ValueError, match="max_iters must be positive"):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
             iterate_distributed_ia(blocks, cfg.dof, max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters must be a whole number"):
         iterate_distributed_ia(blocks, cfg.dof, max_iters=2.5)
@@ -163,6 +163,17 @@ def test_input_validation():
         iterate_distributed_ia(blocks, [-1, 1, 1])
     with pytest.raises(ValueError, match="dof must be a whole number"):
         iterate_distributed_ia(blocks, [1.5, 1, 1])
+
+
+def test_an_integral_float_iteration_cap_runs_as_its_int():
+    # The checked cap used to be discarded, so ``range(10.0)`` raised TypeError.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    channel = generate_channel(cfg, 1)
+    whole, floating = (iterate_distributed_ia(channel, cfg.dof, max_iters=n) for n in (10, 10.0))
+    assert (floating.iterations, floating.converged) == (whole.iterations, whole.converged)
+    assert floating.leakage == whole.leakage
+    assert np.array_equal(floating.receive_stack, whole.receive_stack)
+    assert np.array_equal(floating.transmit_stack, whole.transmit_stack)
 
 
 @pytest.mark.parametrize("leakage_tol", [float("nan"), float("inf"), -1.0, 0.0])

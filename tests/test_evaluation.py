@@ -317,6 +317,19 @@ def test_worker_count_does_not_change_results():
         assert serial.points[key] == pooled.points[key]
 
 
+def test_worker_counts_follow_the_count_rule():
+    # 2.0 used to raise TypeError inside the process pool, True to run
+    # serially, and "2" or None to raise TypeError on the comparison.
+    spec = ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=3,
+                          schemes=("oneshot_partial", "bdzf_full"),
+                          snr_grid_db=(10.0,), trials=2, seed=1)
+    assert (run_experiment(spec, workers=2.0).to_records()
+            == run_experiment(spec, workers=2).to_records())
+    for workers in (True, 1.5, "2", None, 0):
+        with pytest.raises(ValueError, match="^workers must"):
+            run_experiment(spec, workers=workers)
+
+
 def test_mean_and_std_err_recompute_from_single_trials():
     spec = ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=3,
                           schemes=("oneshot_partial",), snr_grid_db=(10.0,),
@@ -394,7 +407,7 @@ def test_spec_validation():
         ExperimentSpec(**good, snr_grid_db=())
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec(**good, trials=0)
-    with pytest.raises(ValueError, match="two users"):
+    with pytest.raises(ValueError, match="num_users must be at least 2"):
         ExperimentSpec(num_users=1, rx_antennas=2, tx_antennas=2, dof_total=1)
     with pytest.raises(ValueError, match="dof_total"):
         ExperimentSpec(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=0)

@@ -25,6 +25,9 @@
   through ``linalg._eigh`` and ``_slogdet``, and nothing takes a
   determinant, the subset search included. ``svd`` and the rest stay on
   the public functions.
+* No package module but ``network`` raises ``ValueError`` from an ``if``
+  that compares with an int literal: a count's floor is checked by
+  ``network._integral``, with the one message every count shares.
 """
 
 import ast
@@ -340,4 +343,48 @@ def test_only_linalg_reaches_eigh_slogdet_and_det():
              for module, tree in _package_trees().items() if module != "linalg"
              for line, name in _direct_lapack_calls(tree)]
     assert not found, ("use linalg._eigh or _slogdet instead; the package takes no det:\n"
+                       + "\n".join(found))
+
+
+# Where count floors are checked: ``_integral`` and the ring's own checks.
+COUNT_RULE = "network"
+
+
+def _raises_value_error(node: ast.stmt) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
+def _count_floors(tree: ast.Module) -> list:
+    """``(line, comparison)`` of each int-literal comparison testing a ValueError.
+
+    The comparison is in the test of an ``if`` whose body raises
+    ``ValueError`` directly; a literal of a bool or a float does not count.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(map(_raises_value_error, node.body)):
+            found += [(c.lineno, ast.unparse(c)) for c in ast.walk(node.test)
+                      if isinstance(c, ast.Compare)
+                      and any(isinstance(x, ast.Constant) and type(x.value) is int
+                              for x in (c.left, *c.comparators))]
+    return sorted(found)
+
+
+def test_the_check_sees_a_count_floor():
+    tree = ast.parse("if n < 1:\n    raise ValueError('n')\n"
+                     "if 0 > k or d < 0:\n    raise ValueError\n"
+                     "if x < 1.0 or flag == True:\n    raise ValueError('x')\n"
+                     "if n < 1:\n    raise TypeError('n')\n"
+                     "if n < 1:\n    n = 1\n"
+                     "if ok:\n    pass\nelif n < 2:\n    raise ValueError('n')\n")
+    assert _count_floors(tree) == [(1, "n < 1"), (3, "0 > k"), (3, "d < 0"), (13, "n < 2")]
+
+
+def test_count_floors_are_checked_by_the_one_helper():
+    found = [f"src/pcia/{module}.py:{line}: {comparison}"
+             for module, tree in _package_trees().items() if module != COUNT_RULE
+             for line, comparison in _count_floors(tree)]
+    assert not found, ("check a count with network._integral(value, name, least):\n"
                        + "\n".join(found))

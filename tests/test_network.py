@@ -1,10 +1,23 @@
-"""Channel model, column reindexing, and precoder stacking."""
+"""Channel model, column reindexing, precoder stacking, and the one rule for counts."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcia import (
+    ExperimentSpec,
+    backhaul_rate,
+    bd_zero_forcing,
+    dof_upper_bound,
+    is_proper_generic,
+    is_proper_partial,
+    iterate_distributed_ia,
+    run_experiment,
+    time_share_schedule,
+)
 from pcia.network import (
     ChannelSet,
     EquivalentChannel,
@@ -59,6 +72,17 @@ def test_column_order_of_three_cell_ring(k3_config):
     perm = build_permutation(k3_config)
     assert perm.column_order.tolist() == [0, 1, 4, 5, 0, 1, 2, 3, 2, 3, 4, 5]
     assert perm.group_widths == (4, 4, 4)
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+@pytest.mark.parametrize("num_users", range(2, 8))
+def test_each_pair_is_gathered_in_ascending_station_order(num_users, ragged):
+    widths = [1 + l % 3 if ragged else 2 for l in range(num_users)]
+    cfg = NetworkConfig([2] * num_users, widths, [1] * num_users)
+    starts = np.cumsum([0] + widths).tolist()
+    pairs = [(0, num_users - 1)] + [(k - 1, k) for k in range(1, num_users)]
+    expected = [c for pair in pairs for l in pair for c in range(starts[l], starts[l + 1])]
+    assert build_permutation(cfg).column_order.tolist() == expected
 
 
 def test_every_physical_column_feeds_two_groups(k3_config):
@@ -355,3 +379,63 @@ def test_stacked_grid_equals_the_block_copy(cfg):
         assert np.array_equal(stacked, zero_padded(view.blocks))
         assert stacked.flags.c_contiguous
         assert not stacked.flags.writeable
+
+
+_K3 = NetworkConfig.symmetric(3, 2, 2, 1)
+_K3_CHANNEL = generate_channel(_K3, 5)
+_SPEC = dict(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=3, trials=1, max_iters=1)
+_TINY = ExperimentSpec(**_SPEC, schemes=("bdzf_full",), snr_grid_db=(10.0,))
+
+
+def _spec_field(name):
+    """A call from a count to the spec's ``name`` field, its first entry if per user."""
+    def kept(value):
+        field = getattr(ExperimentSpec(**{**_SPEC, name: value}), name)
+        return field[0] if isinstance(field, tuple) else field
+    return kept
+
+
+# Every public entry point that takes a count: (entry point, argument,
+# floor, a valid count, a call from that count to what the entry point
+# keeps of it, or returns).
+COUNT_ARGUMENTS = [
+    ("NetworkConfig", "rx_antennas", 1, 2,
+     lambda v: NetworkConfig([2, v], [2, 2], [1, 1]).rx_antennas[1]),
+    ("NetworkConfig", "tx_antennas", 1, 2,
+     lambda v: NetworkConfig([2, 2], [v, 2], [1, 1]).tx_antennas[0]),
+    ("NetworkConfig", "dof", 0, 1, lambda v: NetworkConfig([2, 2], [2, 2], [1, v]).dof[1]),
+    ("NetworkConfig.symmetric", "num_users", 2, 3,
+     lambda v: NetworkConfig.symmetric(v, 2, 2, 1).num_users),
+    *[("ExperimentSpec", name, floor, good, _spec_field(name)) for name, floor, good in (
+        ("num_users", 2, 3), ("rx_antennas", 1, 2), ("tx_antennas", 1, 2),
+        ("dof_total", 1, 3), ("trials", 1, 1), ("seed", 0, 0), ("max_iters", 1, 1))],
+    ("run_experiment", "workers", 1, 1, lambda v: run_experiment(_TINY, workers=v).to_records()),
+    ("iterate_distributed_ia", "max_iters", 1, 2,
+     lambda v: iterate_distributed_ia(_K3_CHANNEL, _K3.dof, max_iters=v).leakage),
+    ("iterate_distributed_ia", "dof", 0, 1,
+     lambda v: iterate_distributed_ia(_K3_CHANNEL, [1, 1, v], max_iters=2).dof[2]),
+    ("bd_zero_forcing", "dof", 0, 1, lambda v: bd_zero_forcing(_K3_CHANNEL, dof=[1, 1, v]).dof[2]),
+    ("dof_upper_bound", "rx_antennas", 1, 2, lambda v: dof_upper_bound([2, 2, v], [2, 2, 2])),
+    ("dof_upper_bound", "tx_antennas", 1, 2, lambda v: dof_upper_bound([2, 2, 2], [2, v, 2])),
+    *[(check.__name__, name, 1, good, call) for check in (is_proper_generic, is_proper_partial)
+      for name, good, call in (("num_users", 3, lambda v, f=check: f(v, 2, 2)),
+                               ("m", 2, lambda v, f=check: f(3, v, 2)),
+                               ("n", 2, lambda v, f=check: f(3, 2, v)))],
+    ("time_share_schedule", "num_users", 1, 3, lambda v: time_share_schedule(v, 4).num_users),
+    ("time_share_schedule", "dof_total", 0, 4, lambda v: time_share_schedule(3, v).dof_total),
+    ("backhaul_rate", "num_users", 1, 3, lambda v: backhaul_rate(v, "ring", "full")),
+]
+
+
+@pytest.mark.parametrize("name, floor, good, call", [case[1:] for case in COUNT_ARGUMENTS],
+                         ids=[f"{case[0]}-{case[1]}" for case in COUNT_ARGUMENTS])
+def test_every_count_argument_follows_one_rule(name, floor, good, call):
+    # One message format for every count: below its floor, a bool, a fraction.
+    below = "not be negative" if floor == 0 else f"be at least {floor}"
+    for bad, message in ((floor - 1, f"must {below}, got {floor - 1}"),
+                         (True, "must be a whole number, got True"),
+                         (2.5, "must be a whole number, got 2.5")):
+        with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+            call(bad)
+    kept, whole = call(float(good)), call(good)
+    assert kept == whole and type(kept) is type(whole)

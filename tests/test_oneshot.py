@@ -629,6 +629,26 @@ def test_rank_check_names_the_first_deficient_user(monkeypatch, rx, tx, dof, dea
     assert len(svds) == groups
 
 
+def test_the_design_keeps_the_receive_stack_of_its_covariances(monkeypatch):
+    # One stack per slot: the record holds the very array the reciprocal
+    # covariances were built from, silent user included.
+    states = []
+    build = oneshot.reciprocal_state
+
+    def recorded(*args, **kwargs):
+        states.append(build(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(oneshot, "reciprocal_state", recorded)
+    cfg = NetworkConfig.symmetric(5, 2, 2, (1, 1, 0, 1, 1))
+    beams = one_shot_ia(cfg, _equiv(cfg, 4))
+    (state,) = states
+    assert beams.receive_stack is state.receive_stack
+    assert not state.receive_stack.flags.writeable
+    assert state.receive_stack.shape == (5, 2, 1)
+    assert not state.receive_stack[2].any()
+
+
 def _record_selects(monkeypatch):
     # Wrap the module's selector the way a tracer does, keeping the
     # ``null_basis`` of every call.

@@ -3,12 +3,13 @@
 Rotating a draw one step around the ring makes user ``k`` user ``k + 1``
 and station ``l`` station ``l + 1``, which keeps every serving pair. Each
 user's paired stack lists its stations in the order
-:func:`pcia.build_permutation` gives, user 0 its own station first and
-every other user its neighbour first, so the rotation also permutes the
-paired columns of two users; filters move with their user and with the
-physical antennas their rows drive. The scorers, zero forcing and the
-one-shot design where every null space is exactly as wide as its stream
-count must then report the same rates and residuals, rotated, within
+:func:`pcia.build_permutation` gives, ascending: stations 0 and ``K - 1``
+for user 0, ``k - 1`` and ``k`` for every other user. The pairs of
+users ``K - 1`` and 0 come out of the rotation listed in reverse, so it
+also permutes the paired columns of those two users; filters move with
+their user and with the physical antennas their rows drive. The scorers,
+zero forcing and the one-shot design where every null space is exactly
+as wide as its stream count must then report the same rates and residuals, rotated, within
 ``RTOL`` relative (``ATOL`` absolute for residuals at alignment, which sit
 at rounding level): only the order of floating-point sums changes.
 
