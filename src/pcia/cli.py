@@ -95,9 +95,9 @@ def cmd_run(args) -> int:
     reason = check_spec(spec)
     if reason is not None:
         return _fail(reason, EXIT_INFEASIBLE)
-    result = run_experiment(spec, workers=args.workers)
+    records = run_experiment(spec, workers=args.workers).to_records()
     rows = []
-    for rec in result.to_records():
+    for rec in records:
         rows.append([
             rec["scheme"],
             str(spec.num_users),
@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
     schedule = time_share_schedule(spec.num_users, spec.dof_total)
     mirror = {
         "spec": dataclasses.asdict(spec),
-        "results": result.to_records(),
+        "results": records,
         "diagnostics": {
             "slots": schedule.num_slots,
             "slot_table": [list(r) for r in schedule.slot_table],

@@ -138,7 +138,8 @@ def iterate_distributed_ia(
 
     per_stream = _unit_power_weights(dof)
     threshold = leakage_tol * sum(
-        per_stream[k] * float(np.linalg.norm(view.blocks[k][k] @ start[k], "fro") ** 2)
+        per_stream[k] * float(np.linalg.norm(
+            view._stacked[k, k, :rows[k], :cols[k]] @ start[k], "fro") ** 2)
         for k in range(num_users) if dof[k] > 0
     )
 

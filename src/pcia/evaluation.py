@@ -201,6 +201,9 @@ class ExperimentSpec:
         for name in ("rx_antennas", "tx_antennas"):
             object.__setattr__(self, name, _per_user(getattr(self, name), self.num_users, name, 1))
         _slot_count(self.num_users, self.dof_total)
+        for name, entries in (("schemes", "scheme names"), ("snr_grid_db", "dB values")):
+            if isinstance(getattr(self, name), (str, bytes)):
+                raise ValueError(f"{name} must be a list of {entries}, got {getattr(self, name)!r}")
         schemes = tuple(self.schemes)
         if not schemes:
             raise ValueError("at least one scheme is required")
@@ -210,8 +213,6 @@ class ExperimentSpec:
         if len(set(schemes)) != len(schemes):
             raise ValueError(f"schemes must not repeat a scheme, got {list(schemes)}")
         object.__setattr__(self, "schemes", schemes)
-        if isinstance(self.snr_grid_db, (str, bytes)):
-            raise ValueError(f"snr_grid_db must be a list of dB values, got {self.snr_grid_db!r}")
         snr = tuple(_real(v, "snr_grid_db entry") for v in self.snr_grid_db)
         if not snr:
             raise ValueError("snr_grid_db must not be empty")
@@ -321,18 +322,19 @@ def _scheme_slots(scheme, configs):
 def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
     """One scheme's design for one slot of one draw, ready to score.
 
-    Returns ``(grid, beams, power_scale)``: the stacked grid the design
-    acts on, the design and the per-message power factors. A solver's
-    typed infeasibility error propagates.
+    Returns ``(grid, beams, power_scale)``: the channel view the design
+    acts on, or zero forcing's row stack, then the design and the
+    per-message power factors. A solver's typed infeasibility error
+    propagates.
     """
     if scheme == "bdzf_full":
         beams = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
         # Every receiver sees its whole row block from every transmitter:
-        # one stacked row per user, on a transmitter axis of length 1 that
-        # the scorers broadcast. Full coordination pools the per-user power
+        # the view's row stack, on a transmitter axis of length 1 that the
+        # scorers broadcast. Full coordination pools the per-user power
         # budgets and splits the pool equally over all delivered streams.
-        rows = _stack(channel._rows, max(spec.rx_antennas), sum(spec.tx_antennas))
-        return rows[:, None], beams, [spec.num_users * d / beams.dof_total for d in beams.dof]
+        grid = channel._row_stack[:, None]
+        return grid, beams, [spec.num_users * d / beams.dof_total for d in beams.dof]
     if scheme == "oneshot_partial":
         grid = equiv
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
@@ -346,7 +348,7 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
             grid, cfg.dof, max_iters=max_iters, leakage_tol=spec.leakage_tol,
             init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )
-    return grid._stacked, beams, _slot_power_scale(cfg.dof)
+    return grid, beams, _slot_power_scale(cfg.dof)
 
 
 def _mean(values):

@@ -35,11 +35,7 @@ def dof_upper_bound(rx_antennas, tx_antennas) -> int:
     tx = [_integral(v, "tx_antennas", 1) for v in tx_antennas]
     if len(rx) != len(tx):
         raise ValueError("need one rx and one tx antenna count per user")
-    total = sum(
-        Fraction(m + n - (m + n) % 2, 4)
-        for m, n in zip(rx, tx)
-    )
-    return math.floor(total)
+    return sum(m + n - (m + n) % 2 for m, n in zip(rx, tx)) // 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,16 +70,12 @@ def _verdict(num_users, m, n, paired: bool) -> FeasibilityVerdict:
     per_user = Fraction(d_hat, num_users)
     num_eq = num_users * (num_users - 1) * per_user ** 2
     num_var = num_users * per_user * (c + extra_tx - 2 * per_user)
-    if extra_tx == 0:
-        bound = 3 + Fraction(4 * rem, c - rem)
-    else:
-        bound = 3 + Fraction(4 * (n + rem), c - rem)
     return FeasibilityVerdict(
         system_label=f"({m}x{n + extra_tx}, {per_user})^{num_users}",
         num_equations=num_eq,
         num_variables=num_var,
         proper=num_eq <= num_var,
-        bound_rhs=bound,
+        bound_rhs=3 + Fraction(4 * (extra_tx + rem), c - rem),
     )
 
 
@@ -166,19 +158,14 @@ def time_share_schedule(num_users: int, dof_total: int) -> TimeShareSchedule:
     dof_total = _integral(dof_total, "dof_total", 0)
     num_slots = _slot_count(num_users, dof_total)
     base, remainder = divmod(dof_total, num_users)
-    if remainder == 0:
-        table = (tuple([base] * num_users),)
-        return TimeShareSchedule(num_users, dof_total, 0, 1, 0, table)
-    boosted = math.comb(num_users - 1, remainder - 1)
+    boosted = math.comb(num_users - 1, remainder - 1) if remainder else 0
     table = []
     for subset in itertools.combinations(range(num_users), remainder):
         row = [base] * num_users
         for k in subset:
             row[k] = base + 1
         table.append(tuple(row))
-    return TimeShareSchedule(
-        num_users, dof_total, remainder, num_slots, boosted, tuple(table)
-    )
+    return TimeShareSchedule(num_users, dof_total, remainder, num_slots, boosted, tuple(table))
 
 
 _BACKHAUL = {

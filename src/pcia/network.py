@@ -17,11 +17,13 @@ matrix, and a list grid given to the constructor, a solver or a scorer
 is checked and copied into it. Built from the matrix on first use, each
 view also caches the arrays that depend on the draw alone: the
 zero-padded stacked grid (on a uniform grid, the matrix reshaped rather
-than copied block by block), the forward and reverse link grids in the
-transmitter-major layout the covariance kernel of :mod:`pcia.linalg`
-reads, and the pinned SVD of the direct blocks. Every design and every
-score on one draw reads the same copy, whatever its time-share slot or
-SNR point, so no solver copies a grid. Views and caches are read-only.
+than copied block by block), zero forcing's zero-padded row stack, the
+forward and reverse link grids in the transmitter-major layout the
+covariance kernel of :mod:`pcia.linalg` reads, and the pinned SVD of the
+direct blocks. Every design and every score on one draw reads the same
+copy, whatever its time-share slot or SNR point, so no solver copies a
+grid, and no other module reads the per-user lists. Views and caches
+are read-only.
 """
 
 from __future__ import annotations
@@ -250,6 +252,11 @@ class _BlockGrid:
             padded = _stack(list(itertools.chain(*self.blocks)), m, n)
             return _read_only(padded.reshape(k, k, m, n))
         return _read_only(np.ascontiguousarray(self._matrix.reshape(k, m, k, n).swapaxes(1, 2)))
+
+    @functools.cached_property
+    def _row_stack(self) -> np.ndarray:
+        """The row blocks as one zero-padded ``(K, m, sum(n))`` array."""
+        return _read_only(_stack(self._rows, max(self.rx_sizes), self._matrix.shape[1]))
 
     @functools.cached_property
     def _forward(self) -> np.ndarray:

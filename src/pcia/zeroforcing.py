@@ -5,9 +5,10 @@ transmit antennas of the network, inside the null space of every other
 user's channel rows, so inter-user interference vanishes by construction
 at the cost of network-wide data sharing.
 
-The design reads the channel's cached row blocks and is batched over
-users, one LAPACK call per distinct matrix shape for each of its two
-SVD steps, so it costs the same few calls for every user count.
+The design reads the channel view's matrix and its cached row stack and
+is batched over users, one LAPACK call per distinct matrix shape for
+each of its two SVD steps, so it costs the same few calls for every
+user count.
 """
 
 from __future__ import annotations
@@ -67,12 +68,11 @@ def bd_zero_forcing(
     num_users = channel.num_users
     if dof is not None:
         dof = _stream_counts(dof, num_users)
-    n_total = sum(channel.tx_sizes)
-    rows = channel._rows
+    n_total, rx_sizes = sum(channel.tx_sizes), channel.rx_sizes
     nulls = [np.eye(n_total, dtype=np.complex128)] if num_users == 1 else [None] * num_users
     # Singular values at or below ``rank_tol`` times the largest count as
     # zero; the null basis is the matching trailing right singular vectors.
-    for users, index in _other_rows(channel.rx_sizes) if num_users > 1 else ():
+    for users, index in _other_rows(rx_sizes) if num_users > 1 else ():
         _, svals, vh = np.linalg.svd(channel._matrix[index])
         ranks = np.add.reduce(svals > rank_tol * svals[:, :1], axis=1).tolist()
         for k, v, rank in zip(users, vh.conj().transpose(0, 2, 1), ranks):
@@ -86,24 +86,23 @@ def bd_zero_forcing(
             raise BDInfeasible(
                 f"zero forcing leaves user {k} no interference-free directions: "
                 f"{n_total} pooled antennas cannot avoid "
-                f"{sum(channel.rx_sizes) - rows[k].shape[0]} foreign receive dimensions")
-        cap = min(rows[k].shape[0], null.shape[1])
+                f"{sum(rx_sizes) - rx_sizes[k]} foreign receive dimensions")
+        cap = min(rx_sizes[k], null.shape[1])
         want = cap if dof is None else dof[k]
         if want > cap:
             raise BDInfeasible(
                 f"user {k} asked for {want} streams but zero forcing supports {cap}")
         granted.append(want)
     width = max(granted)
-    receive = np.zeros((num_users, max(channel.rx_sizes), width), dtype=np.complex128)
+    receive = np.zeros((num_users, max(rx_sizes), width), dtype=np.complex128)
     transmit = np.zeros((num_users, n_total, width), dtype=np.complex128)
-    for ((m, _), _, want), users in _groups(tuple(
-            (row.shape, null.shape, want) for row, null, want in zip(rows, nulls, granted))):
+    for (m, _, want), users in _groups(tuple(
+            (m, null.shape, want) for m, null, want in zip(rx_sizes, nulls, granted))):
         if want == 0:
             continue
         # Each null basis keeps its column-major layout in the stack.
         null = np.array([nulls[k].T for k in users.tolist()]).transpose(0, 2, 1)
-        u, _, v = _pinned_svd(np.array([rows[k] for k in users.tolist()]) @ null)
+        u, _, v = _pinned_svd(channel._row_stack[users, :m] @ null)
         transmit[users, :, :want] = null @ v[:, :, :want]
         receive[users, :m, :want] = u[:, :, :want]
-    return BeamformerSet(receive, transmit, channel.rx_sizes, (n_total,) * num_users,
-                         tuple(granted))
+    return BeamformerSet(receive, transmit, rx_sizes, (n_total,) * num_users, tuple(granted))

@@ -104,6 +104,6 @@ def cached_arrays(channel, equiv) -> list:
     """Every per-draw cached array of a channel and its paired view, built by reading it."""
     arrays = list(channel._rows)
     for grid in (channel, equiv):
-        arrays += [grid._stacked, grid._forward, grid._reverse]
+        arrays += [grid._stacked, grid._row_stack, grid._forward, grid._reverse]
         arrays += [a for triplet in grid._direct_svd for a in triplet]
     return arrays

@@ -149,6 +149,7 @@ def test_generic_scheme_needs_single_station_support(tmp_path, capsys):
     ({"snr_grid_db": [4000.0]}, "snr_grid_db must hold finite values"),
     ({"schemes": ["oneshot_partial", "oneshot_partial"]}, "schemes must not repeat a scheme"),
     ({"schemes": ["bdzf_full", "oneshot_partial", "bdzf_full"]}, "schemes must not repeat"),
+    ({"schemes": "bdzf_full"}, "schemes must be a list of scheme names, got 'bdzf_full'"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, breakage, fragment):
     config = _write_config(tmp_path, **breakage)

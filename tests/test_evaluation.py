@@ -36,7 +36,7 @@ from pcia import (
     run_experiment,
     sum_rate,
 )
-from pcia import evaluation
+from pcia import evaluation, network
 from pcia.evaluation import _run_single_trial
 
 from conftest import cached_arrays, random_orthonormal, zero_padded
@@ -441,6 +441,10 @@ def test_spec_validation():
     for grid in ("10", b"10", (4000.0,), (10.0, 3090.0)):
         with pytest.raises(ValueError, match="snr_grid_db"):
             ExperimentSpec(**good, snr_grid_db=grid)
+    # a bare scheme name is not split into characters
+    for schemes in ("bdzf_full", b"bdzf_full"):
+        with pytest.raises(ValueError, match="schemes must be a list of scheme names, got "):
+            ExperimentSpec(**good, schemes=schemes)
     # a scheme is run and written once
     for schemes in (("bdzf_full", "bdzf_full"),
                     ("oneshot_partial", "bdzf_full", "oneshot_partial")):
@@ -805,6 +809,47 @@ def test_a_designs_stacks_score_as_its_per_user_views(layout, seed):
                     == sum_rate(listed, beams.receive, beams.transmit, powers, beams.dof, 1.0))
         assert (alignment_residual(stacked, beams.receive_stack, beams.transmit_stack)
                 == alignment_residual(listed, beams.receive, beams.transmit))
+
+
+@pytest.mark.parametrize("layout", DESIGN_LAYOUTS)
+def test_a_view_scores_as_its_stacked_grid(layout):
+    # The harness scores each design on its channel view. One-shot,
+    # iterative and generic designs score the same bits as on the view's
+    # stacked grid.
+    cfg = DESIGN_LAYOUTS[layout]
+    channel = generate_channel(cfg, 3)
+    equiv = equivalent_channel(channel, build_permutation(cfg))
+    designs = [(equiv, one_shot_ia(cfg, equiv))] + [
+        (view, iterate_distributed_ia(view, cfg.dof, max_iters=20, init="random", seed=3))
+        for view in (equiv, channel)]
+    for view, beams in designs:
+        u, v = beams.receive_stack, beams.transmit_stack
+        assert alignment_residual(view, u, v) == alignment_residual(view._stacked, u, v)
+        assert (sum_rate(view, u, v, [10.0] * cfg.num_users, beams.dof, 1.0)
+                == sum_rate(view._stacked, u, v, [10.0] * cfg.num_users, beams.dof, 1.0))
+
+
+def test_a_list_grid_is_read_through_one_view_per_scorer_call(monkeypatch, k3_config,
+                                                               k3_channel):
+    built = []
+    init = network._BlockGrid.__init__
+
+    def counted(self, blocks):
+        built.append(self)
+        init(self, blocks)
+
+    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    beams = one_shot_ia(k3_config, equiv)
+    blocks = [list(row) for row in equiv.blocks]
+    monkeypatch.setattr(network._BlockGrid, "__init__", counted)
+    sum_rate(blocks, beams.receive, beams.transmit, [1.0] * 3, beams.dof, 1.0)
+    assert len(built) == 1
+    alignment_residual(blocks, beams.receive, beams.transmit)
+    assert len(built) == 2
+    # A view or a stacked grid is read as it is.
+    alignment_residual(equiv, beams.receive, beams.transmit)
+    sum_rate(equiv._stacked, beams.receive, beams.transmit, [1.0] * 3, beams.dof, 1.0)
+    assert len(built) == 2
 
 
 def test_a_trial_writes_into_no_filter_and_no_cache(monkeypatch):

@@ -28,6 +28,9 @@
 * No package module but ``network`` raises ``ValueError`` from an ``if``
   that compares with an int literal: a count's floor is checked by
   ``network._integral``, with the one message every count shares.
+* No package module but ``network`` reads a channel view's per-user
+  lists, ``.blocks`` or ``._rows``: solvers and scorers read the draw
+  through the view's arrays.
 """
 
 import ast
@@ -387,4 +390,30 @@ def test_count_floors_are_checked_by_the_one_helper():
              for module, tree in _package_trees().items() if module != COUNT_RULE
              for line, comparison in _count_floors(tree)]
     assert not found, ("check a count with network._integral(value, name, least):\n"
+                       + "\n".join(found))
+
+
+# The module that holds the channel views, the only reader of their per-user lists.
+VIEW_MODULE = "network"
+PER_USER_LISTS = {"blocks", "_rows"}
+
+
+def _per_user_reads(tree: ast.Module) -> list:
+    """``(line, attribute)`` of each ``.blocks`` or ``._rows`` attribute read."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in PER_USER_LISTS)
+
+
+def test_the_check_sees_a_per_user_list_read():
+    tree = ast.parse("rows = channel._rows\nb = view.blocks[k][k]\n"
+                     "def f(blocks, _rows):\n    return blocks, _rows, view.block_norms\n"
+                     "n = len(g.blocks)\n")
+    assert _per_user_reads(tree) == [(1, "_rows"), (2, "blocks"), (5, "blocks")]
+
+
+def test_only_the_view_module_reads_per_user_lists():
+    found = [f"src/pcia/{module}.py:{line}: .{attr}"
+             for module, tree in _package_trees().items() if module != VIEW_MODULE
+             for line, attr in _per_user_reads(tree)]
+    assert not found, ("read the view's arrays (_matrix, _row_stack, _stacked) instead:\n"
                        + "\n".join(found))

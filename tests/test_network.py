@@ -18,6 +18,7 @@ from pcia import (
     run_experiment,
     time_share_schedule,
 )
+from pcia.linalg import _stack
 from pcia.network import (
     ChannelSet,
     EquivalentChannel,
@@ -318,6 +319,25 @@ def test_link_grids_stack_each_transmitters_blocks(cfg):
         assert np.array_equal(view._forward, forward)
         assert np.array_equal(view._reverse, reverse)
         assert view._forward.flags.c_contiguous and view._reverse.flags.c_contiguous
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig.symmetric(4, 2, 3, 1),
+    NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0)),
+], ids=["uniform", "stations-232"])
+def test_the_row_stack_is_the_padded_row_blocks(cfg):
+    # Zero forcing reads each user's rows from one (K, m, sum(n)) stack.
+    channel = generate_channel(cfg, 4)
+    rows = channel._row_stack
+    assert _bits(rows) == _bits(_stack(channel._rows, max(cfg.rx_antennas),
+                                       sum(cfg.tx_antennas)))
+    assert channel._row_stack is rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0, 0] = 1.0
 
 
 def test_channel_copies_the_callers_arrays():
