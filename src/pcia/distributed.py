@@ -4,24 +4,24 @@ This is the classical alternating baseline: receive filters take the
 least-interfered directions of the forward covariance, transmit precoders
 take the least-leaking directions of the reciprocal covariance, and the
 two steps repeat until the residual interference power is negligible
-against the initial signal power. It runs on any square block grid, so
-the same code covers the plain per-station channel and the paired one.
+against the initial signal power. It starts from seeded random precoders
+and runs on either channel view, so the same code covers the plain
+per-station channel and the paired one.
 
 The loop reads what the channel view caches per draw: the forward and
 reverse link grids, zero-padded and already in the transmitter-major
-layout of the covariance kernel of :mod:`pcia.linalg`, and, for the SVD
-start, the pinned SVD of the direct blocks; a list grid is checked and
-copied into a view first. No grid is copied per run, and each
-half-iteration is one kernel call (one product per transmitter, cached
-half weights) and one batched ``eigh`` over all users, through that
-module's LAPACK entry point; the recorded leakage is the sum of each
-user's smallest eigenvalues. The whole loop runs inside one LAPACK error
-state, entered once per run, so non-convergence or a NaN anywhere in it
-raises ``LinAlgError``, and so does a leakage that is not finite. Uneven
-stream counts, silent users included, ride as zero-weight padding
-columns; ragged antenna counts as padded dimensions loaded above the
-trace so they sort last. The covariances depend only on ``V V^H``, so
-column phases are pinned once, on the loop's own stacks, padding zeroed.
+layout of the covariance kernel of :mod:`pcia.linalg`. No grid is copied
+per run, and each half-iteration is one kernel call (one product per
+transmitter, cached half weights) and one batched ``eigh`` over all
+users, through that module's LAPACK entry point; the recorded leakage is
+the sum of each user's smallest eigenvalues. The whole loop runs inside
+one LAPACK error state, entered once per run, so non-convergence or a
+NaN anywhere in it raises ``LinAlgError``, and so does a leakage that is
+not finite. Uneven stream counts, silent users included, ride as
+zero-weight padding columns; ragged antenna counts as padded dimensions
+loaded above the trace so they sort last. The covariances depend only on
+``V V^H``, so column phases are pinned once, on the loop's own stacks,
+padding zeroed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .linalg import (
     _unit_power_weights,
     fix_column_phases,
 )
-from .network import BeamformerSet, _integral, _stream_counts, _tolerance, _view
+from .network import _VIEWS, BeamformerSet, _integral, _require, _stream_counts, _tolerance
 
 __all__ = ["DistributedInfeasible", "iterate_distributed_ia"]
 
@@ -73,26 +73,23 @@ def _padding(sizes: Sequence, size: int) -> Optional[np.ndarray]:
 
 
 def iterate_distributed_ia(
-    blocks,
+    channel,
     dof: Sequence,
     max_iters: int = 1000,
     leakage_tol: float = 1e-8,
-    init: str = "svd",
-    seed=None,
+    *,
+    seed,
 ) -> BeamformerSet:
     """Alternate receive and transmit updates until leakage dies out.
 
     Args:
-        blocks: a channel view, whose cached link grids and direct-block
-            SVD the run reads; or a square list grid, where
-            ``blocks[k][l]`` maps transmitter ``l`` into receiver ``k``,
-            checked and copied into a view first.
+        channel: a :class:`ChannelSet` or :class:`EquivalentChannel`,
+            whose cached link grids the run reads.
         dof: streams per user (zero marks a silent user). Each message
             runs at unit power, a weight of ``1 / dof[k]`` per stream on
             the forward and reverse links alike.
-        init: ``"svd"`` starts from the dominant right singular vectors
-            of each direct block; ``"random"`` draws a seeded orthonormal
-            start instead.
+        seed: anything accepted by ``np.random.default_rng``; it draws
+            the orthonormal precoders the run starts from.
 
     Returns:
         BeamformerSet with the run's leakage history, iteration count and
@@ -101,20 +98,20 @@ def iterate_distributed_ia(
         out of iterations is reported, never raised.
 
     Raises:
+        TypeError: ``channel`` is not a channel view.
         DistributedInfeasible: a user asks for more streams than its
             direct block supports.
         numpy.linalg.LinAlgError: a recorded leakage is not finite, a NaN
             arose in the loop, or an ``eigh`` did not converge; finite
             channel entries whose products overflow, say.
         ValueError: ``dof`` does not give one whole, non-negative count
-            per user, ``max_iters`` is not a positive whole number,
-            ``leakage_tol`` is not positive and finite, ``init`` is
-            unknown, or a list grid is not square or has a NaN or
-            infinite entry. These are caller errors, not infeasibility.
+            per user, ``max_iters`` is not a positive whole number, or
+            ``leakage_tol`` is not positive and finite. These are caller
+            errors, not infeasibility.
     """
-    view = _view(blocks)
-    num_users = view.num_users
-    rows, cols = view.rx_sizes, view.tx_sizes
+    _require(channel, "channel", *_VIEWS)
+    num_users = channel.num_users
+    rows, cols = channel.rx_sizes, channel.tx_sizes
     dof = _stream_counts(dof, num_users)
     max_iters = _integral(max_iters, "max_iters", 1)
     leakage_tol = _tolerance(leakage_tol, "leakage_tol")
@@ -124,27 +121,21 @@ def iterate_distributed_ia(
                 f"user {k} asks for {dof[k]} streams on a {(rows[k], cols[k])} block"
             )
 
-    if init == "svd":
-        start = [v[:, :d] for (_, _, v), d in zip(view._direct_svd, dof)]
-    elif init == "random":
-        rng = np.random.default_rng(seed)
-        start = []
-        for k in range(num_users):
-            raw = rng.standard_normal((cols[k], dof[k])) + 1j * rng.standard_normal(
-                (cols[k], dof[k]))
-            start.append(np.linalg.qr(raw)[0] if dof[k] else np.zeros((cols[k], 0)))
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
+    rng = np.random.default_rng(seed)
+    start = []
+    for n, d in zip(cols, dof):
+        raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        start.append(np.linalg.qr(raw)[0] if d else np.zeros((n, 0)))
 
     per_stream = _unit_power_weights(dof)
     threshold = leakage_tol * sum(
         per_stream[k] * float(np.linalg.norm(
-            view._stacked[k, k, :rows[k], :cols[k]] @ start[k], "fro") ** 2)
+            channel._stacked[k, k, :rows[k], :cols[k]] @ start[k], "fro") ** 2)
         for k in range(num_users) if dof[k] > 0
     )
 
-    forward, reverse = view._forward, view._reverse
-    _, _, rx_size, tx_size = view._stacked.shape
+    forward, reverse = channel._forward, channel._reverse
+    _, _, rx_size, tx_size = channel._stacked.shape
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     weights = _interferer_weights(tuple(per_stream), tuple(dof))

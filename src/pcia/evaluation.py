@@ -11,7 +11,6 @@ and averaging rates across slots.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -77,7 +76,7 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     Args:
         blocks: square grid; ``blocks[k][l]`` carries transmitter ``l``
             into receiver ``k``. A list grid or a channel view is read
-            through the checked channel view the solvers use; a
+            through the checked channel view the solvers take; a
             zero-padded ``(K, K, m, n)`` stacked array is taken as it is.
             Its transmitter axis may have length 1 when every transmitter
             reaches receiver ``k`` through the same rows.
@@ -340,13 +339,13 @@ def _design(spec, scheme, cfg, channel, equiv, trial, slot, max_iters):
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
     else:
         # The iterative baseline is defined by leakage minimization alone,
-        # so start it from seeded random precoders. An SVD start would hand
-        # it the signal-aware solution the one-shot scheme is being credited
+        # so its one start is seeded random precoders. A signal-aware start
+        # would hand it the solution the one-shot scheme is being credited
         # for, hiding the low-SNR gap the comparison exists to measure.
         grid = equiv if scheme == "distributed_partial" else channel
         beams = iterate_distributed_ia(
             grid, cfg.dof, max_iters=max_iters, leakage_tol=spec.leakage_tol,
-            init="random", seed=np.random.SeedSequence((spec.seed, trial, slot)),
+            seed=np.random.SeedSequence((spec.seed, trial, slot)),
         )
     return grid, beams, _slot_power_scale(cfg.dof)
 
@@ -416,6 +415,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     if workers == 1:
         outcomes = [_run_single_trial(spec, t) for t in range(spec.trials)]
     else:
+        import concurrent.futures  # with its logging and threading, for pools only
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_single_trial, [spec] * spec.trials, range(spec.trials)))
     points = {}

@@ -13,17 +13,17 @@ by an index built once per antenna layout.
 
 Each channel view is one read-only matrix cut into blocks: ``blocks``,
 the row blocks and :meth:`~ChannelSet.assemble` are views of that
-matrix, and a list grid given to the constructor, a solver or a scorer
-is checked and copied into it. Built from the matrix on first use, each
-view also caches the arrays that depend on the draw alone: the
-zero-padded stacked grid (on a uniform grid, the matrix reshaped rather
-than copied block by block), zero forcing's zero-padded row stack, the
-forward and reverse link grids in the transmitter-major layout the
-covariance kernel of :mod:`pcia.linalg` reads, and the pinned SVD of the
-direct blocks. Every design and every score on one draw reads the same
-copy, whatever its time-share slot or SNR point, so no solver copies a
-grid, and no other module reads the per-user lists. Views and caches
-are read-only.
+matrix, and a list grid given to the constructor or a scorer is checked
+and copied into it; a solver takes a view and nothing else. Built from
+the matrix on first use, each view also caches the arrays that depend on
+the draw alone: the zero-padded stacked grid (on a uniform grid, the
+matrix reshaped rather than copied block by block), zero forcing's
+zero-padded row stack, the forward and reverse link grids in the
+transmitter-major layout the covariance kernel of :mod:`pcia.linalg`
+reads, and the pinned SVD of the direct blocks. Every design and every
+score on one draw reads the same copy, whatever its time-share slot or
+SNR point, so no solver copies a grid, and no other module reads the
+per-user lists. Views and caches are read-only.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def _tolerance(value, name: str) -> float:
     if not 0 < tol < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return tol
+
+
+def _require(value, name: str, *kinds, ndim=None) -> None:
+    """A solver's entry check: a TypeError naming ``name`` unless ``value`` is one of ``kinds``."""
+    foreign = not isinstance(value, kinds)
+    if foreign or (ndim is not None and value.ndim != ndim):
+        form = " or ".join(k.__name__ for k in kinds) + (f" with {ndim} axes" if ndim else "")
+        got = type(value).__name__ + ("" if foreign else f" with {value.ndim} axes")
+        raise TypeError(f"{name} must be {form}, got {got}")
 
 
 def _stream_counts(dof, num_users: int) -> list:
@@ -297,7 +306,7 @@ class _BlockGrid:
 
 
 def _view(blocks) -> _BlockGrid:
-    """A channel view as it is, or a list grid checked and copied into one: its only way in."""
+    """A channel view as it is, or a list grid checked and copied into one: the scorers' way in."""
     return blocks if isinstance(blocks, _BlockGrid) else _BlockGrid(blocks)
 
 
@@ -406,6 +415,10 @@ class EquivalentChannel(_BlockGrid):
     ``blocks[i][k]`` is ``m_i x (n_k' + n_k)``: user ``i``'s channel from
     the pair of stations that cooperate on user ``k``'s message.
     """
+
+
+# Both channel views: the leakage loop runs on either.
+_VIEWS = (ChannelSet, EquivalentChannel)
 
 
 def equivalent_channel(channel: ChannelSet, perm: PermutationMap) -> EquivalentChannel:

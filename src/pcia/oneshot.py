@@ -21,20 +21,21 @@ cross links exist in closed form and are found in one pass:
    ``_MAX_SUBSETS`` subsets is refused before any table is built.
 
 What does not depend on the slot's stream counts is computed once per
-draw: the channel caches its stacked grid, its reverse link grid in the
-covariance kernel's layout and the pinned SVD of its direct blocks. What
-depends on the config alone (the active users, the stream bound, the
-kernel's half weights at unit power and each width group's index array)
-is built once per config. A slot's covariances are one stack of its
-receive filters and one kernel call, and its null spaces one LAPACK call
-per paired width, phases pinned on the stack. That receive stack is the
-design's own. One pass over the groups of users sharing every filter
-shape and nullity then runs each group's subset search, one gather and
-product per minor level, and its rank-check ``svd`` on its filters
-gathered from that stack and its picks, which it then scatters into the
-design's zero-padded transmit stack; a group with exactly as many
-directions as streams keeps its bases. Grouping ragged shapes, never
-padding them, keeps each decomposition exactly the one of its own matrix.
+draw and cached on the paired view its caller builds: the stacked grid,
+the reverse link grid in the covariance kernel's layout and the pinned
+SVD of the direct blocks. What depends on the config alone (the active
+users, the stream bound, the kernel's half weights at unit power and
+each width group's index array) is built once per config. A slot's
+covariances are one stack of its receive filters and one kernel call,
+and its null spaces one LAPACK call per paired width, phases pinned on
+the stack. That receive stack is the design's own. One pass over the
+groups of users sharing every filter shape and nullity then runs each
+group's subset search, one gather and product per minor level, and its
+rank-check ``svd`` on its filters gathered from that stack and its
+picks, which it then scatters into the design's zero-padded transmit
+stack; a group with exactly as many directions as streams keeps its
+bases. Grouping ragged shapes, never padding them, keeps each
+decomposition exactly the one of its own matrix.
 No iteration and no channel extension is involved.
 """
 
@@ -59,14 +60,7 @@ from .linalg import (
     _unit_power_weights,
     fix_column_phases,
 )
-from .network import (
-    BeamformerSet,
-    EquivalentChannel,
-    NetworkConfig,
-    _tolerance,
-    build_permutation,
-    equivalent_channel,
-)
+from .network import BeamformerSet, EquivalentChannel, NetworkConfig, _require, _tolerance
 
 __all__ = [
     "OneShotInfeasible",
@@ -249,84 +243,82 @@ def _minor_tables(a: int, d: int) -> tuple:
 
 
 def select_transmit_beamformer(
-    receive_k: np.ndarray,
-    direct_block: np.ndarray,
-    null_basis: np.ndarray,
-    dof_k: int,
+    receive: np.ndarray,
+    direct: np.ndarray,
+    null_bases: np.ndarray,
+    dof: int,
     user: Optional[int] = None,
 ) -> np.ndarray:
-    """Pick the best stream subset of the admissible precoder directions.
+    """Pick each user's best stream subset of its admissible precoder directions.
 
-    Every ``dof_k``-column subset of ``null_basis`` cancels all cross
-    links equally well, so the choice is scored on the direct link
-    through ``B = receive_k^H @ direct_block @ candidate``, by the
-    product of the eigenvalue moduli of ``B``, ``|det B|``: the paper's
-    geometric rule, favouring well-conditioned stream separation.
+    The arguments are stacks with a leading axis over ``G`` users sharing
+    one stream count ``dof``: ``(G, m, d)`` receive filters, ``(G, m, n)``
+    direct blocks and ``(G, n, a)`` null bases. Every ``dof``-column
+    subset of a user's basis cancels all cross links equally well, so
+    the choice is scored on the direct link through
+    ``B = receive^H @ direct @ candidate``, by the product of the
+    eigenvalue moduli of ``B``, ``|det B|``: the paper's geometric rule,
+    favouring well-conditioned stream separation.
 
-    With ``P = receive_k^H @ direct_block @ null_basis``, every subset's
-    ``det B`` is its ``dof_k x dof_k`` minor of ``P``, built level by
-    level: the minors of the ``j``-subsets on the first ``j`` rows
-    expand along row ``j - 1`` into those of the ``(j - 1)``-subsets,
-    one gather and product per level over index tables cached per
+    With ``P = receive^H @ direct @ basis``, every subset's ``det B`` is
+    its ``dof x dof`` minor of ``P``, built level by level: the minors of
+    the ``j``-subsets on the first ``j`` rows expand along row ``j - 1``
+    into those of the ``(j - 1)``-subsets, one gather and product per
+    level for all ``G`` users at once, over index tables cached per
     nullity and stream count. Ties break toward the lexicographically
-    first subset.
-
-    Stacks with a leading user axis, ``(G, m, d)`` filters, ``(G, m, n)``
-    direct blocks and ``(G, n, a)`` bases sharing one ``dof_k``, give the
-    ``(G, n, d)`` stack of every user's own pick from one search: each
-    level is built for all ``G`` users at once. ``user`` then names the
-    stack's first user.
+    first subset. Returns the ``(G, n, dof)`` stack of the picks;
+    ``user`` names the stack's first user in errors.
 
     Raises:
+        TypeError: an argument is not a numpy array with three axes.
         OneShotInfeasible: when fewer admissible directions exist than
             streams requested, or when the widest level of the search,
-            ``comb(nullity, min(dof_k, nullity // 2))`` subsets, exceeds
+            ``comb(nullity, min(dof, nullity // 2))`` subsets, exceeds
             ``_MAX_SUBSETS``; either before any table is built.
     """
-    nullity = null_basis.shape[-1]
-    if dof_k == 0:
-        return np.zeros(null_basis.shape[:-1] + (0,), dtype=np.complex128)
+    for name, stack in (("receive", receive), ("direct", direct), ("null_bases", null_bases)):
+        _require(stack, name, np.ndarray, ndim=3)
+    nullity = null_bases.shape[-1]
+    if dof == 0:
+        return np.zeros(null_bases.shape[:-1] + (0,), dtype=np.complex128)
     who = user if user is not None else "?"
-    if nullity < dof_k:
+    if nullity < dof:
         raise OneShotInfeasible(
-            f"user {who} has only {nullity} interference-free directions for {dof_k} streams",
-            user=user, nullity=nullity, dof=dof_k,
+            f"user {who} has only {nullity} interference-free directions for {dof} streams",
+            user=user, nullity=nullity, dof=dof,
         )
-    if nullity == dof_k:
-        return null_basis
-    widest = math.comb(nullity, min(dof_k, nullity // 2))
+    if nullity == dof:
+        return null_bases
+    widest = math.comb(nullity, min(dof, nullity // 2))
     if widest > _MAX_SUBSETS:
         raise OneShotInfeasible(
             f"user {who} would score {widest} subsets in one level of the search over "
-            f"{nullity} directions for {dof_k} streams; the search holds at most "
+            f"{nullity} directions for {dof} streams; the search holds at most "
             f"{_MAX_SUBSETS}",
-            user=user, nullity=nullity, dof=dof_k,
+            user=user, nullity=nullity, dof=dof,
         )
-    stacked = null_basis.ndim == 3
-    if not stacked:
-        receive_k, direct_block, null_basis = receive_k[None], direct_block[None], null_basis[None]
-    projected = receive_k.conj().transpose(0, 2, 1) @ direct_block @ null_basis
-    levels, subsets = _minor_tables(nullity, dof_k)
+    projected = receive.conj().transpose(0, 2, 1) @ direct @ null_bases
+    levels, subsets = _minor_tables(nullity, dof)
     minors = projected[:, 0]
     for row, (cols, drops, signs) in enumerate(levels, 1):
         minors = (projected[:, row].take(cols, axis=1) * minors.take(drops, axis=1)) @ signs
     best_cols = subsets[np.abs(minors).argmax(axis=1)]
-    picks = np.take_along_axis(null_basis, best_cols[:, None, :], axis=2)
-    return picks if stacked else picks[0]
+    return np.take_along_axis(null_bases, best_cols[:, None, :], axis=2)
 
 
 def one_shot_ia(
     config: NetworkConfig,
-    channel,
+    equiv: EquivalentChannel,
     rank_tol: float = 1e-9,
 ) -> BeamformerSet:
     """Design all receive filters and paired transmit precoders in one pass.
 
     Args:
-        channel: a :class:`ChannelSet`, or an already-built
-            :class:`EquivalentChannel` to skip the reindexing.
+        equiv: the paired view of the draw, as :func:`pcia.equivalent_channel`
+            builds it; every time-share slot of the draw reads its caches.
 
     Raises:
+        TypeError: ``equiv`` is not an :class:`EquivalentChannel`.
         OneShotInfeasible: total streams exceed the smallest paired width
             among active users, or a null space comes up short.
         RankDeficientDesired: a direct link lost stream rank after
@@ -334,6 +326,7 @@ def one_shot_ia(
         ValueError: ``rank_tol`` is not positive and finite, or the
             channel's antenna layout is not the config's.
     """
+    _require(equiv, "equiv", EquivalentChannel)
     rank_tol = _tolerance(rank_tol, "rank_tol")
     plan = _slot_plan(config)
     if not plan.active:
@@ -345,9 +338,6 @@ def one_shot_ia(
             f"smallest paired antenna width is {plan.bound} among active users",
             nullity=plan.bound, dof=d_hat,
         )
-    equiv = channel
-    if not isinstance(channel, EquivalentChannel):
-        equiv = equivalent_channel(channel, build_permutation(config))
     receive = design_receive_beamformers(equiv, config)
     state = reciprocal_state(equiv, receive, config, rank_tol)
     # One pass over the groups sharing filter and basis shapes, so a block

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import _groups, _pinned_svd
-from .network import BeamformerSet, ChannelSet, _read_only, _slices, _stream_counts, _tolerance
+from .linalg import _groups, _pinned_svd, _read_only
+from .network import BeamformerSet, ChannelSet, _require, _slices, _stream_counts, _tolerance
 
 __all__ = ["BDInfeasible", "bd_zero_forcing"]
 
@@ -59,11 +59,13 @@ def bd_zero_forcing(
     Every precoder spans all ``sum(n)`` pooled antennas.
 
     Raises:
+        TypeError: ``channel`` is not a :class:`ChannelSet`.
         BDInfeasible: some user's null space is empty or smaller than its
             requested stream count.
         ValueError: ``dof`` does not give one whole, non-negative count
             per user, or ``rank_tol`` is not positive and finite.
     """
+    _require(channel, "channel", ChannelSet)
     rank_tol = _tolerance(rank_tol, "rank_tol")
     num_users = channel.num_users
     if dof is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcia.linalg import _covariance_stack, _interferer_weights, _stack, _unit_power_weights
-from pcia.network import NetworkConfig, build_permutation, generate_channel
+from pcia.network import NetworkConfig, build_permutation, equivalent_channel, generate_channel
 
 
 def random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -98,6 +98,11 @@ def k3_config():
 @pytest.fixture
 def k3_channel(k3_config):
     return generate_channel(k3_config, 424242)
+
+
+@pytest.fixture
+def k3_equiv(k3_config, k3_channel):
+    return equivalent_channel(k3_channel, build_permutation(k3_config))
 
 
 def cached_arrays(channel, equiv) -> list:

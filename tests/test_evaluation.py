@@ -94,7 +94,7 @@ def test_rates_invariant_under_filter_rotation():
 
 def test_aligned_beams_earn_interference_free_rates(k3_config, k3_channel):
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    beams = one_shot_ia(k3_config, k3_channel)
+    beams = one_shot_ia(k3_config, equiv)
     powers = [10.0] * 3
     _, with_cross = sum_rate(equiv.blocks, beams.receive, beams.transmit,
                              powers, k3_config.dof, 1.0)
@@ -144,8 +144,8 @@ def test_uneven_stream_rates_match_the_per_user_formula(rng):
 
 @pytest.mark.parametrize("powers", [[1.0], [1.0] * 4])
 def test_sum_rate_rejects_a_power_list_of_the_wrong_length(k3_config, k3_channel, powers):
-    beams = one_shot_ia(k3_config, k3_channel)
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    beams = one_shot_ia(k3_config, equiv)
     with pytest.raises(ValueError, match="one power per user"):
         sum_rate(equiv.blocks, beams.receive, beams.transmit, powers, k3_config.dof, 1.0)
 
@@ -164,8 +164,8 @@ def test_sum_rate_rejects_a_power_list_of_the_wrong_length(k3_config, k3_channel
 ])
 def test_sum_rate_rejects_negative_or_non_finite_powers(k3_config, k3_channel, noise, powers,
                                                         fragment):
-    beams = one_shot_ia(k3_config, k3_channel)
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    beams = one_shot_ia(k3_config, equiv)
     with pytest.raises(ValueError, match=fragment):
         sum_rate(equiv.blocks, beams.receive, beams.transmit, powers, k3_config.dof, noise)
 
@@ -180,8 +180,8 @@ def test_filter_lists_that_miss_a_user_are_rejected(k3_config, k3_channel, score
     # block used to be zero-padded and scored: on the K=3 2x2 draw of
     # seed 1 at power 100, the design scores 22.74 b/cu, and 15.41 with
     # user 0's receive filter cut to one row (residual 0.46).
-    beams = one_shot_ia(k3_config, k3_channel)
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    beams = one_shot_ia(k3_config, equiv)
     full = {"receive": beams.receive, "transmit": beams.transmit}
     nan = [f * np.nan if k == 1 else f for k, f in enumerate(full[short])]
     cut = [f[:-1] if k == 1 else f for k, f in enumerate(full[short])]
@@ -213,8 +213,8 @@ def test_malformed_list_grids_get_the_view_error(k3_config, k3_channel, score, f
     # stacking used to score a NaN block as aligned (residual 1.2e-16),
     # zero-pad a 3x4 block into a 2-row row, and fail a non-square grid
     # inside numpy's reshape.
-    beams = one_shot_ia(k3_config, k3_channel)
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    beams = one_shot_ia(k3_config, equiv)
     grid = [list(row) for row in equiv.blocks]
     if fault == "nan":
         grid[0][1] = np.full((2, 4), np.nan)
@@ -248,8 +248,8 @@ def test_a_nan_score_raises_instead_of_being_returned(score):
 
 
 def test_stream_counts_that_do_not_fit_the_filter_lists_are_rejected(k3_config, k3_channel):
-    beams = one_shot_ia(k3_config, k3_channel)
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+    beams = one_shot_ia(k3_config, equiv)
     args = (equiv.blocks, beams.receive, beams.transmit)
     with pytest.raises(ValueError, match="dof needs one entry per user: got 2 for 3"):
         sum_rate(*args, [1.0] * 2, [1, 1], 1.0)
@@ -687,8 +687,8 @@ def _list_grid_rates(spec):
                         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
                     else:
                         beams = iterate_distributed_ia(
-                            equiv.blocks, cfg.dof, max_iters=spec.max_iters,
-                            leakage_tol=spec.leakage_tol, init="random",
+                            equiv, cfg.dof, max_iters=spec.max_iters,
+                            leakage_tol=spec.leakage_tol,
                             seed=np.random.SeedSequence((spec.seed, t, slot)))
                     active = sum(d > 0 for d in cfg.dof)
                     scale = [users / active if d > 0 else 0.0 for d in cfg.dof]
@@ -771,7 +771,7 @@ def _designs(cfg, seed):
     users = cfg.num_users
     rows = np.array([np.pad(channel.row_block(k), ((0, max(cfg.rx_antennas) - m), (0, 0)))
                      for k, m in enumerate(cfg.rx_antennas)])[:, None]
-    iterative = iterate_distributed_ia(equiv, cfg.dof, max_iters=20, init="random", seed=seed)
+    iterative = iterate_distributed_ia(equiv, cfg.dof, max_iters=20, seed=seed)
     return {
         "oneshot": (one_shot_ia(cfg, equiv), equiv._stacked, equiv.blocks),
         "iterative": (iterative, equiv._stacked, equiv.blocks),
@@ -820,7 +820,7 @@ def test_a_view_scores_as_its_stacked_grid(layout):
     channel = generate_channel(cfg, 3)
     equiv = equivalent_channel(channel, build_permutation(cfg))
     designs = [(equiv, one_shot_ia(cfg, equiv))] + [
-        (view, iterate_distributed_ia(view, cfg.dof, max_iters=20, init="random", seed=3))
+        (view, iterate_distributed_ia(view, cfg.dof, max_iters=20, seed=3))
         for view in (equiv, channel)]
     for view, beams in designs:
         u, v = beams.receive_stack, beams.transmit_stack

@@ -1,4 +1,4 @@
-"""Stdlib-only checks for what a deletion can leave behind.
+"""Checks for what a deletion can leave behind, and for what must not grow back.
 
 * Every imported name is used. Covers the package modules (the package
   ``__init__`` re-exports by import, so it is left out) and the scripts.
@@ -31,11 +31,33 @@
 * No package module but ``network`` reads a channel view's per-user
   lists, ``.blocks`` or ``._rows``: solvers and scorers read the draw
   through the view's arrays.
+* No package module but ``evaluation``, whose scorers still take list
+  grids, reads ``network._view``: a solver takes a view, never a list.
+* ``import pcia`` loads no process pool: ``concurrent.futures``, with the
+  logging and threading it imports, waits for a sweep on two or more
+  workers.
+* Each solver refuses any input but its one form with a ``TypeError``
+  naming the argument, before any work.
 """
 
 import ast
 import collections
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pcia import (
+    NetworkConfig,
+    bd_zero_forcing,
+    generate_channel,
+    iterate_distributed_ia,
+    one_shot_ia,
+    select_transmit_beamformer,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pcia"
@@ -417,3 +439,71 @@ def test_only_the_view_module_reads_per_user_lists():
              for line, attr in _per_user_reads(tree)]
     assert not found, ("read the view's arrays (_matrix, _row_stack, _stacked) instead:\n"
                        + "\n".join(found))
+
+
+# The module whose scorers wrap a list grid into a channel view.
+LIST_GRID_READER = "evaluation"
+
+
+def _view_readers(trees: dict) -> list:
+    """Modules other than ``network`` that read ``_view``: import, call or name it."""
+    return sorted(module for module, tree in trees.items()
+                  if module != VIEW_MODULE and _reads(tree)["_view"])
+
+
+def test_the_check_sees_a_view_reader():
+    trees = {"network": ast.parse("def _view(blocks):\n    return blocks\n"),
+             "a": ast.parse("from .network import _view\n"),
+             "b": ast.parse("from . import network\ngrid = network._view(blocks)\n"),
+             "c": ast.parse("view = blocks\n")}
+    assert _view_readers(trees) == ["a", "b"]
+
+
+def test_only_the_scorers_wrap_a_list_grid_into_a_view():
+    readers = _view_readers(_package_trees())
+    assert set(readers) <= {LIST_GRID_READER}, (
+        "a solver takes a channel view; only the scorers read network._view:\n"
+        + "\n".join(f"src/pcia/{module}.py" for module in readers))
+
+
+def test_importing_the_package_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, pcia; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+_CFG = NetworkConfig.symmetric(3, 2, 2, 1)
+_CHANNEL = generate_channel(_CFG, 0)
+_LIST_GRID = [list(row) for row in _CHANNEL.blocks]
+_RECEIVE, _DIRECT, _BASES = np.zeros((3, 2, 1)), np.zeros((3, 2, 4)), np.zeros((3, 4, 2))
+
+# (solver call, the message of its refusal): each solver given a nested
+# list, the one-shot design the physical channel, the subset pick one
+# user's unstacked basis.
+REFUSALS = {
+    "one_shot_ia-list": (lambda: one_shot_ia(_CFG, _LIST_GRID),
+                         "equiv must be EquivalentChannel, got list"),
+    "one_shot_ia-channel-set": (lambda: one_shot_ia(_CFG, _CHANNEL),
+                                "equiv must be EquivalentChannel, got ChannelSet"),
+    "bd_zero_forcing-list": (lambda: bd_zero_forcing(_LIST_GRID),
+                             "channel must be ChannelSet, got list"),
+    "iterate_distributed_ia-list": (
+        lambda: iterate_distributed_ia(_LIST_GRID, _CFG.dof, seed=0),
+        "channel must be ChannelSet or EquivalentChannel, got list"),
+    "select_transmit_beamformer-list": (
+        lambda: select_transmit_beamformer(_RECEIVE.tolist(), _DIRECT, _BASES, 1),
+        "receive must be ndarray with 3 axes, got list"),
+    "select_transmit_beamformer-unstacked": (
+        lambda: select_transmit_beamformer(_RECEIVE, _DIRECT, _BASES[0], 1),
+        "null_bases must be ndarray with 3 axes, got ndarray with 2 axes"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_solver_refuses_any_other_input_form_by_name(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()

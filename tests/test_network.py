@@ -431,9 +431,9 @@ COUNT_ARGUMENTS = [
         ("dof_total", 1, 3), ("trials", 1, 1), ("seed", 0, 0), ("max_iters", 1, 1))],
     ("run_experiment", "workers", 1, 1, lambda v: run_experiment(_TINY, workers=v).to_records()),
     ("iterate_distributed_ia", "max_iters", 1, 2,
-     lambda v: iterate_distributed_ia(_K3_CHANNEL, _K3.dof, max_iters=v).leakage),
+     lambda v: iterate_distributed_ia(_K3_CHANNEL, _K3.dof, max_iters=v, seed=0).leakage),
     ("iterate_distributed_ia", "dof", 0, 1,
-     lambda v: iterate_distributed_ia(_K3_CHANNEL, [1, 1, v], max_iters=2).dof[2]),
+     lambda v: iterate_distributed_ia(_K3_CHANNEL, [1, 1, v], max_iters=2, seed=0).dof[2]),
     ("bd_zero_forcing", "dof", 0, 1, lambda v: bd_zero_forcing(_K3_CHANNEL, dof=[1, 1, v]).dof[2]),
     ("dof_upper_bound", "rx_antennas", 1, 2, lambda v: dof_upper_bound([2, 2, v], [2, 2, 2])),
     ("dof_upper_bound", "tx_antennas", 1, 2, lambda v: dof_upper_bound([2, 2, 2], [2, v, 2])),

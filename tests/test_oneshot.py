@@ -39,6 +39,11 @@ def _equiv(config, seed):
     return equivalent_channel(generate_channel(config, seed), build_permutation(config))
 
 
+def _pick(receive, direct, basis, d, user=None):
+    # One user's pick: the selector on stacks of one.
+    return select_transmit_beamformer(receive[None], direct[None], basis[None], d, user=user)[0]
+
+
 def test_receive_filters_reconstruct_direct_blocks(k3_config, k3_channel):
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
     receive = design_receive_beamformers(equiv, k3_config)
@@ -147,7 +152,7 @@ def test_selector_geometric_agrees_with_det(rng):
     direct = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
     basis = np.linalg.qr(rng.standard_normal((width, nullity))
                          + 1j * rng.standard_normal((width, nullity)))[0]
-    picked = select_transmit_beamformer(receive, direct, basis, d)
+    picked = _pick(receive, direct, basis, d)
     projected = receive.conj().T @ direct @ basis
     scores = {cols: abs(np.linalg.det(projected[:, cols]))
               for cols in combinations(range(nullity), d)}
@@ -159,49 +164,43 @@ def test_selector_tie_breaks_to_first_subset():
     receive = np.eye(1, dtype=np.complex128)
     direct = np.array([[1.0, 1.0]], dtype=np.complex128)
     basis = np.eye(2, dtype=np.complex128)
-    picked = select_transmit_beamformer(receive, direct, basis, 1)
+    picked = _pick(receive, direct, basis, 1)
     assert np.array_equal(picked, basis[:, [0]])
 
 
 def test_selector_rigid_path_returns_basis_unchanged():
     basis = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 2)))[0]
-    out = select_transmit_beamformer(np.eye(2), np.ones((2, 4)), basis.astype(complex), 2)
-    assert out is basis or np.array_equal(out, basis)
+    stack = basis.astype(complex)[None]
+    out = select_transmit_beamformer(np.eye(2)[None], np.ones((2, 4))[None], stack, 2)
+    assert out is stack
 
 
 def test_selector_failure_reports_shortfall():
     basis = np.zeros((4, 1), dtype=np.complex128)
     with pytest.raises(OneShotInfeasible) as exc:
-        select_transmit_beamformer(np.eye(2), np.ones((2, 4)), basis, 2, user=1)
+        _pick(np.eye(2), np.ones((2, 4)), basis, 2, user=1)
     assert exc.value.user == 1
     assert exc.value.nullity == 1
     assert exc.value.dof == 2
 
 
-def test_end_to_end_alignment_three_cells(k3_config, k3_channel):
-    beams = one_shot_ia(k3_config, k3_channel)
-    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
+def test_end_to_end_alignment_three_cells(k3_config, k3_equiv):
+    beams = one_shot_ia(k3_config, k3_equiv)
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            leak = beams.receive[i].conj().T @ equiv.blocks[i][j] @ beams.transmit[j]
+            leak = beams.receive[i].conj().T @ k3_equiv.blocks[i][j] @ beams.transmit[j]
             assert np.max(np.abs(leak)) < 1e-12
     for k in range(3):
-        eff = beams.receive[k].conj().T @ equiv.blocks[k][k] @ beams.transmit[k]
+        eff = beams.receive[k].conj().T @ k3_equiv.blocks[k][k] @ beams.transmit[k]
         assert np.linalg.svd(eff, compute_uv=False)[-1] > 1e-3
 
 
-def test_one_shot_accepts_prebuilt_equivalent(k3_config, k3_channel):
-    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    a = one_shot_ia(k3_config, k3_channel)
-    b = one_shot_ia(k3_config, equiv)
-    for k in range(3):
-        assert np.array_equal(a.transmit[k], b.transmit[k])
-        assert np.array_equal(a.receive[k], b.receive[k])
+def test_one_shot_accepts_prebuilt_equivalent(k3_config, k3_channel, k3_equiv):
     other = NetworkConfig.symmetric(3, 2, 3, 1)
     with pytest.raises(ValueError, match="widths"):
-        one_shot_ia(other, equiv)
+        one_shot_ia(other, k3_equiv)
     # Blocks with three receive rows under a two-antenna config used to
     # give (3, 1) filters: only the transmit widths were compared.
     tall = _equiv(NetworkConfig.symmetric(3, 3, 2, 1), 3)
@@ -209,10 +208,12 @@ def test_one_shot_accepts_prebuilt_equivalent(k3_config, k3_channel):
                                          r"the config's \(2, 2, 2\) x \(4, 4, 4\)"):
         one_shot_ia(k3_config, tall)
     # A physical channel of another station layout with the same antenna
-    # total used to be paired on the wrong columns and designed on.
+    # total used to be paired on the wrong columns and designed on. No
+    # physical channel is paired here now: the design takes the paired view.
     foreign = generate_channel(NetworkConfig([2, 2, 2], [3, 1, 2], [1, 1, 1]), 0)
-    with pytest.raises(ValueError, match="transmit antennas per station"):
-        one_shot_ia(k3_config, foreign)
+    for channel in (foreign, k3_channel):
+        with pytest.raises(TypeError, match="equiv must be EquivalentChannel, got ChannelSet"):
+            one_shot_ia(k3_config, channel)
 
 
 def test_one_shot_checks_the_layout_once_in_each_public_step(monkeypatch):
@@ -226,10 +227,8 @@ def test_one_shot_checks_the_layout_once_in_each_public_step(monkeypatch):
 
     monkeypatch.setattr(oneshot, "_check_layout", counted)
     cfg = NetworkConfig.symmetric(5, 2, 2, [1, 1, 1, 1, 0])
-    channel = generate_channel(cfg, 0)
-    one_shot_ia(cfg, channel)
-    one_shot_ia(cfg, equivalent_channel(channel, build_permutation(cfg)))
-    assert checks == [cfg] * 4
+    one_shot_ia(cfg, _equiv(cfg, 0))
+    assert checks == [cfg] * 2
 
 
 def test_receive_design_checks_the_channel_layout(k3_config):
@@ -297,11 +296,10 @@ def test_slot_plans_are_cached_per_config_and_read_only():
 
 def test_silent_user_occupies_no_dimensions():
     cfg = NetworkConfig.symmetric(3, 2, 2, [2, 1, 0])
-    channel = generate_channel(cfg, 1234)
-    beams = one_shot_ia(cfg, channel)
+    equiv = _equiv(cfg, 1234)
+    beams = one_shot_ia(cfg, equiv)
     assert beams.transmit[2].shape == (4, 0)
     assert beams.receive[2].shape == (2, 0)
-    equiv = equivalent_channel(channel, build_permutation(cfg))
     for i, j in ((0, 1), (1, 0)):
         leak = beams.receive[i].conj().T @ equiv.blocks[i][j] @ beams.transmit[j]
         assert np.max(np.abs(leak)) < 1e-12
@@ -310,30 +308,29 @@ def test_silent_user_occupies_no_dimensions():
 def test_all_silent_users_rejected():
     cfg = NetworkConfig.symmetric(3, 2, 2, 0)
     with pytest.raises(ValueError, match="active"):
-        one_shot_ia(cfg, generate_channel(cfg, 0))
+        one_shot_ia(cfg, _equiv(cfg, 0))
 
 
 def test_stream_demand_beyond_paired_width():
     cfg = NetworkConfig.symmetric(5, 2, 2, 1)
     with pytest.raises(OneShotInfeasible) as exc:
-        one_shot_ia(cfg, generate_channel(cfg, 55))
+        one_shot_ia(cfg, _equiv(cfg, 55))
     assert exc.value.dof == 5
     assert exc.value.nullity == 4  # the binding paired width
 
 
 @pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1.0, 0.0])
-def test_rank_tolerance_must_be_positive_and_finite(k3_config, k3_channel, rank_tol):
+def test_rank_tolerance_must_be_positive_and_finite(k3_config, k3_equiv, rank_tol):
     # A caller error, not an infeasible geometry: the harness counts a
     # OneShotInfeasible as a zero-rate slot, and used to for a NaN here.
     message = "rank_tol must be positive and finite"
     with pytest.raises(ValueError, match=message):
-        one_shot_ia(k3_config, k3_channel, rank_tol=rank_tol)
+        one_shot_ia(k3_config, k3_equiv, rank_tol=rank_tol)
     # The public null-space helper used to answer with a wrong null
     # space: nullities [0, 0, 0] instead of [2, 2, 2].
-    equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
-    receive = design_receive_beamformers(equiv, k3_config)
+    receive = design_receive_beamformers(k3_equiv, k3_config)
     with pytest.raises(ValueError, match=message):
-        reciprocal_state(equiv, receive, k3_config, rank_tol=rank_tol)
+        reciprocal_state(k3_equiv, receive, k3_config, rank_tol=rank_tol)
 
 
 def test_rank_deficient_direct_link_is_reported():
@@ -344,10 +341,10 @@ def test_rank_deficient_direct_link_is_reported():
     row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     blocks = [[row[0].reshape(1, 1), row[1].reshape(1, 1)],
               [row[0].reshape(1, 1), row[1].reshape(1, 1)]]
-    channel = ChannelSet(blocks)
     cfg = NetworkConfig.symmetric(2, 1, 1, 1)
+    equiv = equivalent_channel(ChannelSet(blocks), build_permutation(cfg))
     with pytest.raises(RankDeficientDesired) as exc:
-        one_shot_ia(cfg, channel)
+        one_shot_ia(cfg, equiv)
     assert exc.value.user == 0
 
 
@@ -367,9 +364,8 @@ def feasible_rings(draw):
 @settings(max_examples=25, deadline=None)
 def test_one_shot_always_cancels_cross_links(cfg_seed):
     cfg, seed = cfg_seed
-    channel = generate_channel(cfg, seed)
-    beams = one_shot_ia(cfg, channel)
-    equiv = equivalent_channel(channel, build_permutation(cfg))
+    equiv = _equiv(cfg, seed)
+    beams = one_shot_ia(cfg, equiv)
     for i in range(cfg.num_users):
         for j in range(cfg.num_users):
             if i == j or cfg.dof[i] == 0 or cfg.dof[j] == 0:
@@ -408,8 +404,8 @@ def _search_draw(rng, nullity, d):
 
 
 # The ids name the selection rule under test, the geometric |det| pick,
-# and how many draws one call stacks at most (None: one unstacked call
-# per draw).
+# and how many draws one call stacks at most (None: one call per draw,
+# a stack of one).
 @pytest.mark.parametrize("stack", [None, 5], ids=lambda stack: f"geometric-{stack}")
 def test_batched_selector_matches_per_subset_loop(stack):
     rng = np.random.default_rng(4096)
@@ -417,7 +413,7 @@ def test_batched_selector_matches_per_subset_loop(stack):
         # one draw of the widest search: its loop scores 12,870 subsets
         draws = [_search_draw(rng, nullity, d) for _ in range(1 if nullity == 16 else 5)]
         if stack is None:
-            picks = [select_transmit_beamformer(*draw, d) for draw in draws]
+            picks = [_pick(*draw, d) for draw in draws]
         else:
             picks = [pick for i in range(0, len(draws), stack)
                      for pick in select_transmit_beamformer(
@@ -435,7 +431,7 @@ def test_selector_ties_straddling_chunks_keep_first_subset():
     basis = np.array([[1, 0, 0.5, 0, 0.3],
                       [0, 1, 0.2, 1, 0.3],
                       [0, 0, 0.0, 1, 1.0]], dtype=np.complex128)
-    picked = select_transmit_beamformer(receive, direct, basis, 2)
+    picked = _pick(receive, direct, basis, 2)
     assert np.array_equal(picked, basis[:, [0, 1]])
     assert np.array_equal(picked, _loop_pick(receive, direct, basis, 2))
 
@@ -453,12 +449,12 @@ def test_a_search_past_the_subset_limit_is_refused_before_any_table(monkeypatch)
         select_transmit_beamformer(receive[None], direct[None], basis[None], 19, user=4)
     assert (exc.value.user, exc.value.nullity, exc.value.dof) == (4, 20, 19)
     with pytest.raises(OneShotInfeasible, match=r"user \? would score") as exc:
-        select_transmit_beamformer(receive, direct, basis, 19)
+        _pick(receive, direct, basis, 19)
     assert (exc.value.user, exc.value.nullity, exc.value.dof) == (None, 20, 19)
     # Through the design: 44 directions for 4 streams, comb(44, 4) = 135,751.
     cfg = NetworkConfig.symmetric(2, 24, 24, 4)
     with pytest.raises(OneShotInfeasible, match="135751 subsets") as exc:
-        one_shot_ia(cfg, generate_channel(cfg, 0))
+        one_shot_ia(cfg, _equiv(cfg, 0))
     assert (exc.value.user, exc.value.nullity, exc.value.dof) == (0, 44, 4)
 
 
@@ -511,8 +507,7 @@ def _design_by_user(cfg, equiv, rank_tol=1e-9):
         vals, vecs = np.linalg.eigh(q)
         basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
         bases.append(basis * _pinned_by_column(basis))
-    transmit = [select_transmit_beamformer(receive[k], equiv.blocks[k][k], bases[k],
-                                           cfg.dof[k], user=k)
+    transmit = [_pick(receive[k], equiv.blocks[k][k], bases[k], cfg.dof[k], user=k)
                 for k in range(cfg.num_users)]
     return left, singular, right, bases, transmit
 
@@ -687,8 +682,8 @@ def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups,
         state = reciprocal_state(equiv, receive, cfg)
         # the selector imported above, not the recorded module attribute
         try:
-            want = [select_transmit_beamformer(receive[k], equiv.blocks[k][k],
-                                               state.null_bases[k], cfg.dof[k], user=k)
+            want = [_pick(receive[k], equiv.blocks[k][k], state.null_bases[k], cfg.dof[k],
+                          user=k)
                     for k in range(cfg.num_users)]
         except OneShotInfeasible as refused:
             # the stacked search refuses the same first user
@@ -758,6 +753,6 @@ def test_stacked_ties_straddling_chunks_keep_each_users_first_subset():
     assert picks.shape == (3, 3, 2)
     assert np.array_equal(picks[0], basis[:, [0, 1]])
     for pick, r, h, b in zip(picks, receives, directs, bases):
-        assert np.array_equal(pick, select_transmit_beamformer(r, h, b, 2))
+        assert np.array_equal(pick, _pick(r, h, b, 2))
         assert np.array_equal(pick, _loop_pick(r, h, b, 2))
 

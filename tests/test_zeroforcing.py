@@ -10,6 +10,8 @@ from pcia import (
     ChannelSet,
     NetworkConfig,
     bd_zero_forcing,
+    build_permutation,
+    equivalent_channel,
     generate_channel,
 )
 from pcia.linalg import _pinning_phases
@@ -96,6 +98,18 @@ def test_zero_grant_skips_a_user():
 def test_too_few_pooled_antennas():
     with pytest.raises(BDInfeasible, match="interference-free"):
         bd_zero_forcing(_channel(3, 2, 1, 17))
+
+
+def test_the_paired_view_is_refused():
+    # The paired view holds each station's columns twice. Zero forcing ran
+    # on it and counted every copy as an antenna: on K=3 2x2 it reported
+    # 12 antennas per user and (3, 12, 2) precoders for a 6-antenna
+    # network, against (3, 6, 2) on the physical channel.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    channel = generate_channel(cfg, 101)
+    assert bd_zero_forcing(channel).transmit_stack.shape == (3, 6, 2)
+    with pytest.raises(TypeError, match="channel must be ChannelSet, got EquivalentChannel"):
+        bd_zero_forcing(equivalent_channel(channel, build_permutation(cfg)))
 
 
 def test_single_user_reduces_to_eigenbeamforming():
