@@ -25,16 +25,17 @@ draw and cached on the paired view its caller builds: the stacked grid,
 the reverse link grid in the covariance kernel's layout and the pinned
 SVD of the direct blocks. What depends on the config alone (the active
 users, the stream bound, the kernel's half weights at unit power and
-each width group's index array) is built once per config. A slot's
-covariances are one stack of its receive filters and one kernel call,
-and its null spaces one LAPACK call per paired width, phases pinned on
-the stack. That receive stack is the design's own. One pass over the
+each width group's index array) is built once per config. Each step
+hands the next one zero-padded stack: the receive step one stack of its
+filters, which the covariance kernel reads as it is and the design
+keeps, and the null-space step, one LAPACK call per paired width with
+phases pinned on the stack, one stack of the bases. One pass over the
 groups of users sharing every filter shape and nullity then runs each
 group's subset search, one gather and product per minor level, and its
-rank-check ``svd`` on its filters gathered from that stack and its
-picks, which it then scatters into the design's zero-padded transmit
-stack; a group with exactly as many directions as streams keeps its
-bases. Grouping ragged shapes, never padding them, keeps each
+rank-check ``svd`` on its filters and bases gathered from those stacks
+and its picks, which it then scatters into the design's zero-padded
+transmit stack; a group with exactly as many directions as streams
+keeps its bases. Grouping ragged shapes, never padding them, keeps each
 decomposition exactly the one of its own matrix.
 No iteration and no channel extension is involved.
 """
@@ -45,7 +46,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,7 +61,14 @@ from .linalg import (
     _unit_power_weights,
     fix_column_phases,
 )
-from .network import BeamformerSet, EquivalentChannel, NetworkConfig, _require, _tolerance
+from .network import (
+    BeamformerSet,
+    EquivalentChannel,
+    NetworkConfig,
+    _integral,
+    _require,
+    _tolerance,
+)
 
 __all__ = [
     "OneShotInfeasible",
@@ -99,12 +107,11 @@ class RankDeficientDesired(RuntimeError):
 
 @dataclasses.dataclass
 class ReciprocalState:
-    """Null-space data of the reciprocal covariances, one entry per user."""
+    """Null-space data of the reciprocal covariances: per-user counts and one basis stack."""
 
-    nullities: list      # admissible precoder dimensions a_k
-    null_bases: list     # orthonormal bases of the admissible subspaces
-    choice_counts: list  # number of candidate column subsets per user
-    receive_stack: np.ndarray  # the read-only, zero-padded (K, m, d) filters they came from
+    nullities: list         # admissible precoder dimensions a_k
+    null_bases: np.ndarray  # read-only (K, w, w): user k's orthonormal basis in [k, :w_k, :a_k]
+    choice_counts: list     # number of candidate column subsets per user
 
 
 class _SlotPlan(NamedTuple):
@@ -115,7 +122,6 @@ class _SlotPlan(NamedTuple):
     weights: np.ndarray  # the kernel's half weights at unit power per message
     widths: tuple        # (w, users) per distinct paired width, users an index array
     shapes: tuple        # (m, d, w) per user: rows and columns of its filters
-    receive: tuple       # (m, d) per user: the shape of its receive filter
 
 
 @functools.lru_cache(maxsize=64)
@@ -128,91 +134,97 @@ def _slot_plan(config: NetworkConfig) -> _SlotPlan:
     :func:`pcia.linalg._interferer_weights`.
     """
     active = config.active_users
-    shapes = tuple(zip(config.rx_antennas, config.dof, config.paired_widths))
     return _SlotPlan(
         active=active,
         bound=min((config.paired_widths[k] for k in active), default=0),
         weights=_interferer_weights(tuple(_unit_power_weights(config.dof)), config.dof),
         widths=_groups(config.paired_widths),
-        shapes=shapes,
-        receive=tuple((m, d) for m, d, _ in shapes),
+        shapes=tuple(zip(config.rx_antennas, config.dof, config.paired_widths)),
     )
 
 
 def _check_layout(equiv: EquivalentChannel, config: NetworkConfig) -> None:
-    """A ValueError unless the channel's block sizes are the config's paired layout."""
+    """A TypeError or ValueError unless ``equiv`` is a paired view of the config's layout."""
+    _require(equiv, "equiv", EquivalentChannel)
     if (equiv.rx_sizes, equiv.tx_sizes) != (config.rx_antennas, config.paired_widths):
         raise ValueError(f"channel block widths {equiv.rx_sizes} x {equiv.tx_sizes} do not "
                          f"match the config's {config.rx_antennas} x {config.paired_widths}")
 
 
-def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig):
+def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig) -> np.ndarray:
     """Receive filters from the dominant left singular vectors.
 
-    The filters slice the channel's cached direct-block SVD, which one
-    batched ``svd`` per distinct block shape builds once per draw and
-    every time-share slot then reads; the filters are read-only views.
+    The filters are the leading columns of the channel's cached
+    direct-block SVD, which one batched ``svd`` per distinct block shape
+    builds once per draw and every time-share slot then reads.
 
     Returns:
-        Per-user ``m_k x d_k`` filters with orthonormal columns.
+        The read-only, zero-padded ``(K, max m, max d)`` stack of the
+        filters, user ``k``'s ``m_k x d_k`` filter with orthonormal
+        columns in its corner ``[k, :m_k, :d_k]``.
 
     Raises:
+        TypeError: ``equiv`` is not an :class:`EquivalentChannel`.
         ValueError: if the channel's block sizes are not the config's
             paired layout. On that layout the config's own cap keeps
             every stream count within its direct block.
     """
     _check_layout(equiv, config)
-    return [u[:, :d] for (u, _, _), d in zip(equiv._direct_svd, config.dof)]
+    return _read_only(_stack([u[:, :d] for (u, _, _), d in zip(equiv._direct_svd, config.dof)],
+                             max(config.rx_antennas), max(config.dof)))
 
 
-def _null_bases(qs: np.ndarray, rank_tol: float) -> list:
+def _null_bases(qs: np.ndarray, rank_tol: float) -> tuple:
     """Null-space bases of a ``(S, n, n)`` Hermitian PSD stack, one batched ``eigh``.
 
     Eigenvalues at or below ``rank_tol`` times the largest one count as
-    zero; a zero matrix yields a full basis.
+    zero; a zero matrix yields a full basis. Returns the ``(S, n, n)``
+    stack of the bases, matrix ``s``'s in its first ``nullities[s]``
+    columns and zeros after them, and the ``(S,)`` array of nullities.
     """
     with _lapack_errors():
         vals, vecs = _eigh(qs)
-    # Ascending eigenvalues: the ones at or below the threshold are a prefix.
-    kept = np.add.reduce(vals <= rank_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
-    return [v[:, :a] for v, a in zip(fix_column_phases(vecs), kept.tolist())]
+    # Ascending eigenvalues: the ones at or below the threshold are a prefix,
+    # so this mask keeps each basis's leading columns.
+    null = vals <= rank_tol * np.maximum(vals[:, -1:], 0.0)
+    return np.where(null[:, None, :], fix_column_phases(vecs), 0j), np.add.reduce(null, axis=1)
 
 
 def reciprocal_state(
     equiv: EquivalentChannel,
-    receive: Sequence,
+    receive: np.ndarray,
     config: NetworkConfig,
     rank_tol: float = 1e-9,
 ) -> ReciprocalState:
     """Null-space bases of the reciprocal covariances, and candidate counts per user.
 
-    The covariances are one kernel call on the channel's cached reverse
-    link grid, and the null spaces one batched ``eigh`` per distinct
-    paired width over that zero-padded stack. A ``rank_tol`` that is
-    not positive and finite, a channel whose block sizes are not the
-    config's paired layout, or receive filters that are not one
-    ``m_k x d_k`` matrix per user raise ValueError.
+    ``receive`` is the stack of :func:`design_receive_beamformers`, of
+    which only the shape is checked: finite padding cannot reach the
+    result, as the kernel's weights are zero on padding columns and the
+    reverse link grid on padding rows. The covariances are one kernel
+    call on the channel's cached reverse link grid, and the null spaces
+    one batched ``eigh`` per distinct paired width.
+
+    Raises:
+        TypeError: ``equiv`` is not an :class:`EquivalentChannel`, or
+            ``receive`` not a numpy array with three axes.
+        ValueError: ``rank_tol`` is not positive and finite, or the
+            channel's layout or the receive stack's shape is not the
+            config's.
     """
     rank_tol = _tolerance(rank_tol, "rank_tol")
     _check_layout(equiv, config)
+    _require(receive, "receive", np.ndarray, ndim=3)
+    want = (config.num_users, max(config.rx_antennas), max(config.dof))
+    if receive.shape != want:
+        raise ValueError(f"receive stack is {receive.shape}, not the config's {want}")
     plan = _slot_plan(config)
-    shapes = tuple(u.shape for u in receive)
-    if shapes != plan.receive:
-        if len(shapes) != len(plan.receive):
-            raise ValueError(f"need one receive filter per user: "
-                             f"got {len(shapes)} for {config.num_users} users")
-        k = next(k for k, (got, want) in enumerate(zip(shapes, plan.receive)) if got != want)
-        raise ValueError(f"receive filter of user {k} is {shapes[k]}, not the "
-                         f"{plan.receive[k]} of its antennas and streams")
-    beams = _read_only(_stack(receive, max(config.rx_antennas), max(config.dof)))
-    q = _covariance_stack(equiv._reverse, beams, plan.weights)
-    bases = [None] * config.num_users
+    q = _covariance_stack(equiv._reverse, receive, plan.weights)
+    bases, nullities = np.zeros(q.shape, dtype=q.dtype), np.zeros(config.num_users, dtype=np.intp)
     for w, users in plan.widths:
-        for k, basis in zip(users, _null_bases(q[users, :w, :w], rank_tol)):
-            bases[k] = basis
-    nullities = [b.shape[1] for b in bases]
-    counts = [math.comb(a, d) if a >= d else 0 for a, d in zip(nullities, config.dof)]
-    return ReciprocalState(nullities, bases, counts, beams)
+        bases[users, :w, :w], nullities[users] = _null_bases(q[users, :w, :w], rank_tol)
+    counts = [math.comb(a, d) for a, d in zip(nullities.tolist(), config.dof)]
+    return ReciprocalState(nullities.tolist(), _read_only(bases), counts)
 
 
 @functools.lru_cache(maxsize=64)
@@ -271,6 +283,9 @@ def select_transmit_beamformer(
 
     Raises:
         TypeError: an argument is not a numpy array with three axes.
+        ValueError: ``dof`` is not a whole, non-negative number, or the
+            stacks' leading axes differ or the receive stack does not
+            have ``dof`` columns.
         OneShotInfeasible: when fewer admissible directions exist than
             streams requested, or when the widest level of the search,
             ``comb(nullity, min(dof, nullity // 2))`` subsets, exceeds
@@ -278,6 +293,10 @@ def select_transmit_beamformer(
     """
     for name, stack in (("receive", receive), ("direct", direct), ("null_bases", null_bases)):
         _require(stack, name, np.ndarray, ndim=3)
+    dof = _integral(dof, "dof", 0)
+    if not receive.shape[0] == direct.shape[0] == null_bases.shape[0] or receive.shape[2] != dof:
+        raise ValueError(f"receive {receive.shape}, direct {direct.shape} and null_bases "
+                         f"{null_bases.shape} are not stacks of one user group at dof = {dof}")
     nullity = null_bases.shape[-1]
     if dof == 0:
         return np.zeros(null_bases.shape[:-1] + (0,), dtype=np.complex128)
@@ -342,35 +361,32 @@ def one_shot_ia(
     state = reciprocal_state(equiv, receive, config, rank_tol)
     # One pass over the groups sharing filter and basis shapes, so a block
     # shape, a stream count and a nullity, in first-user order: each
-    # group's filters, gathered from the stack the covariances were built
-    # from, feed its subset search, where its bases are not already its
-    # picks, so the first user short of directions raises, then fill the
-    # design's transmit stack and feed its rank check. A silent group has
-    # nothing to pick or check. That check's reference scale is the
-    # unprojected direct link (its largest singular value, from the cached
-    # direct-block SVD): filters with unit columns can only shrink it, and
-    # comparing within ``eff`` alone would make a uniformly collapsed link
-    # (d_k = 1 above all) look healthy. Users are checked in order after
-    # every group has run.
-    grid, bases = equiv._stacked, state.null_bases
-    num_users, _, _, cols = grid.shape
-    transmit_stack = np.zeros((num_users, cols, max(config.dof)), dtype=np.complex128)
-    smallest = {}
+    # group's filters and bases, gathered from the steps' stacks, feed its
+    # subset search, where its bases are not already its picks, so the
+    # first user short of directions raises, then fill the design's
+    # transmit stack, as tall as the bases, and feed its rank check. A
+    # silent group has nothing to pick or check. That check's reference
+    # scale is the unprojected direct link (its largest singular value,
+    # from the cached direct-block SVD): filters with unit columns can only
+    # shrink it, and comparing within ``eff`` alone would make a uniformly
+    # collapsed link (d_k = 1 above all) look healthy. Users are checked
+    # in order after every group has run.
+    transmit_stack = np.zeros(state.null_bases.shape[:2] + (max(config.dof),), dtype=np.complex128)
+    smallest = np.zeros(config.num_users)
     for (m, d, w, a), users in _groups(tuple(
             (*shape, a) for shape, a in zip(plan.shapes, state.nullities))):
         if d == 0:
             continue
-        members = users.tolist()
-        filters, direct = state.receive_stack[users, :m, :d], grid[users, users, :m, :w]
-        picks = np.array([bases[k] for k in members])
+        filters, direct = receive[users, :m, :d], equiv._stacked[users, users, :m, :w]
+        picks = state.null_bases[users, :w, :a]
         if a != d:
-            picks = select_transmit_beamformer(filters, direct, picks, d, user=members[0])
+            picks = select_transmit_beamformer(filters, direct, picks, d, user=int(users[0]))
         transmit_stack[users, :w, :d] = picks
         eff = filters.conj().transpose(0, 2, 1) @ direct @ picks
-        smallest.update(zip(members, np.linalg.svd(eff, compute_uv=False)[:, -1].tolist()))
+        smallest[users] = np.linalg.svd(eff, compute_uv=False)[:, -1]
     for k in plan.active:
         if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding", user=k)
-    return BeamformerSet(state.receive_stack, transmit_stack, config.rx_antennas,
+    return BeamformerSet(receive, transmit_stack, config.rx_antennas,
                          config.paired_widths, config.dof)

@@ -14,6 +14,11 @@ def random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
     return q[:, :cols]
 
 
+def corners(stack, rows, cols) -> list:
+    """Each user's ``rows[k] x cols[k]`` corner of a zero-padded ``(K, m, d)`` stack, as views."""
+    return [a[:m, :d] for a, m, d in zip(stack, rows, cols, strict=True)]
+
+
 def blockdiag(mats) -> np.ndarray:
     rows = sum(m.shape[0] for m in mats)
     cols = sum(m.shape[1] for m in mats)

@@ -126,7 +126,7 @@ def test_03_received_power_identities():
                 # Matched precoding attains the sum of the dominant
                 # squared singular values, split evenly over streams.
                 got = received_signal_power(
-                    receive[user], equiv.blocks[user][user],
+                    receive[user, :, :d], equiv.blocks[user][user],
                     right[user], power, d)
                 want = power / d * float(np.sum(singular[user] ** 2))
                 assert got == pytest.approx(want, rel=1e-10)

@@ -53,9 +53,13 @@ import pytest
 from pcia import (
     NetworkConfig,
     bd_zero_forcing,
+    build_permutation,
+    design_receive_beamformers,
+    equivalent_channel,
     generate_channel,
     iterate_distributed_ia,
     one_shot_ia,
+    reciprocal_state,
     select_transmit_beamformer,
 )
 
@@ -478,16 +482,27 @@ def test_importing_the_package_loads_no_process_pool():
 _CFG = NetworkConfig.symmetric(3, 2, 2, 1)
 _CHANNEL = generate_channel(_CFG, 0)
 _LIST_GRID = [list(row) for row in _CHANNEL.blocks]
+_EQUIV = equivalent_channel(_CHANNEL, build_permutation(_CFG))
 _RECEIVE, _DIRECT, _BASES = np.zeros((3, 2, 1)), np.zeros((3, 2, 4)), np.zeros((3, 4, 2))
 
-# (solver call, the message of its refusal): each solver given a nested
-# list, the one-shot design the physical channel, the subset pick one
-# user's unstacked basis.
+# (solver call, the message of its refusal): each solver and one-shot step
+# given a nested list, the one-shot design the physical channel, the
+# null-space step per-user receive filters, the subset pick one user's
+# unstacked basis.
 REFUSALS = {
     "one_shot_ia-list": (lambda: one_shot_ia(_CFG, _LIST_GRID),
                          "equiv must be EquivalentChannel, got list"),
     "one_shot_ia-channel-set": (lambda: one_shot_ia(_CFG, _CHANNEL),
                                 "equiv must be EquivalentChannel, got ChannelSet"),
+    "design_receive_beamformers-list": (
+        lambda: design_receive_beamformers(_EQUIV.blocks, _CFG),
+        "equiv must be EquivalentChannel, got list"),
+    "reciprocal_state-list": (
+        lambda: reciprocal_state(_EQUIV.blocks, _RECEIVE, _CFG),
+        "equiv must be EquivalentChannel, got list"),
+    "reciprocal_state-per-user-receive": (
+        lambda: reciprocal_state(_EQUIV, [u[:, :1] for u, _, _ in _EQUIV._direct_svd], _CFG),
+        "receive must be ndarray with 3 axes, got list"),
     "bd_zero_forcing-list": (lambda: bd_zero_forcing(_LIST_GRID),
                              "channel must be ChannelSet, got list"),
     "iterate_distributed_ia-list": (

@@ -31,7 +31,7 @@ from pcia.linalg import (
     fix_column_phases,
 )
 
-from conftest import covariances, random_orthonormal, reciprocal_covariances
+from conftest import corners, covariances, random_orthonormal, reciprocal_covariances
 
 CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
 WEIGHTS = [1.0, 0.5, 0.0]   # unit power / streams, zero for the silent user
@@ -44,7 +44,7 @@ def ragged(request):
                                build_permutation(CONFIG))
     transmit = [random_orthonormal(rng, w, d)
                 for w, d in zip(CONFIG.paired_widths, CONFIG.dof)]
-    receive = design_receive_beamformers(equiv, CONFIG)
+    receive = corners(design_receive_beamformers(equiv, CONFIG), CONFIG.rx_antennas, CONFIG.dof)
     return equiv, transmit, receive
 
 
@@ -160,7 +160,7 @@ def test_kernel_equals_the_receiver_major_formula_bit_for_bit(config, seed):
     equiv = equivalent_channel(generate_channel(config, seed), build_permutation(config))
     transmit = [random_orthonormal(rng, w, d)
                 for w, d in zip(config.paired_widths, config.dof)]
-    receive = design_receive_beamformers(equiv, config)
+    receive = corners(design_receive_beamformers(equiv, config), config.rx_antennas, config.dof)
     weights = [1.0 / d if d else 0.0 for d in config.dof]
     counts = tuple(config.dof)
     full = _full_weights(weights, counts)

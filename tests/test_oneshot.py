@@ -7,7 +7,9 @@ The powers and covariances come from test-local helpers; the package
 keeps neither.
 """
 
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from pcia import (
 from pcia import oneshot
 from pcia.linalg import _interferer_weights
 
-from conftest import random_orthonormal, received_signal_power, reciprocal_covariances
+from conftest import corners, random_orthonormal, received_signal_power, reciprocal_covariances
 
 
 def _equiv(config, seed):
@@ -42,6 +44,16 @@ def _equiv(config, seed):
 def _pick(receive, direct, basis, d, user=None):
     # One user's pick: the selector on stacks of one.
     return select_transmit_beamformer(receive[None], direct[None], basis[None], d, user=user)[0]
+
+
+def _receive(equiv, cfg):
+    # Each user's m_k x d_k filter, cut from the receive step's stack.
+    return corners(design_receive_beamformers(equiv, cfg), cfg.rx_antennas, cfg.dof)
+
+
+def _bases(state, cfg):
+    # Each user's w_k x a_k basis, cut from the null-space step's stack.
+    return corners(state.null_bases, cfg.paired_widths, state.nullities)
 
 
 def test_receive_filters_reconstruct_direct_blocks(k3_config, k3_channel):
@@ -133,13 +145,15 @@ def test_covariance_rank_with_unequal_station_sizes():
 
 def test_null_space_tolerance_boundary():
     q = np.diag([1.0, 1e-8, 1e-10]).astype(np.complex128)
-    tight = oneshot._null_bases(q[None], rank_tol=1e-9)[0]
-    assert tight.shape == (3, 1)
-    assert np.allclose(tight[:, 0], [0, 0, 1])
-    loose = oneshot._null_bases(q[None], rank_tol=1e-7)[0]
-    assert loose.shape == (3, 2)
-    everything = oneshot._null_bases(np.zeros((1, 3, 3)), rank_tol=1e-9)[0]
-    assert everything.shape == (3, 3)
+    tight, kept = oneshot._null_bases(q[None], rank_tol=1e-9)
+    assert tight.shape == (1, 3, 3) and kept.tolist() == [1]
+    assert np.allclose(tight[0, :, 0], [0, 0, 1])
+    # the columns past the nullity are zeros, not eigenvectors
+    assert not tight[0, :, 1:].any()
+    loose, kept = oneshot._null_bases(q[None], rank_tol=1e-7)
+    assert kept.tolist() == [2] and not loose[0, :, 2:].any()
+    everything, kept = oneshot._null_bases(np.zeros((1, 3, 3)), rank_tol=1e-9)
+    assert kept.tolist() == [3] and everything.shape == (1, 3, 3)
 
 
 def test_selector_geometric_agrees_with_det(rng):
@@ -173,6 +187,20 @@ def test_selector_rigid_path_returns_basis_unchanged():
     stack = basis.astype(complex)[None]
     out = select_transmit_beamformer(np.eye(2)[None], np.ones((2, 4))[None], stack, 2)
     assert out is stack
+
+
+def test_selector_refuses_stacks_of_other_users_or_stream_counts():
+    # One filter for three users used to score all three with it, and a
+    # receive stack narrower than dof failed with an IndexError.
+    rng = np.random.default_rng(6)
+    receive, direct, bases = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                              for shape in ((3, 2, 1), (3, 2, 4), (3, 4, 3)))
+    assert select_transmit_beamformer(receive, direct, bases, 1).shape == (3, 4, 1)
+    for stacks, dof in (((receive[:1], direct, bases), 1), ((receive, direct, bases), 2)):
+        message = (f"receive {stacks[0].shape}, direct (3, 2, 4) and null_bases (3, 4, 3) "
+                   f"are not stacks of one user group at dof = {dof}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_transmit_beamformer(*stacks, dof)
 
 
 def test_selector_failure_reports_shortfall():
@@ -255,17 +283,35 @@ def test_reciprocal_state_checks_the_receive_filter_widths():
     # ones [4, 4, 4], instead of [2, 2, 2].
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     equiv = _equiv(cfg, 1)
-    full = [u for u, _, _ in equiv._direct_svd]
-    assert reciprocal_state(equiv, [u[:, :1] for u in full], cfg).nullities == [2, 2, 2]
-    for receive, shape in ((full, r"\(2, 2\)"), ([u[:, :0] for u in full], r"\(2, 0\)")):
-        with pytest.raises(ValueError, match=rf"receive filter of user 0 is {shape}, "
-                                             r"not the \(2, 1\)"):
+    full = np.array([u for u, _, _ in equiv._direct_svd])
+    assert reciprocal_state(equiv, full[:, :, :1], cfg).nullities == [2, 2, 2]
+    for receive in (full, full[:, :, :0], full[:2, :, :1], full[:, :1, :1]):
+        shape = re.escape(str(receive.shape))
+        with pytest.raises(ValueError, match=rf"^receive stack is {shape}, "
+                                             r"not the config's \(3, 2, 1\)$"):
             reciprocal_state(equiv, receive, cfg)
-    one_wide = [u[:, :1] for u in full]
-    with pytest.raises(ValueError, match=r"receive filter of user 2 is \(2, 2\)"):
-        reciprocal_state(equiv, one_wide[:2] + full[2:], cfg)
-    with pytest.raises(ValueError, match="need one receive filter per user: got 2 for 3"):
-        reciprocal_state(equiv, one_wide[:2], cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0)),
+    NetworkConfig.symmetric(5, 2, 2, [1, 1, 1, 1, 0]),
+], ids=["ragged-232", "k5-silent"])
+def test_receive_padding_cannot_move_the_null_spaces(cfg):
+    # The kernel's half weights are zero on padding columns and the reverse
+    # grid is zero on padding rows, so finite values there reach no
+    # covariance: that is why the receive stack has only its shape checked.
+    rng = np.random.default_rng(29)
+    for seed in range(3):
+        equiv = _equiv(cfg, seed)
+        receive = design_receive_beamformers(equiv, cfg)
+        filled = rng.standard_normal(receive.shape) + 1j * rng.standard_normal(receive.shape)
+        for k, (m, d) in enumerate(zip(cfg.rx_antennas, cfg.dof)):
+            filled[k, :m, :d] = receive[k, :m, :d]
+        assert not np.array_equal(filled, receive)
+        want, got = (reciprocal_state(equiv, stack, cfg) for stack in (receive, filled))
+        assert got.nullities == want.nullities
+        assert got.choice_counts == want.choice_counts
+        assert got.null_bases.tobytes() == want.null_bases.tobytes()
 
 
 def test_slot_plans_are_cached_per_config_and_read_only():
@@ -281,7 +327,7 @@ def test_slot_plans_are_cached_per_config_and_read_only():
     assert plan.weights.reshape(3, 3).tolist() == [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0],
                                                    [0.5, 0.5, 0.0]]
     assert plan.shapes == ((2, 1, 4), (3, 1, 5), (2, 0, 5))
-    assert plan.receive == ((2, 1), (3, 1), (2, 0))
+    assert plan._fields == ("active", "bound", "weights", "widths", "shapes")
     assert [(w, users.tolist()) for w, users in plan.widths] == [(4, [0]), (5, [1, 2])]
     indices = [users for _, users in plan.widths]
     assert all(index.dtype == np.intp for index in indices)
@@ -528,16 +574,16 @@ def test_batched_design_matches_the_per_user_loop(cfg):
     for seed in range(4):
         equiv = _equiv(cfg, seed)
         left, singular, right, bases, transmit = _design_by_user(cfg, equiv)
-        receive = design_receive_beamformers(equiv, cfg)
+        receive = _receive(equiv, cfg)
         for k, d in enumerate(cfg.dof):
             cached = equiv._direct_svd[k]
             assert np.array_equal(cached[0], left[k])
             assert np.array_equal(cached[1], singular[k])
             assert np.array_equal(cached[2], right[k])
             assert np.array_equal(receive[k], left[k][:, :d])
-        state = reciprocal_state(equiv, receive, cfg)
+        state = reciprocal_state(equiv, design_receive_beamformers(equiv, cfg), cfg)
         assert state.nullities == [b.shape[1] for b in bases]
-        for got, want in zip(state.null_bases, bases):
+        for got, want in zip(_bases(state, cfg), bases, strict=True):
             assert np.array_equal(got, want)
         beams = one_shot_ia(cfg, equiv)
         for got, want in zip(beams.transmit, transmit):
@@ -557,8 +603,13 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
     assert len(configs) > 1
     equiv = _equiv(configs[0], 17)
     for cfg in configs:
-        receive = design_receive_beamformers(equiv, cfg)
+        stack = design_receive_beamformers(equiv, cfg)
+        # one read-only, zero-padded stack: each filter in its corner
+        assert stack.shape == (cfg.num_users, max(cfg.rx_antennas), max(cfg.dof))
+        assert not stack.flags.writeable
+        receive = corners(stack, cfg.rx_antennas, cfg.dof)
         for k, d in enumerate(cfg.dof):
+            assert not stack[k, cfg.rx_antennas[k]:].any() and not stack[k, :, d:].any()
             u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
             phases = _pinned_by_column(u)
             cached = equiv._direct_svd[k]
@@ -584,15 +635,20 @@ def test_null_spaces_match_the_boolean_mask_rule(geometry):
     for seed in range(3):
         equiv = _equiv(configs[0], seed)
         for cfg, rank_tol in itertools.product(configs, (1e-9, 0.3)):
-            receive = design_receive_beamformers(equiv, cfg)
-            state = reciprocal_state(equiv, receive, cfg, rank_tol)
+            state = reciprocal_state(equiv, design_receive_beamformers(equiv, cfg), cfg,
+                                     rank_tol)
+            assert not state.null_bases.flags.writeable
+            receive = _receive(equiv, cfg)
             for k, q in enumerate(reciprocal_covariances(equiv, receive, cfg.dof)):
                 vals, vecs = np.linalg.eigh(q)
                 basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
                 basis = basis * _pinned_by_column(basis)
                 assert state.nullities[k] == basis.shape[1]
                 assert _ranks(state, cfg)[k] == q.shape[0] - basis.shape[1]
-                assert np.array_equal(state.null_bases[k], basis)
+                assert np.array_equal(_bases(state, cfg)[k], basis)
+                # zeros past the basis's rows and columns
+                assert not state.null_bases[k, q.shape[0]:].any()
+                assert not state.null_bases[k, :, basis.shape[1]:].any()
 
 
 @pytest.mark.parametrize("rx, tx, dof, dead, groups", [
@@ -625,23 +681,35 @@ def test_rank_check_names_the_first_deficient_user(monkeypatch, rx, tx, dof, dea
 
 
 def test_the_design_keeps_the_receive_stack_of_its_covariances(monkeypatch):
-    # One stack per slot: the record holds the very array the reciprocal
-    # covariances were built from, silent user included.
-    states = []
-    build = oneshot.reciprocal_state
+    # One stack per slot: the record holds the very array the receive step
+    # returned and the reciprocal covariances were built from, silent user
+    # included.
+    stacks, states = [], []
+    design, build = oneshot.design_receive_beamformers, oneshot.reciprocal_state
 
-    def recorded(*args, **kwargs):
-        states.append(build(*args, **kwargs))
+    def designed(*args, **kwargs):
+        stacks.append(design(*args, **kwargs))
+        return stacks[-1]
+
+    def recorded(equiv, receive, *args, **kwargs):
+        stacks.append(receive)
+        states.append(build(equiv, receive, *args, **kwargs))
         return states[-1]
 
+    monkeypatch.setattr(oneshot, "design_receive_beamformers", designed)
     monkeypatch.setattr(oneshot, "reciprocal_state", recorded)
     cfg = NetworkConfig.symmetric(5, 2, 2, (1, 1, 0, 1, 1))
     beams = one_shot_ia(cfg, _equiv(cfg, 4))
-    (state,) = states
-    assert beams.receive_stack is state.receive_stack
-    assert not state.receive_stack.flags.writeable
-    assert state.receive_stack.shape == (5, 2, 1)
-    assert not state.receive_stack[2].any()
+    (receive, passed), (state,) = stacks, states
+    assert beams.receive_stack is receive and passed is receive
+    assert not receive.flags.writeable
+    assert receive.shape == (5, 2, 1)
+    assert not receive[2].any()
+    # the null-space step's record holds its counts and one basis stack
+    assert [f.name for f in dataclasses.fields(state)] == [
+        "nullities", "null_bases", "choice_counts"]
+    assert state.null_bases.shape == (5, 4, 4) and not state.null_bases.flags.writeable
+    assert all(type(n) is int for n in state.nullities + state.choice_counts)
 
 
 def _record_selects(monkeypatch):
@@ -678,12 +746,11 @@ def test_stacked_search_picks_what_per_user_calls_pick(monkeypatch, cfg, groups,
     calls = _record_selects(monkeypatch)
     for seed in range(3):
         equiv = _equiv(cfg, seed)
-        receive = design_receive_beamformers(equiv, cfg)
-        state = reciprocal_state(equiv, receive, cfg)
+        state = reciprocal_state(equiv, design_receive_beamformers(equiv, cfg), cfg)
+        receive, bases = _receive(equiv, cfg), _bases(state, cfg)
         # the selector imported above, not the recorded module attribute
         try:
-            want = [_pick(receive[k], equiv.blocks[k][k], state.null_bases[k], cfg.dof[k],
-                          user=k)
+            want = [_pick(receive[k], equiv.blocks[k][k], bases[k], cfg.dof[k], user=k)
                     for k in range(cfg.num_users)]
         except OneShotInfeasible as refused:
             # the stacked search refuses the same first user

@@ -184,3 +184,21 @@ def test_the_comparison_names_the_spec_and_field_that_moved(monkeypatch, capsys,
     assert digest.compare([[label, verdict, records]], [[label, verdict, records[:3]]])[1]
     assert digest.compare([[label, "no", []]], [[label, None, []]]) == (
         ["k4-3x3: check_spec verdict 'no' is now None"], True)
+
+
+def test_code_lines_count_neither_docstrings_nor_comments_nor_blank_lines(capsys, tmp_path):
+    script = _load("code_lines")
+    (tmp_path / "sample.py").write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def add(a,\n"
+        "        b):\n"
+        '    """A function docstring."""\n'
+        "    return (a +  # a trailing comment\n"
+        "            b)\n"
+        'TEXT = """a string that is\nno docstring"""\n', encoding="utf-8")
+    # code on lines 6, 7, 9, 10, 11 and 12 of 12
+    assert script.counts(tmp_path) == [("sample.py", 12, 6)]
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "12", "6"]
