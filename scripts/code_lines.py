@@ -3,10 +3,12 @@
 A code line holds at least one token that is code: docstrings, comments
 and blank lines do not count, and a statement spread over several lines
 counts each of them. A docstring is the string that opens a module, class
-or function body. Prints one row per module and a total:
+or function body. Prints one row per module and a total, or with
+``--defs`` one row per top-level function or class, decorators included:
 
     python scripts/code_lines.py            # src/pcia
     python scripts/code_lines.py tests
+    python scripts/code_lines.py --defs     # per definition of src/pcia
 """
 
 import argparse
@@ -35,13 +37,18 @@ def _docstring_lines(tree: ast.Module) -> set:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of lines of ``source`` that hold code outside its docstrings."""
+def _code_line_numbers(source: str) -> set:
+    """The line numbers of ``source`` that hold code outside its docstrings."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in LAYOUT:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    return lines - _docstring_lines(ast.parse(source))
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of ``source`` that hold code outside its docstrings."""
+    return len(_code_line_numbers(source))
 
 
 def counts(directory: Path) -> list:
@@ -53,17 +60,35 @@ def counts(directory: Path) -> list:
     return rows
 
 
+def definition_counts(directory: Path) -> list:
+    """``(file:name, lines, code lines)`` per top-level function or class, by file and line."""
+    rows = []
+    for path in sorted(directory.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        code = _code_line_numbers(source)
+        for node in ast.parse(source).body:
+            if isinstance(node, SCOPES):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                span = range(first, node.end_lineno + 1)
+                rows.append((f"{path.name}:{node.name}", len(span), len(code.intersection(span))))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?", type=Path, default=DEFAULT,
                         help="directory whose *.py files are counted (default: src/pcia)")
+    parser.add_argument("--defs", action="store_true",
+                        help="one row per top-level function or class, without a total")
     args = parser.parse_args(argv)
-    rows = counts(args.directory)
+    rows = (definition_counts if args.defs else counts)(args.directory)
     if not rows:
         parser.error(f"no *.py files in {args.directory}")
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    if not args.defs:
+        rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(name) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {'wc -l':>6}  {'code':>6}")
+    head = "definition" if args.defs else "module"
+    print(f"{head:<{width}}  {'wc -l':>6}  {'code':>6}")
     for name, total, code in rows:
         print(f"{name:<{width}}  {total:>6,}  {code:>6,}")
     return 0

@@ -11,7 +11,6 @@ from .network import (
     generate_channel,
 )
 from .feasibility import (
-    BackhaulReport,
     FeasibilityVerdict,
     TimeShareSchedule,
     backhaul_rate,

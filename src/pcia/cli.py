@@ -15,7 +15,8 @@ import numpy as np
 
 from .evaluation import SCHEMES, ExperimentSpec, check_spec, run_experiment
 from .feasibility import (
-    BackhaulReport,
+    _BACKHAUL,
+    backhaul_rate,
     is_proper_generic,
     is_proper_partial,
     time_share_schedule,
@@ -177,10 +178,9 @@ def cmd_schedule(args) -> int:
 def cmd_backhaul(args) -> int:
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail("need 1 <= k-min <= k-max", EXIT_BAD_CONFIG)
-    print("K partial_line partial_ring full_line full_ring")
+    print(" ".join(["K"] + [f"{coordination}_{topology}" for topology, coordination in _BACKHAUL]))
     for k in range(args.k_min, args.k_max + 1):
-        rep = BackhaulReport.for_users(k)
-        print(f"{k} {rep.partial_line} {rep.partial_ring} {rep.full_line} {rep.full_ring}")
+        print(" ".join([str(k)] + [str(backhaul_rate(k, *pair)) for pair in _BACKHAUL]))
     return 0
 
 

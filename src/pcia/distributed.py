@@ -4,9 +4,10 @@ This is the classical alternating baseline: receive filters take the
 least-interfered directions of the forward covariance, transmit precoders
 take the least-leaking directions of the reciprocal covariance, and the
 two steps repeat until the residual interference power is negligible
-against the initial signal power. It starts from seeded random precoders
-and runs on either channel view, so the same code covers the plain
-per-station channel and the paired one.
+against the initial signal power. It starts from seeded random
+orthonormal precoders, drawn user by user straight into the loop's
+zero-padded transmit stack, and runs on either channel view, so the same
+code covers the plain per-station channel and the paired one.
 
 The loop reads what the channel view caches per draw: the forward and
 reverse link grids, zero-padded and already in the transmitter-major
@@ -37,7 +38,6 @@ from .linalg import (
     _eigh,
     _interferer_weights,
     _lapack_errors,
-    _stack,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -121,28 +121,28 @@ def iterate_distributed_ia(
                 f"user {k} asks for {dof[k]} streams on a {(rows[k], cols[k])} block"
             )
 
+    forward, reverse = channel._forward, channel._reverse
+    _, _, rx_size, tx_size = channel._stacked.shape
+    width = max(dof)
     rng = np.random.default_rng(seed)
-    start = []
-    for n, d in zip(cols, dof):
+    transmit = np.zeros((num_users, tx_size, width), dtype=np.complex128)
+    for k, (n, d) in enumerate(zip(cols, dof)):
         raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        start.append(np.linalg.qr(raw)[0] if d else np.zeros((n, 0)))
+        if d:
+            transmit[k, :n, :d] = np.linalg.qr(raw)[0]
 
     per_stream = _unit_power_weights(dof)
     threshold = leakage_tol * sum(
         per_stream[k] * float(np.linalg.norm(
-            channel._stacked[k, k, :rows[k], :cols[k]] @ start[k], "fro") ** 2)
-        for k in range(num_users) if dof[k] > 0
+            channel._stacked[k, k, :m, :n] @ transmit[k, :n, :d], "fro") ** 2)
+        for k, (m, n, d) in enumerate(zip(rows, cols, dof)) if d > 0
     )
 
-    forward, reverse = channel._forward, channel._reverse
-    _, _, rx_size, tx_size = channel._stacked.shape
-    width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
     weights = _interferer_weights(tuple(per_stream), tuple(dof))
     fwd_padded = _padding(rows, rx_size)
     rev_padded = _padding(cols, tx_size)
 
-    transmit = _stack(start, tx_size, width)
     history = []
     converged = False
     with _lapack_errors():

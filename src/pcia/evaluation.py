@@ -21,12 +21,18 @@ from numpy.linalg import LinAlgError
 
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .feasibility import _slot_count, time_share_schedule
-from .linalg import _NOT_NUMBERS, _check_filter_lists, _slogdet, _stack, _stream_weights
+from .linalg import (
+    _NOT_NUMBERS,
+    _check_filter_lists,
+    _padded_streams,
+    _slogdet,
+    _stack,
+    _stream_weights,
+)
 from .network import (
     NetworkConfig,
     _integral,
     _per_user,
-    _read_only,
     _real,
     _tolerance,
     _view,
@@ -135,16 +141,6 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
     if math.isnan(total):
         raise LinAlgError(f"sum rate {total} is not a number")
     return per_user, total
-
-
-@functools.lru_cache(maxsize=64)
-def _padded_streams(width: int, dof: tuple) -> np.ndarray:
-    """Read-only ``(K, width)`` mask of each user's filter outputs past ``dof[k]``.
-
-    Built once per stream layout, as the padded-stream identity of
-    :func:`sum_rate`.
-    """
-    return _read_only(np.arange(width) >= np.array(dof)[:, None])
 
 
 def _frobenius(x: np.ndarray, axis: tuple) -> np.ndarray:

@@ -16,7 +16,6 @@ from .network import _integral
 __all__ = [
     "FeasibilityVerdict",
     "TimeShareSchedule",
-    "BackhaulReport",
     "dof_upper_bound",
     "is_proper_generic",
     "is_proper_partial",
@@ -168,6 +167,7 @@ def time_share_schedule(num_users: int, dof_total: int) -> TimeShareSchedule:
     return TimeShareSchedule(num_users, dof_total, remainder, num_slots, boosted, tuple(table))
 
 
+# Load per (topology, coordination) pair, in the column order of ``pcia backhaul``.
 _BACKHAUL = {
     ("line", "partial"): lambda k: 2 * k,
     ("ring", "partial"): lambda k: k,
@@ -192,24 +192,3 @@ def backhaul_rate(num_users: int, topology: str, coordination: str) -> int:
         raise ValueError(
             f"unknown topology/coordination pair ({topology!r}, {coordination!r})"
         ) from None
-
-
-@dataclasses.dataclass(frozen=True)
-class BackhaulReport:
-    """Backhaul load of every topology/coordination pair for one ring size."""
-
-    num_users: int
-    partial_line: int
-    partial_ring: int
-    full_line: int
-    full_ring: int
-
-    @classmethod
-    def for_users(cls, num_users: int) -> "BackhaulReport":
-        return cls(
-            num_users=num_users,
-            partial_line=backhaul_rate(num_users, "line", "partial"),
-            partial_ring=backhaul_rate(num_users, "ring", "partial"),
-            full_line=backhaul_rate(num_users, "line", "full"),
-            full_ring=backhaul_rate(num_users, "ring", "full"),
-        )

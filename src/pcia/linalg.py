@@ -166,6 +166,16 @@ def _stack(mats, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _padded_streams(width: int, dof: tuple) -> np.ndarray:
+    """Read-only ``(K, width)`` mask of each user's filter columns past ``dof[k]``.
+
+    Built once per stream layout: the scorers' padded-stream identity and
+    the one-shot receive step's zeroed columns.
+    """
+    return _read_only(np.arange(width) >= np.array(dof)[:, None])
+
+
 @functools.lru_cache(maxsize=256)
 def _groups(keys: tuple) -> tuple:
     """``(key, indices)`` per distinct entry of ``keys``, by first appearance, once per layout."""

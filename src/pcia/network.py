@@ -20,7 +20,8 @@ the draw alone: the zero-padded stacked grid (on a uniform grid, the
 matrix reshaped rather than copied block by block), zero forcing's
 zero-padded row stack, the forward and reverse link grids in the
 transmitter-major layout the covariance kernel of :mod:`pcia.linalg`
-reads, and the pinned SVD of the direct blocks. Every design and every
+reads, and the pinned SVD of the direct blocks as three zero-padded
+stacks, each user's factors in its corners. Every design and every
 score on one draw reads the same copy, whatever its time-share slot or
 SNR point, so no solver copies a grid, and no other module reads the
 per-user lists. Views and caches are read-only.
@@ -291,18 +292,23 @@ class _BlockGrid:
 
     @functools.cached_property
     def _direct_svd(self) -> tuple:
-        """Thin SVD triplets ``(u, s, v)`` of each direct block ``blocks[k][k]``.
+        """The thin SVD of each direct block as three read-only, zero-padded stacks.
 
-        One batched ``svd`` per distinct block shape, on the blocks gathered
-        from :attr:`_stacked`, singular-vector phases pinned jointly on the
-        stack.
+        ``u`` is ``(K, m, r)``, ``s`` ``(K, r)`` and ``v`` ``(K, n, r)``, with
+        ``r = min(m, n)`` of the largest sizes; user ``k``'s own factors fill
+        its corners, ``r_k = min(m_k, n_k)`` columns wide. One batched ``svd``
+        per block shape, on blocks gathered from :attr:`_stacked`, phases
+        pinned jointly on the stack, fills them.
         """
-        triplets = [None] * self.num_users
-        for (m, n), users in _groups(tuple(zip(self.rx_sizes, self.tx_sizes))):
-            stacks = [_read_only(a) for a in _pinned_svd(self._stacked[users, users, :m, :n])]
-            for k, *triplet in zip(users, *stacks):
-                triplets[k] = tuple(triplet)
-        return tuple(triplets)
+        k, m, n = self.num_users, max(self.rx_sizes), max(self.tx_sizes)
+        u = np.zeros((k, m, min(m, n)), dtype=np.complex128)
+        s = np.zeros((k, min(m, n)))
+        v = np.zeros((k, n, min(m, n)), dtype=np.complex128)
+        for (rows, cols), users in _groups(tuple(zip(self.rx_sizes, self.tx_sizes))):
+            r = min(rows, cols)
+            u[users, :rows, :r], s[users, :r], v[users, :cols, :r] = _pinned_svd(
+                self._stacked[users, users, :rows, :cols])
+        return _read_only(u), _read_only(s), _read_only(v)
 
 
 def _view(blocks) -> _BlockGrid:

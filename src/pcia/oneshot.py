@@ -26,9 +26,10 @@ the reverse link grid in the covariance kernel's layout and the pinned
 SVD of the direct blocks. What depends on the config alone (the active
 users, the stream bound, the kernel's half weights at unit power and
 each width group's index array) is built once per config. Each step
-hands the next one zero-padded stack: the receive step one stack of its
-filters, which the covariance kernel reads as it is and the design
-keeps, and the null-space step, one LAPACK call per paired width with
+hands the next one zero-padded stack: the receive step one slice of the
+cached SVD's left stack, its columns past each stream count zeroed,
+which the covariance kernel reads as it is and the design keeps, and
+the null-space step, one LAPACK call per paired width with
 phases pinned on the stack, one stack of the bases. One pass over the
 groups of users sharing every filter shape and nullity then runs each
 group's subset search, one gather and product per minor level, and its
@@ -56,8 +57,8 @@ from .linalg import (
     _groups,
     _interferer_weights,
     _lapack_errors,
+    _padded_streams,
     _read_only,
-    _stack,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -155,8 +156,9 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig) 
     """Receive filters from the dominant left singular vectors.
 
     The filters are the leading columns of the channel's cached
-    direct-block SVD, which one batched ``svd`` per distinct block shape
-    builds once per draw and every time-share slot then reads.
+    direct-block SVD, built once per draw and read by every time-share
+    slot: one slice of its left stack, columns past each user's stream
+    count zeroed by the scorers' stream mask.
 
     Returns:
         The read-only, zero-padded ``(K, max m, max d)`` stack of the
@@ -170,8 +172,9 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig) 
             every stream count within its direct block.
     """
     _check_layout(equiv, config)
-    return _read_only(_stack([u[:, :d] for (u, _, _), d in zip(equiv._direct_svd, config.dof)],
-                             max(config.rx_antennas), max(config.dof)))
+    width = max(config.dof)
+    return _read_only(np.where(_padded_streams(width, config.dof)[:, None], 0j,
+                               equiv._direct_svd[0][:, :, :width]))
 
 
 def _null_bases(qs: np.ndarray, rank_tol: float) -> tuple:
@@ -284,8 +287,8 @@ def select_transmit_beamformer(
     Raises:
         TypeError: an argument is not a numpy array with three axes.
         ValueError: ``dof`` is not a whole, non-negative number, or the
-            stacks' leading axes differ or the receive stack does not
-            have ``dof`` columns.
+            stacks do not chain as ``(G, m, dof)``, ``(G, m, n)`` and
+            ``(G, n, a)``.
         OneShotInfeasible: when fewer admissible directions exist than
             streams requested, or when the widest level of the search,
             ``comb(nullity, min(dof, nullity // 2))`` subsets, exceeds
@@ -294,7 +297,9 @@ def select_transmit_beamformer(
     for name, stack in (("receive", receive), ("direct", direct), ("null_bases", null_bases)):
         _require(stack, name, np.ndarray, ndim=3)
     dof = _integral(dof, "dof", 0)
-    if not receive.shape[0] == direct.shape[0] == null_bases.shape[0] or receive.shape[2] != dof:
+    users, rows, streams = receive.shape
+    chained = ((users, rows), (users, direct.shape[2]), dof)
+    if (direct.shape[:2], null_bases.shape[:2], streams) != chained:
         raise ValueError(f"receive {receive.shape}, direct {direct.shape} and null_bases "
                          f"{null_bases.shape} are not stacks of one user group at dof = {dof}")
     nullity = null_bases.shape[-1]
@@ -384,8 +389,9 @@ def one_shot_ia(
         transmit_stack[users, :w, :d] = picks
         eff = filters.conj().transpose(0, 2, 1) @ direct @ picks
         smallest[users] = np.linalg.svd(eff, compute_uv=False)[:, -1]
+    largest = equiv._direct_svd[1][:, 0]
     for k in plan.active:
-        if smallest[k] <= rank_tol * equiv._direct_svd[k][1][0]:
+        if smallest[k] <= rank_tol * largest[k]:
             raise RankDeficientDesired(
                 f"direct link of user {k} is rank deficient after precoding", user=k)
     return BeamformerSet(receive, transmit_stack, config.rx_antennas,

@@ -8,7 +8,8 @@ at the cost of network-wide data sharing.
 The design reads the channel view's matrix and its cached row stack and
 is batched over users, one LAPACK call per distinct matrix shape for
 each of its two SVD steps, so it costs the same few calls for every
-user count.
+user count. Its null spaces are a ``(K, N, N)`` stack of right singular
+vectors and a nullity vector, the form of :class:`pcia.ReciprocalState`.
 """
 
 from __future__ import annotations
@@ -71,25 +72,26 @@ def bd_zero_forcing(
     if dof is not None:
         dof = _stream_counts(dof, num_users)
     n_total, rx_sizes = sum(channel.tx_sizes), channel.rx_sizes
-    nulls = [np.eye(n_total, dtype=np.complex128)] if num_users == 1 else [None] * num_users
-    # Singular values at or below ``rank_tol`` times the largest count as
-    # zero; the null basis is the matching trailing right singular vectors.
+    # ``right[k]``'s rows: the right singular vectors of the other users'
+    # rows, or the identity for a lone user. Its trailing ``nullities[k]``
+    # rows, past singular values above ``rank_tol`` times the largest, span
+    # user k's null space.
+    right = np.tile(np.eye(n_total, dtype=np.complex128), (num_users, 1, 1))
+    nullities = np.full(num_users, n_total)
     for users, index in _other_rows(rx_sizes) if num_users > 1 else ():
-        _, svals, vh = np.linalg.svd(channel._matrix[index])
-        ranks = np.add.reduce(svals > rank_tol * svals[:, :1], axis=1).tolist()
-        for k, v, rank in zip(users, vh.conj().transpose(0, 2, 1), ranks):
-            nulls[k] = v[:, rank:]
+        _, svals, right[users] = np.linalg.svd(channel._matrix[index])
+        nullities[users] = n_total - np.add.reduce(svals > rank_tol * svals[:, :1], axis=1)
     granted = []
-    for k, null in enumerate(nulls):
+    for k, nullity in enumerate(nullities.tolist()):
         if dof is not None and dof[k] == 0:
             granted.append(0)
             continue
-        if null.shape[1] == 0:
+        if nullity == 0:
             raise BDInfeasible(
                 f"zero forcing leaves user {k} no interference-free directions: "
                 f"{n_total} pooled antennas cannot avoid "
                 f"{sum(rx_sizes) - rx_sizes[k]} foreign receive dimensions")
-        cap = min(rx_sizes[k], null.shape[1])
+        cap = min(rx_sizes[k], nullity)
         want = cap if dof is None else dof[k]
         if want > cap:
             raise BDInfeasible(
@@ -98,12 +100,11 @@ def bd_zero_forcing(
     width = max(granted)
     receive = np.zeros((num_users, max(rx_sizes), width), dtype=np.complex128)
     transmit = np.zeros((num_users, n_total, width), dtype=np.complex128)
-    for (m, _, want), users in _groups(tuple(
-            (m, null.shape, want) for m, null, want in zip(rx_sizes, nulls, granted))):
+    for (m, a, want), users in _groups(tuple(zip(rx_sizes, nullities.tolist(), granted))):
         if want == 0:
             continue
         # Each null basis keeps its column-major layout in the stack.
-        null = np.array([nulls[k].T for k in users.tolist()]).transpose(0, 2, 1)
+        null = right[users, n_total - a:].conj().transpose(0, 2, 1)
         u, _, v = _pinned_svd(channel._row_stack[users, :m] @ null)
         transmit[users, :, :want] = null @ v[:, :, :want]
         receive[users, :m, :want] = u[:, :, :want]

@@ -19,6 +19,15 @@ def corners(stack, rows, cols) -> list:
     return [a[:m, :d] for a, m, d in zip(stack, rows, cols, strict=True)]
 
 
+def direct_triplets(view) -> list:
+    """Each user's thin SVD ``(u, s, v)`` of its direct block, cut from the view's
+    zero-padded ``_direct_svd`` stacks as views: ``r_k = min(m_k, n_k)`` columns each."""
+    u, s, v = view._direct_svd
+    ranks = [min(m, n) for m, n in zip(view.rx_sizes, view.tx_sizes)]
+    return list(zip(corners(u, view.rx_sizes, ranks), [a[:r] for a, r in zip(s, ranks)],
+                    corners(v, view.tx_sizes, ranks), strict=True))
+
+
 def blockdiag(mats) -> np.ndarray:
     rows = sum(m.shape[0] for m in mats)
     cols = sum(m.shape[1] for m in mats)
@@ -115,5 +124,5 @@ def cached_arrays(channel, equiv) -> list:
     arrays = list(channel._rows)
     for grid in (channel, equiv):
         arrays += [grid._stacked, grid._row_stack, grid._forward, grid._reverse]
-        arrays += [a for triplet in grid._direct_svd for a in triplet]
+        arrays += list(grid._direct_svd)
     return arrays

@@ -40,7 +40,13 @@ from pcia.evaluation import (
     run_experiment,
 )
 
-from conftest import blockdiag, overall_precoder, random_orthonormal, received_signal_power
+from conftest import (
+    blockdiag,
+    direct_triplets,
+    overall_precoder,
+    random_orthonormal,
+    received_signal_power,
+)
 
 
 def _scorecard(number, label):
@@ -119,8 +125,9 @@ def test_03_received_power_identities():
             equiv = equivalent_channel(channel, perm)
             receive = design_receive_beamformers(equiv, cfg)
             # The dominant triplets of each direct block, from the draw's SVD.
-            singular = [s[:d] for (_, s, _), d in zip(equiv._direct_svd, cfg.dof)]
-            right = [v[:, :d] for (_, _, v), d in zip(equiv._direct_svd, cfg.dof)]
+            triplets = direct_triplets(equiv)
+            singular = [s[:d] for (_, s, _), d in zip(triplets, cfg.dof)]
+            right = [v[:, :d] for (_, _, v), d in zip(triplets, cfg.dof)]
             for user in range(k):
                 d = cfg.dof[user]
                 # Matched precoding attains the sum of the dominant

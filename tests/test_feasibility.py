@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from pcia import (
-    BackhaulReport,
     ExperimentSpec,
     backhaul_rate,
     dof_upper_bound,
@@ -237,16 +236,16 @@ def test_backhaul_frozen_table():
         7: (14, 7, 49, 42),
     }
     for k, (pl, pr, fl, fr) in expected.items():
-        report = BackhaulReport.for_users(k)
-        assert (report.partial_line, report.partial_ring) == (pl, pr)
-        assert (report.full_line, report.full_ring) == (fl, fr)
+        partial = backhaul_rate(k, "line", "partial"), backhaul_rate(k, "ring", "partial")
+        full = backhaul_rate(k, "line", "full"), backhaul_rate(k, "ring", "full")
+        assert (partial, full) == ((pl, pr), (fl, fr))
 
 
 def test_backhaul_partial_ring_beats_full_everywhere():
     for k in range(3, 12):
-        report = BackhaulReport.for_users(k)
-        assert report.partial_ring < report.partial_line
-        assert report.partial_ring < report.full_ring <= report.full_line
+        partial_ring = backhaul_rate(k, "ring", "partial")
+        assert partial_ring < backhaul_rate(k, "line", "partial")
+        assert partial_ring < backhaul_rate(k, "ring", "full") <= backhaul_rate(k, "line", "full")
 
 
 def test_backhaul_none_and_unknown():
@@ -262,10 +261,12 @@ def test_backhaul_counts_must_be_whole_and_positive():
     # 2.5 users used to give a load of 6.25 on a fully coordinated line
     with pytest.raises(ValueError, match="num_users must be a whole number, got 2.5"):
         backhaul_rate(2.5, "line", "full")
-    with pytest.raises(ValueError, match="num_users must be a whole number, got 2.5"):
-        BackhaulReport.for_users(2.5)
+    for pair in feasibility._BACKHAUL:
+        with pytest.raises(ValueError, match="num_users must be a whole number, got 2.5"):
+            backhaul_rate(2.5, *pair)
     for num_users in (0, -1):
         with pytest.raises(ValueError, match="num_users must be at least 1"):
             backhaul_rate(num_users, "ring", "partial")
     assert backhaul_rate(3.0, "line", "full") == 9
-    assert BackhaulReport.for_users(3.0) == BackhaulReport.for_users(3)
+    for pair in feasibility._BACKHAUL:
+        assert backhaul_rate(3.0, *pair) == backhaul_rate(3, *pair)

@@ -33,6 +33,9 @@
   through the view's arrays.
 * No package module but ``evaluation``, whose scorers still take list
   grids, reads ``network._view``: a solver takes a view, never a list.
+* No solver module (``oneshot``, ``distributed``, ``zeroforcing``) reads
+  ``linalg._stack``: each per-user quantity is made as a zero-padded
+  stack, so no solver holds a per-user list to restack.
 * ``import pcia`` loads no process pool: ``concurrent.futures``, with the
   logging and threading it imports, waits for a sweep on two or more
   workers.
@@ -470,6 +473,31 @@ def test_only_the_scorers_wrap_a_list_grid_into_a_view():
         + "\n".join(f"src/pcia/{module}.py" for module in readers))
 
 
+# The solver modules, which hold their per-user data as zero-padded stacks.
+SOLVER_MODULES = {"oneshot", "distributed", "zeroforcing"}
+
+
+def _restackers(trees: dict) -> list:
+    """Solver modules of ``trees`` that read ``_stack``: import, call or name it."""
+    return sorted(module for module, tree in trees.items()
+                  if module in SOLVER_MODULES and _reads(tree)["_stack"])
+
+
+def test_the_check_sees_a_restack():
+    trees = {"oneshot": ast.parse("from .linalg import _stack\n"),
+             "distributed": ast.parse("from . import linalg\nx = linalg._stack(a, 2, 1)\n"),
+             "zeroforcing": ast.parse("x = channel._stacked\n"),
+             "evaluation": ast.parse("from .linalg import _stack\n")}
+    assert _restackers(trees) == ["distributed", "oneshot"]
+
+
+def test_no_solver_restacks_a_per_user_list():
+    found = _restackers(_package_trees())
+    assert not found, ("make each per-user quantity a zero-padded stack where it is made; "
+                       "linalg._stack is read by:\n"
+                       + "\n".join(f"src/pcia/{module}.py" for module in found))
+
+
 def test_importing_the_package_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
@@ -501,7 +529,7 @@ REFUSALS = {
         lambda: reciprocal_state(_EQUIV.blocks, _RECEIVE, _CFG),
         "equiv must be EquivalentChannel, got list"),
     "reciprocal_state-per-user-receive": (
-        lambda: reciprocal_state(_EQUIV, [u[:, :1] for u, _, _ in _EQUIV._direct_svd], _CFG),
+        lambda: reciprocal_state(_EQUIV, list(_EQUIV._direct_svd[0][:, :, :1]), _CFG),
         "receive must be ndarray with 3 axes, got list"),
     "bd_zero_forcing-list": (lambda: bd_zero_forcing(_LIST_GRID),
                              "channel must be ChannelSet, got list"),

@@ -32,9 +32,15 @@ from pcia import (
     select_transmit_beamformer,
 )
 from pcia import oneshot
-from pcia.linalg import _interferer_weights
+from pcia.linalg import _interferer_weights, _pinned_svd
 
-from conftest import corners, random_orthonormal, received_signal_power, reciprocal_covariances
+from conftest import (
+    corners,
+    direct_triplets,
+    random_orthonormal,
+    received_signal_power,
+    reciprocal_covariances,
+)
 
 
 def _equiv(config, seed):
@@ -59,9 +65,8 @@ def _bases(state, cfg):
 def test_receive_filters_reconstruct_direct_blocks(k3_config, k3_channel):
     equiv = equivalent_channel(k3_channel, build_permutation(k3_config))
     receive = design_receive_beamformers(equiv, k3_config)
-    for k in range(3):
+    for k, (left, singular, right) in enumerate(direct_triplets(equiv)):
         block = equiv.blocks[k][k]
-        left, singular, right = equiv._direct_svd[k]
         rebuilt = left @ np.diag(singular) @ right.conj().T
         assert np.allclose(rebuilt, block, atol=1e-12)
         # filters are the truncated left factors, orthonormal columns
@@ -82,7 +87,7 @@ def test_received_power_matches_singular_values():
     cfg = NetworkConfig.symmetric(3, 3, 3, 2)
     equiv = _equiv(cfg, 90125)
     receive = design_receive_beamformers(equiv, cfg)
-    right = [v[:, :d] for (_, _, v), d in zip(equiv._direct_svd, cfg.dof)]
+    right = [v[:, :d] for (_, _, v), d in zip(direct_triplets(equiv), cfg.dof)]
     for k in range(3):
         svals = np.linalg.svd(equiv.blocks[k][k], compute_uv=False)
         expected = 5.0 / cfg.dof[k] * float(np.sum(svals[: cfg.dof[k]] ** 2))
@@ -203,6 +208,21 @@ def test_selector_refuses_stacks_of_other_users_or_stream_counts():
             select_transmit_beamformer(*stacks, dof)
 
 
+def test_selector_refuses_stacks_whose_inner_sizes_do_not_chain():
+    # Five-column direct blocks with four-row bases used to come back
+    # unchecked at nullity == dof, and to fail inside numpy's matmul at
+    # nullity > dof; three-row filters on two-row blocks likewise.
+    rng = np.random.default_rng(7)
+    direct = rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5))
+    for rows, nullity in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        receive = np.ones((3, rows, 2), dtype=np.complex128)
+        bases = np.ones((3, 4, nullity), dtype=np.complex128)
+        message = (f"receive {receive.shape}, direct (3, 2, 5) and null_bases "
+                   f"{bases.shape} are not stacks of one user group at dof = 2")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_transmit_beamformer(receive, direct, bases, 2)
+
+
 def test_selector_failure_reports_shortfall():
     basis = np.zeros((4, 1), dtype=np.complex128)
     with pytest.raises(OneShotInfeasible) as exc:
@@ -283,7 +303,7 @@ def test_reciprocal_state_checks_the_receive_filter_widths():
     # ones [4, 4, 4], instead of [2, 2, 2].
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     equiv = _equiv(cfg, 1)
-    full = np.array([u for u, _, _ in equiv._direct_svd])
+    full = equiv._direct_svd[0]
     assert reciprocal_state(equiv, full[:, :, :1], cfg).nullities == [2, 2, 2]
     for receive in (full, full[:, :, :0], full[:2, :, :1], full[:, :1, :1]):
         shape = re.escape(str(receive.shape))
@@ -575,8 +595,7 @@ def test_batched_design_matches_the_per_user_loop(cfg):
         equiv = _equiv(cfg, seed)
         left, singular, right, bases, transmit = _design_by_user(cfg, equiv)
         receive = _receive(equiv, cfg)
-        for k, d in enumerate(cfg.dof):
-            cached = equiv._direct_svd[k]
+        for k, (d, cached) in enumerate(zip(cfg.dof, direct_triplets(equiv), strict=True)):
             assert np.array_equal(cached[0], left[k])
             assert np.array_equal(cached[1], singular[k])
             assert np.array_equal(cached[2], right[k])
@@ -590,18 +609,40 @@ def test_batched_design_matches_the_per_user_loop(cfg):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("geometry", [dict(rx_antennas=2, tx_antennas=2, num_users=5),
-                                      dict(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3),
-                                           num_users=3)],
-                         ids=["k5-2x2", "ragged-322"])
+@pytest.mark.parametrize("geometry", [
+    dict(rx_antennas=2, tx_antennas=2, num_users=5),
+    dict(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), num_users=3),
+    dict(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), num_users=3),
+], ids=["k5-2x2", "ragged-232", "ragged-322"])
 def test_cached_direct_svd_serves_every_time_share_slot(geometry):
-    # One draw, every slot of its time-share table: the receive filters
-    # and triplets sliced from the draw's cached SVD equal a fresh
-    # per-user SVD with phases pinned column by column.
+    # One draw, every slot of its time-share table. The draw's SVD is three
+    # read-only stacks, zero past each user's corner; each corner is its
+    # block's own pinned SVD and a fresh per-user SVD with phases pinned
+    # column by column, bit for bit, and each slot's receive filters are
+    # the left corner's leading columns.
     spec = ExperimentSpec(**geometry, dof_total=4, schemes=("oneshot_partial",))
     configs = [spec.slot_config(row) for row in spec.slot_dof()]
     assert len(configs) > 1
     equiv = _equiv(configs[0], 17)
+    rows, cols = equiv.rx_sizes, equiv.tx_sizes
+    width = min(max(rows), max(cols))
+    stacks = equiv._direct_svd
+    assert [a.shape for a in stacks] == [(len(rows), max(rows), width), (len(rows), width),
+                                         (len(rows), max(cols), width)]
+    assert not any(a.flags.writeable for a in stacks)
+    triplets = direct_triplets(equiv)
+    for k, (m, n) in enumerate(zip(rows, cols)):
+        r = min(m, n)
+        assert not stacks[0][k, m:].any() and not stacks[0][k, :, r:].any()
+        assert not stacks[1][k, r:].any()
+        assert not stacks[2][k, n:].any() and not stacks[2][k, :, r:].any()
+        for got, own in zip(triplets[k], _pinned_svd(equiv.blocks[k][k][None]), strict=True):
+            assert np.array_equal(got, own[0])
+        u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
+        phases = _pinned_by_column(u)
+        assert np.array_equal(triplets[k][0], u * phases)
+        assert np.array_equal(triplets[k][1], s)
+        assert np.array_equal(triplets[k][2], vh.conj().T * phases)
     for cfg in configs:
         stack = design_receive_beamformers(equiv, cfg)
         # one read-only, zero-padded stack: each filter in its corner
@@ -610,13 +651,7 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
         receive = corners(stack, cfg.rx_antennas, cfg.dof)
         for k, d in enumerate(cfg.dof):
             assert not stack[k, cfg.rx_antennas[k]:].any() and not stack[k, :, d:].any()
-            u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
-            phases = _pinned_by_column(u)
-            cached = equiv._direct_svd[k]
-            assert np.array_equal(cached[0], u * phases)
-            assert np.array_equal(cached[1], s)
-            assert np.array_equal(cached[2], vh.conj().T * phases)
-            assert np.array_equal(receive[k], (u * phases)[:, :d])
+            assert np.array_equal(receive[k], triplets[k][0][:, :d])
             assert not receive[k].flags.writeable
 
 

@@ -202,3 +202,30 @@ def test_code_lines_count_neither_docstrings_nor_comments_nor_blank_lines(capsys
     assert script.counts(tmp_path) == [("sample.py", 12, 6)]
     assert script.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "12", "6"]
+
+
+def test_code_lines_per_definition_count_each_top_level_function_and_class(capsys, tmp_path):
+    script = _load("code_lines")
+    (tmp_path / "sample.py").write_text(
+        '"""A module docstring."""\n'
+        "import functools\n"
+        "\n"
+        "@functools.cache\n"
+        "def one():\n"
+        '    """A function docstring."""\n'
+        "    # a comment\n"
+        "    return 1\n"
+        "\n"
+        "class Pair:\n"
+        '    """A class docstring."""\n'
+        "\n"
+        "    def first(self):\n"
+        "        return one()\n", encoding="utf-8")
+    # one spans lines 4-8 with code on 4, 5 and 8; Pair spans 10-14 with
+    # code on 10, 13 and 14; the import is no definition
+    assert script.definition_counts(tmp_path) == [("sample.py:one", 5, 3),
+                                                  ("sample.py:Pair", 5, 3)]
+    assert script.main(["--defs", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[1:]] == [["sample.py:one", "5", "3"],
+                                                   ["sample.py:Pair", "5", "3"]]
