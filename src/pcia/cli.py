@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import SCHEMES, ExperimentSpec, check_spec, run_experiment
+from .evaluation import SCHEMES, ExperimentSpec, PointStats, check_spec, run_experiment
 from .feasibility import (
     _BACKHAUL,
     backhaul_rate,
@@ -22,10 +22,9 @@ from .feasibility import (
     time_share_schedule,
 )
 
-CSV_HEADER = [
-    "scheme", "K", "m", "n", "dof_total", "snr_db", "trials",
-    "mean_sum_rate", "std_err", "align_residual", "conv_frac", "mean_dof",
-]
+# The statistics of each point, in :class:`PointStats`'s field order.
+_STATS = [f.name for f in dataclasses.fields(PointStats)]
+CSV_HEADER = ["scheme", "K", "m", "n", "dof_total", "snr_db", "trials", *_STATS]
 
 EXIT_BAD_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -97,22 +96,9 @@ def cmd_run(args) -> int:
     if reason is not None:
         return _fail(reason, EXIT_INFEASIBLE)
     records = run_experiment(spec, workers=args.workers).to_records()
-    rows = []
-    for rec in records:
-        rows.append([
-            rec["scheme"],
-            str(spec.num_users),
-            _antenna_label(spec.rx_antennas),
-            _antenna_label(spec.tx_antennas),
-            str(spec.dof_total),
-            _fmt(rec["snr_db"]),
-            str(spec.trials),
-            _fmt(rec["mean_sum_rate"]),
-            _fmt(rec["std_err"]),
-            _fmt(rec["align_residual"]),
-            _fmt(rec["conv_frac"]),
-            _fmt(rec["mean_dof"]),
-        ])
+    rows = [[rec["scheme"], str(spec.num_users), _antenna_label(spec.rx_antennas),
+             _antenna_label(spec.tx_antennas), str(spec.dof_total), _fmt(rec["snr_db"]),
+             str(spec.trials), *(_fmt(rec[name]) for name in _STATS)] for rec in records]
     with out_csv.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

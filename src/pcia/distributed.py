@@ -38,6 +38,7 @@ from .linalg import (
     _eigh,
     _interferer_weights,
     _lapack_errors,
+    _padded_streams,
     _unit_power_weights,
     fix_column_phases,
 )
@@ -66,10 +67,11 @@ def _smallest_first(q: np.ndarray, padded: Optional[np.ndarray]):
 
 
 def _padding(sizes: Sequence, size: int) -> Optional[np.ndarray]:
-    """Diagonal ``(K, size, size)`` indicator of the padded dims, or None."""
+    """Diagonal ``(K, size, size)`` indicator of the padded dims, or None: the cached mask's."""
+    sizes = tuple(sizes)
     if all(s == size for s in sizes):
         return None
-    return np.stack([np.diag(np.arange(size) >= s).astype(float) for s in sizes])
+    return _padded_streams(size, sizes)[:, :, None] * np.eye(size)
 
 
 def iterate_distributed_ia(
@@ -138,7 +140,8 @@ def iterate_distributed_ia(
         for k, (m, n, d) in enumerate(zip(rows, cols, dof)) if d > 0
     )
 
-    streams = np.arange(width) < np.array(dof)[:, None]
+    idle = _padded_streams(width, tuple(dof))
+    streams = ~idle
     weights = _interferer_weights(tuple(per_stream), tuple(dof))
     fwd_padded = _padding(rows, rx_size)
     rev_padded = _padding(cols, tx_size)
@@ -161,8 +164,7 @@ def iterate_distributed_ia(
                 _covariance_stack(reverse, receive, weights), rev_padded)
             transmit = vecs[:, :, :width]
     for stack, sizes in ((receive, rows), (transmit, cols)):
-        padding = np.arange(stack.shape[1]) >= np.array(sizes)[:, None]
-        stack[padding[:, :, None] | ~streams[:, None, :]] = 0.0
+        stack[_padded_streams(stack.shape[1], sizes)[:, :, None] | idle[:, None, :]] = 0.0
     return BeamformerSet(fix_column_phases(receive), fix_column_phases(transmit), rows, cols,
                          tuple(dof), iterations=len(history), converged=converged,
                          leakage=tuple(history))

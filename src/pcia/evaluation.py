@@ -31,11 +31,11 @@ from .linalg import (
 )
 from .network import (
     NetworkConfig,
+    _BlockGrid,
     _integral,
     _per_user,
     _real,
     _tolerance,
-    _view,
     build_permutation,
     equivalent_channel,
     generate_channel,
@@ -61,19 +61,37 @@ SCHEMES = ("oneshot_partial", "distributed_partial", "distributed_generic", "bdz
 def _filter_stacks(blocks, receive, transmit, dof=None):
     """A caller's grid and filters as ``(grid, receive, transmit)`` stacks.
 
-    A stacked ``blocks`` array is taken as it is, anything else through the
-    checked channel view. Two filter arrays are taken as stacked; lists are
-    checked, against the view's block sizes if there is one, and
-    zero-padded to the widest filter on either side.
+    The scorers take two forms, and refuse any mix of them with a
+    TypeError. Form A, the harness's: a channel view, or a zero-padded
+    ``(K, K or 1, m, n)`` grid, with ``(K, m, d)`` and ``(K, n, d)`` filter
+    stacks, which must fit the grid and ``dof``, if given: one count per
+    user, none above ``d``. Form B: a list grid, checked and copied into a
+    view, with per-user filter lists, checked against that view's blocks
+    and zero-padded to the widest filter on either side.
     """
-    view = None if isinstance(blocks, np.ndarray) else _view(blocks)
-    grid = blocks if view is None else view._stacked
-    if isinstance(receive, np.ndarray) and isinstance(transmit, np.ndarray):
+    listed = not isinstance(blocks, (_BlockGrid, np.ndarray))
+    stacks = isinstance(receive, np.ndarray), isinstance(transmit, np.ndarray)
+    if not listed and stacks == (True, True):
+        grid = blocks if isinstance(blocks, np.ndarray) else blocks._stacked
+        shape = grid.shape
+        fits = (len(shape), receive.ndim) == (4, 3) and shape[1] in (1, shape[0]) and (
+            receive.shape, transmit.shape) == ((shape[0], shape[2], receive.shape[2]),
+                                               (shape[0], shape[3], receive.shape[2]))
+        if not fits or dof is not None and (len(dof) != shape[0] or max(dof) > receive.shape[2]):
+            at = "" if dof is None else f" at dof {list(dof)}"
+            raise ValueError(f"filter stacks {receive.shape} and {transmit.shape} do not fit a "
+                             f"{grid.shape} grid{at}")
         return grid, receive, transmit
-    sizes = None if view is None else (view.rx_sizes, view.tx_sizes)
-    _check_filter_lists(len(grid), receive, transmit, dof, sizes)
-    width = max(b.shape[1] for b in (*receive, *transmit))
-    return grid, _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
+    if listed and stacks == (False, False):
+        view = _BlockGrid(blocks)
+        _check_filter_lists(view, receive, transmit, dof)
+        grid = view._stacked
+        width = max(b.shape[1] for b in (*receive, *transmit))
+        return grid, _stack(receive, grid.shape[2], width), _stack(transmit, grid.shape[3], width)
+    raise TypeError("the scorers take a channel view or stacked grid with filter stacks, or a "
+                    f"list grid with per-user filter lists; got {type(blocks).__name__} grid, "
+                    f"{type(receive).__name__} receive and {type(transmit).__name__} transmit "
+                    "filters")
 
 
 def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
@@ -81,17 +99,16 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
 
     Args:
         blocks: square grid; ``blocks[k][l]`` carries transmitter ``l``
-            into receiver ``k``. A list grid or a channel view is read
-            through the checked channel view the solvers take; a
-            zero-padded ``(K, K, m, n)`` stacked array is taken as it is.
-            Its transmitter axis may have length 1 when every transmitter
-            reaches receiver ``k`` through the same rows.
-        receive, transmit: per-user filter and precoder lists, user ``k``'s
-            with ``dof[k]`` columns and, unless ``blocks`` is stacked, as
-            many rows as its blocks; or both already stacked into
-            zero-padded ``(K, m, d)`` and ``(K, n, d)`` arrays, matching a
-            stacked ``blocks``, as a :class:`~pcia.BeamformerSet` holds
-            them, and taken unchecked.
+            into receiver ``k``. Either a channel view or a zero-padded
+            ``(K, K, m, n)`` stacked array, whose transmitter axis may have
+            length 1 when every transmitter reaches receiver ``k`` through
+            the same rows; or a list grid, checked and copied into a view.
+        receive, transmit: with a view or a stacked array, zero-padded
+            ``(K, m, d)`` and ``(K, n, d)`` stacks, as a
+            :class:`~pcia.BeamformerSet` holds them, user ``k``'s filter in
+            its first ``dof[k]`` columns; with a list grid, per-user lists,
+            user ``k``'s filter with ``dof[k]`` columns and as many rows as
+            its blocks.
         powers: total power per user, split equally over its streams.
         dof: stream counts; users at zero contribute and receive nothing.
         noise_power: receive noise variance per antenna.
@@ -100,11 +117,13 @@ def sum_rate(blocks, receive, transmit, powers, dof, noise_power):
         (per_user, total): rates in bits per channel use.
 
     Raises:
+        TypeError: the grid and the filters mix the two forms.
         ValueError: ``powers`` does not give one non-negative, finite
             power per user, ``noise_power`` is negative, NaN or infinite,
-            a power or the noise power is a bool or a string,
-            a list grid is malformed, or per-user filter lists do not fit
-            the grid and ``dof`` or hold a NaN or infinite entry.
+            a power or the noise power is a bool or a string, filter
+            stacks do not fit the grid and ``dof``, a list grid is
+            malformed, or per-user filter lists do not fit the grid and
+            ``dof`` or hold a NaN or infinite entry.
         numpy.linalg.LinAlgError: the sum rate is NaN; finite channel
             entries whose products overflow, say.
     """
@@ -153,9 +172,10 @@ def alignment_residual(blocks, receive, transmit) -> float:
 
     Maximum over ordered user pairs of the Frobenius norm of the filtered
     interference, normalized by the norms of the three factors. Zero when
-    no interfering pair exists. ``blocks`` and the filters take the forms
-    and checks of :func:`sum_rate`, and a NaN residual raises
-    ``numpy.linalg.LinAlgError`` as a NaN sum rate does.
+    no interfering pair exists. ``blocks`` and the filters take the two
+    forms and the checks of :func:`sum_rate`, bar those of ``dof``, and a
+    NaN residual raises ``numpy.linalg.LinAlgError`` as a NaN sum rate
+    does.
     """
     # Every filtered cross link at once on the stacked grid. Zero padding
     # changes no norm, and a silent user's zero-width filter pads to zeros,
@@ -254,21 +274,9 @@ class ExperimentResult:
         return self.points[key]
 
     def to_records(self):
-        """Rows in canonical order: schemes as specified, then SNR."""
-        records = []
-        for scheme in self.spec.schemes:
-            for snr in self.spec.snr_grid_db:
-                stats = self.points[(scheme, snr)]
-                records.append({
-                    "scheme": scheme,
-                    "snr_db": snr,
-                    "mean_sum_rate": stats.mean_sum_rate,
-                    "std_err": stats.std_err,
-                    "align_residual": stats.align_residual,
-                    "conv_frac": stats.conv_frac,
-                    "mean_dof": stats.mean_dof,
-                })
-        return records
+        """Rows in canonical order, schemes as specified, then SNR, with the stats' fields."""
+        return [{"scheme": s, "snr_db": snr, **dataclasses.asdict(self.points[(s, snr)])}
+                for s in self.spec.schemes for snr in self.spec.snr_grid_db]
 
 
 @functools.lru_cache(maxsize=16)

@@ -132,18 +132,20 @@ def _unit_power_weights(dof: Sequence) -> list:
     return _stream_weights([1.0] * len(dof), dof)
 
 
-def _check_filter_lists(users: int, receive, transmit, dof=None, sizes=None) -> None:
-    """A ValueError naming the argument unless the lists fit ``users`` and ``dof``, if given.
+def _check_filter_lists(view, receive, transmit, dof=None) -> None:
+    """A ValueError naming the argument unless the lists fit ``view`` and ``dof``, if given.
 
-    A filter with a NaN or infinite entry is rejected, naming its user, and
-    so is one with columns whose row count differs from its block in
-    ``sizes``, the grid's ``(rx_sizes, tx_sizes)``, if given. A silent
-    user's zero-width filter carries nothing, so its rows are not read.
+    Each user needs one filter of each side, with ``dof[k]`` columns, as
+    many rows as its block, ``view.rx_sizes[k]`` or ``view.tx_sizes[k]``,
+    and no NaN or infinite entry; a filter that breaks a rule is named by
+    its user. A silent user's zero-width filter carries nothing, so its
+    rows are not read.
     """
+    users = view.num_users
     if dof is not None and len(dof) != users:
         raise ValueError(f"dof needs one entry per user: got {len(dof)} for {users} users")
     for name, filters, rows in zip(("receive", "transmit"), (receive, transmit),
-                                   sizes or (None, None)):
+                                   (view.rx_sizes, view.tx_sizes)):
         if len(filters) != users:
             raise ValueError(f"need one {name} filter per user: "
                              f"got {len(filters)} for {users} users")
@@ -151,7 +153,7 @@ def _check_filter_lists(users: int, receive, transmit, dof=None, sizes=None) -> 
             if dof is not None and f.shape[1] != dof[k]:
                 raise ValueError(f"{name} filter {k} has {f.shape[1]} columns for "
                                  f"dof[{k}] = {dof[k]}")
-            if rows is not None and f.shape[1] and f.shape[0] != rows[k]:
+            if f.shape[1] and f.shape[0] != rows[k]:
                 raise ValueError(f"{name} filter {k} has {f.shape[0]} rows for a block "
                                  f"of {rows[k]}")
             if not np.isfinite(f).all():

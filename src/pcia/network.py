@@ -13,18 +13,19 @@ by an index built once per antenna layout.
 
 Each channel view is one read-only matrix cut into blocks: ``blocks``,
 the row blocks and :meth:`~ChannelSet.assemble` are views of that
-matrix, and a list grid given to the constructor or a scorer is checked
-and copied into it; a solver takes a view and nothing else. Built from
-the matrix on first use, each view also caches the arrays that depend on
-the draw alone: the zero-padded stacked grid (on a uniform grid, the
-matrix reshaped rather than copied block by block), zero forcing's
-zero-padded row stack, the forward and reverse link grids in the
-transmitter-major layout the covariance kernel of :mod:`pcia.linalg`
-reads, and the pinned SVD of the direct blocks as three zero-padded
-stacks, each user's factors in its corners. Every design and every
-score on one draw reads the same copy, whatever its time-share slot or
-SNR point, so no solver copies a grid, and no other module reads the
-per-user lists. Views and caches are read-only.
+matrix, and a list grid given to the constructor is checked and copied
+into it; a solver takes a view and nothing else, and a scorer given a
+list grid makes that copy itself. Built from the matrix on first use,
+each view also caches the arrays that depend on the draw alone: the
+zero-padded stacked grid (on a uniform grid, the matrix reshaped rather
+than copied block by block), zero forcing's zero-padded row stack, the
+forward and reverse link grids in the transmitter-major layout the
+covariance kernel of :mod:`pcia.linalg` reads, and the pinned SVD of the
+direct blocks as two zero-padded stacks, left factors and singular
+values, each user's in its corners. Every design and every score on one
+draw reads the same copy, whatever its time-share slot or SNR point, so
+no solver copies a grid, and no other module reads the per-user lists.
+Views and caches are read-only.
 """
 
 from __future__ import annotations
@@ -292,28 +293,22 @@ class _BlockGrid:
 
     @functools.cached_property
     def _direct_svd(self) -> tuple:
-        """The thin SVD of each direct block as three read-only, zero-padded stacks.
+        """The thin SVD of each direct block as two read-only, zero-padded stacks.
 
-        ``u`` is ``(K, m, r)``, ``s`` ``(K, r)`` and ``v`` ``(K, n, r)``, with
-        ``r = min(m, n)`` of the largest sizes; user ``k``'s own factors fill
-        its corners, ``r_k = min(m_k, n_k)`` columns wide. One batched ``svd``
-        per block shape, on blocks gathered from :attr:`_stacked`, phases
-        pinned jointly on the stack, fills them.
+        ``u`` is ``(K, m, r)`` and ``s`` ``(K, r)``, with ``r = min(m, n)`` of
+        the largest sizes; user ``k``'s own factors fill their corners,
+        ``r_k = min(m_k, n_k)`` columns wide. One batched ``svd`` per block
+        shape, on blocks gathered from :attr:`_stacked`, phases pinned,
+        fills them; nothing reads the right factors, so they are not kept.
         """
         k, m, n = self.num_users, max(self.rx_sizes), max(self.tx_sizes)
         u = np.zeros((k, m, min(m, n)), dtype=np.complex128)
         s = np.zeros((k, min(m, n)))
-        v = np.zeros((k, n, min(m, n)), dtype=np.complex128)
         for (rows, cols), users in _groups(tuple(zip(self.rx_sizes, self.tx_sizes))):
             r = min(rows, cols)
-            u[users, :rows, :r], s[users, :r], v[users, :cols, :r] = _pinned_svd(
+            u[users, :rows, :r], s[users, :r], _ = _pinned_svd(
                 self._stacked[users, users, :rows, :cols])
-        return _read_only(u), _read_only(s), _read_only(v)
-
-
-def _view(blocks) -> _BlockGrid:
-    """A channel view as it is, or a list grid checked and copied into one: the scorers' way in."""
-    return blocks if isinstance(blocks, _BlockGrid) else _BlockGrid(blocks)
+        return _read_only(u), _read_only(s)
 
 
 class ChannelSet(_BlockGrid):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from pcia.linalg import _covariance_stack, _interferer_weights, _stack, _unit_power_weights
+from pcia.linalg import (
+    _covariance_stack,
+    _interferer_weights,
+    _pinned_svd,
+    _stack,
+    _unit_power_weights,
+)
 from pcia.network import NetworkConfig, build_permutation, equivalent_channel, generate_channel
 
 
@@ -20,12 +26,10 @@ def corners(stack, rows, cols) -> list:
 
 
 def direct_triplets(view) -> list:
-    """Each user's thin SVD ``(u, s, v)`` of its direct block, cut from the view's
-    zero-padded ``_direct_svd`` stacks as views: ``r_k = min(m_k, n_k)`` columns each."""
-    u, s, v = view._direct_svd
-    ranks = [min(m, n) for m, n in zip(view.rx_sizes, view.tx_sizes)]
-    return list(zip(corners(u, view.rx_sizes, ranks), [a[:r] for a, r in zip(s, ranks)],
-                    corners(v, view.tx_sizes, ranks), strict=True))
+    """Each user's thin SVD ``(u, s, v)`` of its direct block, the package's pinned SVD
+    of that block alone: ``r_k = min(m_k, n_k)`` columns each."""
+    return [tuple(a[0] for a in _pinned_svd(view.blocks[k][k][None]))
+            for k in range(view.num_users)]
 
 
 def blockdiag(mats) -> np.ndarray:

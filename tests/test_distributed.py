@@ -388,9 +388,9 @@ def test_the_closed_form_design_aligns_and_earns_every_stream(cfg):
     for seed in CLOSED_FORM_DRAWS:
         channel = generate_channel(cfg, seed)
         _, receive, transmit = _closed_form(channel, cfg.dof[0])
-        assert alignment_residual(channel, receive, transmit) < 1e-12
-        rates = [sum_rate(channel, receive, transmit, [10.0 ** (snr / 10.0)] * 3, cfg.dof,
-                          1.0)[1] for snr in (30.0, 40.0)]
+        assert alignment_residual(channel.blocks, receive, transmit) < 1e-12
+        rates = [sum_rate(channel.blocks, receive, transmit, [10.0 ** (snr / 10.0)] * 3,
+                          cfg.dof, 1.0)[1] for snr in (30.0, 40.0)]
         slope = (rates[1] - rates[0]) / math.log2(10.0)
         # Finite SNR leaves each stream's slope short of 1 by about
         # 1 / (P * gain): at most 0.09 streams in all on these draws. A

@@ -190,13 +190,12 @@ def test_filter_lists_that_miss_a_user_are_rejected(k3_config, k3_channel, score
                          (nan, f"{short} filter 1 has a NaN or infinite entry"),
                          (cut, f"{short} filter 1 has {rows - 1} rows for a block of {rows}")):
         filters = dict(full, **{short: bad})
-        for grid in (equiv.blocks, equiv):
-            args = (grid, filters["receive"], filters["transmit"])
-            with pytest.raises(ValueError, match=message):
-                if score == "sum_rate":
-                    sum_rate(*args, [1.0] * 3, k3_config.dof, 1.0)
-                else:
-                    alignment_residual(*args)
+        args = (equiv.blocks, filters["receive"], filters["transmit"])
+        with pytest.raises(ValueError, match=message):
+            if score == "sum_rate":
+                sum_rate(*args, [1.0] * 3, k3_config.dof, 1.0)
+            else:
+                alignment_residual(*args)
 
 
 GRID_FAULTS = {
@@ -261,6 +260,68 @@ def test_stream_counts_that_do_not_fit_the_filter_lists_are_rejected(k3_config, 
             for k, w in enumerate(beams.transmit)]
     with pytest.raises(ValueError, match=r"transmit filter 1 has 2 columns for dof\[1\] = 1"):
         sum_rate(equiv.blocks, beams.receive, wide, [1.0] * 3, k3_config.dof, 1.0)
+
+
+def _seed_one_design():
+    # The K=3 2x2 draw of seed 1 and its one-shot design.
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    equiv = equivalent_channel(generate_channel(cfg, 1), build_permutation(cfg))
+    return cfg, equiv, one_shot_ia(cfg, equiv)
+
+
+def test_filter_stacks_that_do_not_fit_the_grid_are_rejected():
+    # Filter stacks used to be taken unchecked. This design scores 12.996
+    # b/cu at power 10, but user 0's receive filter alone was broadcast
+    # over every user (residual 0.456), one power and one stream count
+    # scored user 0's 4.198 as the total, and two streams on a one-column
+    # stack gave 12.073. A transmitter axis of two on three users failed
+    # inside numpy's reshape.
+    cfg, equiv, beams = _seed_one_design()
+    u, v = beams.receive_stack, beams.transmit_stack
+    assert sum_rate(equiv, u, v, [10.0] * 3, cfg.dof, 1.0)[1] == pytest.approx(12.996, abs=1e-3)
+    fit = r"filter stacks \(3, 2, 1\) and \(3, 4, 1\) do not fit a \(3, 3, 2, 4\) grid"
+    with pytest.raises(ValueError, match=r"^filter stacks \(1, 2, 1\) and \(3, 4, 1\) do not "
+                                         r"fit a \(3, 3, 2, 4\) grid$"):
+        alignment_residual(equiv, u[:1], v)
+    with pytest.raises(ValueError, match=fit + r" at dof \[1\]$"):
+        sum_rate(equiv, u, v, [10.0], [1], 1.0)
+    with pytest.raises(ValueError, match=fit + r" at dof \[2, 1, 1\]$"):
+        sum_rate(equiv, u, v, [10.0] * 3, [2, 1, 1], 1.0)
+    with pytest.raises(ValueError, match=r"do not fit a \(3, 2, 2, 4\) grid$"):
+        alignment_residual(equiv._stacked[:, :2], u, v)
+    with pytest.raises(ValueError, match=r"do not fit a \(3, 2, 4\) grid$"):
+        alignment_residual(equiv._stacked[0], u, v)
+
+
+# Each grid form with each filter form on either side; the scorers take
+# a view or a stacked grid with two filter stacks, or a list grid with
+# two per-user lists, and refuse every other pairing. The receive lists
+# are one row short of their two-row blocks: on the stacked grid they
+# used to be zero-padded unchecked and score 4.18 b/cu at power 10,
+# where the same call on the view named the short filter.
+SCORER_FORMS = [(grid, receive, transmit) for grid in ("list", "view", "stacked")
+                for receive in ("lists", "stacks") for transmit in ("lists", "stacks")]
+ACCEPTED_FORMS = {("list", "lists", "lists"), ("view", "stacks", "stacks"),
+                  ("stacked", "stacks", "stacks")}
+
+
+@pytest.mark.parametrize("score", ["sum_rate", "alignment_residual"])
+@pytest.mark.parametrize("form", [f for f in SCORER_FORMS if f not in ACCEPTED_FORMS],
+                         ids="-".join)
+def test_a_mixed_scorer_form_is_refused(score, form):
+    cfg, equiv, beams = _seed_one_design()
+    grid = {"list": equiv.blocks, "view": equiv, "stacked": equiv._stacked}[form[0]]
+    receive = {"lists": [u[:1] for u in beams.receive], "stacks": beams.receive_stack}[form[1]]
+    transmit = {"lists": beams.transmit, "stacks": beams.transmit_stack}[form[2]]
+    names = [type(a).__name__ for a in (grid, receive, transmit)]
+    message = ("^the scorers take a channel view or stacked grid with filter stacks, or a list "
+               f"grid with per-user filter lists; got {names[0]} grid, {names[1]} receive and "
+               f"{names[2]} transmit filters$")
+    with pytest.raises(TypeError, match=message):
+        if score == "sum_rate":
+            sum_rate(grid, receive, transmit, [10.0] * 3, cfg.dof, 1.0)
+        else:
+            alignment_residual(grid, receive, transmit)
 
 
 def test_alignment_residual_oracle_and_scale_invariance(rng):
@@ -726,8 +787,8 @@ def _padded_filters(filters, rows, width):
 def test_stacked_grid_scores_like_the_list_grid(seed):
     # Stations of 2, 3 and 2 antennas, all active or with user 2 silent,
     # on the paired grid and on the zero-forcing row grid: the stacked
-    # grid, with list filters or with zero-padded filter stacks as wide
-    # as the widest filter or wider, scores as the list grid does.
+    # grid, with zero-padded filter stacks as wide as the widest filter or
+    # wider, scores as the list grid with per-user filter lists does.
     rng = np.random.default_rng(seed)
     for dof in ((1, 2, 1), (1, 2, 0)):
         cfg = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=dof)
@@ -739,10 +800,9 @@ def test_stacked_grid_scores_like_the_list_grid(seed):
             transmit = [random_orthonormal(rng, w, d) for w, d in zip(widths, cfg.dof)]
             stacked = zero_padded(grid)
             assert stacked.shape[2] == 3
-            filters = [(receive, transmit)] + [
-                (_padded_filters(receive, stacked.shape[2], width),
-                 _padded_filters(transmit, stacked.shape[3], width))
-                for width in (2, 3)]
+            filters = [(_padded_filters(receive, stacked.shape[2], width),
+                        _padded_filters(transmit, stacked.shape[3], width))
+                       for width in (2, 3)]
             listed_residual = alignment_residual(grid, receive, transmit)
             for p in (1.0, 100.0, 1e4):
                 powers = [p, 2.0 * p, 0.5 * p]
@@ -847,8 +907,9 @@ def test_a_list_grid_is_read_through_one_view_per_scorer_call(monkeypatch, k3_co
     alignment_residual(blocks, beams.receive, beams.transmit)
     assert len(built) == 2
     # A view or a stacked grid is read as it is.
-    alignment_residual(equiv, beams.receive, beams.transmit)
-    sum_rate(equiv._stacked, beams.receive, beams.transmit, [1.0] * 3, beams.dof, 1.0)
+    alignment_residual(equiv, beams.receive_stack, beams.transmit_stack)
+    sum_rate(equiv._stacked, beams.receive_stack, beams.transmit_stack, [1.0] * 3, beams.dof,
+             1.0)
     assert len(built) == 2
 
 
@@ -916,9 +977,10 @@ def test_every_sweep_rate_is_finite_and_non_negative(spec):
 def test_a_time_share_trial_equals_its_rebuild_from_the_public_functions(trial):
     # Five 2x2 cells at 4 streams: five one-shot slots and one zero-forcing
     # design per draw. Every design re-run with the public solvers, scored
-    # on per-user filter lists at the pooled powers and averaged over the
-    # slots as np.mean does, gives the harness's rates and residuals bit
-    # for bit.
+    # at the pooled powers and averaged over the slots as np.mean does,
+    # gives the harness's rates and residuals bit for bit: each one-shot
+    # slot on the list grid with per-user filter lists, zero forcing on
+    # its stacked row grid with the design's stacks.
     spec = ExperimentSpec(**TIMESHARE, trials=1, seed=7)
     got = _run_single_trial(spec, trial)
     users = spec.num_users
@@ -932,10 +994,10 @@ def test_a_time_share_trial_equals_its_rebuild_from_the_public_functions(trial):
         beams = one_shot_ia(cfg, equiv, rank_tol=spec.rank_tol)
         active = sum(d > 0 for d in cfg.dof)
         scale = [users / active if d > 0 else 0.0 for d in cfg.dof]
-        slots.append((equiv._stacked, beams.receive, beams.transmit, cfg.dof, scale))
+        slots.append((equiv.blocks, beams.receive, beams.transmit, cfg.dof, scale))
     sol = bd_zero_forcing(channel, rank_tol=spec.rank_tol)
     rows = np.array([channel.row_block(k) for k in range(users)])[:, None]
-    bd = [(rows, sol.receive, sol.transmit, sol.dof,
+    bd = [(rows, sol.receive_stack, sol.transmit_stack, sol.dof,
            [users * d / sol.dof_total for d in sol.dof])]
     for scheme, designs in (("oneshot_partial", slots), ("bdzf_full", bd)):
         rates = [np.array([sum_rate(grid, u, v, [p * s for s in scale], dof, 1.0)[1]

@@ -31,8 +31,9 @@
 * No package module but ``network`` reads a channel view's per-user
   lists, ``.blocks`` or ``._rows``: solvers and scorers read the draw
   through the view's arrays.
-* No package module but ``evaluation``, whose scorers still take list
-  grids, reads ``network._view``: a solver takes a view, never a list.
+* No package module but ``network`` and ``evaluation``, whose scorers
+  still take list grids, calls a view class, the list constructor: a
+  solver takes a view, never a list.
 * No solver module (``oneshot``, ``distributed``, ``zeroforcing``) reads
   ``linalg._stack``: each per-user quantity is made as a zero-padded
   stack, so no solver holds a per-user list to restack.
@@ -448,29 +449,38 @@ def test_only_the_view_module_reads_per_user_lists():
                        + "\n".join(found))
 
 
-# The module whose scorers wrap a list grid into a channel view.
-LIST_GRID_READER = "evaluation"
+# The modules that may make a channel view from a list grid: ``network``,
+# whose constructor checks and copies it, and ``evaluation``, whose scorers
+# take list grids. Every view class runs that one constructor.
+LIST_GRID_READERS = {"network", "evaluation"}
+VIEW_CLASSES = {"_BlockGrid", "ChannelSet", "EquivalentChannel"}
 
 
 def _view_readers(trees: dict) -> list:
-    """Modules other than ``network`` that read ``_view``: import, call or name it."""
+    """Modules of ``trees`` but ``LIST_GRID_READERS`` that call a view class by name."""
     return sorted(module for module, tree in trees.items()
-                  if module != VIEW_MODULE and _reads(tree)["_view"])
+                  if module not in LIST_GRID_READERS and any(
+                      isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) in VIEW_CLASSES
+                           or getattr(node.func, "attr", None) in VIEW_CLASSES)
+                      for node in ast.walk(tree)))
 
 
 def test_the_check_sees_a_view_reader():
-    trees = {"network": ast.parse("def _view(blocks):\n    return blocks\n"),
-             "a": ast.parse("from .network import _view\n"),
-             "b": ast.parse("from . import network\ngrid = network._view(blocks)\n"),
-             "c": ast.parse("view = blocks\n")}
+    trees = {"network": ast.parse("grid = _BlockGrid(blocks)\n"),
+             "evaluation": ast.parse("view = _BlockGrid(blocks)\n"),
+             "a": ast.parse("from .network import _BlockGrid\nview = _BlockGrid(blocks)\n"),
+             "b": ast.parse("from . import network\ngrid = network.ChannelSet(blocks)\n"),
+             "c": ast.parse("from .network import _BlockGrid\nok = isinstance(x, _BlockGrid)\n"),
+             "d": ast.parse("view = EquivalentChannel._cut(matrix, rows, cols)\n")}
     assert _view_readers(trees) == ["a", "b"]
 
 
 def test_only_the_scorers_wrap_a_list_grid_into_a_view():
     readers = _view_readers(_package_trees())
-    assert set(readers) <= {LIST_GRID_READER}, (
-        "a solver takes a channel view; only the scorers read network._view:\n"
-        + "\n".join(f"src/pcia/{module}.py" for module in readers))
+    assert not readers, (
+        "a solver takes a channel view; only network and the scorers make one from a list "
+        "grid:\n" + "\n".join(f"src/pcia/{module}.py" for module in readers))
 
 
 # The solver modules, which hold their per-user data as zero-padded stacks.

@@ -595,10 +595,13 @@ def test_batched_design_matches_the_per_user_loop(cfg):
         equiv = _equiv(cfg, seed)
         left, singular, right, bases, transmit = _design_by_user(cfg, equiv)
         receive = _receive(equiv, cfg)
-        for k, (d, cached) in enumerate(zip(cfg.dof, direct_triplets(equiv), strict=True)):
-            assert np.array_equal(cached[0], left[k])
-            assert np.array_equal(cached[1], singular[k])
-            assert np.array_equal(cached[2], right[k])
+        cached = corners(equiv._direct_svd[0], cfg.rx_antennas, [len(s) for s in singular])
+        for k, (d, own) in enumerate(zip(cfg.dof, direct_triplets(equiv), strict=True)):
+            assert np.array_equal(cached[k], left[k])
+            assert np.array_equal(equiv._direct_svd[1][k, :len(singular[k])], singular[k])
+            assert np.array_equal(own[0], left[k])
+            assert np.array_equal(own[1], singular[k])
+            assert np.array_equal(own[2], right[k])
             assert np.array_equal(receive[k], left[k][:, :d])
         state = reciprocal_state(equiv, design_receive_beamformers(equiv, cfg), cfg)
         assert state.nullities == [b.shape[1] for b in bases]
@@ -615,11 +618,11 @@ def test_batched_design_matches_the_per_user_loop(cfg):
     dict(rx_antennas=(3, 2, 2), tx_antennas=(2, 2, 3), num_users=3),
 ], ids=["k5-2x2", "ragged-232", "ragged-322"])
 def test_cached_direct_svd_serves_every_time_share_slot(geometry):
-    # One draw, every slot of its time-share table. The draw's SVD is three
-    # read-only stacks, zero past each user's corner; each corner is its
-    # block's own pinned SVD and a fresh per-user SVD with phases pinned
-    # column by column, bit for bit, and each slot's receive filters are
-    # the left corner's leading columns.
+    # One draw, every slot of its time-share table. The draw's SVD is two
+    # read-only stacks, left factors and singular values, zero past each
+    # user's corner; each corner is its block's own pinned SVD, which is a
+    # fresh per-user SVD with phases pinned column by column, bit for bit,
+    # and each slot's receive filters are the left corner's leading columns.
     spec = ExperimentSpec(**geometry, dof_total=4, schemes=("oneshot_partial",))
     configs = [spec.slot_config(row) for row in spec.slot_dof()]
     assert len(configs) > 1
@@ -627,17 +630,16 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
     rows, cols = equiv.rx_sizes, equiv.tx_sizes
     width = min(max(rows), max(cols))
     stacks = equiv._direct_svd
-    assert [a.shape for a in stacks] == [(len(rows), max(rows), width), (len(rows), width),
-                                         (len(rows), max(cols), width)]
+    assert [a.shape for a in stacks] == [(len(rows), max(rows), width), (len(rows), width)]
     assert not any(a.flags.writeable for a in stacks)
     triplets = direct_triplets(equiv)
     for k, (m, n) in enumerate(zip(rows, cols)):
         r = min(m, n)
         assert not stacks[0][k, m:].any() and not stacks[0][k, :, r:].any()
         assert not stacks[1][k, r:].any()
-        assert not stacks[2][k, n:].any() and not stacks[2][k, :, r:].any()
-        for got, own in zip(triplets[k], _pinned_svd(equiv.blocks[k][k][None]), strict=True):
-            assert np.array_equal(got, own[0])
+        own = _pinned_svd(equiv.blocks[k][k][None])
+        assert np.array_equal(stacks[0][k, :m, :r], own[0][0])
+        assert np.array_equal(stacks[1][k, :r], own[1][0])
         u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
         phases = _pinned_by_column(u)
         assert np.array_equal(triplets[k][0], u * phases)

@@ -116,10 +116,10 @@ def test_scorers_follow_a_ring_rotation(name, seed):
     channel = generate_channel(cfg, seed)
     receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
     transmit = [random_orthonormal(rng, w, d) for w, d in zip(cfg.paired_widths, cfg.dof)]
-    rates, resid = _scores(_paired(cfg, channel), receive, transmit, cfg.dof)
+    rates, resid = _scores(_paired(cfg, channel).blocks, receive, transmit, cfg.dof)
     turned = _rotated_config(cfg)
     moved_rates, moved_resid = _scores(
-        _paired(turned, _rotated_channel(channel)), _rotated(receive),
+        _paired(turned, _rotated_channel(channel)).blocks, _rotated(receive),
         _rotated_transmit(cfg, transmit), turned.dof)
     np.testing.assert_allclose(moved_rates, _rotated(rates), rtol=RTOL, atol=0)
     np.testing.assert_allclose(moved_resid, resid, rtol=RTOL, atol=0)
@@ -149,8 +149,8 @@ def _bd_scores(channel):
     # Each receiver's whole row block, zero-padded, on a transmitter axis of one.
     rows = _stack([channel.row_block(k) for k in range(channel.num_users)],
                   max(channel.rx_sizes), sum(channel.tx_sizes))[:, None]
-    rates, _ = sum_rate(rows, sol.receive, sol.transmit, [POWERS] * channel.num_users,
-                        sol.dof, 1.0)
+    rates, _ = sum_rate(rows, sol.receive_stack, sol.transmit_stack,
+                        [POWERS] * channel.num_users, sol.dof, 1.0)
     return np.array(rates), sol.dof
 
 
@@ -183,7 +183,7 @@ def test_one_shot_follows_a_ring_rotation_where_each_null_space_is_its_streams(c
         receive = design_receive_beamformers(equiv, config)
         assert reciprocal_state(equiv, receive, config).nullities == list(config.dof)
         beams = one_shot_ia(config, equiv)
-        results.append(_scores(equiv, beams.receive, beams.transmit, config.dof))
+        results.append(_scores(equiv, beams.receive_stack, beams.transmit_stack, config.dof))
     (rates, resid), (moved_rates, moved_resid) = results
     np.testing.assert_allclose(moved_rates, _rotated(rates), rtol=RTOL, atol=0)
     assert resid < ATOL and moved_resid < ATOL
