@@ -5,7 +5,6 @@ from .network import (
     ChannelSet,
     EquivalentChannel,
     NetworkConfig,
-    PermutationMap,
     build_permutation,
     equivalent_channel,
     generate_channel,
@@ -19,15 +18,7 @@ from .feasibility import (
     is_proper_partial,
     time_share_schedule,
 )
-from .oneshot import (
-    OneShotInfeasible,
-    RankDeficientDesired,
-    ReciprocalState,
-    design_receive_beamformers,
-    one_shot_ia,
-    reciprocal_state,
-    select_transmit_beamformer,
-)
+from .oneshot import OneShotInfeasible, RankDeficientDesired, one_shot_ia
 from .distributed import DistributedInfeasible, iterate_distributed_ia
 from .zeroforcing import BDInfeasible, bd_zero_forcing
 from .evaluation import (

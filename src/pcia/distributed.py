@@ -142,7 +142,7 @@ def iterate_distributed_ia(
 
     idle = _padded_streams(width, tuple(dof))
     streams = ~idle
-    weights = _interferer_weights(tuple(per_stream), tuple(dof))
+    weights = _interferer_weights(tuple(dof))
     fwd_padded = _padding(rows, rx_size)
     rev_padded = _padding(cols, tx_size)
 

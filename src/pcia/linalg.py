@@ -161,10 +161,14 @@ def _check_filter_lists(view, receive, transmit, dof=None) -> None:
 
 
 def _stack(mats, rows: int, cols: int) -> np.ndarray:
-    """Zero-padded ``(len(mats), rows, cols)`` stack of ragged matrices."""
+    """Zero-padded ``(len(mats), rows, cols)`` stack of ragged matrices.
+
+    A matrix without columns leaves its slot zero, however many rows it has.
+    """
     out = np.zeros((len(mats), rows, cols), dtype=np.complex128)
     for k, a in enumerate(mats):
-        out[k, :a.shape[0], :a.shape[1]] = a
+        if a.shape[1]:
+            out[k, :a.shape[0], :a.shape[1]] = a
     return out
 
 
@@ -189,21 +193,20 @@ def _groups(keys: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _interferer_weights(weights: tuple, counts: tuple) -> np.ndarray:
+def _interferer_weights(counts: tuple) -> np.ndarray:
     """Read-only ``(K, 1, K·d)`` half weights of transmitter ``l``'s columns at receiver ``k``.
 
-    Entry ``[k, 0, l·d + j]`` is ``weights[l] / 2`` for the ``counts[l]``
-    real columns of every other transmitter, and zero for the receiver's
-    own transmitter and for padding columns up to the widest beam ``d``.
-    Halving is exact, so the kernel's ``A + A^H`` over half weights is
-    the Hermitized covariance at full weights. Built once per layout.
+    The weights are :func:`_unit_power_weights` of ``counts``, the power
+    every design runs at. Entry ``[k, 0, l·d + j]`` is half of transmitter
+    ``l``'s weight for its ``counts[l]`` real columns, and zero for the
+    receiver's own transmitter and for padding columns up to the widest
+    beam ``d``. Halving is exact, so the kernel's ``A + A^H`` over half
+    weights is the Hermitized covariance at full weights. Built once per
+    layout.
     """
-    if len(weights) != len(counts):
-        raise ValueError(
-            f"need one weight per user: got {len(weights)} for {len(counts)} users")
     users = len(counts)
     out = np.zeros((users, users, max(counts)))
-    for l, (w, count) in enumerate(zip(weights, counts)):
+    for l, (w, count) in enumerate(zip(_unit_power_weights(counts), counts)):
         out[:, l, :count] = 0.5 * w
     out[range(users), range(users)] = 0.0
     return _read_only(out.reshape(users, 1, -1))

@@ -41,7 +41,6 @@ from .linalg import _NOT_NUMBERS, _groups, _pinned_svd, _read_only, _stack
 __all__ = [
     "NetworkConfig",
     "ChannelSet",
-    "PermutationMap",
     "EquivalentChannel",
     "BeamformerSet",
     "generate_channel",
@@ -84,13 +83,11 @@ def _tolerance(value, name: str) -> float:
     return tol
 
 
-def _require(value, name: str, *kinds, ndim=None) -> None:
+def _require(value, name: str, *kinds) -> None:
     """A solver's entry check: a TypeError naming ``name`` unless ``value`` is one of ``kinds``."""
-    foreign = not isinstance(value, kinds)
-    if foreign or (ndim is not None and value.ndim != ndim):
-        form = " or ".join(k.__name__ for k in kinds) + (f" with {ndim} axes" if ndim else "")
-        got = type(value).__name__ + ("" if foreign else f" with {value.ndim} axes")
-        raise TypeError(f"{name} must be {form}, got {got}")
+    if not isinstance(value, kinds):
+        raise TypeError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                        f"got {type(value).__name__}")
 
 
 def _stream_counts(dof, num_users: int) -> list:
@@ -364,7 +361,7 @@ class PermutationMap:
     """Column reindexing from the physical channel to the paired one.
 
     ``column_order[c]`` gives the physical column feeding equivalent
-    column ``c``; it is a read-only copy. Every physical column appears
+    column ``c``; it is read-only. Every physical column appears
     exactly twice because each base station serves its own user and one
     neighbour. ``station_widths`` are the antenna counts of the stations
     whose columns the map reads.
@@ -373,14 +370,6 @@ class PermutationMap:
     column_order: np.ndarray
     group_widths: tuple
     station_widths: tuple
-
-    def __post_init__(self):
-        order = _read_only(np.array(self.column_order, dtype=np.intp))
-        object.__setattr__(self, "column_order", order)
-        if order.ndim != 1:
-            raise ValueError("column_order must be one-dimensional")
-        if len(order) != sum(self.group_widths):
-            raise ValueError("column_order length must match the group widths")
 
 
 def _stacking_order(config: NetworkConfig, k: int) -> tuple:
@@ -402,12 +391,10 @@ def build_permutation(config: NetworkConfig) -> PermutationMap:
     """
     stations = _slices(config.tx_antennas)
     antennas = np.arange(config.total_tx_antennas)
-    return PermutationMap(
-        column_order=np.concatenate([antennas[stations[b]] for k in range(config.num_users)
-                                     for b in _stacking_order(config, k)]),
-        group_widths=config.paired_widths,
-        station_widths=config.tx_antennas,
-    )
+    order = np.concatenate([antennas[stations[b]] for k in range(config.num_users)
+                            for b in _stacking_order(config, k)])
+    return PermutationMap(column_order=_read_only(order), group_widths=config.paired_widths,
+                          station_widths=config.tx_antennas)
 
 
 class EquivalentChannel(_BlockGrid):

@@ -39,6 +39,14 @@ transmit stack; a group with exactly as many directions as streams
 keeps its bases. Grouping ragged shapes, never padding them, keeps each
 decomposition exactly the one of its own matrix.
 No iteration and no channel extension is involved.
+
+:func:`one_shot_ia` is the one entry point and the one place that checks
+input: the view's type and layout, then ``rank_tol``, then the stream
+bound, once per slot. Its three steps, :func:`design_receive_beamformers`,
+:func:`reciprocal_state` and :func:`select_transmit_beamformer`, check
+nothing and are not exported. They keep unprefixed names all the same,
+because the benchmark's tracer times each step by wrapping it by name in
+this module, and ``one_shot_ia`` looks each one up here at every call.
 """
 
 from __future__ import annotations
@@ -59,27 +67,11 @@ from .linalg import (
     _lapack_errors,
     _padded_streams,
     _read_only,
-    _unit_power_weights,
     fix_column_phases,
 )
-from .network import (
-    BeamformerSet,
-    EquivalentChannel,
-    NetworkConfig,
-    _integral,
-    _require,
-    _tolerance,
-)
+from .network import BeamformerSet, EquivalentChannel, NetworkConfig, _require, _tolerance
 
-__all__ = [
-    "OneShotInfeasible",
-    "RankDeficientDesired",
-    "ReciprocalState",
-    "design_receive_beamformers",
-    "reciprocal_state",
-    "select_transmit_beamformer",
-    "one_shot_ia",
-]
+__all__ = ["OneShotInfeasible", "RankDeficientDesired", "one_shot_ia"]
 
 
 # Most subsets in one level of the minor search, ``comb(a, min(d, a // 2))``
@@ -138,7 +130,7 @@ def _slot_plan(config: NetworkConfig) -> _SlotPlan:
     return _SlotPlan(
         active=active,
         bound=min((config.paired_widths[k] for k in active), default=0),
-        weights=_interferer_weights(tuple(_unit_power_weights(config.dof)), config.dof),
+        weights=_interferer_weights(config.dof),
         widths=_groups(config.paired_widths),
         shapes=tuple(zip(config.rx_antennas, config.dof, config.paired_widths)),
     )
@@ -158,20 +150,15 @@ def design_receive_beamformers(equiv: EquivalentChannel, config: NetworkConfig) 
     The filters are the leading columns of the channel's cached
     direct-block SVD, built once per draw and read by every time-share
     slot: one slice of its left stack, columns past each user's stream
-    count zeroed by the scorers' stream mask.
+    count zeroed by the scorers' stream mask. On the config's paired
+    layout, which :func:`one_shot_ia` checks, the config's own cap keeps
+    every stream count within its direct block.
 
     Returns:
         The read-only, zero-padded ``(K, max m, max d)`` stack of the
         filters, user ``k``'s ``m_k x d_k`` filter with orthonormal
         columns in its corner ``[k, :m_k, :d_k]``.
-
-    Raises:
-        TypeError: ``equiv`` is not an :class:`EquivalentChannel`.
-        ValueError: if the channel's block sizes are not the config's
-            paired layout. On that layout the config's own cap keeps
-            every stream count within its direct block.
     """
-    _check_layout(equiv, config)
     width = max(config.dof)
     return _read_only(np.where(_padded_streams(width, config.dof)[:, None], 0j,
                                equiv._direct_svd[0][:, :, :width]))
@@ -201,26 +188,13 @@ def reciprocal_state(
 ) -> ReciprocalState:
     """Null-space bases of the reciprocal covariances, and candidate counts per user.
 
-    ``receive`` is the stack of :func:`design_receive_beamformers`, of
-    which only the shape is checked: finite padding cannot reach the
-    result, as the kernel's weights are zero on padding columns and the
-    reverse link grid on padding rows. The covariances are one kernel
-    call on the channel's cached reverse link grid, and the null spaces
-    one batched ``eigh`` per distinct paired width.
-
-    Raises:
-        TypeError: ``equiv`` is not an :class:`EquivalentChannel`, or
-            ``receive`` not a numpy array with three axes.
-        ValueError: ``rank_tol`` is not positive and finite, or the
-            channel's layout or the receive stack's shape is not the
-            config's.
+    ``receive`` is the stack of :func:`design_receive_beamformers`; its
+    padding cannot reach the result, as the kernel's weights are zero on
+    padding columns and the reverse link grid on padding rows. The
+    covariances are one kernel call on the channel's cached reverse link
+    grid, and the null spaces one batched ``eigh`` per distinct paired
+    width.
     """
-    rank_tol = _tolerance(rank_tol, "rank_tol")
-    _check_layout(equiv, config)
-    _require(receive, "receive", np.ndarray, ndim=3)
-    want = (config.num_users, max(config.rx_antennas), max(config.dof))
-    if receive.shape != want:
-        raise ValueError(f"receive stack is {receive.shape}, not the config's {want}")
     plan = _slot_plan(config)
     q = _covariance_stack(equiv._reverse, receive, plan.weights)
     bases, nullities = np.zeros(q.shape, dtype=q.dtype), np.zeros(config.num_users, dtype=np.intp)
@@ -267,10 +241,10 @@ def select_transmit_beamformer(
     """Pick each user's best stream subset of its admissible precoder directions.
 
     The arguments are stacks with a leading axis over ``G`` users sharing
-    one stream count ``dof``: ``(G, m, d)`` receive filters, ``(G, m, n)``
-    direct blocks and ``(G, n, a)`` null bases. Every ``dof``-column
-    subset of a user's basis cancels all cross links equally well, so
-    the choice is scored on the direct link through
+    one stream count ``dof`` of at least 1: ``(G, m, dof)`` receive
+    filters, ``(G, m, n)`` direct blocks and ``(G, n, a)`` null bases.
+    Every ``dof``-column subset of a user's basis cancels all cross links
+    equally well, so the choice is scored on the direct link through
     ``B = receive^H @ direct @ candidate``, by the product of the
     eigenvalue moduli of ``B``, ``|det B|``: the paper's geometric rule,
     favouring well-conditioned stream separation.
@@ -285,34 +259,18 @@ def select_transmit_beamformer(
     ``user`` names the stack's first user in errors.
 
     Raises:
-        TypeError: an argument is not a numpy array with three axes.
-        ValueError: ``dof`` is not a whole, non-negative number, or the
-            stacks do not chain as ``(G, m, dof)``, ``(G, m, n)`` and
-            ``(G, n, a)``.
         OneShotInfeasible: when fewer admissible directions exist than
             streams requested, or when the widest level of the search,
             ``comb(nullity, min(dof, nullity // 2))`` subsets, exceeds
             ``_MAX_SUBSETS``; either before any table is built.
     """
-    for name, stack in (("receive", receive), ("direct", direct), ("null_bases", null_bases)):
-        _require(stack, name, np.ndarray, ndim=3)
-    dof = _integral(dof, "dof", 0)
-    users, rows, streams = receive.shape
-    chained = ((users, rows), (users, direct.shape[2]), dof)
-    if (direct.shape[:2], null_bases.shape[:2], streams) != chained:
-        raise ValueError(f"receive {receive.shape}, direct {direct.shape} and null_bases "
-                         f"{null_bases.shape} are not stacks of one user group at dof = {dof}")
     nullity = null_bases.shape[-1]
-    if dof == 0:
-        return np.zeros(null_bases.shape[:-1] + (0,), dtype=np.complex128)
     who = user if user is not None else "?"
     if nullity < dof:
         raise OneShotInfeasible(
             f"user {who} has only {nullity} interference-free directions for {dof} streams",
             user=user, nullity=nullity, dof=dof,
         )
-    if nullity == dof:
-        return null_bases
     widest = math.comb(nullity, min(dof, nullity // 2))
     if widest > _MAX_SUBSETS:
         raise OneShotInfeasible(
@@ -341,16 +299,20 @@ def one_shot_ia(
         equiv: the paired view of the draw, as :func:`pcia.equivalent_channel`
             builds it; every time-share slot of the draw reads its caches.
 
+    It checks, in this order, that ``equiv`` is a paired view of the
+    config's layout, ``rank_tol``, that some user is active, and the
+    stream bound.
+
     Raises:
         TypeError: ``equiv`` is not an :class:`EquivalentChannel`.
         OneShotInfeasible: total streams exceed the smallest paired width
             among active users, or a null space comes up short.
         RankDeficientDesired: a direct link lost stream rank after
             precoding (a measure-zero event for generic channels).
-        ValueError: ``rank_tol`` is not positive and finite, or the
-            channel's antenna layout is not the config's.
+        ValueError: the channel's antenna layout is not the config's,
+            ``rank_tol`` is not positive and finite, or no user is active.
     """
-    _require(equiv, "equiv", EquivalentChannel)
+    _check_layout(equiv, config)
     rank_tol = _tolerance(rank_tol, "rank_tol")
     plan = _slot_plan(config)
     if not plan.active:

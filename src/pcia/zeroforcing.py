@@ -9,7 +9,8 @@ The design reads the channel view's matrix and its cached row stack and
 is batched over users, one LAPACK call per distinct matrix shape for
 each of its two SVD steps, so it costs the same few calls for every
 user count. Its null spaces are a ``(K, N, N)`` stack of right singular
-vectors and a nullity vector, the form of :class:`pcia.ReciprocalState`.
+vectors and a nullity vector, the form of the one-shot null-space step's
+record, :class:`pcia.oneshot.ReciprocalState`.
 """
 
 from __future__ import annotations

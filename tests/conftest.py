@@ -8,7 +8,6 @@ from pcia.linalg import (
     _interferer_weights,
     _pinned_svd,
     _stack,
-    _unit_power_weights,
 )
 from pcia.network import NetworkConfig, build_permutation, equivalent_channel, generate_channel
 
@@ -88,18 +87,19 @@ def received_signal_power(receive_k, direct_block, transmit_k, power_k, dof_k) -
     return power_k / dof_k * float(np.real(np.trace(eff @ eff.conj().T)))
 
 
-def covariances(stack, beams, weights) -> np.ndarray:
+def covariances(stack, beams) -> np.ndarray:
     """The package kernel on a view's transmitter-major ``_forward`` or ``_reverse``
-    grid, with per-user beams and per-user weights, as one ``(K, m, m)`` array."""
+    grid, with per-user beams at unit power per message, as one ``(K, m, m)`` array."""
     counts = tuple(b.shape[1] for b in beams)
     return _covariance_stack(stack, _stack(beams, stack.shape[2], max(counts)),
-                             _interferer_weights(tuple(weights), counts))
+                             _interferer_weights(counts))
 
 
-def reciprocal_covariances(equiv, receive, dof) -> list:
-    """The reciprocal interference covariance of each user, as :func:`pcia.reciprocal_state`
-    builds it: the package kernel on the cached reverse grid at unit power per message."""
-    q = covariances(equiv._reverse, receive, _unit_power_weights(dof))
+def reciprocal_covariances(equiv, receive) -> list:
+    """The reciprocal interference covariance of each user, as
+    :func:`pcia.oneshot.reciprocal_state` builds it: the package kernel on the cached
+    reverse grid at unit power per message."""
+    q = covariances(equiv._reverse, receive)
     return [q[k, :w, :w] for k, w in enumerate(equiv.tx_sizes)]
 
 

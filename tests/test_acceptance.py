@@ -22,14 +22,12 @@ from pcia import (
     OneShotInfeasible,
     backhaul_rate,
     build_permutation,
-    design_receive_beamformers,
     dof_upper_bound,
     equivalent_channel,
     generate_channel,
     is_proper_generic,
     is_proper_partial,
     one_shot_ia,
-    reciprocal_state,
     time_share_schedule,
 )
 from pcia.cli import main as cli_main
@@ -39,6 +37,7 @@ from pcia.evaluation import (
     multiplexing_gain_estimate,
     run_experiment,
 )
+from pcia.oneshot import design_receive_beamformers, reciprocal_state
 
 from conftest import (
     blockdiag,

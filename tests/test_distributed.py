@@ -43,11 +43,11 @@ def _paired(cfg, seed):
     return equivalent_channel(generate_channel(cfg, seed), build_permutation(cfg))
 
 
-def _leakage(channel, receive, transmit, dof) -> float:
+def _leakage(channel, receive, transmit) -> float:
     # Total interference power at the filter outputs: sum over users of
     # trace(U_k^H Q_k U_k), Q_k the forward covariance of all undesired
     # transmitters at unit power per message.
-    q = covariances(channel._forward, transmit, _unit_power_weights(dof))
+    q = covariances(channel._forward, transmit)
     return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
                for k, (u, m) in enumerate(zip(receive, channel.rx_sizes)))
 
@@ -66,7 +66,7 @@ def test_leakage_matches_per_pair_sum(k3_config, k3_channel):
             if l != k:
                 eff = receive[k].conj().T @ blocks[k][l] @ transmit[l]
                 expected += 1.0 / dof[l] * float(np.linalg.norm(eff, "fro") ** 2)
-    assert _leakage(k3_channel, receive, transmit, dof) == pytest.approx(expected, rel=1e-12)
+    assert _leakage(k3_channel, receive, transmit) == pytest.approx(expected, rel=1e-12)
 
 
 def test_leakage_never_increases_with_uniform_streams():
@@ -207,7 +207,7 @@ def test_recorded_leakage_is_the_explicit_trace(cfg):
     channel = _paired(cfg, 4)
     trace = iterate_distributed_ia(channel, cfg.dof, max_iters=2000, leakage_tol=1e-3, seed=8)
     assert trace.converged
-    explicit = _leakage(channel, trace.receive, trace.transmit, cfg.dof)
+    explicit = _leakage(channel, trace.receive, trace.transmit)
     assert trace.leakage[-1] == pytest.approx(explicit, rel=1e-9)
 
 
@@ -282,7 +282,7 @@ def _reference_loop(view, dof, max_iters, seed, leakage_tol=1e-8):
     forward, reverse = view._forward, view._reverse
     width = max(dof)
     streams = np.arange(width) < np.array(dof)[:, None]
-    weights = _interferer_weights(tuple(per_stream), tuple(dof))
+    weights = _interferer_weights(tuple(dof))
 
     def smallest_first(q, padded):
         if padded is not None:

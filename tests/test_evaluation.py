@@ -6,6 +6,7 @@ trials by hand.
 """
 
 import collections
+import itertools
 import math
 import re
 import warnings
@@ -260,6 +261,26 @@ def test_stream_counts_that_do_not_fit_the_filter_lists_are_rejected(k3_config, 
             for k, w in enumerate(beams.transmit)]
     with pytest.raises(ValueError, match=r"transmit filter 1 has 2 columns for dof\[1\] = 1"):
         sum_rate(equiv.blocks, beams.receive, wide, [1.0] * 3, k3_config.dof, 1.0)
+
+
+def test_a_zero_width_filter_scores_as_silent_at_any_height():
+    # A silent user's zero-width filter carries nothing, so its rows are
+    # not read. One with more rows than the grid's tallest block used to
+    # fail inside the zero padding, with a broadcast error that named no
+    # argument: on the K=3 2x2 draw of seed 1 at dof (1, 1, 0), a (5, 0)
+    # receive filter for user 2.
+    cfg = NetworkConfig.symmetric(3, 2, 2, (1, 1, 0))
+    equiv = equivalent_channel(generate_channel(cfg, 1), build_permutation(cfg))
+    beams = one_shot_ia(cfg, equiv)
+    args = (equiv.blocks, beams.receive, beams.transmit)
+    rates, residual = sum_rate(*args, [10.0] * 3, cfg.dof, 1.0), alignment_residual(*args)
+    assert rates[1] == pytest.approx(9.4539, abs=1e-4)
+    for side, rows in itertools.product(("receive", "transmit"), (0, 2, 5)):
+        filters = {"receive": list(beams.receive), "transmit": list(beams.transmit)}
+        filters[side][2] = np.zeros((rows, 0))
+        args = (equiv.blocks, filters["receive"], filters["transmit"])
+        assert sum_rate(*args, [10.0] * 3, cfg.dof, 1.0) == rates
+        assert alignment_residual(*args) == residual
 
 
 def _seed_one_design():
@@ -1043,6 +1064,29 @@ def test_a_time_share_trial_makes_every_call_the_benchmark_traces(monkeypatch):
             assert tracer.spans[parent][0] == "oneshot.design"
     # The patches are gone again, and tracing changed no output.
     assert evaluation.sum_rate is sum_rate and evaluation.one_shot_ia is one_shot_ia
+    for scheme in spec.schemes:
+        assert np.array_equal(plain[scheme]["rates"], traced[scheme]["rates"])
+
+
+def test_a_wide_trial_traces_its_one_search_inside_its_design(monkeypatch):
+    # Three 8x8 cells at 9 streams: one slot, whose three users share a
+    # shape and have ten directions for three streams each, so one stacked
+    # subset search. No other spec here reaches the tracer's select hook.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import WORKLOADS
+
+    spec = ExperimentSpec(**WORKLOADS["oneshot-k3-8x8-wide"].spec, trials=1, seed=3)
+    plain = _run_single_trial(spec, 0)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracing.TRACED, tracer.wrap):
+        traced = tracer.run(_run_single_trial, spec, 0)
+    designs = [i for i, span in enumerate(tracer.spans) if span[0] == "oneshot.design"]
+    selects = [span for span in tracer.spans if span[0] == "oneshot.select"]
+    assert len(designs) == 1 and len(selects) == 1
+    assert selects[0][3] == designs[0]
+    assert tracer.counts["oneshot.subsets_scored"] == 3 * math.comb(10, 3)
+    assert tracer.counts["oneshot.failed"] == 0
     for scheme in spec.schemes:
         assert np.array_equal(plain[scheme]["rates"], traced[scheme]["rates"])
 

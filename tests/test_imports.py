@@ -37,6 +37,11 @@
 * No solver module (``oneshot``, ``distributed``, ``zeroforcing``) reads
   ``linalg._stack``: each per-user quantity is made as a zero-padded
   stack, so no solver holds a per-user list to restack.
+* No package code but ``oneshot.one_shot_ia`` calls the one-shot steps
+  ``design_receive_beamformers``, ``reciprocal_state`` and
+  ``select_transmit_beamformer``: they check none of their input, so
+  their one caller must be the design that checks it. The benchmark's
+  tracer wraps them by name, so they stay module attributes.
 * ``import pcia`` loads no process pool: ``concurrent.futures``, with the
   logging and threading it imports, waits for a sweep on two or more
   workers.
@@ -51,20 +56,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pcia import (
     NetworkConfig,
     bd_zero_forcing,
-    build_permutation,
-    design_receive_beamformers,
-    equivalent_channel,
     generate_channel,
     iterate_distributed_ia,
     one_shot_ia,
-    reciprocal_state,
-    select_transmit_beamformer,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -508,6 +507,51 @@ def test_no_solver_restacks_a_per_user_list():
                        + "\n".join(f"src/pcia/{module}.py" for module in found))
 
 
+# The one-shot steps, which check nothing, and the one function that calls
+# them after checking their input, as ``(module, function)``.
+ONE_SHOT_STEPS = {"design_receive_beamformers", "reciprocal_state", "select_transmit_beamformer"}
+STEP_CALLER = ("oneshot", "one_shot_ia")
+
+
+def _step_calls(trees: dict) -> list:
+    """``(module, caller, step)`` of each call of a one-shot step outside ``STEP_CALLER``.
+
+    A call by name or as an attribute counts; ``caller`` is the top-level
+    definition holding it, or ``<module>``. ``trees`` maps module names to
+    parsed modules.
+    """
+    found = []
+    for module, tree in sorted(trees.items()):
+        for top in tree.body:
+            caller = getattr(top, "name", "<module>")
+            if (module, caller) == STEP_CALLER:
+                continue
+            found += [(module, caller, step) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and (step := getattr(node.func, "id", None)
+                           or getattr(node.func, "attr", None)) in ONE_SHOT_STEPS]
+    return found
+
+
+def test_the_check_sees_a_step_call_outside_the_design():
+    trees = {
+        "oneshot": ast.parse("def one_shot_ia(c, e):\n    r = design_receive_beamformers(e, c)\n"
+                             "    return reciprocal_state(e, r, c)\n"
+                             "def helper(a):\n    return select_transmit_beamformer(a, a, a, 1)\n"),
+        "evaluation": ast.parse("from . import oneshot\nx = oneshot.reciprocal_state(e, r, c)\n"
+                                "def run():\n    return design_receive_beamformers\n"),
+    }
+    assert _step_calls(trees) == [("evaluation", "<module>", "reciprocal_state"),
+                                  ("oneshot", "helper", "select_transmit_beamformer")]
+
+
+def test_only_the_one_shot_design_calls_its_steps():
+    found = _step_calls(_package_trees())
+    assert not found, ("call one_shot_ia, which checks the steps' input:\n"
+                       + "\n".join(f"src/pcia/{module}.py: {caller} calls {step}"
+                                    for module, caller, step in found))
+
+
 def test_importing_the_package_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
@@ -520,38 +564,19 @@ def test_importing_the_package_loads_no_process_pool():
 _CFG = NetworkConfig.symmetric(3, 2, 2, 1)
 _CHANNEL = generate_channel(_CFG, 0)
 _LIST_GRID = [list(row) for row in _CHANNEL.blocks]
-_EQUIV = equivalent_channel(_CHANNEL, build_permutation(_CFG))
-_RECEIVE, _DIRECT, _BASES = np.zeros((3, 2, 1)), np.zeros((3, 2, 4)), np.zeros((3, 4, 2))
 
-# (solver call, the message of its refusal): each solver and one-shot step
-# given a nested list, the one-shot design the physical channel, the
-# null-space step per-user receive filters, the subset pick one user's
-# unstacked basis.
+# (solver call, the message of its refusal): each solver given a nested
+# list, the one-shot design the physical channel.
 REFUSALS = {
     "one_shot_ia-list": (lambda: one_shot_ia(_CFG, _LIST_GRID),
                          "equiv must be EquivalentChannel, got list"),
     "one_shot_ia-channel-set": (lambda: one_shot_ia(_CFG, _CHANNEL),
                                 "equiv must be EquivalentChannel, got ChannelSet"),
-    "design_receive_beamformers-list": (
-        lambda: design_receive_beamformers(_EQUIV.blocks, _CFG),
-        "equiv must be EquivalentChannel, got list"),
-    "reciprocal_state-list": (
-        lambda: reciprocal_state(_EQUIV.blocks, _RECEIVE, _CFG),
-        "equiv must be EquivalentChannel, got list"),
-    "reciprocal_state-per-user-receive": (
-        lambda: reciprocal_state(_EQUIV, list(_EQUIV._direct_svd[0][:, :, :1]), _CFG),
-        "receive must be ndarray with 3 axes, got list"),
     "bd_zero_forcing-list": (lambda: bd_zero_forcing(_LIST_GRID),
                              "channel must be ChannelSet, got list"),
     "iterate_distributed_ia-list": (
         lambda: iterate_distributed_ia(_LIST_GRID, _CFG.dof, seed=0),
         "channel must be ChannelSet or EquivalentChannel, got list"),
-    "select_transmit_beamformer-list": (
-        lambda: select_transmit_beamformer(_RECEIVE.tolist(), _DIRECT, _BASES, 1),
-        "receive must be ndarray with 3 axes, got list"),
-    "select_transmit_beamformer-unstacked": (
-        lambda: select_transmit_beamformer(_RECEIVE, _DIRECT, _BASES[0], 1),
-        "null_bases must be ndarray with 3 axes, got ndarray with 2 axes"),
 }
 
 

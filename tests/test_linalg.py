@@ -15,7 +15,6 @@ from pcia import (
     EquivalentChannel,
     NetworkConfig,
     build_permutation,
-    design_receive_beamformers,
     equivalent_channel,
     generate_channel,
 )
@@ -30,6 +29,7 @@ from pcia.linalg import (
     _slogdet,
     fix_column_phases,
 )
+from pcia.oneshot import design_receive_beamformers
 
 from conftest import corners, covariances, random_orthonormal, reciprocal_covariances
 
@@ -48,9 +48,9 @@ def ragged(request):
     return equiv, transmit, receive
 
 
-def _kernel(stack, beams, weights, sizes):
+def _kernel(stack, beams, sizes):
     # The shared kernel on a transmitter-major grid, each covariance cut to its size.
-    q = covariances(stack, beams, weights)
+    q = covariances(stack, beams)
     return [q[k, :size, :size] for k, size in enumerate(sizes)]
 
 
@@ -81,7 +81,7 @@ def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
 
 def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
     blocks, transmit = ragged[0].blocks, ragged[1]
-    covs = _kernel(ragged[0]._forward, transmit, WEIGHTS, CONFIG.rx_antennas)
+    covs = _kernel(ragged[0]._forward, transmit, CONFIG.rx_antennas)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.rx_antennas[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -92,9 +92,9 @@ def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
 def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
     equiv, _, receive = ragged
     blocks = equiv.blocks
-    covs = _kernel(equiv._reverse, receive, WEIGHTS, CONFIG.paired_widths)
+    covs = _kernel(equiv._reverse, receive, CONFIG.paired_widths)
     # What the one-shot design reads: the cached reverse grid, unit-power weights.
-    cached = reciprocal_covariances(equiv, receive, CONFIG.dof)
+    cached = reciprocal_covariances(equiv, receive)
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
         assert np.array_equal(q, q.conj().T)
@@ -106,17 +106,10 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
 
 
 def test_silent_transmitter_contributes_nothing(ragged):
-    equiv, transmit, receive = ragged
-    blocks = equiv.blocks
-    loud = WEIGHTS[:2] + [1e6]
-    scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in blocks]
-    for g, beams, sizes in ((equiv._forward, transmit, CONFIG.rx_antennas),
-                            (equiv._reverse, receive, CONFIG.paired_widths)):
-        base = _kernel(g, beams, WEIGHTS, sizes)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(base, _kernel(g, beams, loud, sizes)))
-    base = _kernel(equiv._forward, transmit, WEIGHTS, CONFIG.rx_antennas)
-    moved = _kernel(EquivalentChannel(scrambled)._forward, transmit, WEIGHTS, CONFIG.rx_antennas)
+    equiv, transmit, _ = ragged
+    scrambled = [[b * 7.0 if l == 2 else b for l, b in enumerate(row)] for row in equiv.blocks]
+    base = _kernel(equiv._forward, transmit, CONFIG.rx_antennas)
+    moved = _kernel(EquivalentChannel(scrambled)._forward, transmit, CONFIG.rx_antennas)
     for k in (0, 1):
         assert np.array_equal(base[k], moved[k])
 
@@ -171,10 +164,10 @@ def test_kernel_equals_the_receiver_major_formula_bit_for_bit(config, seed):
     for grid, stack, beams in ((equiv._stacked, equiv._forward, transmit),
                                (reciprocal, equiv._reverse, receive)):
         oracle = _receiver_major(grid, _padded(beams, grid.shape[3], max(counts)), full)
-        assert np.array_equal(covariances(stack, beams, weights), oracle)
+        assert np.array_equal(covariances(stack, beams), oracle)
         assert stack.shape == (len(counts), len(counts) * grid.shape[2], grid.shape[3])
         got = _covariance_stack(stack, _padded(beams, grid.shape[3], max(counts)),
-                                _interferer_weights(tuple(weights), counts))
+                                _interferer_weights(counts))
         assert np.array_equal(got, oracle)
         # entry l of the transmitter-major stack is transmitter l's column of blocks
         for l in range(len(counts)):
@@ -183,13 +176,13 @@ def test_kernel_equals_the_receiver_major_formula_bit_for_bit(config, seed):
 
 def test_interferer_weights_are_cached_read_only_half_weights():
     counts = tuple(CONFIG.dof)
-    half = _interferer_weights(tuple(WEIGHTS), counts)
+    half = _interferer_weights(counts)
     assert half.shape == (3, 1, 3 * max(counts))
     assert not half.flags.writeable
     with pytest.raises(ValueError):
         half[0, 0, 0] = 1.0
     assert np.array_equal(half, 0.5 * _full_weights(WEIGHTS, counts).reshape(3, 1, -1))
-    assert _interferer_weights(tuple(WEIGHTS), counts) is half
+    assert _interferer_weights(counts) is half
 
 
 def test_column_heads_are_cached_read_only_flat_positions():
@@ -203,13 +196,6 @@ def test_column_heads_are_cached_read_only_flat_positions():
     for r in range(4):
         assert np.array_equal(a.take(heads + r * 3), a[:, r, :])
     assert np.array_equal(_column_heads((4, 3)), [0, 1, 2])
-
-
-def test_weight_lists_of_the_wrong_length_are_rejected(ragged):
-    equiv, transmit, _ = ragged
-    for weights in ([1.0], [1.0] * 4):
-        with pytest.raises(ValueError, match="one weight per user"):
-            covariances(equiv._forward, transmit, weights)
 
 
 def _pinned_loop(a, tol=1e-12):

@@ -16,7 +16,6 @@ from pcia import (
     is_proper_partial,
     iterate_distributed_ia,
     run_experiment,
-    select_transmit_beamformer,
     time_share_schedule,
 )
 from pcia.linalg import _stack
@@ -436,10 +435,6 @@ COUNT_ARGUMENTS = [
     ("iterate_distributed_ia", "dof", 0, 1,
      lambda v: iterate_distributed_ia(_K3_CHANNEL, [1, 1, v], max_iters=2, seed=0).dof[2]),
     ("bd_zero_forcing", "dof", 0, 1, lambda v: bd_zero_forcing(_K3_CHANNEL, dof=[1, 1, v]).dof[2]),
-    # one user's search: one stream of two directions
-    ("select_transmit_beamformer", "dof", 0, 1,
-     lambda v: select_transmit_beamformer(np.ones((1, 2, 1)), np.ones((1, 2, 4)),
-                                          np.ones((1, 4, 2)), v).shape),
     ("dof_upper_bound", "rx_antennas", 1, 2, lambda v: dof_upper_bound([2, 2, v], [2, 2, 2])),
     ("dof_upper_bound", "tx_antennas", 1, 2, lambda v: dof_upper_bound([2, 2, 2], [2, v, 2])),
     *[(check.__name__, name, 1, good, call) for check in (is_proper_generic, is_proper_partial)

@@ -31,17 +31,16 @@ from pcia import (
     alignment_residual,
     bd_zero_forcing,
     build_permutation,
-    design_receive_beamformers,
     equivalent_channel,
     generate_channel,
     one_shot_ia,
-    reciprocal_state,
     sum_rate,
 )
 from pcia import evaluation
 from pcia.evaluation import _run_single_trial
 from pcia.linalg import _stack
 from pcia.network import ChannelSet
+from pcia.oneshot import design_receive_beamformers, reciprocal_state
 
 from conftest import random_orthonormal
 
