@@ -236,7 +236,7 @@ def select_transmit_beamformer(
     direct: np.ndarray,
     null_bases: np.ndarray,
     dof: int,
-    user: Optional[int] = None,
+    user: int,
 ) -> np.ndarray:
     """Pick each user's best stream subset of its admissible precoder directions.
 
@@ -265,16 +265,15 @@ def select_transmit_beamformer(
             ``_MAX_SUBSETS``; either before any table is built.
     """
     nullity = null_bases.shape[-1]
-    who = user if user is not None else "?"
     if nullity < dof:
         raise OneShotInfeasible(
-            f"user {who} has only {nullity} interference-free directions for {dof} streams",
+            f"user {user} has only {nullity} interference-free directions for {dof} streams",
             user=user, nullity=nullity, dof=dof,
         )
     widest = math.comb(nullity, min(dof, nullity // 2))
     if widest > _MAX_SUBSETS:
         raise OneShotInfeasible(
-            f"user {who} would score {widest} subsets in one level of the search over "
+            f"user {user} would score {widest} subsets in one level of the search over "
             f"{nullity} directions for {dof} streams; the search holds at most "
             f"{_MAX_SUBSETS}",
             user=user, nullity=nullity, dof=dof,

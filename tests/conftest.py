@@ -1,7 +1,18 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+Besides fixtures and builders, this module holds the bit-exact mirrors:
+rules the package batches, written once, per user or per column, so that
+tests can require the batched result bit for bit. The paper's own steps,
+checked within tolerances, are in ``tests/reference.py``, which this
+module loads as ``reference``.
+"""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pcia.linalg import (
     _covariance_stack,
@@ -10,6 +21,17 @@ from pcia.linalg import (
     _stack,
 )
 from pcia.network import NetworkConfig, build_permutation, equivalent_channel, generate_channel
+
+# The paper-literal reference, loaded from its file under a name of its
+# own: ``perfbench/``, also on the test path, has a ``reference`` module.
+_REFERENCE = importlib.util.spec_from_file_location(
+    "paper_reference", Path(__file__).with_name("reference.py"))
+reference = importlib.util.module_from_spec(_REFERENCE)
+_REFERENCE.loader.exec_module(reference)
+
+# Every property test draws the same examples on every run.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -79,12 +101,24 @@ def selection_matrix(perm) -> np.ndarray:
     return p
 
 
-def received_signal_power(receive_k, direct_block, transmit_k, power_k, dof_k) -> float:
-    """Desired-signal power at the filter output, ``power_k`` split evenly over ``dof_k`` streams."""
-    if dof_k == 0:
-        return 0.0
-    eff = receive_k.conj().T @ direct_block @ transmit_k
-    return power_k / dof_k * float(np.real(np.trace(eff @ eff.conj().T)))
+def column_phases(a, tol=1e-12) -> np.ndarray:
+    """The package's column-phase rule, one column at a time: the phase that
+    makes the first entry above ``tol`` real and positive, 1 for a column
+    without one, in ``a``'s dtype."""
+    phases = np.ones(a.shape[1], dtype=a.dtype)
+    for j in range(a.shape[1]):
+        nz = np.flatnonzero(np.abs(a[:, j]) > tol)
+        if nz.size:
+            lead = a[nz[0], j]
+            phases[j] = np.divide(lead.conjugate(), np.abs(lead))
+    return phases
+
+
+def null_basis(q, rank_tol) -> np.ndarray:
+    """One user's null basis as the package's null-space step gives it: the
+    reference's ``eigh`` mask rule, phases pinned column by column."""
+    basis = reference.null_space(q, rank_tol)
+    return basis * column_phases(basis)
 
 
 def covariances(stack, beams) -> np.ndarray:

@@ -44,7 +44,7 @@ from conftest import (
     direct_triplets,
     overall_precoder,
     random_orthonormal,
-    received_signal_power,
+    reference,
 )
 
 
@@ -131,7 +131,7 @@ def test_03_received_power_identities():
                 d = cfg.dof[user]
                 # Matched precoding attains the sum of the dominant
                 # squared singular values, split evenly over streams.
-                got = received_signal_power(
+                got = reference.signal_power(
                     receive[user, :, :d], equiv.blocks[user][user],
                     right[user], power, d)
                 want = power / d * float(np.sum(singular[user] ** 2))
@@ -144,7 +144,7 @@ def test_03_received_power_identities():
                 factors = np.abs(overlap) ** 2
                 assert np.all(factors <= 1.0 + 1e-12)
                 double_sum = power / d * float(np.sum(sing[:, None] ** 2 * factors))
-                trace_form = received_signal_power(
+                trace_form = reference.signal_power(
                     beams.receive[user], equiv.blocks[user][user],
                     beams.transmit[user], power, d)
                 assert double_sum == pytest.approx(trace_form, rel=1e-10)

@@ -1,10 +1,10 @@
 """Alternating leakage minimization, paired and unpaired.
 
-The leakage functional, a test-local copy of the trace form the loop
-minimizes, is cross-checked with an explicit per-pair Frobenius sum, and
-the convergence claims are pinned to measured iteration budgets on fixed
-seeds. On three-user grids the converged loop is checked against Cadambe
-and Jafar's closed-form alignment, an oracle independent of the loop.
+The recorded leakage is checked against the reference's per-pair
+Frobenius sum, and the convergence claims are pinned to measured
+iteration budgets on fixed seeds. On three-user grids the converged loop
+is checked against the reference's Cadambe and Jafar closed-form
+alignment, an oracle independent of the loop.
 """
 
 import itertools
@@ -36,37 +36,11 @@ from pcia.linalg import (
     fix_column_phases,
 )
 
-from conftest import covariances
+from conftest import reference
 
 
 def _paired(cfg, seed):
     return equivalent_channel(generate_channel(cfg, seed), build_permutation(cfg))
-
-
-def _leakage(channel, receive, transmit) -> float:
-    # Total interference power at the filter outputs: sum over users of
-    # trace(U_k^H Q_k U_k), Q_k the forward covariance of all undesired
-    # transmitters at unit power per message.
-    q = covariances(channel._forward, transmit)
-    return sum(float(np.real(np.trace(u.conj().T @ q[k, :m, :m] @ u)))
-               for k, (u, m) in enumerate(zip(receive, channel.rx_sizes)))
-
-
-def test_leakage_matches_per_pair_sum(k3_config, k3_channel):
-    rng = np.random.default_rng(5)
-    blocks = k3_channel.blocks
-    receive = [np.linalg.qr(rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))[0]
-               for _ in range(3)]
-    transmit = [np.linalg.qr(rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))[0]
-                for _ in range(3)]
-    dof = [1, 1, 1]
-    expected = 0.0
-    for k in range(3):
-        for l in range(3):
-            if l != k:
-                eff = receive[k].conj().T @ blocks[k][l] @ transmit[l]
-                expected += 1.0 / dof[l] * float(np.linalg.norm(eff, "fro") ** 2)
-    assert _leakage(k3_channel, receive, transmit) == pytest.approx(expected, rel=1e-12)
 
 
 def test_leakage_never_increases_with_uniform_streams():
@@ -207,7 +181,7 @@ def test_recorded_leakage_is_the_explicit_trace(cfg):
     channel = _paired(cfg, 4)
     trace = iterate_distributed_ia(channel, cfg.dof, max_iters=2000, leakage_tol=1e-3, seed=8)
     assert trace.converged
-    explicit = _leakage(channel, trace.receive, trace.transmit)
+    explicit = reference.leakage(channel.blocks, trace.receive, trace.transmit, cfg.dof)
     assert trace.leakage[-1] == pytest.approx(explicit, rel=1e-9)
 
 
@@ -353,30 +327,6 @@ def test_an_infinite_leakage_without_a_nan_is_caught_by_the_finite_check(monkeyp
         iterate_distributed_ia(generate_channel(cfg, 0), cfg.dof, max_iters=5, seed=0)
 
 
-def _closed_form(channel, d):
-    # Cadambe and Jafar's design for three M x M links at d = M / 2 streams
-    # each (IEEE Trans. IT 54(8), 2008), with H_kl = blocks[k - 1][l - 1]:
-    # V1 spans d eigenvectors of E = H21^-1 H23 H13^-1 H12 H32^-1 H31,
-    # V2 = H32^-1 H31 V1 and V3 = H23^-1 H21 V1. Both interferers then
-    # reach each receiver in one d-dimensional span, and its filter is the
-    # orthogonal complement. Returns E's eigenvectors and the design built
-    # on the first d of them.
-    def h(k, l):
-        return channel.blocks[k - 1][l - 1]
-
-    inv = np.linalg.inv
-    eigvecs = np.linalg.eig(inv(h(2, 1)) @ h(2, 3) @ inv(h(1, 3)) @ h(1, 2)
-                            @ inv(h(3, 2)) @ h(3, 1))[1]
-    v1 = eigvecs[:, :d]
-    transmit = [np.linalg.qr(v)[0]
-                for v in (v1, inv(h(3, 2)) @ h(3, 1) @ v1, inv(h(2, 3)) @ h(2, 1) @ v1)]
-    receive = []
-    for k in range(3):
-        interference = np.hstack([channel.blocks[k][l] @ transmit[l] for l in range(3) if l != k])
-        receive.append(np.linalg.svd(interference)[0][:, d:])
-    return eigvecs, receive, transmit
-
-
 # K = 3 physical grids with M x M links at d = M / 2 streams, the
 # geometry where the closed form exists; four fixed draws each.
 CLOSED_FORM = [NetworkConfig.symmetric(3, 2, 2, 1), NetworkConfig.symmetric(3, 4, 4, 2)]
@@ -387,7 +337,7 @@ CLOSED_FORM_DRAWS = range(4)
 def test_the_closed_form_design_aligns_and_earns_every_stream(cfg):
     for seed in CLOSED_FORM_DRAWS:
         channel = generate_channel(cfg, seed)
-        _, receive, transmit = _closed_form(channel, cfg.dof[0])
+        _, receive, transmit = reference.closed_form(channel.blocks, cfg.dof[0])
         assert alignment_residual(channel.blocks, receive, transmit) < 1e-12
         rates = [sum_rate(channel.blocks, receive, transmit, [10.0 ** (snr / 10.0)] * 3,
                           cfg.dof, 1.0)[1] for snr in (30.0, 40.0)]
@@ -403,7 +353,7 @@ def test_the_converged_loop_spans_d_eigenvectors_of_the_closed_form(cfg):
     m, d = cfg.rx_antennas[0], cfg.dof[0]
     for seed in CLOSED_FORM_DRAWS:
         channel = generate_channel(cfg, seed)
-        eigvecs, _, _ = _closed_form(channel, d)
+        eigvecs, _, _ = reference.closed_form(channel.blocks, d)
         trace = iterate_distributed_ia(channel, cfg.dof, max_iters=5000, leakage_tol=1e-12,
                                        seed=seed)
         assert trace.converged, seed

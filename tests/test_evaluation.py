@@ -40,7 +40,7 @@ from pcia import (
 from pcia import evaluation, network
 from pcia.evaluation import _run_single_trial
 
-from conftest import cached_arrays, random_orthonormal, zero_padded
+from conftest import cached_arrays, random_orthonormal, reference, zero_padded
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TIMESHARE = dict(num_users=5, rx_antennas=2, tx_antennas=2, dof_total=4,
@@ -106,24 +106,6 @@ def test_aligned_beams_earn_interference_free_rates(k3_config, k3_channel):
     assert with_cross == pytest.approx(without, rel=1e-9)
 
 
-def _explicit_rates(blocks, receive, transmit, powers, dof):
-    rates = []
-    for k, u in enumerate(receive):
-        if dof[k] == 0:
-            rates.append(0.0)
-            continue
-        phi = u.conj().T @ u
-        for l, v in enumerate(transmit):
-            if l != k and dof[l]:
-                e = u.conj().T @ blocks[k][l] @ v
-                phi = phi + powers[l] / dof[l] * e @ e.conj().T
-        e = u.conj().T @ blocks[k][k] @ transmit[k]
-        sig = powers[k] / dof[k] * e @ e.conj().T
-        rates.append((np.linalg.slogdet(phi + sig)[1] - np.linalg.slogdet(phi)[1])
-                     / math.log(2.0))
-    return rates
-
-
 def test_uneven_stream_rates_match_the_per_user_formula(rng):
     # stream counts 2, 1 and 0 pad to a common width inside the stacked
     # evaluation; every power level must still give the per-user log-det
@@ -136,7 +118,7 @@ def test_uneven_stream_rates_match_the_per_user_formula(rng):
                 for d in cfg.dof]
     for p in (1.0, 10.0, 1000.0):
         powers = [1.5 * p, 1.5 * p, 0.0]
-        expected = _explicit_rates(blocks, receive, transmit, powers, cfg.dof)
+        expected = reference.rates(blocks, receive, transmit, powers, cfg.dof, 1.0)
         per_user, total = sum_rate(blocks, receive, transmit, powers, cfg.dof, 1.0)
         np.testing.assert_allclose(per_user, expected, rtol=1e-10, atol=0)
         assert per_user[2] == 0.0
@@ -352,25 +334,15 @@ def test_alignment_residual_oracle_and_scale_invariance(rng):
                for _ in range(2)]
     transmit = [np.linalg.qr(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))[0]
                 for _ in range(2)]
-    expected = 0.0
-    for k, l in ((0, 1), (1, 0)):
-        num = np.linalg.norm(receive[k].conj().T @ blocks[k][l] @ transmit[l])
-        den = (np.linalg.norm(receive[k]) * np.linalg.norm(blocks[k][l], "fro")
-               * np.linalg.norm(transmit[l]))
-        expected = max(expected, num / den)
     got = alignment_residual(blocks, receive, transmit)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(reference.residual(blocks, receive, transmit), rel=1e-12)
     scaled = [[7.0 * b for b in row] for row in blocks]
     assert alignment_residual(scaled, receive, transmit) == pytest.approx(got, rel=1e-12)
+    # a silent user's pairs are skipped: one cross link is left
     empty = [np.zeros((2, 0), complex), np.zeros((3, 0), complex)]
-    assert alignment_residual(blocks, receive, [transmit[0], empty[1]]) == pytest.approx(
-        np.linalg.norm(receive[1].conj().T @ blocks[1][0] @ transmit[0])
-        / (np.linalg.norm(receive[1]) * np.linalg.norm(blocks[1][0], "fro")
-           * np.linalg.norm(transmit[0])), rel=1e-12)
-    assert alignment_residual(blocks, [receive[0], empty[0]], transmit) == pytest.approx(
-        np.linalg.norm(receive[0].conj().T @ blocks[0][1] @ transmit[1])
-        / (np.linalg.norm(receive[0]) * np.linalg.norm(blocks[0][1], "fro")
-           * np.linalg.norm(transmit[1])), rel=1e-12)
+    for filters in ((receive, [transmit[0], empty[1]]), ([receive[0], empty[0]], transmit)):
+        assert alignment_residual(blocks, *filters) == pytest.approx(
+            reference.residual(blocks, *filters), rel=1e-12)
 
 
 QUICK = dict(num_users=3, rx_antennas=2, tx_antennas=2, dof_total=3,
@@ -578,22 +550,6 @@ def test_untyped_solver_errors_propagate(monkeypatch):
         run_experiment(spec)
 
 
-def _residual_loop(blocks, receive, transmit):
-    # The per-pair scan: silent receivers and transmitters, the own link
-    # and zero-norm factors are skipped.
-    worst = 0.0
-    for k in range(len(blocks)):
-        for l in range(len(blocks)):
-            if l == k or receive[k].shape[1] == 0 or transmit[l].shape[1] == 0:
-                continue
-            num = np.linalg.norm(receive[k].conj().T @ blocks[k][l] @ transmit[l], "fro")
-            den = (np.linalg.norm(receive[k], "fro") * np.linalg.norm(blocks[k][l], "fro")
-                   * np.linalg.norm(transmit[l], "fro"))
-            if den > 0:
-                worst = max(worst, float(num / den))
-    return worst
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_alignment_residual_on_a_ragged_grid_matches_the_pair_loop(seed):
     # stations of 2, 3 and 2 antennas with user 2 silent: blocks are not
@@ -604,19 +560,19 @@ def test_alignment_residual_on_a_ragged_grid_matches_the_pair_loop(seed):
     blocks = equivalent_channel(channel, build_permutation(cfg)).blocks
     receive = [random_orthonormal(rng, m, d) for m, d in zip(cfg.rx_antennas, cfg.dof)]
     transmit = [random_orthonormal(rng, w, d) for w, d in zip(cfg.paired_widths, cfg.dof)]
-    expected = _residual_loop(blocks, receive, transmit)
+    expected = reference.residual(blocks, receive, transmit)
     assert expected > 0.0
     assert alignment_residual(blocks, receive, transmit) == pytest.approx(expected, rel=1e-12)
     # full coordination: each receiver sees one row block from every
     # transmitter, with precoders on the whole antenna stack
     rows = [[channel.row_block(k)] * 3 for k in range(3)]
     wide = [random_orthonormal(rng, 7, d) for d in cfg.dof]
-    expected = _residual_loop(rows, receive, wide)
+    expected = reference.residual(rows, receive, wide)
     assert alignment_residual(rows, receive, wide) == pytest.approx(expected, rel=1e-12)
     # a zero-norm cross block is skipped, not divided by
     zeroed = [list(row) for row in blocks]
     zeroed[0][1] = np.zeros_like(blocks[0][1])
-    expected = _residual_loop(zeroed, receive, transmit)
+    expected = reference.residual(zeroed, receive, transmit)
     assert alignment_residual(zeroed, receive, transmit) == pytest.approx(expected, rel=1e-12)
 
 
@@ -985,7 +941,7 @@ def small_sweeps(draw):
 
 
 @given(small_sweeps())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_every_sweep_rate_is_finite_and_non_negative(spec):
     result = run_experiment(spec, workers=1)
     for rec in result.to_records():

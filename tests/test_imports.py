@@ -47,6 +47,9 @@
   workers.
 * Each solver refuses any input but its one form with a ``TypeError``
   naming the argument, before any work.
+* ``tests/reference.py``, the paper-literal test reference, imports
+  only ``numpy`` and standard-library modules: no ``pcia`` module and no
+  test helper, so it shares no code with what it checks.
 """
 
 import ast
@@ -585,3 +588,37 @@ def test_each_solver_refuses_any_other_input_form_by_name(case):
     call, message = REFUSALS[case]
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
+
+
+REFERENCE = ROOT / "tests" / "reference.py"
+# What the reference may import, by top-level module name.
+REFERENCE_IMPORTS = {"numpy", *sys.stdlib_module_names}
+
+
+def _foreign_imports(tree: ast.Module) -> list:
+    """``(line, module)`` of each import outside ``REFERENCE_IMPORTS``; a relative one counts."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] not in REFERENCE_IMPORTS]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] not in REFERENCE_IMPORTS:
+                found.append((node.lineno, module))
+    return sorted(found)
+
+
+def test_the_check_sees_a_foreign_import():
+    tree = ast.parse("import itertools\nimport numpy as np\nfrom numpy.linalg import svd\n"
+                     "import pcia.linalg\nfrom pcia import sum_rate\nfrom . import conftest\n"
+                     "from conftest import corners\ndef f():\n    import scipy.linalg as s\n")
+    assert _foreign_imports(tree) == [(4, "pcia.linalg"), (5, "pcia"), (6, "."),
+                                      (7, "conftest"), (9, "scipy.linalg")]
+
+
+def test_the_reference_imports_only_numpy_and_the_standard_library():
+    found = _foreign_imports(ast.parse(REFERENCE.read_text(), str(REFERENCE)))
+    assert not found, ("the reference shares no code with what it checks:\n"
+                       + "\n".join(f"tests/reference.py:{line}: {module}"
+                                    for line, module in found))

@@ -3,8 +3,9 @@
 Stations carry 2, 3 and 2 antennas and user 2 is silent, so the blocks
 are not square, the paired widths differ (4, 5, 5), and one transmitter
 sends nothing. The kernel runs on a view's cached zero-padded link
-grids and each covariance is cut to its receiver's size. Oracles:
-explicit sums over interferers and streams.
+grids and each covariance is cut to its receiver's size. Oracles: the
+reference's per-pair sums over interferers, and bit-exact mirrors of the
+kernel's own formula.
 """
 
 import numpy as np
@@ -31,7 +32,14 @@ from pcia.linalg import (
 )
 from pcia.oneshot import design_receive_beamformers
 
-from conftest import corners, covariances, random_orthonormal, reciprocal_covariances
+from conftest import (
+    column_phases,
+    corners,
+    covariances,
+    random_orthonormal,
+    reciprocal_covariances,
+    reference,
+)
 
 CONFIG = NetworkConfig(rx_antennas=(2, 3, 2), tx_antennas=(2, 3, 2), dof=(1, 2, 0))
 WEIGHTS = [1.0, 0.5, 0.0]   # unit power / streams, zero for the silent user
@@ -54,18 +62,6 @@ def _kernel(stack, beams, sizes):
     return [q[k, :size, :size] for k, size in enumerate(sizes)]
 
 
-def _double_sum(grid, beams, weights, k):
-    size = grid[k][k].shape[0]
-    q = np.zeros((size, size), dtype=np.complex128)
-    for l in range(len(grid)):
-        if l == k:
-            continue
-        for s in range(beams[l].shape[1]):
-            col = grid[k][l] @ beams[l][:, s]
-            q += weights[l] * np.outer(col, col.conj())
-    return q
-
-
 def test_reciprocal_transposes_and_conjugates_the_grid(ragged):
     # Entry l of the reverse grid stacks blocks[l][k]^H over k, each in a
     # zero-padded 5 x 3 slot.
@@ -85,8 +81,9 @@ def test_forward_kernel_matches_double_sum_and_is_hermitian(ragged):
     for k, q in enumerate(covs):
         assert q.shape == (CONFIG.rx_antennas[k],) * 2
         assert np.array_equal(q, q.conj().T)
-        np.testing.assert_allclose(q, _double_sum(blocks, transmit, WEIGHTS, k),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            q, reference.interference_covariance(blocks, transmit, CONFIG.dof, k),
+            rtol=0, atol=1e-12)
 
 
 def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
@@ -99,10 +96,9 @@ def test_reverse_kernel_is_the_reciprocal_interference_covariance(ragged):
         assert q.shape == (CONFIG.paired_widths[k],) * 2
         assert np.array_equal(q, q.conj().T)
         assert np.array_equal(q, cached[k])
-        oracle = sum(WEIGHTS[l] * blocks[l][k].conj().T @ receive[l]
-                     @ receive[l].conj().T @ blocks[l][k]
-                     for l in range(3) if l != k)
-        np.testing.assert_allclose(q, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            q, reference.reciprocal_covariance(blocks, receive, CONFIG.dof, k),
+            rtol=0, atol=1e-12)
 
 
 def test_silent_transmitter_contributes_nothing(ragged):
@@ -198,18 +194,6 @@ def test_column_heads_are_cached_read_only_flat_positions():
     assert np.array_equal(_column_heads((4, 3)), [0, 1, 2])
 
 
-def _pinned_loop(a, tol=1e-12):
-    # Reference rule, one column at a time: the first entry above ``tol``
-    # becomes real and positive; columns without one are left alone.
-    a = np.array(a, dtype=np.complex128)
-    phases = np.ones(a.shape[1], dtype=np.complex128)
-    for j in range(a.shape[1]):
-        nz = np.flatnonzero(np.abs(a[:, j]) > tol)
-        if nz.size:
-            phases[j] = a[nz[0], j].conjugate() / abs(a[nz[0], j])
-    return a * phases, phases
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_phase_pinning_matches_the_column_loop(seed):
     rng = np.random.default_rng(seed)
@@ -218,9 +202,10 @@ def test_phase_pinning_matches_the_column_loop(seed):
     a[0, 2] = 1e-13          # leading entry below the tolerance
     a[:, 3] = 0.0            # nothing to pin
     a[:, 4] = 1e-14 * (1 + 1j)
-    expected, phases = _pinned_loop(a)
+    # the rule, one column at a time: the first entry above 1e-12 becomes
+    # real and positive; columns without one are left alone
     got = fix_column_phases(a)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, a * column_phases(a), rtol=0, atol=1e-15)
     for j in (3, 4):
         assert np.array_equal(got[:, j], a[:, j])
 
@@ -230,8 +215,8 @@ def test_phase_pinning_matches_the_column_loop(seed):
     for m in (a[:, :7], np.diag([1.0, 3.0, 2.0]) * np.exp(1j * np.arange(3))):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         pu, ps, pv = (x[0] for x in _pinned_svd(m[None]))
-        want, phases = _pinned_loop(u)
-        np.testing.assert_allclose(pu, want, rtol=0, atol=1e-15)
+        phases = column_phases(u)
+        np.testing.assert_allclose(pu, u * phases, rtol=0, atol=1e-15)
         np.testing.assert_allclose(pv, vh.conj().T * phases, rtol=0, atol=1e-15)
         assert np.array_equal(ps, s)
         np.testing.assert_allclose((pu * ps) @ pv.conj().T, m, rtol=0, atol=1e-13)

@@ -184,7 +184,7 @@ def ring_configs(draw):
 
 
 @given(ring_configs())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_pairwise_and_overall_precoders_agree(cfg_seed):
     # The stacked per-pair precoders and the sparse network-wide one must
     # produce the same transmitted signal for every channel realization.

@@ -1,10 +1,10 @@
 """Single-pass alignment on the paired-transmitter channel.
 
 Oracles used here: received signal power against the squared singular
-values of the direct block, covariance traces against an entrywise
-double sum, and subset selection against a determinant-modulus scan.
-The powers and covariances come from test-local helpers; the package
-keeps neither.
+values of the direct block, covariance traces against the reference's
+per-pair sum, and subset selection against a determinant-modulus scan
+and the reference's per-subset pick. The batched steps are held bit for
+bit to per-user loops built on the mirrors in ``conftest``.
 """
 
 import dataclasses
@@ -32,11 +32,13 @@ from pcia.linalg import _interferer_weights, _pinned_svd
 from pcia.oneshot import design_receive_beamformers, reciprocal_state, select_transmit_beamformer
 
 from conftest import (
+    column_phases,
     corners,
     direct_triplets,
+    null_basis,
     random_orthonormal,
-    received_signal_power,
     reciprocal_covariances,
+    reference,
 )
 
 
@@ -44,8 +46,8 @@ def _equiv(config, seed):
     return equivalent_channel(generate_channel(config, seed), build_permutation(config))
 
 
-def _pick(receive, direct, basis, d, user=None):
-    # One user's pick: the selector on stacks of one.
+def _pick(receive, direct, basis, d, user=0):
+    # One user's pick: the selector on stacks of one, named user 0 in errors.
     return select_transmit_beamformer(receive[None], direct[None], basis[None], d, user=user)[0]
 
 
@@ -88,11 +90,11 @@ def test_received_power_matches_singular_values():
     for k in range(3):
         svals = np.linalg.svd(equiv.blocks[k][k], compute_uv=False)
         expected = 5.0 / cfg.dof[k] * float(np.sum(svals[: cfg.dof[k]] ** 2))
-        got = received_signal_power(
+        got = reference.signal_power(
             receive[k], equiv.blocks[k][k], right[k], 5.0, cfg.dof[k])
         assert got == pytest.approx(expected, rel=1e-10)
-    assert received_signal_power(receive[0], equiv.blocks[0][0],
-                                 right[0], 5.0, 0) == 0.0
+    assert reference.signal_power(receive[0], equiv.blocks[0][0],
+                                  right[0], 5.0, 0) == 0.0
 
 
 def test_covariance_trace_matches_double_sum(k3_config, k3_channel):
@@ -100,14 +102,8 @@ def test_covariance_trace_matches_double_sum(k3_config, k3_channel):
     receive = design_receive_beamformers(equiv, k3_config)
     covs = reciprocal_covariances(equiv, receive)
     for k in range(3):
-        total = 0.0
-        for l in range(3):
-            if l == k:
-                continue
-            eff = equiv.blocks[l][k].conj().T @ receive[l]
-            for i in range(eff.shape[0]):
-                for j in range(eff.shape[1]):
-                    total += 1.0 / k3_config.dof[l] * abs(eff[i, j]) ** 2
+        oracle = reference.reciprocal_covariance(equiv.blocks, receive, k3_config.dof, k)
+        total = float(np.real(np.trace(oracle)))
         assert float(np.real(np.trace(covs[k]))) == pytest.approx(total, rel=1e-12)
         assert np.allclose(covs[k], covs[k].conj().T)
         assert np.min(np.linalg.eigvalsh(covs[k])) > -1e-12
@@ -355,7 +351,7 @@ def feasible_rings(draw):
 
 
 @given(feasible_rings())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_one_shot_always_cancels_cross_links(cfg_seed):
     cfg, seed = cfg_seed
     equiv = _equiv(cfg, seed)
@@ -369,18 +365,6 @@ def test_one_shot_always_cancels_cross_links(cfg_seed):
     for k in cfg.active_users:
         gram = beams.transmit[k].conj().T @ beams.transmit[k]
         assert np.allclose(gram, np.eye(cfg.dof[k]), atol=1e-10)
-
-
-def _loop_pick(receive, direct, basis, d):
-    # The per-subset scan the batched selector replaced: one eigvals per
-    # subset, a later subset winning only on a strictly better score.
-    projected = receive.conj().T @ direct @ basis
-    best_cols, best_score = None, -np.inf
-    for cols in itertools.combinations(range(basis.shape[1]), d):
-        score = float(np.prod(np.abs(np.linalg.eigvals(projected[:, cols]))))
-        if score > best_score:
-            best_cols, best_score = cols, score
-    return basis[:, best_cols]
 
 
 # (nullity, streams) of the oracle's searches: every stream count up to 4
@@ -411,9 +395,9 @@ def test_batched_selector_matches_per_subset_loop(stack):
         else:
             picks = [pick for i in range(0, len(draws), stack)
                      for pick in select_transmit_beamformer(
-                         *map(np.array, zip(*draws[i:i + stack])), d)]
+                         *map(np.array, zip(*draws[i:i + stack])), d, user=0)]
         for pick, draw in zip(picks, draws):
-            assert np.array_equal(pick, _loop_pick(*draw, d)), (nullity, d)
+            assert np.array_equal(pick, reference.geometric_pick(*draw, d)), (nullity, d)
 
 
 def test_selector_ties_straddling_chunks_keep_first_subset():
@@ -427,7 +411,7 @@ def test_selector_ties_straddling_chunks_keep_first_subset():
                       [0, 0, 0.0, 1, 1.0]], dtype=np.complex128)
     picked = _pick(receive, direct, basis, 2)
     assert np.array_equal(picked, basis[:, [0, 1]])
-    assert np.array_equal(picked, _loop_pick(receive, direct, basis, 2))
+    assert np.array_equal(picked, reference.geometric_pick(receive, direct, basis, 2))
 
 
 def test_a_search_past_the_subset_limit_is_refused_before_any_table(monkeypatch):
@@ -442,9 +426,9 @@ def test_a_search_past_the_subset_limit_is_refused_before_any_table(monkeypatch)
     with pytest.raises(OneShotInfeasible, match=r"user 4 would score 184756 subsets") as exc:
         select_transmit_beamformer(receive[None], direct[None], basis[None], 19, user=4)
     assert (exc.value.user, exc.value.nullity, exc.value.dof) == (4, 20, 19)
-    with pytest.raises(OneShotInfeasible, match=r"user \? would score") as exc:
+    with pytest.raises(OneShotInfeasible, match=r"user 0 would score") as exc:
         _pick(receive, direct, basis, 19)
-    assert (exc.value.user, exc.value.nullity, exc.value.dof) == (None, 20, 19)
+    assert (exc.value.user, exc.value.nullity, exc.value.dof) == (0, 20, 19)
     # Through the design: 44 directions for 4 streams, comb(44, 4) = 135,751.
     cfg = NetworkConfig.symmetric(2, 24, 24, 4)
     with pytest.raises(OneShotInfeasible, match="135751 subsets") as exc:
@@ -472,18 +456,6 @@ def test_minor_tables_are_cached_read_only():
     assert single == () and last.tolist() == [[0], [1], [2], [3]]
 
 
-def _pinned_by_column(a, tol=1e-12):
-    # One column at a time: the phase that makes the first entry above
-    # ``tol`` real and positive (1 when there is none).
-    phases = np.ones(a.shape[1], dtype=a.dtype)
-    for j in range(a.shape[1]):
-        nz = np.flatnonzero(np.abs(a[:, j]) > tol)
-        if nz.size:
-            lead = a[nz[0], j]
-            phases[j] = np.divide(lead.conjugate(), np.abs(lead))
-    return phases
-
-
 def _design_by_user(cfg, equiv, rank_tol=1e-9):
     # The per-user loop the batched steps replace: one svd per direct
     # block, one eigh per covariance, phases pinned column by column, and
@@ -492,17 +464,12 @@ def _design_by_user(cfg, equiv, rank_tol=1e-9):
     left, singular, right = [], [], []
     for k in range(cfg.num_users):
         u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
-        phases = _pinned_by_column(u)
+        phases = column_phases(u)
         left.append(u * phases)
         singular.append(s)
         right.append(vh.conj().T * phases)
     receive = [u[:, :d] for u, d in zip(left, cfg.dof)]
-    covariances = reciprocal_covariances(equiv, receive)
-    bases = []
-    for q in covariances:
-        vals, vecs = np.linalg.eigh(q)
-        basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
-        bases.append(basis * _pinned_by_column(basis))
+    bases = [null_basis(q, rank_tol) for q in reciprocal_covariances(equiv, receive)]
     transmit = [np.zeros((w, 0)) if d == 0 else basis if basis.shape[1] == d
                 else _pick(receive[k], equiv.blocks[k][k], basis, d, user=k)
                 for k, (w, d, basis) in enumerate(zip(cfg.paired_widths, cfg.dof, bases))]
@@ -572,7 +539,7 @@ def test_cached_direct_svd_serves_every_time_share_slot(geometry):
         assert np.array_equal(stacks[0][k, :m, :r], own[0][0])
         assert np.array_equal(stacks[1][k, :r], own[1][0])
         u, s, vh = np.linalg.svd(equiv.blocks[k][k], full_matrices=False)
-        phases = _pinned_by_column(u)
+        phases = column_phases(u)
         assert np.array_equal(triplets[k][0], u * phases)
         assert np.array_equal(triplets[k][1], s)
         assert np.array_equal(triplets[k][2], vh.conj().T * phases)
@@ -608,9 +575,7 @@ def test_null_spaces_match_the_boolean_mask_rule(geometry):
             assert not state.null_bases.flags.writeable
             receive = _receive(equiv, cfg)
             for k, q in enumerate(reciprocal_covariances(equiv, receive)):
-                vals, vecs = np.linalg.eigh(q)
-                basis = vecs[:, vals <= rank_tol * max(float(vals[-1]), 0.0)]
-                basis = basis * _pinned_by_column(basis)
+                basis = null_basis(q, rank_tol)
                 assert state.nullities[k] == basis.shape[1]
                 assert _ranks(state, cfg)[k] == q.shape[0] - basis.shape[1]
                 assert np.array_equal(_bases(state, cfg)[k], basis)
@@ -784,10 +749,10 @@ def test_stacked_ties_straddling_chunks_keep_each_users_first_subset():
     receives = np.array([receive, receive, random_orthonormal(rng, 2, 2)])
     directs = np.array([direct, direct,
                         rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))])
-    picks = select_transmit_beamformer(receives, directs, bases, 2)
+    picks = select_transmit_beamformer(receives, directs, bases, 2, user=0)
     assert picks.shape == (3, 3, 2)
     assert np.array_equal(picks[0], basis[:, [0, 1]])
     for pick, r, h, b in zip(picks, receives, directs, bases):
         assert np.array_equal(pick, _pick(r, h, b, 2))
-        assert np.array_equal(pick, _loop_pick(r, h, b, 2))
+        assert np.array_equal(pick, reference.geometric_pick(r, h, b, 2))
 

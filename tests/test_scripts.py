@@ -122,8 +122,8 @@ def test_per_spec_digest_labels_each_spec_and_ends_with_the_combined_hash(capsys
     digest.main(["--trials", "1", "--per-spec"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] + "\n" == combined
-    labels = [label for label, _ in digest.panel(1)]
-    assert len(lines[:-1]) == len(labels) == 5
+    labels = [label for label, _ in digest.panel(1)] + [digest.CLI_PANEL]
+    assert len(lines[:-1]) == len(labels) == 6
     for line, label in zip(lines[:-1], labels):
         assert re.fullmatch(rf"{label} [0-9a-f]{{64}}", line)
 
@@ -150,10 +150,11 @@ def test_a_dump_compared_with_its_own_tree_shows_no_difference(capsys, tmp_path)
     digest.main(["--trials", "1", "--against", str(dump)])
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "no value moved"
-    # five specs of five measured fields each
-    assert len(lines[:-1]) == 25
-    for line in lines[:-1]:
+    # five specs of five measured fields each, then the CLI panel
+    assert len(lines[:-1]) == 26
+    for line in lines[:-2]:
         assert re.fullmatch(r"\S+ \w+: worst relative 0, absolute 0, 0 of \d+ past 1e-12", line)
+    assert lines[-2] == "cli-panel: every output of 83 commands the same"
 
 
 def test_the_comparison_names_the_spec_and_field_that_moved(monkeypatch, capsys, tmp_path):
@@ -164,10 +165,11 @@ def test_the_comparison_names_the_spec_and_field_that_moved(monkeypatch, capsys,
     dump = tmp_path / "records.jsonl"
     digest.main(["--trials", "1", "--dump", str(dump)])
     capsys.readouterr()
-    [(label, verdict, records)] = [json.loads(dump.read_text())]
+    spec, cli = dump.read_text().splitlines()
+    label, verdict, records = json.loads(spec)
     records[1]["mean_sum_rate"] *= 1 + 1e-9
     records[2]["align_residual"] = float("nan")
-    dump.write_text(json.dumps([label, verdict, records]))
+    dump.write_text(json.dumps([label, verdict, records]) + "\n" + cli)
     with pytest.raises(SystemExit) as exc:
         digest.main(["--trials", "1", "--against", str(dump)])
     assert exc.value.code == 1
@@ -184,6 +186,33 @@ def test_the_comparison_names_the_spec_and_field_that_moved(monkeypatch, capsys,
     assert digest.compare([[label, verdict, records]], [[label, verdict, records[:3]]])[1]
     assert digest.compare([[label, "no", []]], [[label, None, []]]) == (
         ["k4-3x3: check_spec verdict 'no' is now None"], True)
+
+
+def test_the_cli_panel_names_each_command_whose_output_moved(monkeypatch, capsys, tmp_path):
+    digest = _load("records_digest")
+    monkeypatch.setattr(digest, "panel", lambda trials: [])
+    dump = tmp_path / "records.jsonl"
+    digest.main(["--trials", "1", "--dump", str(dump)])
+    capsys.readouterr()
+    label, commands = json.loads(dump.read_text())
+    assert label == "cli-panel"
+    outputs = dict(commands)
+    # pcia run: exit code, stdout, stderr, CSV and the mirror, its
+    # environment and worker count masked
+    code, out, err, table, mirror = outputs["pcia run stations-2-3-2"]
+    assert (code, out, err) == (0, "wrote OUT/rates.csv and OUT/rates.json\n", "")
+    assert table.startswith("scheme,K,m,n,dof_total,snr_db,trials,")
+    diagnostics = json.loads(mirror)["diagnostics"]
+    assert diagnostics["environment"] == diagnostics["workers"] == "masked"
+    outputs["pcia schedule 5 7"][1] += " "
+    outputs["pcia backhaul"][1] = outputs["pcia backhaul"][1].replace("49", "48")
+    dump.write_text(json.dumps([label, [[c, outputs[c]] for c, _ in commands]]))
+    with pytest.raises(SystemExit) as exc:
+        digest.main(["--trials", "1", "--against", str(dump)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cli-panel: pcia schedule 5 7 output moved", "cli-panel: pcia backhaul output moved",
+        "moved past 1e-12"]
 
 
 def test_code_lines_count_neither_docstrings_nor_comments_nor_blank_lines(capsys, tmp_path):
